@@ -26,6 +26,7 @@ from .errors import (
     GroupEnumerationCapError,
     IntegrationStalledError,
     InvalidGraphError,
+    InvariantViolationError,
     PreconditionError,
     SymmetryViolationError,
     UnsupportedStructureError,

@@ -1,8 +1,9 @@
 """Command-line front end: scenario presets, batch analysis, CSV/JSON/SVG output.
 
-Exit codes: 0 success, 2 configuration error, 3 divergence (partial CSV is
-flushed), 4 unsupported graph structure, 5 canard run under a non-critical
-perturbation (advisory; outputs are still written).
+Exit codes: 0 success, 1 any other package error such as a failed invariant
+check (InvariantViolationError), 2 configuration error, 3 divergence (partial
+CSV is flushed), 4 unsupported graph structure, 5 canard run under a
+non-critical perturbation (advisory; outputs are still written).
 """
 
 from __future__ import annotations
@@ -331,19 +332,24 @@ def cmd_bifurcation(args) -> int:
     if family is None:
         raise ConfigError(["response: bifurcation sweeps need a family response"])
     graph = build_graph(cfg["graph"])
-    if not graph.is_complete():
-        raise UnsupportedStructureError("bifurcation diagrams are defined for complete graphs")
+    if not graph.is_unit_complete():
+        raise UnsupportedStructureError(
+            "bifurcation diagrams are defined for complete graphs with unit edge weights"
+        )
     n = graph.n
     k_range, x_range, grid, residual_tol = _analysis(cfg, "k_range", "x_range", "grid", "residual_tol")
     (lambda_values,) = _analysis(cfg, "lambda_values")
+    # every sample passes its residual gate before the file is opened
+    samples = [
+        (lam, sample_manifold(PlaneSystem(n=n, f=ResponseFunction.family(family, lam)),
+                              k_range, x_range, tuple(grid), residual_tol))
+        for lam in lambda_values
+    ]
     out = _out_dir(args)
     path = out / "bifurcation.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("family,lambda,k,x,branch_id,stability\n")
-        for lam in lambda_values:
-            f = ResponseFunction.family(family, lam)
-            ps = PlaneSystem(n=n, f=f)
-            sample = sample_manifold(ps, k_range, x_range, tuple(grid), residual_tol)
+        for lam, sample in samples:
             for p in sample.points:
                 fh.write(f"{family},{float(lam)!r},{p.k!r},{p.x!r},{p.branch},{p.stability}\n")
     _emit(path)

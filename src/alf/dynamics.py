@@ -170,55 +170,79 @@ class PerturbedSystem:
         return total
 
     def rhs_function(self, ctx: ScalarContext):
+        flow = self._flow(ctx)
+        if ctx.is_float:
+            return lambda y: flow(y)[0]
+        return lambda y: np.array(flow(list(y))[0], dtype=object)
+
+    def _forcing(self, ctx: ScalarContext):
+        """x -> H(x) in the tier of ctx; a constant forcing is converted once."""
+        pert = self.perturbation
+        if pert.is_state_independent:
+            h = ctx.vector(pert.values)
+            return lambda x: h
+        if ctx.is_float:
+            return lambda x: np.asarray([float(v) for v in pert.evaluate(list(x))])
+        return lambda x: pert.evaluate(list(x))
+
+    def _flow(self, ctx: ScalarContext):
+        """x -> (-L F(x) + eps H(x), H(x)) in the tier of ctx.
+
+        Every exact constant is converted to the tier once, here.  The
+        extended tiers apply L from the nonzero entries of each row in
+        ascending column order, O(|E|) per call; the skipped terms are exact
+        zeros, so every rounding is that of the dense row sum.
+        """
+        eps = ctx.scalar(self.epsilon)
+        forcing = self._forcing(ctx)
         if ctx.is_float:
             neg_l = self._neg_laplacian_float
-            eps = float(self.epsilon)
             fld = self.field
-            pert = self.perturbation
-            if pert.is_state_independent:
-                eps_h = eps * np.array([float(v) for v in pert.values])
+            coeffs = _float_coeffs(fld)
+            if self.perturbation.is_state_independent:
+                h = forcing(None)
+                eps_h = eps * h
+                return lambda y: (neg_l @ _field_values_float(fld, coeffs, y) + eps_h, h)
 
-                def rhs(y: np.ndarray) -> np.ndarray:
-                    return neg_l @ _field_values_float(fld, y) + eps_h
+            def flow_float(y):
+                h = forcing(y)
+                return neg_l @ _field_values_float(fld, coeffs, y) + eps * h, h
 
-            else:
+            return flow_float
 
-                def rhs(y: np.ndarray) -> np.ndarray:
-                    h = np.asarray([float(v) for v in pert.evaluate(list(y))])
-                    return neg_l @ _field_values_float(fld, y) + eps * h
+        rows = [[(j, ctx.scalar(w)) for j, w in enumerate(row) if w != 0]
+                for row in self._laplacian_exact]
+        field = self.field.evaluator(ctx)
+        zero = ctx.scalar(0)
 
-            return rhs
-
-        lap = [[ctx.scalar(v) for v in row] for row in self._laplacian_exact]
-        eps = ctx.scalar(self.epsilon)
-        fld = self.field
-        pert = self.perturbation
-        n = self.n
-
-        def rhs(y: np.ndarray) -> np.ndarray:
-            fvals = fld.evaluate(list(y))
-            hvals = pert.evaluate(list(y))
+        def flow(x):
+            fvals = field(x)
+            hvals = forcing(x)
             out = []
-            for i in range(n):
-                acc = ctx.scalar(0)
-                row = lap[i]
-                for j in range(n):
-                    acc = acc - row[j] * fvals[j]
-                out.append(acc + eps * hvals[i])
-            return np.array(out, dtype=object)
+            for row, h in zip(rows, hvals):
+                acc = zero
+                for j, w in row:
+                    acc = acc - w * fvals[j]
+                out.append(acc + eps * h)
+            return out, hvals
 
-        return rhs
+        return flow
 
 
-def _field_values_float(fld: ResponseField, y: np.ndarray) -> np.ndarray:
-    """Vectorised response values for float state vectors."""
+def _float_coeffs(fld: ResponseField):
+    """Float coefficients of the response, highest degree first; None for a callback."""
     coeffs = getattr(fld.function, "coeffs", None)
+    return None if coeffs is None else [float(c) for c in reversed(coeffs)]
+
+
+def _field_values_float(fld: ResponseField, coeffs, y: np.ndarray) -> np.ndarray:
+    """Vectorised response values for float state vectors (`coeffs` from _float_coeffs)."""
     if coeffs is None:  # callback response: evaluate pointwise
         acc = np.array([float(fld.function.eval(float(v))) for v in y])
     else:
-        acc = np.full_like(y, float(coeffs[-1]))
-        for c in reversed(coeffs[:-1]):
-            acc = acc * y + float(c)
+        acc = np.full_like(y, coeffs[0])
+        for c in coeffs[1:]:
+            acc = acc * y + c
     if fld.mean_gauges:
         mean = float(np.mean(y))
         acc = acc + sum(g.eval(mean) for g in fld.mean_gauges)
@@ -307,47 +331,39 @@ class StandardFormSystem:
         return y[-1]
 
     def rhs_function(self, ctx: ScalarContext):
+        """Lift to the full state, apply the full system's flow, project."""
         sys = self.base
         n = sys.n
         l = self.l
+        keep = [j - 1 for j in self.kept]
+        flow = sys._flow(ctx)
+        eps = ctx.scalar(sys.epsilon)
         if ctx.is_float:
-            neg_l = sys._neg_laplacian_float
-            eps = float(sys.epsilon)
-            fld = sys.field
-            pert = sys.perturbation
-            keep = [j - 1 for j in self.kept]
+            def drift(h):
+                return eps * float(np.sum(h))
+        else:
+            def drift(h):
+                hsum = h[0]
+                for v in h[1:]:
+                    hsum = hsum + v
+                return eps * hsum
+        # a constant forcing gives a constant slow drift
+        slow = drift(sys._forcing(ctx)(None)) if sys.perturbation.is_state_independent else None
 
+        if ctx.is_float:
             def rhs(y: np.ndarray) -> np.ndarray:
                 full = np.empty(n)
                 full[keep] = y[:-1]
                 full[l - 1] = y[-1] - float(np.sum(y[:-1]))
-                h = np.array([float(v) for v in pert.evaluate(list(full))])
-                fast = (neg_l @ _field_values_float(fld, full) + eps * h)[keep]
-                return np.append(fast, eps * float(np.sum(h)))
+                dx, h = flow(full)
+                return np.append(dx[keep], drift(h) if slow is None else slow)
 
             return rhs
 
-        lap = [[ctx.scalar(v) for v in row] for row in sys._laplacian_exact]
-        eps = ctx.scalar(sys.epsilon)
-        fld = sys.field
-        pert = sys.perturbation
-        kept = self.kept
-
         def rhs(y: np.ndarray) -> np.ndarray:
-            full = self.lift(list(y[:-1]), y[-1])
-            fvals = fld.evaluate(full)
-            hvals = pert.evaluate(full)
-            out = []
-            for i in kept:
-                acc = ctx.scalar(0)
-                row = lap[i - 1]
-                for j in range(n):
-                    acc = acc - row[j] * fvals[j]
-                out.append(acc + eps * hvals[i - 1])
-            hsum = hvals[0]
-            for v in hvals[1:]:
-                hsum = hsum + v
-            out.append(eps * hsum)
+            dx, h = flow(self.lift(list(y[:-1]), y[-1]))
+            out = [dx[i] for i in keep]
+            out.append(drift(h) if slow is None else slow)
             return np.array(out, dtype=object)
 
         return rhs
@@ -518,24 +534,27 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         return traj
 
 
+# Steps keep the array left of a tier scalar: mpf * array first fails inside
+# mpmath, which formats repr(array) into an error before numpy takes over.
 def _rk4_step(rhs, y, t, dt):
     half = dt / 2
     k1 = rhs(y)
-    k2 = rhs(y + half * k1)
-    k3 = rhs(y + half * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = rhs(y + k1 * half)
+    k3 = rhs(y + k2 * half)
+    k4 = rhs(y + k3 * dt)
+    return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6)
 
 
 def _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
     span = float(t1) - float(t0)
     nsteps = max(1, round(span / cfg.dt))
     dt = ctx.scalar(exact(t1) - exact(t0)) / nsteps
-    t = ctx.scalar(t0)
+    t_start = ctx.scalar(t0)
+    t = t_start
     record(t, y)
     for step in range(1, nsteps + 1):
         y = _rk4_step(rhs, y, t, dt)
-        t = ctx.scalar(t0) + step * dt
+        t = t_start + step * dt
         if _diverged(y):
             record(t, y)
             raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
@@ -560,14 +579,14 @@ def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
             dt = t_end - t
         ks = [fsal]
         for stage in range(1, 7):
-            acc = y + (dt * _DP_A[stage][0]) * ks[0]
+            acc = y + ks[0] * (dt * _DP_A[stage][0])
             for idx in range(1, stage):
                 coeff = _DP_A[stage][idx]
                 if coeff != 0.0:
-                    acc = acc + (dt * coeff) * ks[idx]
+                    acc = acc + ks[idx] * (dt * coeff)
             ks.append(rhs(acc))
-        y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-        y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0)
+        y5 = y + sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0) * dt
+        y4 = y + sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0) * dt
         err = 0.0
         for a, b, yi in zip(y5, y4, y):
             scale = tol + tol * max(float(abs(yi)), float(abs(a)))

@@ -29,6 +29,10 @@ class PreconditionError(AlfError):
     """Analysis called at a point that fails its precondition."""
 
 
+class InvariantViolationError(AlfError):
+    """A computed result failed a check it must pass (residual gate, cross-check)."""
+
+
 class ContinuationFailedError(AlfError):
     """Branch continuation could not locate the non-consensus root."""
 

@@ -166,6 +166,10 @@ class Graph:
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
+    def is_unit_complete(self) -> bool:
+        """Complete with every edge weight 1, so any two nodes are exchangeable."""
+        return self.is_complete() and all(w == 1 for _, _, w in self.edges)
+
     def adjacency(self) -> list[list[Fraction]]:
         a = [[Fraction(0)] * self.n for _ in range(self.n)]
         for i, j, w in self.edges:

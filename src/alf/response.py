@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
 from .errors import UnsupportedStructureError
-from .precision import exact
+from .precision import ScalarContext, exact
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -92,6 +93,8 @@ class ResponseFunction:
 
     def eval(self, x):
         """Evaluate at x, preferring the factored form when available."""
+        if type(x) is float:
+            return self._float_evaluator(x)
         if self.roots is not None:
             acc = _coerce(self.scale, x)
             for r, mult in self.roots:
@@ -107,6 +110,40 @@ class ResponseFunction:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + _coerce(c, x)
         return acc
+
+    @cached_property
+    def _float_evaluator(self):
+        """`eval` for Python floats; the float scans call it on every point."""
+        return self.evaluator(ScalarContext(16))
+
+    def evaluator(self, ctx):
+        """`eval` for scalars of the tier `ctx`, with the constants converted once.
+
+        The returned function applies the operations of `eval` in the same
+        order, so under `ctx.workprec()` it returns the same value bit for bit.
+        """
+        if self.roots is not None:
+            scale = ctx.scalar(self.scale)
+            roots = tuple((ctx.scalar(r), mult) for r, mult in self.roots)
+
+            def evaluate(x):
+                acc = scale
+                for r, mult in roots:
+                    factor = x - r
+                    for _ in range(mult):
+                        acc = acc * factor
+                return acc
+
+            return evaluate
+        top, *rest = (ctx.scalar(c) for c in reversed(self.coeffs))
+
+        def evaluate_expanded(x):
+            acc = top
+            for c in rest:
+                acc = acc * x + c
+            return acc
+
+        return evaluate_expanded
 
     def derivative(self, order: int = 1) -> "ResponseFunction":
         """Exact coefficient-level derivative of the given order (>= 1)."""
@@ -153,6 +190,9 @@ class CallbackResponse:
     def eval_expanded(self, x):
         return self._func(x)
 
+    def evaluator(self, ctx):
+        return self._func
+
     def derivative(self, order: int = 1):
         raise UnsupportedStructureError(
             "exact derivatives need a polynomial response; callback responses are simulation-only"
@@ -194,19 +234,28 @@ class ResponseField:
 
     def evaluate(self, x):
         """Componentwise response values, same arithmetic domain as x."""
-        out = [self.function.eval(xi) for xi in x]
-        if self.mean_gauges:
-            n = len(x)
-            total = x[0]
-            for xi in x[1:]:
-                total = total + xi
-            mean = total / n
-            shift = None
-            for gauge in self.mean_gauges:
-                val = gauge.eval(mean)
-                shift = val if shift is None else shift + val
-            out = [v + shift for v in out]
-        return out
+        return _field_values(x, self.function.eval, [g.eval for g in self.mean_gauges])
+
+    def evaluator(self, ctx):
+        """`evaluate` for vectors of `ctx` scalars, with the constants converted once."""
+        function = self.function.evaluator(ctx)
+        gauges = [g.evaluator(ctx) for g in self.mean_gauges]
+        return lambda x: _field_values(x, function, gauges)
+
+
+def _field_values(x, function, gauges):
+    out = [function(xi) for xi in x]
+    if gauges:
+        total = x[0]
+        for xi in x[1:]:
+            total = total + xi
+        mean = total / len(x)
+        shift = None
+        for gauge in gauges:
+            val = gauge(mean)
+            shift = val if shift is None else shift + val
+        out = [v + shift for v in out]
+    return out
 
 
 def gauge_shift(field: ResponseField, h: ResponseFunction) -> ResponseField:

@@ -19,6 +19,7 @@ from typing import Callable
 from .dynamics import Perturbation, PerturbedSystem
 from .errors import (
     ContinuationFailedError,
+    InvariantViolationError,
     PreconditionError,
     SymmetryViolationError,
     UnsupportedStructureError,
@@ -108,7 +109,7 @@ class PlaneSystem:
 
     def rhs_function(self, ctx: ScalarContext):
         n = self.n
-        f = self.f
+        f = self.f.evaluator(ctx)
         eps = ctx.scalar(self.epsilon)
         params = self.params or {}
         g, g_tilde = self.g, self.g_tilde
@@ -119,7 +120,7 @@ class PlaneSystem:
             x, k = y[0], y[1]
             gv = g(x, k, params) if g_const is None else g_const
             gtv = g_tilde(x, k, params) if gt_const is None else gt_const
-            fast = -(f.eval(x) - f.eval(k - (n - 1) * x)) + eps * gv
+            fast = -(f(x) - f(k - (n - 1) * x)) + eps * gv
             slow = eps * ((n - 1) * gv + gtv)
             if ctx.is_float:
                 return np.array([fast, slow], dtype=float)
@@ -129,15 +130,17 @@ class PlaneSystem:
 
 
 def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
-    """Restrict a complete-graph system to the (x, k)-plane.
+    """Restrict a unit-weight complete-graph system to the (x, k)-plane.
 
     Requires all perturbation components except the eliminated one to agree
     (exactly for constant perturbations, sampled for callbacks); otherwise
     the identified-nodes subspace is not invariant and the reduction is
     meaningless.
     """
-    if not sys.graph.is_complete():
-        raise UnsupportedStructureError("plane reduction is defined for complete graphs only")
+    if not sys.graph.is_unit_complete():
+        raise UnsupportedStructureError(
+            "plane reduction is defined for complete graphs with unit edge weights only"
+        )
     n = sys.n
     if not (1 <= l <= n):
         raise PreconditionError(f"eliminated index {l} out of 1..{n}")
@@ -287,7 +290,8 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
     bracketing plus bisection and a Newton polish; the consensus root k/n is
     always included.  Branch ids connect nearest roots across consecutive
     gridlines (threshold five x-grid spacings); the consensus chain keeps a
-    stable id.  Every emitted point is asserted against `residual_tol`.
+    stable id.  A point whose residual exceeds `residual_tol` raises
+    InvariantViolationError before anything is returned.
     """
     if isinstance(grid, int):
         grid = (grid, grid)
@@ -372,9 +376,10 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
             if is_consensus:
                 prev_consensus_branch = branch
             residual = abs(phi(x))
-            assert residual <= residual_tol, (
-                f"manifold point (k={k}, x={x}) has residual {residual} > {residual_tol}"
-            )
+            if not residual <= residual_tol:
+                raise InvariantViolationError(
+                    f"manifold point (k={k}, x={x}) has residual {residual} > {residual_tol}"
+                )
             jac = float(ps.layer_jacobian(x, k))
             jac_slope = float(
                 -(ps.f.derivative(2).eval(x) - (ps.n - 1) ** 2 * ps.f.derivative(2).eval(ps.mirror(x, k)))
@@ -460,14 +465,14 @@ def _lambda_cross_check(n, d2f_center, d2f_mirror, h, h_tilde, lam) -> None:
     lhs = numer * numer
     rhs = target * target * disc
     if _sign(numer) != _sign(target):
-        raise AssertionError("threshold scalar sign mismatch between the two routes")
+        raise InvariantViolationError("threshold scalar sign mismatch between the two routes")
     all_exact = all(
         isinstance(v, (int, Fraction)) for v in (d2f_center, d2f_mirror, h, h_tilde, lam)
     )
     tol = Fraction(0) if all_exact else Fraction(1, 10**12)
     scale = max(abs(lhs), abs(rhs), Fraction(1))
     if abs(lhs - rhs) > tol * scale:
-        raise AssertionError(
+        raise InvariantViolationError(
             f"threshold scalar mismatch: squared values {float(lhs)} vs {float(rhs)}"
         )
 

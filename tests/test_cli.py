@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,48 @@ def test_unsupported_structure_exit_code(tmp_path):
         "analysis": {"k_range": [-2, 2], "x_range": [-2, 2], "grid": [11, 11], "residual_tol": 1e-9},
     }
     assert main(["manifold", "--config", _write(tmp_path, "p.json", cfg), "--out", str(tmp_path / "x")]) == 4
+
+
+_WEIGHTED_K3 = {"type": "custom", "n": 3, "edges": [[1, 2, 1], [1, 3, 5], [2, 3, 2]]}
+
+
+def test_weighted_complete_graph_rejected_by_plane_commands(tmp_path, capsys):
+    # the identified nodes are not exchangeable, so the plane x1 = x2 is not invariant
+    override = _write(tmp_path, "w3.json", {"graph": _WEIGHTED_K3})
+    out = tmp_path / "w"
+    assert main(["singularities", "--preset", "ex1", "--config", override, "--out", str(out)]) == 4
+    assert not (out / "singularities.json").exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "unsupported-structure"
+    assert main(["bifurcation", "--preset", "ex3a", "--config", override, "--out", str(out)]) == 4
+    assert not (out / "bifurcation.csv").exists()
+
+
+def test_manifold_residual_gate_exit_code(tmp_path, capsys):
+    override = _write(tmp_path, "tight.json", {"analysis": {"residual_tol": 1e-30}})
+    out = tmp_path / "gate"
+    assert main(["manifold", "--preset", "ex1-manifold", "--config", override, "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "InvariantViolationError"
+    assert not (out / "manifold.csv").exists()
+    # bifurcation gates every lambda before writing, so no partial CSV either
+    assert main(["bifurcation", "--preset", "ex3b", "--config", override, "--out", str(out)]) == 1
+    assert not (out / "bifurcation.csv").exists()
+
+
+def test_manifold_residual_gate_survives_optimised_python(tmp_path):
+    # python -O strips assert statements; the gate must not depend on them
+    override = _write(tmp_path, "tight.json", {"analysis": {"residual_tol": 1e-30}})
+    out = tmp_path / "gate-O"
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "alf.cli", "manifold", "--preset", "ex1-manifold",
+         "--config", override, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "InvariantViolationError"
+    assert not (out / "manifold.csv").exists()
 
 
 def test_divergence_exit_code_flushes_partial(tmp_path):

@@ -115,6 +115,65 @@ def test_standard_form_field_matches_lifted_full_field(ex1_response):
             assert max(abs(out[i] - ref[kept[i]]) for i in range(3)) <= 1e-12
 
 
+def _weighted_k5():
+    rng = SplitMix64(77)
+    return Graph(5, tuple((i, j, Fraction(rng.next_u64() % 400 + 1, 100))
+                          for i in range(1, 6) for j in range(i + 1, 6)))
+
+
+_SPARSE_GRAPHS = {
+    "cycle": lambda: Graph.cycle(6),
+    "path": lambda: Graph.path(5),
+    "weighted-k5": _weighted_k5,
+}
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+@pytest.mark.parametrize("graph", sorted(_SPARSE_GRAPHS))
+def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
+    import mpmath
+
+    from alf.precision import ScalarContext
+
+    g = _SPARSE_GRAPHS[graph]()
+    n = g.n
+    rng = SplitMix64(digits)
+    pert = Perturbation.constant(rational_state(rng, n))
+    sys_ = PerturbedSystem(g, ResponseField(ex1_response), pert, Fraction(1, 10))
+    ctx = ScalarContext(digits)
+    with ctx.workprec():
+        lap = [[ctx.scalar(v) for v in row] for row in g.laplacian()]
+        eps = ctx.scalar(sys_.epsilon)
+        hvals = [ctx.scalar(v) for v in pert.values]
+
+        def dense(x):
+            # the O(n^2) loop over every entry, zeros included
+            fvals = [ex1_response.eval(v) for v in x]
+            out = []
+            for i in range(n):
+                acc = ctx.scalar(0)
+                for j in range(n):
+                    acc = acc - lap[i][j] * fvals[j]
+                out.append(acc + eps * hvals[i])
+            return out
+
+        rhs = sys_.rhs_function(ctx)
+        std = to_standard_form(sys_, 2)
+        std_rhs = std.rhs_function(ctx)
+        for _ in range(10):
+            # irrational scaling fills every mantissa bit, so each rounding shows
+            x = [ctx.scalar(v) * mpmath.sqrt(2) for v in rational_state(rng, n)]
+            ref = dense(x)
+            assert list(rhs(np.array(x, dtype=object))) == ref
+            fast, k = std.project(x)
+            full = std.lift(fast, k)
+            hsum = hvals[0]
+            for v in hvals[1:]:
+                hsum = hsum + v
+            std_ref = [v for j, v in enumerate(dense(full), start=1) if j != 2] + [eps * hsum]
+            assert list(std_rhs(np.array(fast + [k], dtype=object))) == std_ref
+
+
 def test_is_regular_perturbation(ex1_response):
     balanced = Perturbation.constant([1, -1, 0, 0], 4)
     sys_ = _system(4, ex1_response, balanced, Fraction(1, 10))

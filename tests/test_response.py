@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,3 +151,53 @@ def test_callback_response_simulates_but_refuses_analysis():
         smooth.derivative()
     with pytest.raises(UnsupportedStructureError):
         smooth.is_even()
+
+
+# --- tier evaluators ------------------------------------------------------------
+
+_EVALUATOR_CASES = {
+    "roots": ResponseFunction.from_roots([(1, 2), (-1, 2)], scale=Fraction(3, 7)),
+    "roots-odd": ResponseFunction.from_roots([(Fraction(1, 3), 1), (Fraction(-5, 2), 3)]),
+    "coeffs": ResponseFunction.from_coeffs([Fraction(1, 10), -1, 0, Fraction(7, 3), Fraction(-2, 9)]),
+    "constant": ResponseFunction.from_coeffs([Fraction(5, 3)]),
+    "ex3a": ResponseFunction.family("ex3a", Fraction(3, 4)),
+    "ex3b": ResponseFunction.family("ex3b", 1.3),
+}
+
+
+@pytest.mark.parametrize("digits", (16, 32, 64))
+@pytest.mark.parametrize("case", sorted(_EVALUATOR_CASES))
+def test_evaluator_equals_eval_bit_for_bit(case, digits):
+    from alf.precision import ScalarContext
+
+    f = _EVALUATOR_CASES[case]
+    ctx = ScalarContext(digits)
+    rng = SplitMix64(digits + len(case))
+    # eval serves Python floats from its own float evaluator; a numpy float
+    # takes the path that converts every coefficient on each call
+    per_call = np.float64 if digits == 16 else (lambda x: x)
+    with ctx.workprec():
+        compiled = f.evaluator(ctx)
+        for _ in range(60):
+            x = ctx.scalar(rational_state(rng, 1)[0] * 2)
+            assert compiled(x) == f.eval(per_call(x)) == f.eval(x)
+            assert type(compiled(x)) is type(f.eval(x))
+        # the coefficient form through the same Horner order as eval_expanded
+        horner = ResponseFunction.from_coeffs(f.coeffs).evaluator(ctx)
+        for _ in range(20):
+            x = ctx.scalar(rational_state(rng, 1)[0])
+            assert horner(x) == f.eval_expanded(x) == f.eval_expanded(per_call(x))
+
+
+@pytest.mark.parametrize("digits", (16, 32))
+def test_field_evaluator_matches_evaluate_with_gauges(ex1_field, digits):
+    from alf.precision import ScalarContext
+
+    ctx = ScalarContext(digits)
+    fld = gauge_shift(ex1_field, ResponseFunction.from_coeffs([Fraction(1, 3), 2, -1]))
+    rng = SplitMix64(5)
+    with ctx.workprec():
+        compiled = fld.evaluator(ctx)
+        for _ in range(20):
+            x = [ctx.scalar(v) for v in rational_state(rng, 4)]
+            assert compiled(x) == fld.evaluate(x)

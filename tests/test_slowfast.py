@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from alf import (
     ContinuationFailedError,
     Graph,
+    InvariantViolationError,
     Perturbation,
     PerturbedSystem,
     PlaneSystem,
@@ -83,6 +84,29 @@ def test_plane_reduce_rejects_non_complete_graph():
     sys_ = PerturbedSystem(Graph.path(3), ResponseField(f), Perturbation.zero(3), 0)
     with pytest.raises(UnsupportedStructureError):
         plane_reduce(sys_, 3)
+
+
+def test_plane_reduce_rejects_weighted_complete_graph():
+    f = ResponseFunction.from_roots([(1, 2), (-1, 2)])
+    weighted = Graph(3, ((1, 2, 1), (1, 3, 5), (2, 3, 2)))
+    sys_ = PerturbedSystem(weighted, ResponseField(f), Perturbation.constant(-1, 3), Fraction(1, 10))
+    with pytest.raises(UnsupportedStructureError):
+        plane_reduce(sys_, 3)
+    # a uniform weight other than 1 rescales the flow and is rejected as well
+    uniform = Graph.complete(3, weight=2)
+    with pytest.raises(UnsupportedStructureError):
+        plane_reduce(PerturbedSystem(uniform, ResponseField(f), Perturbation.zero(3), 0), 3)
+
+
+def test_lambda_cross_check_mismatch_raises_invariant_error():
+    from alf.slowfast import _lambda_cross_check
+
+    # ex1 at x_s = 1: f'' = 8 at the point and its mirror, uniform forcing -1, lambda 1
+    _lambda_cross_check(3, 8, 8, -1, -1, 1)
+    with pytest.raises(InvariantViolationError):
+        _lambda_cross_check(3, 8, 8, -1, -1, 2)
+    with pytest.raises(InvariantViolationError):
+        _lambda_cross_check(3, 8, 8, -1, -1, -1)
 
 
 # --- consensus stability ------------------------------------------------------
