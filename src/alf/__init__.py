@@ -1,6 +1,6 @@
 """Numerical laboratory for absolute Laplacian flows.
 
-Graph-coupled nonlinear diffusion systems x' = -L F(x) + eps H(x): exact
+Graph-coupled nonlinear diffusion systems x' = -L F(x) + eps H: exact
 graph/Laplacian algebra, polynomial response functions, slow-fast reduction
 to the (x, k)-plane, transcritical singularity classification with canard
 verdicts, symmetry certificates, and precision-configurable integration.
@@ -39,19 +39,11 @@ from .graph import (
     commutes_with_laplacian,
     connected_components,
     laplacian,
-    laplacian_eigenvalues,
     zero_eigenvalue_count,
 )
 from .precision import ScalarContext, exact
 from .prng import SplitMix64
-from .response import (
-    ResponseField,
-    ResponseFunction,
-    derivative,
-    eval_response,
-    gauge_shift,
-    is_even,
-)
+from .response import ResponseField, ResponseFunction, gauge_shift
 from .slowfast import (
     ManifoldPoint,
     ManifoldSample,

@@ -193,12 +193,17 @@ def cmd_manifold(args) -> int:
     return EXIT_OK
 
 
+def _singular_points(cfg: dict, ps: PlaneSystem) -> list[float]:
+    """Zeros of f' over analysis/x_range, scanned at analysis/scan_points."""
+    (x_range,) = _analysis(cfg, "x_range")
+    scan_points = cfg["analysis"].get("scan_points", 2001)
+    return find_singular_points(ps.f, float(x_range[0]), float(x_range[1]), samples=scan_points)
+
+
 def cmd_singularities(args) -> int:
     cfg = load_scenario(args.preset, args.config)
     _, ps = _plane_from_config(cfg)
-    (x_range,) = _analysis(cfg, "x_range")
-    scan_points = (cfg.get("analysis") or {}).get("scan_points", 2001)
-    xs = find_singular_points(ps.f, float(x_range[0]), float(x_range[1]), samples=scan_points)
+    xs = _singular_points(cfg, ps)
     reports = sorted((analyze_singularity(ps, x) for x in xs), key=lambda r: float(r.k_s))
     out = _out_dir(args)
     path = out / "singularities.json"
@@ -262,7 +267,7 @@ def cmd_canard(args) -> int:
     epsilon = float(sys_.epsilon)
     if epsilon <= 0:
         raise ConfigError(["epsilon: canard tracking needs epsilon > 0"])
-    (x_range,) = _analysis(cfg, "x_range")
+    xs = _singular_points(cfg, ps)
     icfg = build_integrator(cfg.get("integrator"))
 
     plane_ic = cfg["initial"]["plane"]
@@ -272,8 +277,7 @@ def cmd_canard(args) -> int:
         k0_s = ctx.scalar(k0)
         x0_s = k0_s / n if plane_ic.get("x0") is None else ctx.scalar(exact(plane_ic["x0"]))
 
-    xs = find_singular_points(ps.f, float(x_range[0]), float(x_range[1]))
-    slow_sign = 1.0 if float(ps.slow_rhs_factor(float(x0_s), float(k0))) > 0 else -1.0
+    slow_sign = 1.0 if float(ps.slow_rhs_factor()) > 0 else -1.0
     k_star = None
     x_star = None
     for x_s in sorted(xs, key=lambda x: slow_sign * (n * x - float(k0))):
@@ -401,8 +405,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scenario JSON file")
         p.add_argument("--preset", help=f"built-in scenario: {', '.join(PRESET_NAMES)}")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--svg", action="store_true", help="emit an SVG plot where supported")
-        p.add_argument("--log-time", action="store_true", help="logarithmic time axis in SVG output")
+        if name == "simulate":
+            p.add_argument("--svg", action="store_true", help="also write trajectory.svg")
+            p.add_argument("--log-time", action="store_true",
+                           help="log10 time axis in trajectory.svg (only with --svg; it times nothing)")
     return parser
 
 

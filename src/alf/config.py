@@ -155,13 +155,23 @@ _VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema-validate a scenario; raises ConfigError listing every problem."""
+    """Schema-validate a scenario; raises ConfigError listing every problem.
+
+    Beyond the schema, `tspan` and `analysis/x_range` must increase: the
+    integrator and the root scans have no meaning on a reversed interval.
+    `k_range` may run either way.
+    """
     errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         details = []
         for err in errors:
             path = "/".join(str(p) for p in err.absolute_path) or "<root>"
             details.append(f"{path}: {err.message}")
+        raise ConfigError(details)
+    ranges = (("tspan", cfg.get("tspan")), ("analysis/x_range", cfg.get("analysis", {}).get("x_range")))
+    details = [f"{path}: {bounds} must increase" for path, bounds in ranges
+               if bounds is not None and not bounds[0] < bounds[1]]
+    if details:
         raise ConfigError(details)
     return cfg
 

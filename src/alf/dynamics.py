@@ -1,7 +1,8 @@
 """Vector fields, standard-form reduction, and numerical integration.
 
-The flow is x' = -L F(x) + eps * H(x); the node sum k = <1, x> is conserved
-when eps = 0 and becomes the slow variable of the standard form otherwise.
+The flow is x' = -L F(x) + eps * H with a constant forcing vector H; the
+node sum k = <1, x> is conserved when eps = 0 and becomes the slow variable
+of the standard form otherwise.
 Integrators run at a configurable precision tier (16/32/64 digits); the
 extended tiers exist because trajectories hugging a repelling branch are
 only as long as the available digits allow.
@@ -11,10 +12,9 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 from .graph import Graph
 from .precision import ScalarContext, exact
 from .prng import SplitMix64
-from .response import ResponseField
+from .response import ResponseField, _coerce
 
 DIVERGENCE_CUTOFF = 1e6
 REGULARITY_TOL = 1e-12
@@ -37,34 +37,20 @@ REGULARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Additive forcing H(x, params) with n components.
+    """Constant additive forcing H, one exact value per node.
 
-    Kinds: "constant" (fixed vector), "random-constant" (vector drawn once
-    from a seeded splitmix64 stream, then constant), "callback" (arbitrary
-    state-dependent function; simulation only).
+    The slow-fast analysis takes H as a constant vector; `random_constant`
+    draws it once from a seeded splitmix64 stream.
     """
 
-    n: int
-    kind: str = "constant"
-    values: tuple[Fraction, ...] | None = None
-    func: Callable | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
-    seed: int | None = None
-    lo: float | None = None
-    hi: float | None = None
+    values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.kind in ("constant", "random-constant"):
-            if self.values is None or len(self.values) != self.n:
-                raise DimensionMismatchError(
-                    f"perturbation needs {self.n} components, got {self.values}"
-                )
-            object.__setattr__(self, "values", tuple(exact(v) for v in self.values))
-        elif self.kind == "callback":
-            if self.func is None:
-                raise ValueError("callback perturbation needs a function")
-        else:
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        object.__setattr__(self, "values", tuple(exact(v) for v in self.values))
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
     @classmethod
     def constant(cls, values, n: int | None = None) -> "Perturbation":
@@ -72,7 +58,7 @@ class Perturbation:
             if n is None:
                 raise ValueError("scalar constant perturbation needs n")
             values = [values] * n
-        return cls(n=len(values), kind="constant", values=tuple(exact(v) for v in values))
+        return cls(tuple(values))
 
     @classmethod
     def zero(cls, n: int) -> "Perturbation":
@@ -81,41 +67,13 @@ class Perturbation:
     @classmethod
     def random_constant(cls, n: int, seed: int, lo: float = 0.0, hi: float = 1.0) -> "Perturbation":
         rng = SplitMix64(seed)
-        values = tuple(exact(rng.uniform(lo, hi)) for _ in range(n))
-        return cls(n=n, kind="random-constant", values=values, seed=seed, lo=lo, hi=hi)
-
-    @classmethod
-    def from_callback(cls, func: Callable, n: int, params: Mapping[str, float] | None = None) -> "Perturbation":
-        return cls(n=n, kind="callback", func=func, params=dict(params or {}))
-
-    @property
-    def is_state_independent(self) -> bool:
-        return self.kind in ("constant", "random-constant")
+        return cls(tuple(rng.uniform(lo, hi) for _ in range(n)))
 
     def evaluate(self, x):
-        """Component values at state x, in the arithmetic domain of x."""
+        """The components in the arithmetic domain of state x; x sets only the domain."""
         if len(x) != self.n:
             raise DimensionMismatchError(f"state has {len(x)} components, expected {self.n}")
-        if self.is_state_independent:
-            from .response import _coerce  # same scalar coercion rules
-
-            return [_coerce(v, x[0]) for v in self.values]
-        return list(self.func(list(x), dict(self.params)))
-
-    def component(self, i: int):
-        """Evaluator for component i (1-based) as a function of the full state."""
-        if self.is_state_independent:
-            value = self.values[i - 1]
-            return lambda x: value
-        func, params = self.func, dict(self.params)
-        return lambda x: func(list(x), params)[i - 1]
-
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"constant": {"values": [float(v) for v in self.values]}}
-        if self.kind == "random-constant":
-            return {"random": {"seed": self.seed, "lo": self.lo, "hi": self.hi}}
-        return {"callback": True}
+        return [_coerce(v, x[0]) for v in self.values]
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +130,11 @@ class PerturbedSystem:
     def rhs_function(self, ctx: ScalarContext):
         flow = self._flow(ctx)
         if ctx.is_float:
-            return lambda y: flow(y)[0]
-        return lambda y: np.array(flow(list(y))[0], dtype=object)
-
-    def _forcing(self, ctx: ScalarContext):
-        """x -> H(x) in the tier of ctx; a constant forcing is converted once."""
-        pert = self.perturbation
-        if pert.is_state_independent:
-            h = ctx.vector(pert.values)
-            return lambda x: h
-        if ctx.is_float:
-            return lambda x: np.asarray([float(v) for v in pert.evaluate(list(x))])
-        return lambda x: pert.evaluate(list(x))
+            return flow
+        return lambda y: np.array(flow(list(y)), dtype=object)
 
     def _flow(self, ctx: ScalarContext):
-        """x -> (-L F(x) + eps H(x), H(x)) in the tier of ctx.
+        """x -> -L F(x) + eps H in the tier of ctx.
 
         Every exact constant is converted to the tier once, here.  The
         extended tiers apply L from the nonzero entries of each row in
@@ -194,21 +142,13 @@ class PerturbedSystem:
         zeros, so every rounding is that of the dense row sum.
         """
         eps = ctx.scalar(self.epsilon)
-        forcing = self._forcing(ctx)
+        h = ctx.vector(self.perturbation.values)
         if ctx.is_float:
             neg_l = self._neg_laplacian_float
             fld = self.field
             coeffs = _float_coeffs(fld)
-            if self.perturbation.is_state_independent:
-                h = forcing(None)
-                eps_h = eps * h
-                return lambda y: (neg_l @ _field_values_float(fld, coeffs, y) + eps_h, h)
-
-            def flow_float(y):
-                h = forcing(y)
-                return neg_l @ _field_values_float(fld, coeffs, y) + eps * h, h
-
-            return flow_float
+            eps_h = eps * h
+            return lambda y: neg_l @ _field_values_float(fld, coeffs, y) + eps_h
 
         rows = [[(j, ctx.scalar(w)) for j, w in enumerate(row) if w != 0]
                 for row in self._laplacian_exact]
@@ -217,14 +157,13 @@ class PerturbedSystem:
 
         def flow(x):
             fvals = field(x)
-            hvals = forcing(x)
             out = []
-            for row, h in zip(rows, hvals):
+            for row, h_i in zip(rows, h):
                 acc = zero
                 for j, w in row:
                     acc = acc - w * fvals[j]
-                out.append(acc + eps * h)
-            return out, hvals
+                out.append(acc + eps * h_i)
+            return out
 
         return flow
 
@@ -250,7 +189,7 @@ def _field_values_float(fld: ResponseField, coeffs, y: np.ndarray) -> np.ndarray
 
 
 def vector_field(sys: PerturbedSystem, x):
-    """Evaluate -L F(x) + eps H(x) in the arithmetic domain of x.
+    """Evaluate -L F(x) + eps H in the arithmetic domain of x.
 
     Float inputs use the cached numpy path; Fraction inputs stay exact.
     """
@@ -338,32 +277,27 @@ class StandardFormSystem:
         keep = [j - 1 for j in self.kept]
         flow = sys._flow(ctx)
         eps = ctx.scalar(sys.epsilon)
+        h = ctx.vector(sys.perturbation.values)
         if ctx.is_float:
-            def drift(h):
-                return eps * float(np.sum(h))
-        else:
-            def drift(h):
-                hsum = h[0]
-                for v in h[1:]:
-                    hsum = hsum + v
-                return eps * hsum
-        # a constant forcing gives a constant slow drift
-        slow = drift(sys._forcing(ctx)(None)) if sys.perturbation.is_state_independent else None
+            slow = eps * float(np.sum(h))
 
-        if ctx.is_float:
             def rhs(y: np.ndarray) -> np.ndarray:
                 full = np.empty(n)
                 full[keep] = y[:-1]
                 full[l - 1] = y[-1] - float(np.sum(y[:-1]))
-                dx, h = flow(full)
-                return np.append(dx[keep], drift(h) if slow is None else slow)
+                return np.append(flow(full)[keep], slow)
 
             return rhs
 
+        hsum = h[0]
+        for v in h[1:]:
+            hsum = hsum + v
+        slow = eps * hsum
+
         def rhs(y: np.ndarray) -> np.ndarray:
-            dx, h = flow(self.lift(list(y[:-1]), y[-1]))
+            dx = flow(self.lift(list(y[:-1]), y[-1]))
             out = [dx[i] for i in keep]
-            out.append(drift(h) if slow is None else slow)
+            out.append(slow)
             return np.array(out, dtype=object)
 
         return rhs
@@ -411,16 +345,6 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "dt": self.dt,
-            "tol": self.tol,
-            "digits": self.digits,
-            "stride": self.stride,
-            "seed": self.seed,
-        }
 
 
 @dataclass

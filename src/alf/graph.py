@@ -148,34 +148,12 @@ class Graph:
                 edges.append((int(i), int(j), exact(w)))
         return cls(n, tuple(edges))
 
-    def weight(self, i: int, j: int) -> Fraction:
-        if i > j:
-            i, j = j, i
-        for a, b, w in self.edges:
-            if (a, b) == (i, j):
-                return w
-        return Fraction(0)
-
-    def degree(self, i: int) -> Fraction:
-        total = Fraction(0)
-        for a, b, w in self.edges:
-            if i in (a, b):
-                total += w
-        return total
-
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
     def is_unit_complete(self) -> bool:
         """Complete with every edge weight 1, so any two nodes are exchangeable."""
         return self.is_complete() and all(w == 1 for _, _, w in self.edges)
-
-    def adjacency(self) -> list[list[Fraction]]:
-        a = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for i, j, w in self.edges:
-            a[i - 1][j - 1] = w
-            a[j - 1][i - 1] = w
-        return a
 
     def laplacian(self) -> list[list[Fraction]]:
         """Degree matrix minus adjacency matrix, in exact rationals."""
@@ -248,11 +226,6 @@ def commutes_with_laplacian(g: Graph, p: Permutation, tol=0) -> bool:
             sl = sum(sigma[i][k] * lap[k][j] for k in range(g.n))
             worst = max(worst, abs(ls - sl))
     return worst <= tol
-
-
-def laplacian_eigenvalues(g: Graph) -> np.ndarray:
-    """Eigenvalues of the (symmetric) Laplacian, ascending, at double precision."""
-    return np.linalg.eigvalsh(g.laplacian_array())
 
 
 def zero_eigenvalue_count(g: Graph, tol: float = ZERO_EIGENVALUE_TOL) -> int:

@@ -59,14 +59,6 @@ class ScalarContext:
             return np.array(vals, dtype=float)
         return np.array(vals, dtype=object)
 
-    def matrix(self, rows) -> np.ndarray:
-        out = [self.vector(row) for row in rows]
-        return np.array(out, dtype=float if self.is_float else object)
-
-    @property
-    def epsilon(self) -> float:
-        return 10.0 ** (-self.digits)
-
     def format(self, value) -> str:
         """Deterministic decimal string at working precision."""
         if self.is_float:

@@ -27,6 +27,3 @@ class SplitMix64:
         # top 53 bits give a float in [0, 1) with full mantissa coverage
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
-
-    def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> list[float]:
-        return [self.uniform(lo, hi) for _ in range(count)]

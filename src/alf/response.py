@@ -161,14 +161,6 @@ class ResponseFunction:
         """Exact invariance under x -> -x: all odd-degree coefficients vanish."""
         return all(c == 0 for c in self.coeffs[1::2])
 
-    def to_json(self) -> dict:
-        if self.roots is not None:
-            return {
-                "roots": [[float(r), m] for r, m in self.roots],
-                "scale": float(self.scale),
-            }
-        return {"coeffs": [float(c) for c in self.coeffs]}
-
 
 class CallbackResponse:
     """Adapter for non-polynomial scalar responses.
@@ -187,9 +179,6 @@ class CallbackResponse:
     def eval(self, x):
         return self._func(x)
 
-    def eval_expanded(self, x):
-        return self._func(x)
-
     def evaluator(self, ctx):
         return self._func
 
@@ -204,18 +193,6 @@ class CallbackResponse:
         )
 
 
-def eval_response(f: ResponseFunction, x):
-    return f.eval(x)
-
-
-def derivative(f: ResponseFunction, order: int = 1) -> ResponseFunction:
-    return f.derivative(order)
-
-
-def is_even(f: ResponseFunction) -> bool:
-    return f.is_even()
-
-
 @dataclass(frozen=True)
 class ResponseField:
     """Homogeneous per-node response: every node shares one function.
@@ -227,10 +204,6 @@ class ResponseField:
 
     function: ResponseFunction
     mean_gauges: tuple[ResponseFunction, ...] = ()
-
-    @property
-    def homogeneous(self) -> bool:
-        return True
 
     def evaluate(self, x):
         """Componentwise response values, same arithmetic domain as x."""

@@ -30,7 +30,6 @@ from .response import ResponseFunction
 import numpy as np
 
 SINGULAR_TOL = 1e-10
-LAMBDA_TOL = 1e-9
 CRITICAL_TOL = 1e-12
 
 ATTRACTING = "attracting"
@@ -38,36 +37,26 @@ REPELLING = "repelling"
 SINGULAR = "singular"
 
 
-def _component_value(comp, x, k, params):
-    if callable(comp):
-        return comp(x, k, params)
-    return comp
-
-
 @dataclass(frozen=True)
 class PlaneSystem:
     """Reduced flow on the (x, k)-plane.
 
-    `g` is the shared perturbation component of the identified nodes and
-    `g_tilde` the component of the eliminated node; each is either an exact
-    constant or a callable (x, k, params) -> scalar.
+    The forcing is constant: `g` is the exact shared component of the
+    identified nodes and `g_tilde` the exact component of the eliminated node.
     """
 
     n: int
     f: ResponseFunction
-    g: object = Fraction(0)
-    g_tilde: object = Fraction(0)
+    g: Fraction = Fraction(0)
+    g_tilde: Fraction = Fraction(0)
     epsilon: Fraction = Fraction(0)
-    params: dict | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise UnsupportedStructureError("plane reduction needs at least 2 nodes")
         object.__setattr__(self, "epsilon", exact(self.epsilon))
-        if not callable(self.g):
-            object.__setattr__(self, "g", exact(self.g))
-        if not callable(self.g_tilde):
-            object.__setattr__(self, "g_tilde", exact(self.g_tilde))
+        object.__setattr__(self, "g", exact(self.g))
+        object.__setattr__(self, "g_tilde", exact(self.g_tilde))
 
     def mirror(self, x, k):
         """The eliminated coordinate k - (n-1) x."""
@@ -82,15 +71,9 @@ class PlaneSystem:
         fp = self.f.derivative()
         return -(fp.eval(x) + (self.n - 1) * fp.eval(self.mirror(x, k)))
 
-    def g_value(self, x, k):
-        return _component_value(self.g, x, k, self.params or {})
-
-    def g_tilde_value(self, x, k):
-        return _component_value(self.g_tilde, x, k, self.params or {})
-
-    def slow_rhs_factor(self, x, k):
+    def slow_rhs_factor(self):
         """(n-1) g + g_tilde, the slow drift divided by epsilon."""
-        return (self.n - 1) * self.g_value(x, k) + self.g_tilde_value(x, k)
+        return (self.n - 1) * self.g + self.g_tilde
 
     # --- ODE-system protocol -------------------------------------------------
     @property
@@ -111,17 +94,13 @@ class PlaneSystem:
         n = self.n
         f = self.f.evaluator(ctx)
         eps = ctx.scalar(self.epsilon)
-        params = self.params or {}
-        g, g_tilde = self.g, self.g_tilde
-        g_const = None if callable(g) else ctx.scalar(g)
-        gt_const = None if callable(g_tilde) else ctx.scalar(g_tilde)
+        g = ctx.scalar(self.g)
+        g_tilde = ctx.scalar(self.g_tilde)
 
         def rhs(y):
             x, k = y[0], y[1]
-            gv = g(x, k, params) if g_const is None else g_const
-            gtv = g_tilde(x, k, params) if gt_const is None else gt_const
-            fast = -(f(x) - f(k - (n - 1) * x)) + eps * gv
-            slow = eps * ((n - 1) * gv + gtv)
+            fast = -(f(x) - f(k - (n - 1) * x)) + eps * g
+            slow = eps * ((n - 1) * g + g_tilde)
             if ctx.is_float:
                 return np.array([fast, slow], dtype=float)
             return np.array([fast, slow], dtype=object)
@@ -133,9 +112,8 @@ def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
     """Restrict a unit-weight complete-graph system to the (x, k)-plane.
 
     Requires all perturbation components except the eliminated one to agree
-    (exactly for constant perturbations, sampled for callbacks); otherwise
-    the identified-nodes subspace is not invariant and the reduction is
-    meaningless.
+    exactly; otherwise the identified-nodes subspace is not invariant and the
+    reduction is meaningless.
     """
     if not sys.graph.is_unit_complete():
         raise UnsupportedStructureError(
@@ -144,43 +122,15 @@ def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
     n = sys.n
     if not (1 <= l <= n):
         raise PreconditionError(f"eliminated index {l} out of 1..{n}")
-    pert = sys.perturbation
+    vals = sys.perturbation.values
     kept = [j for j in range(1, n + 1) if j != l]
-    if pert.is_state_independent:
-        vals = pert.values
-        shared = vals[kept[0] - 1]
-        if any(vals[j - 1] != shared for j in kept[1:]):
-            raise SymmetryViolationError(
-                "perturbation components of the identified nodes differ"
-            )
-        return PlaneSystem(n=n, f=sys.field.function, g=shared, g_tilde=vals[l - 1],
-                           epsilon=sys.epsilon, params=dict(pert.params))
-
-    def lift(x, k):
-        full = [x] * n
-        full[l - 1] = k - (n - 1) * x
-        return full
-
-    # sampled symmetry check for state-dependent perturbations
-    for x_probe, k_probe in ((0.3, 1.1), (-0.7, 0.4), (1.2, -2.5)):
-        h = pert.evaluate(lift(x_probe, k_probe))
-        shared = h[kept[0] - 1]
-        if any(abs(h[j - 1] - shared) > 1e-12 for j in kept[1:]):
-            raise SymmetryViolationError(
-                "perturbation components of the identified nodes differ at sampled states"
-            )
-
-    params = dict(pert.params)
-    first = kept[0]
-
-    def g(x, k, _params):
-        return pert.evaluate(lift(x, k))[first - 1]
-
-    def g_tilde(x, k, _params):
-        return pert.evaluate(lift(x, k))[l - 1]
-
-    return PlaneSystem(n=n, f=sys.field.function, g=g, g_tilde=g_tilde,
-                       epsilon=sys.epsilon, params=params)
+    shared = vals[kept[0] - 1]
+    if any(vals[j - 1] != shared for j in kept[1:]):
+        raise SymmetryViolationError(
+            "perturbation components of the identified nodes differ"
+        )
+    return PlaneSystem(n=n, f=sys.field.function, g=shared, g_tilde=vals[l - 1],
+                       epsilon=sys.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +192,8 @@ class ManifoldPoint:
 class ManifoldSample:
     points: tuple[ManifoldPoint, ...]
 
-    def branch_ids(self) -> list[int]:
-        return sorted({p.branch for p in self.points})
-
     def branch_count(self) -> int:
         return len({p.branch for p in self.points})
-
-    def roots_at(self, k: float, tol: float = 1e-12) -> list[float]:
-        return sorted(p.x for p in self.points if abs(p.k - k) <= tol)
 
 
 def _bisect_root(func: Callable[[float], float], lo: float, hi: float, iterations: int = 200) -> float:
@@ -481,7 +425,6 @@ def analyze_singularity(
     ps: PlaneSystem,
     x_s,
     singular_tol: float = SINGULAR_TOL,
-    lambda_tol: float = LAMBDA_TOL,
 ) -> SingularityReport:
     """Classify a singular consensus point of the plane system.
 
@@ -497,8 +440,8 @@ def analyze_singularity(
     d2f = ps.f.derivative(2).eval(x_s)
     mirror = ps.mirror(x_s, k_s)
     d2f_mirror = ps.f.derivative(2).eval(mirror)
-    h = ps.g_value(x_s, k_s)
-    h_tilde = ps.g_tilde_value(x_s, k_s)
+    h = ps.g
+    h_tilde = ps.g_tilde
     pert_sum = (n - 1) * h + h_tilde
 
     tangent_intercept = 2 * x_s
@@ -522,18 +465,10 @@ def analyze_singularity(
     rho = _sign(d2f) * _sign(pert_sum)  # equals sgn(d2f)/sgn(pert sum)
     sing_type = "type-1" if rho == -1 else "type-2"
 
-    exact_inputs = all(isinstance(v, (int, Fraction)) for v in (h, h_tilde))
-    if exact_inputs:
-        lam = -Fraction(rho) * Fraction(exact(h) + (n - 1) * exact(h_tilde),
-                                        exact(h_tilde) + (n - 1) * exact(h))
-    else:
-        lam = -rho * (h + (n - 1) * h_tilde) / (h_tilde + (n - 1) * h)
+    # the forcing is exact, so lambda is too and the canard test is exact
+    lam = -Fraction(rho) * Fraction(h + (n - 1) * h_tilde, h_tilde + (n - 1) * h)
     _lambda_cross_check(n, d2f, d2f_mirror, h, h_tilde, lam)
-
-    if exact_inputs:
-        canard = sing_type == "type-1" and lam == 1
-    else:
-        canard = sing_type == "type-1" and abs(lam - 1) <= lambda_tol
+    canard = sing_type == "type-1" and lam == 1
 
     return SingularityReport(
         n=n, x_s=x_s, k_s=k_s, d2f=d2f, pert_shared=h, pert_last=h_tilde,

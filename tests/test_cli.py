@@ -113,6 +113,56 @@ def test_config_error_exit_code(tmp_path):
     assert main(["manifold", "--out", str(tmp_path / "x")]) == 2  # no scenario at all
 
 
+def test_svg_flags_belong_to_simulate_only(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    for flag in ("--svg", "--log-time"):
+        with pytest.raises(SystemExit) as err:
+            main(["manifold", "--preset", "ex1-manifold", "--out", out, flag])
+        assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_reversed_tspan_is_config_error(tmp_path, capsys):
+    override = {"initial": {"explicit": [0.1, 0.2, 0.3]}, "tspan": [1.0, 0.0]}
+    out = tmp_path / "rt"
+    code = main(["simulate", "--preset", "ex1", "--config", _write(tmp_path, "rt.json", override),
+                 "--out", str(out)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "config" and report["details"][0].startswith("tspan:")
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_reversed_x_range_is_config_error(tmp_path, capsys):
+    override = _write(tmp_path, "rx.json", {"analysis": {"x_range": [2.5, -2.5]}})
+    for command, preset in (("singularities", "ex1"), ("manifold", "ex1-manifold"),
+                            ("canard", "ex1-canard")):
+        assert main([command, "--preset", preset, "--config", override,
+                     "--out", str(tmp_path / command)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["details"][0].startswith("analysis/x_range:")
+    # a descending k window is still a valid manifold scan
+    window = {"analysis": {"k_range": [4.5, -4.5], "grid": [11, 21]}}
+    out = tmp_path / "desc"
+    assert main(["manifold", "--preset", "ex1-manifold",
+                 "--config", _write(tmp_path, "dk.json", window), "--out", str(out)]) == 0
+    assert _read_csv(out / "manifold.csv")
+
+
+def test_canard_honours_scan_points(tmp_path):
+    # a 3-point scan finds only k_s = -3 and 0; the default scan also finds 3
+    override = _write(tmp_path, "sp.json", {
+        "analysis": {"scan_points": 3}, "tspan": [0, 1],
+        "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 10, "seed": 0},
+    })
+    out = tmp_path / "sp"
+    assert main(["singularities", "--preset", "ex1-canard", "--config", override, "--out", str(out)]) == 0
+    reported = {r["k_s"] for r in json.load(open(out / "singularities.json"))}
+    assert main(["canard", "--preset", "ex1-canard", "--config", override, "--out", str(out)]) == 0
+    k_star = json.load(open(out / "canard_metrics.json"))["k_star"]
+    assert reported == {-3.0, 0.0} and k_star == -3.0
+
+
 def test_unsupported_structure_exit_code(tmp_path):
     cfg = {
         "graph": {"type": "path", "n": 4},

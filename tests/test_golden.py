@@ -7,6 +7,11 @@ shows up here, while a rerun inside one process would not catch it.  The
 reaches.  Float trajectories are left out: their matrix products go through
 BLAS, whose summation order may differ between machines.
 
+The CLI prints only `digits` of the `digits + 3` working digits, so the
+in-process runs below also hash the exact mpf bits of every state and slow
+value of short 32- and 64-digit integrations of the full, standard-form and
+plane systems.
+
 To print the hashes of the current sources: ``python tests/test_golden.py``.
 """
 
@@ -18,9 +23,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from alf import IntegratorConfig, integrate, plane_reduce, to_standard_form
+from alf.config import build_system
+from alf.presets import get_preset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,7 +122,67 @@ def test_golden_output_hashes(name, tmp_path):
     assert hashes == GOLDEN[name]
 
 
+def _tier_runs():
+    """name -> (system, initial state) for the working-bit hashes."""
+    full = build_system(_DP45_32)
+    x0 = [Fraction(str(v)) for v in _DP45_32["initial"]["explicit"]]
+    std = to_standard_form(full, 2)
+    fast, k0 = std.project(x0)
+    plane = plane_reduce(build_system(get_preset("ex1")), 3)
+    return {
+        "full": (full, x0),
+        "standard": (std, fast + [k0]),
+        "plane": (plane, [Fraction(6, 5), Fraction(4)]),
+    }
+
+
+_TIER_CONFIGS = {
+    "rk4": {"method": "rk4", "dt": 0.02},
+    "dp45": {"method": "dp45", "dt": 0.05, "tol": 1e-12},
+}
+
+
+def tier_bits_hash(key: str) -> str:
+    """sha256 of the exact (sign, mantissa, exponent, bitcount) of every state and k value.
+
+    `key` is "<system>-<method>-<digits>".
+    """
+    system, method, digits = key.split("-")
+    sys_, x0 = _tier_runs()[system]
+    cfg = IntegratorConfig(digits=int(digits), **_TIER_CONFIGS[method])
+    traj = integrate(sys_, x0, (0.0, 0.5), cfg)
+    digest = hashlib.sha256()
+    for state, k in zip(traj.states, traj.k_series):
+        for v in list(state) + [k]:
+            sign, man, exp, bc = v._mpf_
+            digest.update(repr((sign, int(man), exp, bc)).encode())
+    return digest.hexdigest()
+
+
+TIER_GOLDEN = {
+    "full-dp45-32": "9bc66386172fcf41bc2d648293434674f0e521f028886f890df82ee36bf117fd",
+    "full-dp45-64": "57ab6d91302eda1fd3ca99377f1b8d1fc786e2399834f6d1796ce6e562d94984",
+    "full-rk4-32": "23cfddbed4e0c52493675c6392481f73638b69ece92644fa92442d60fc44561c",
+    "full-rk4-64": "0946d4d88786c0d56cf9bbd010951ffb90a35a20da35433d673bde854fcaffe4",
+    "plane-dp45-32": "7a4b2f1a49571b231d95ab38b69015b9c9440f9b44bf3eb607a7bb332fa8f885",
+    "plane-dp45-64": "bb005f03ea6f9dc5d9dfcc0f785c6335302c3657b7144023f63ec8001b1403b0",
+    "plane-rk4-32": "543a01d6cfa7778a214493baceb7a1273d7b0dd1640ffcb06578e9fea54a5216",
+    "plane-rk4-64": "d05105cc812c278119e9e1fa5d65c12dcbd43994b3a873ed0af473c37b2310b1",
+    "standard-dp45-32": "33aa1a795f8ef26133a619ee026e04f26fac127ce7e0fbdbedef72b289748d96",
+    "standard-dp45-64": "309328379019cb1a6e8e5325f4411e10bbf85f715e329ec81d96a0e9873461a2",
+    "standard-rk4-32": "bc8c539f1e37089eb7ad29dccb330f42ff8d434dfc40fdc44ba1deba7d03ddac",
+    "standard-rk4-64": "6e8dd64c01815543e0ea5875e0f81450bce23ff1bf6818a73798d4d777eca788",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TIER_GOLDEN))
+def test_extended_tier_working_bits(key):
+    assert tier_bits_hash(key) == TIER_GOLDEN[key]
+
+
 if __name__ == "__main__":
+    for key in sorted(TIER_GOLDEN):
+        print(key, tier_bits_hash(key))
     with tempfile.TemporaryDirectory() as tmp:
         for run in sorted(RUNS):
             print(run, run_hashed(run, Path(tmp)))
