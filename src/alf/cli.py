@@ -278,19 +278,18 @@ def cmd_canard(args) -> int:
         x0_s = k0_s / n if plane_ic.get("x0") is None else ctx.scalar(exact(plane_ic["x0"]))
 
     slow_sign = 1.0 if float(ps.slow_rhs_factor()) > 0 else -1.0
-    k_star = None
-    x_star = None
+    report = None
     for x_s in sorted(xs, key=lambda x: slow_sign * (n * x - float(k0))):
-        k_s = n * x_s
-        if (k_s - float(k0)) * slow_sign <= 0:
+        if (n * x_s - float(k0)) * slow_sign <= 0:
             continue
-        if analyze_singularity(ps, x_s).sing_type == "type-1":
-            k_star = k_s
-            x_star = x_s
+        candidate = analyze_singularity(ps, x_s)
+        if candidate.sing_type == "type-1":
+            report = candidate
             break
-    if k_star is None:
+    if report is None:
         raise ConfigError(["no type-1 singular point lies ahead of the initial condition in the scan range"])
 
+    k_star, x_star = report.k_s, report.x_s
     critical = is_critical_perturbation(sys_.perturbation, x_star, n)
     tube = CANARD_TUBE_FACTOR * epsilon
 
@@ -310,7 +309,6 @@ def cmd_canard(args) -> int:
     _write_trajectory(traj, csv_path)
     _emit(csv_path)
 
-    report = analyze_singularity(ps, x_star)
     metrics = canard_metrics(traj, n, k_star, epsilon)
     metrics.update({
         "critical_perturbation": critical,
@@ -365,6 +363,8 @@ def cmd_divergence(args) -> int:
     _, ps = _plane_from_config(cfg)
     (k_range,) = _analysis(cfg, "k_range")
     k1, k2 = float(k_range[0]), float(k_range[1])
+    if not k1 < k2:
+        raise ConfigError([f"analysis/k_range: {k_range} must increase"])
     quad = slow_divergence_integral(ps, k1, k2)
     exact_val = slow_divergence_exact(ps, k1, k2)
     out = _out_dir(args)

@@ -159,7 +159,8 @@ def validate_config(cfg: dict) -> dict:
 
     Beyond the schema, `tspan` and `analysis/x_range` must increase: the
     integrator and the root scans have no meaning on a reversed interval.
-    `k_range` may run either way.
+    `k_range` may run either way for a manifold scan; `divergence`, whose
+    integral is taken from k_range[0] to k_range[1], rejects a descending one.
     """
     errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:

@@ -146,16 +146,24 @@ class ResponseFunction:
         return evaluate_expanded
 
     def derivative(self, order: int = 1) -> "ResponseFunction":
-        """Exact coefficient-level derivative of the given order (>= 1)."""
+        """Exact coefficient-level derivative of the given order (>= 1).
+
+        Each derivative is built once per instance, so repeated calls return
+        the same object together with its cached float evaluator.
+        """
         if order < 1:
             raise ValueError("derivative order must be >= 1")
+        result = self._first_derivative
+        for _ in range(order - 1):
+            result = result._first_derivative
+        return result
+
+    @cached_property
+    def _first_derivative(self) -> "ResponseFunction":
         coeffs = self.coeffs
-        for _ in range(order):
-            if len(coeffs) == 1:
-                coeffs = (Fraction(0),)
-                continue
-            coeffs = tuple(Fraction(k) * coeffs[k] for k in range(1, len(coeffs)))
-        return ResponseFunction(coeffs)
+        if len(coeffs) == 1:
+            return ResponseFunction((Fraction(0),))
+        return ResponseFunction(tuple(Fraction(k) * coeffs[k] for k in range(1, len(coeffs))))
 
     def is_even(self) -> bool:
         """Exact invariance under x -> -x: all odd-degree coefficients vanish."""

@@ -95,15 +95,13 @@ class PlaneSystem:
         f = self.f.evaluator(ctx)
         eps = ctx.scalar(self.epsilon)
         g = ctx.scalar(self.g)
-        g_tilde = ctx.scalar(self.g_tilde)
+        slow = eps * ((n - 1) * g + ctx.scalar(self.g_tilde))
+        dtype = float if ctx.is_float else object
 
         def rhs(y):
             x, k = y[0], y[1]
             fast = -(f(x) - f(k - (n - 1) * x)) + eps * g
-            slow = eps * ((n - 1) * g + g_tilde)
-            if ctx.is_float:
-                return np.array([fast, slow], dtype=float)
-            return np.array([fast, slow], dtype=object)
+            return np.array([fast, slow], dtype=dtype)
 
         return rhs
 
@@ -150,14 +148,19 @@ def consensus_stability(ps: PlaneSystem, x_star, tol: float = SINGULAR_TOL) -> S
     -n f'(x*) at the point.
     """
     fp = ps.f.derivative().eval(x_star)
-    curv = ps.f.derivative(2).eval(x_star)
-    if abs(fp) <= tol * (1 + abs(curv)):
-        tag = SINGULAR
-    elif fp > 0:
-        tag = ATTRACTING
-    else:
-        tag = REPELLING
+    tag = _stability(fp, ps.f.derivative(2).eval(x_star), tol)
     return StabilityResult(tag, -ps.n * float(fp))
+
+
+def _stability(rate, curvature, tol) -> str:
+    """Tag a point of the layer flow by its decay rate.
+
+    A positive rate attracts, a negative one repels, and a rate within tol,
+    scaled by the curvature of the rate, is singular.
+    """
+    if abs(rate) <= tol * (1 + abs(curvature)):
+        return SINGULAR
+    return ATTRACTING if rate > 0 else REPELLING
 
 
 def flow_stability_probe(ps: PlaneSystem, k: float, offset: float = 1e-6) -> str:
@@ -227,6 +230,34 @@ def _newton_polish(func, deriv, x0: float, iterations: int = 30) -> float:
     return x
 
 
+def _scan_roots(func, deriv, lo: float, hi: float, count: int) -> list[float]:
+    """Zeros of func over `count` evenly spaced points of [lo, hi], in scan order.
+
+    A grid point where func is exactly 0 is a root itself (the end point
+    included).  Each sign change between neighbours is bisected; the Newton
+    polish of that root is kept only when it moves the root by at most one
+    grid step and does not raise the residual.
+    """
+    step = (hi - lo) / (count - 1)
+    values = [func(lo + i * step) for i in range(count)]
+    roots: list[float] = []
+    for i in range(count - 1):
+        a, b = values[i], values[i + 1]
+        x_a = lo + i * step
+        if a == 0.0:
+            roots.append(x_a)
+            continue
+        if (a < 0) != (b < 0):
+            root = _bisect_root(func, x_a, x_a + step)
+            polished = _newton_polish(func, deriv, root)
+            if abs(polished - root) <= step and abs(func(polished)) <= abs(func(root)):
+                root = polished
+            roots.append(root)
+    if values[-1] == 0.0:
+        roots.append(hi)
+    return roots
+
+
 def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float = 1e-10) -> ManifoldSample:
     """Root scan of the layer equation over a (k, x) window.
 
@@ -244,9 +275,8 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
         raise ValueError("grid must have at least 2 points per axis")
     k_lo, k_hi = map(float, k_range)
     x_lo, x_hi = map(float, x_range)
-    dx = (x_hi - x_lo) / (nx - 1)
-    link_tol = 5.0 * dx
-    fp = ps.f.derivative()
+    link_tol = 5.0 * ((x_hi - x_lo) / (nx - 1))
+    fpp = ps.f.derivative(2)
 
     points: list[ManifoldPoint] = []
     next_branch = 1
@@ -260,29 +290,11 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
             return float(ps.layer_value(x, _k))
 
         def dphi(x, _k=k):
-            return float(fp.eval(x) + (ps.n - 1) * fp.eval(ps.mirror(x, _k)))
+            return -ps.layer_jacobian(x, _k)
 
-        roots: list[float] = []
         consensus_x = k / ps.n
-        if x_lo <= consensus_x <= x_hi:
-            roots.append(consensus_x)
-        values = [phi(x_lo + i * dx) for i in range(nx)]
-        for i in range(nx - 1):
-            a, b = values[i], values[i + 1]
-            if a == 0.0:
-                roots.append(x_lo + i * dx)
-                continue
-            if (a < 0) != (b < 0):
-                lo = x_lo + i * dx
-                hi = lo + dx
-                root = _bisect_root(phi, lo, hi)
-                polished = _newton_polish(phi, dphi, root)
-                # keep the polish only when it stays in the bracket and helps
-                if abs(polished - root) <= dx and abs(phi(polished)) <= abs(phi(root)):
-                    root = polished
-                roots.append(root)
-        if values[-1] == 0.0:
-            roots.append(x_hi)
+        roots = [consensus_x] if x_lo <= consensus_x <= x_hi else []
+        roots += _scan_roots(phi, dphi, x_lo, x_hi, nx)
 
         # dedupe (consensus root may also arise from the scan)
         merged: list[tuple[float, bool]] = []
@@ -324,16 +336,8 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
                 raise InvariantViolationError(
                     f"manifold point (k={k}, x={x}) has residual {residual} > {residual_tol}"
                 )
-            jac = float(ps.layer_jacobian(x, k))
-            jac_slope = float(
-                -(ps.f.derivative(2).eval(x) - (ps.n - 1) ** 2 * ps.f.derivative(2).eval(ps.mirror(x, k)))
-            )
-            if abs(jac) <= SINGULAR_TOL * (1 + abs(jac_slope)):
-                tag = SINGULAR
-            elif jac < 0:
-                tag = ATTRACTING
-            else:
-                tag = REPELLING
+            curvature = float(fpp.eval(x) - (ps.n - 1) ** 2 * fpp.eval(ps.mirror(x, k)))
+            tag = _stability(dphi(x), curvature, SINGULAR_TOL)
             points.append(ManifoldPoint(k=k, x=x, branch=branch, stability=tag, consensus=is_consensus))
 
     return ManifoldSample(tuple(points))
@@ -393,7 +397,9 @@ def _lambda_cross_check(n, d2f_center, d2f_mirror, h, h_tilde, lam) -> None:
     The generic route assembles the half second partials of the fast
     equation in (x, k) plus the forcing terms and evaluates
     (delta*alpha + g0*beta) / (|g0| sqrt(beta^2 - gamma*alpha)); it must
-    reproduce `lam`.  Exact when everything is rational, else to 1e-9.
+    reproduce `lam`.  Both sides are squared to avoid the square root; the
+    squares must agree exactly when every input is rational, and otherwise
+    to a relative tolerance of 1e-12.
     """
     alpha = Fraction(-exact(d2f_center) + (n - 1) ** 2 * exact(d2f_mirror), 2)
     beta = Fraction(-(n - 1) * exact(d2f_mirror), 2)
@@ -498,25 +504,8 @@ def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int
     def dfunc(x):
         return float(fpp.eval(x))
 
-    step = (hi - lo) / (samples - 1)
-    roots: list[float] = []
-    values = [func(lo + i * step) for i in range(samples)]
-    for i in range(samples - 1):
-        a, b = values[i], values[i + 1]
-        x_a = lo + i * step
-        if a == 0.0:
-            roots.append(x_a)
-            continue
-        if (a < 0) != (b < 0):
-            root = _bisect_root(func, x_a, x_a + step)
-            polished = _newton_polish(func, dfunc, root)
-            if abs(polished - root) <= step and abs(func(polished)) <= abs(func(root)):
-                root = polished
-            roots.append(root)
-    if values[-1] == 0.0:
-        roots.append(hi)
     merged: list[float] = []
-    for r in sorted(roots):
+    for r in sorted(_scan_roots(func, dfunc, lo, hi, samples)):
         if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
             merged.append(r)
     return merged

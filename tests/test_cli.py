@@ -265,6 +265,17 @@ def test_divergence_command_reports_exact_value(tmp_path):
     assert abs(payload["integral"] - 9.0) <= 1e-8
 
 
+def test_descending_divergence_window_is_config_error(tmp_path, capsys):
+    out = tmp_path / "desc"
+    code = main(["divergence", "--preset", "ex1",
+                 "--config", _write(tmp_path, "dk.json", {"analysis": {"k_range": [3.0, 0.0]}}),
+                 "--out", str(out)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "config" and report["details"][0].startswith("analysis/k_range:")
+    assert not (out / "divergence.json").exists()
+
+
 def test_bifurcation_branch_counts(tmp_path):
     # coarse sweep: family a gains a branch for lambda > 0; family b exceeds it
     coarse = {"analysis": {"grid": [61, 121]}}

@@ -64,7 +64,12 @@ RUNS = {
     "canard-ex1": (["canard", "--preset", "ex1-canard"], None, 0),
     "divergence-ex1": (["divergence", "--preset", "ex1"], None, 0),
     "manifold-ex1": (["manifold", "--preset", "ex1-manifold"], None, 0),
+    "manifold-ex1-descending": (["manifold", "--preset", "ex1-manifold"],
+                                {"analysis": {"k_range": [4.5, -4.5]}}, 0),
     "singularities-ex1": (["singularities", "--preset", "ex1"], None, 0),
+    # f' = 4x^3 - 4x is exactly 0 at the grid points -1 and 0 and at the end point 1
+    "singularities-ex1-grid-zeros": (["singularities", "--preset", "ex1"],
+                                     {"analysis": {"x_range": [-2.0, 1.0], "scan_points": 4}}, 0),
     "simulate-dp45-32": (["simulate"], _DP45_32, 0),
     "simulate-rk4-64": (["simulate"], _RK4_64, 0),
 }
@@ -86,6 +91,9 @@ GOLDEN = {
     "manifold-ex1": {
         "manifold.csv": "3155837699da0644ffa941f2551aa1f1463830b86258587652ae6779a008f015",
     },
+    "manifold-ex1-descending": {
+        "manifold.csv": "3be499ade15d33490e7b3d9d5302e98eda16e5926b9c6a92a1e1b3ea2c3dbb89",
+    },
     "simulate-dp45-32": {
         "trajectory.csv": "cd9274a1f98881629d68e862df60ac3541f45da911dc270f27dc84b19022982c",
     },
@@ -93,6 +101,9 @@ GOLDEN = {
         "trajectory.csv": "5bd0d28fdcde82d77713cfe4c3034e9e54b3794ce6b1594abf628ee92ae95f1c",
     },
     "singularities-ex1": {
+        "singularities.json": "c3900e09907c7720e183f3e62067534efb8da51d75c388b9b9b364228b42cd43",
+    },
+    "singularities-ex1-grid-zeros": {
         "singularities.json": "c3900e09907c7720e183f3e62067534efb8da51d75c388b9b9b364228b42cd43",
     },
 }

@@ -111,6 +111,51 @@ def test_path_graph_commutator_counterexample():
     assert not commutes_with_laplacian(g, sigma, tol=1e-12)
 
 
+def _commutator_norm(g: Graph, p: Permutation) -> Fraction:
+    """max |(L P - P L)_ij| from the two exact matrix products (reference oracle)."""
+    lap = g.laplacian()
+    sigma = p.matrix()
+    worst = Fraction(0)
+    for i in range(g.n):
+        for j in range(g.n):
+            ls = sum(lap[i][k] * sigma[k][j] for k in range(g.n))
+            sl = sum(sigma[i][k] * lap[k][j] for k in range(g.n))
+            worst = max(worst, abs(ls - sl))
+    return worst
+
+
+def _graph_with_automorphism(rng: SplitMix64, p: Permutation) -> Graph:
+    """Random weighted graph invariant under p: one draw per orbit of node pairs."""
+    edges = {}
+    for i in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
+            if (i, j) in edges:
+                continue
+            weight = Fraction(rng.next_u64() % 400 + 1, 100) if rng.uniform() < 0.6 else None
+            a, b = i, j
+            while (min(a, b), max(a, b)) not in edges:
+                edges[(min(a, b), max(a, b))] = weight
+                a, b = p(a), p(b)
+    return Graph(p.n, tuple((i, j, w) for (i, j), w in edges.items() if w is not None))
+
+
+def test_commutes_agrees_with_matrix_product_oracle():
+    rng = SplitMix64(29)
+    tols = (0, Fraction(1, 2), 2.5)
+    seen = set()
+    for _ in range(60):
+        n = 2 + rng.next_u64() % 6
+        p = random_permutation(rng, n)
+        g = _graph_with_automorphism(rng, p) if rng.uniform() < 0.5 else random_graph(rng, n, 0.6)
+        worst = _commutator_norm(g, p)
+        verdicts = tuple(commutes_with_laplacian(g, p, tol=tol) for tol in tols)
+        assert verdicts == tuple(worst <= tol for tol in tols)
+        seen.add(verdicts)
+    # automorphisms, non-automorphisms, and commutators that only a positive tol accepts
+    assert (True, True, True) in seen and (False, False, False) in seen
+    assert any(not v[0] and v[-1] for v in seen)
+
+
 def test_identity_always_commutes():
     rng = SplitMix64(13)
     for _ in range(10):

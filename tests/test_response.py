@@ -46,6 +46,18 @@ def test_derivative_exact_coefficients(ex1_response):
     assert ResponseFunction.from_coeffs([7]).derivative().coeffs == (0,)
 
 
+@pytest.mark.parametrize("coeffs", [[7], [2, -3], [1, 0, -2, 0, 1], [5, -1, 3, 2, -4, 1, 6]],
+                         ids=["constant", "linear", "ex1", "degree6"])
+def test_derivatives_built_once_with_exact_coefficients(coeffs):
+    f = ResponseFunction.from_coeffs(coeffs)
+    expected = [Fraction(c) for c in coeffs]
+    for order in range(1, 5):
+        # reference: differentiate the coefficient list once per order
+        expected = [k * expected[k] for k in range(1, len(expected))] or [Fraction(0)]
+        assert f.derivative(order).coeffs == tuple(expected)
+        assert f.derivative(order) is f.derivative(order)
+
+
 def test_second_derivative_composes():
     rng = SplitMix64(8)
     for _ in range(20):
