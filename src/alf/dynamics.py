@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from mpmath.libmp import mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from .errors import (
     DimensionMismatchError,
@@ -24,7 +25,7 @@ from .errors import (
     IntegrationStalledError,
 )
 from .graph import Graph
-from .precision import ScalarContext, exact
+from .precision import ScalarContext, TierVector, exact
 from .prng import SplitMix64
 from .response import ResponseField, _coerce
 
@@ -131,38 +132,40 @@ class PerturbedSystem:
         flow = self._flow(ctx)
         if ctx.is_float:
             return flow
-        return lambda y: np.array(flow(list(y)), dtype=object)
+        return ctx.vector_function(flow)
 
     def _flow(self, ctx: ScalarContext):
         """x -> -L F(x) + eps H in the tier of ctx.
 
-        Every exact constant is converted to the tier once, here.  The
-        extended tiers apply L from the nonzero entries of each row in
-        ascending column order, O(|E|) per call; the skipped terms are exact
-        zeros, so every rounding is that of the dense row sum.
+        Every exact constant, `eps * h_i` included, is converted to the tier
+        once, here.  The extended tiers map lists of raw `_mpf_` tuples and
+        apply L from the nonzero entries of each row in ascending column
+        order, O(|E|) per call; the skipped terms are exact zeros, so every
+        rounding is that of the dense row sum.
         """
-        eps = ctx.scalar(self.epsilon)
-        h = ctx.vector(self.perturbation.values)
         if ctx.is_float:
             neg_l = self._neg_laplacian_float
             fld = self.field
             coeffs = _float_coeffs(fld)
-            eps_h = eps * h
+            eps_h = ctx.scalar(self.epsilon) * ctx.vector(self.perturbation.values)
             return lambda y: neg_l @ _field_values_float(fld, coeffs, y) + eps_h
 
-        rows = [[(j, ctx.scalar(w)) for j, w in enumerate(row) if w != 0]
+        prec = ctx.working_prec
+        rows = [[(j, ctx.raw(w)) for j, w in enumerate(row) if w != 0]
                 for row in self._laplacian_exact]
-        field = self.field.evaluator(ctx)
-        zero = ctx.scalar(0)
+        field = self.field.raw_evaluator(ctx)
+        zero = ctx.raw(0)
+        eps = ctx.raw(self.epsilon)
+        eps_h = [mpf_mul(eps, ctx.raw(v), prec, round_nearest) for v in self.perturbation.values]
 
         def flow(x):
             fvals = field(x)
             out = []
-            for row, h_i in zip(rows, h):
+            for row, eps_h_i in zip(rows, eps_h):
                 acc = zero
                 for j, w in row:
-                    acc = acc - w * fvals[j]
-                out.append(acc + eps * h_i)
+                    acc = mpf_sub(acc, mpf_mul(w, fvals[j], prec, round_nearest), prec, round_nearest)
+                out.append(mpf_add(acc, eps_h_i, prec, round_nearest))
             return out
 
         return flow
@@ -276,10 +279,8 @@ class StandardFormSystem:
         l = self.l
         keep = [j - 1 for j in self.kept]
         flow = sys._flow(ctx)
-        eps = ctx.scalar(sys.epsilon)
-        h = ctx.vector(sys.perturbation.values)
         if ctx.is_float:
-            slow = eps * float(np.sum(h))
+            slow = ctx.scalar(sys.epsilon) * float(np.sum(ctx.vector(sys.perturbation.values)))
 
             def rhs(y: np.ndarray) -> np.ndarray:
                 full = np.empty(n)
@@ -289,18 +290,26 @@ class StandardFormSystem:
 
             return rhs
 
+        prec = ctx.working_prec
+        h = [ctx.raw(v) for v in sys.perturbation.values]
         hsum = h[0]
         for v in h[1:]:
-            hsum = hsum + v
-        slow = eps * hsum
+            hsum = mpf_add(hsum, v, prec, round_nearest)
+        slow = mpf_mul(ctx.raw(sys.epsilon), hsum, prec, round_nearest)
 
-        def rhs(y: np.ndarray) -> np.ndarray:
-            dx = flow(self.lift(list(y[:-1]), y[-1]))
+        def rhs(y):
+            # lift: x_l = k - sum of the retained coordinates
+            full = y[:-1]
+            total = y[-1]
+            for v in full:
+                total = mpf_sub(total, v, prec, round_nearest)
+            full.insert(l - 1, total)
+            dx = flow(full)
             out = [dx[i] for i in keep]
             out.append(slow)
-            return np.array(out, dtype=object)
+            return out
 
-        return rhs
+        return ctx.vector_function(rhs)
 
 
 def to_standard_form(sys: PerturbedSystem, l: int) -> StandardFormSystem:
@@ -400,8 +409,16 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+def _as_floats(y):
+    """The components of y that `float(abs(.))` reads: y itself, or a TierVector's floats.
+
+    The divergence test and the dp45 error norm read nothing else of a state.
+    """
+    return y.floats() if type(y) is TierVector else y
+
+
 def _diverged(y) -> bool:
-    for v in y:
+    for v in _as_floats(y):
         fv = float(abs(v))
         if math.isnan(fv) or fv > DIVERGENCE_CUTOFF:
             return True
@@ -416,6 +433,9 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     Raises DivergenceError when a component passes the cutoff and
     IntegrationStalledError when the adaptive step underflows; both carry
     the partial trajectory.
+
+    The extended tiers step a TierVector of raw `_mpf_` tuples; recorded
+    states and the states passed to `stop_condition` are mpf arrays.
     """
     t0, t1 = tspan
     if not t1 > t0:
@@ -423,7 +443,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)
-        y = ctx.vector(x0)
+        y = ctx.vector(x0) if ctx.is_float else ctx.tier_vector(x0)
         if len(y) != system.ode_dimension:
             raise DimensionMismatchError(
                 f"initial state has {len(y)} components, system has {system.ode_dimension}"
@@ -445,21 +465,26 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             k_in_state=system.k_in_state,
             metadata=metadata,
         )
+        as_array = (lambda y: y) if ctx.is_float else TierVector.to_array
 
-        def record(t, state):
+        def record(t, y):
+            state = as_array(y).copy()
             traj.times.append(t)
-            traj.states.append(state.copy())
+            traj.states.append(state)
             traj.k_series.append(system.slow_value(state))
 
-        if cfg.method == "rk4":
-            _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj)
-        else:
-            _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj)
+        def stop(t, y):
+            return stop_condition(t, as_array(y))
+
+        run = _run_rk4 if cfg.method == "rk4" else _run_dp45
+        run(system, rhs, y, ctx, t0, t1, cfg, record, stop if stop_condition is not None else None, traj)
         return traj
 
 
-# Steps keep the array left of a tier scalar: mpf * array first fails inside
-# mpmath, which formats repr(array) into an error before numpy takes over.
+# Steps keep the vector left of a tier scalar, so the vector's own `*` runs:
+# `mpf * TierVector` would first send the vector through mpmath's conversion
+# of an unknown operand before Python falls back to `TierVector.__rmul__`.
+# Int and float coefficients may stand on either side.
 def _rk4_step(rhs, y, t, dt):
     half = dt / 2
     k1 = rhs(y)
@@ -499,7 +524,9 @@ def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
     accepted = 0
     fsal = rhs(y)
     while float(t) < float(t_end):
-        if float(t) + float(dt) > float(t_end):
+        # t + (t_end - t) may round short of t_end; a clipped step lands on it
+        clipped = float(t) + float(dt) > float(t_end)
+        if clipped:
             dt = t_end - t
         ks = [fsal]
         for stage in range(1, 7):
@@ -512,11 +539,11 @@ def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
         y5 = y + sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0) * dt
         y4 = y + sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0) * dt
         err = 0.0
-        for a, b, yi in zip(y5, y4, y):
+        for a, d, yi in zip(_as_floats(y5), _as_floats(y5 - y4), _as_floats(y)):
             scale = tol + tol * max(float(abs(yi)), float(abs(a)))
-            err = max(err, float(abs(a - b)) / scale)
+            err = max(err, float(abs(d)) / scale)
         if err <= 1.0:
-            t = t + dt
+            t = t_end if clipped else t + dt
             y = y5
             fsal = ks[6]  # first-same-as-last
             accepted += 1
@@ -532,7 +559,7 @@ def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         factor = min(5.0, max(0.2, factor))
         dt = dt * ctx.scalar(factor)
-        if float(dt) < 1e-14 * max(1.0, abs(float(t))):
+        if float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
             record(t, y)
             raise IntegrationStalledError(
                 f"step size underflow at t={float(t)}", float(t), traj

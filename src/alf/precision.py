@@ -3,6 +3,13 @@
 Three tiers are exposed: 16 digits (native float64) and two extended tiers
 of 32 and 64 decimal digits backed by mpmath.  Extended tiers carry a few
 guard digits internally so that roundoff stays below the advertised level.
+
+Scalars of the extended tiers are mpf objects.  Their compiled kernels (the
+right-hand sides and the integrator steps) compute on mpmath's raw `_mpf_`
+tuples instead: a `TierVector` and the raw evaluators call the `mpmath.libmp`
+function that the mpf operator calls for the same operands, at the tier's
+working precision with round-to-nearest, so every bit is that of the mpf
+arithmetic, without one mpf object per operation.
 """
 
 from __future__ import annotations
@@ -13,11 +20,24 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    from_int,
+    mpf_add,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 PRECISION_TIERS = (16, 32, 64)
 
 # guard digits keep accumulated roundoff under the advertised tier
 _GUARD_DIGITS = 3
+
+_make_mpf = mpmath.mp.make_mpf
 
 
 @dataclass(frozen=True)
@@ -37,6 +57,11 @@ class ScalarContext:
     @property
     def working_dps(self) -> int:
         return self.digits + _GUARD_DIGITS
+
+    @property
+    def working_prec(self) -> int:
+        """Working precision in bits, as `workprec` sets it."""
+        return dps_to_prec(self.working_dps)
 
     def workprec(self):
         """Context manager pinning the mpmath working precision (no-op for float)."""
@@ -59,6 +84,29 @@ class ScalarContext:
             return np.array(vals, dtype=float)
         return np.array(vals, dtype=object)
 
+    def raw(self, value) -> tuple:
+        """The `_mpf_` tuple of `scalar(value)` (extended tiers)."""
+        return self.scalar(value)._mpf_
+
+    def tier_vector(self, values) -> "TierVector":
+        """`vector(values)` of an extended tier, as a TierVector."""
+        return TierVector([self.raw(v) for v in values], self.working_prec)
+
+    def vector_function(self, kernel):
+        """A function of extended-tier vectors from `kernel`, raw tuples in and out.
+
+        A TierVector gives a TierVector; any other sequence of mpf gives a
+        list of mpf.
+        """
+        prec = self.working_prec
+
+        def apply(y):
+            if type(y) is TierVector:
+                return TierVector(kernel(y.parts), prec)
+            return [_make_mpf(v) for v in kernel([v._mpf_ for v in y])]
+
+        return apply
+
     def format(self, value) -> str:
         """Deterministic decimal string at working precision."""
         if self.is_float:
@@ -71,6 +119,55 @@ class ScalarContext:
                 max_fixed=10**9,
                 strip_zeros=True,
             )
+
+
+class TierVector:
+    """An extended-tier vector held as raw `_mpf_` tuples, for the integrators.
+
+    `+` and `-` take another TierVector (`+` also the int 0 that `sum` starts
+    from); `*` takes an mpf, an int or a float on either side.  Each
+    component is computed by the libmp call that the mpf operator makes for
+    the same operands: `mpf_mul_int` for an int, `from_float` for a float.
+    """
+
+    __slots__ = ("parts", "prec")
+
+    def __init__(self, parts: list, prec: int):
+        self.parts = parts
+        self.prec = prec
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __add__(self, other):
+        prec = self.prec
+        if type(other) is int:
+            c = from_int(other)
+            return TierVector([mpf_add(a, c, prec, round_nearest) for a in self.parts], prec)
+        return TierVector([mpf_add(a, b, prec, round_nearest) for a, b in zip(self.parts, other.parts)], prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        prec = self.prec
+        return TierVector([mpf_sub(a, b, prec, round_nearest) for a, b in zip(self.parts, other.parts)], prec)
+
+    def __mul__(self, other):
+        prec = self.prec
+        if type(other) is int:
+            return TierVector([mpf_mul_int(a, other, prec, round_nearest) for a in self.parts], prec)
+        c = from_float(other) if isinstance(other, float) else other._mpf_
+        return TierVector([mpf_mul(a, c, prec, round_nearest) for a in self.parts], prec)
+
+    __rmul__ = __mul__
+
+    def floats(self) -> list[float]:
+        """The components as `float(v_i)` gives them for mpf (round-to-nearest)."""
+        return [to_float(a, rnd=round_nearest) for a in self.parts]
+
+    def to_array(self) -> np.ndarray:
+        """The components as an mpf object array."""
+        return np.array([_make_mpf(a) for a in self.parts], dtype=object)
 
 
 def exact(value) -> Fraction:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .errors import UnsupportedStructureError
 from .precision import ScalarContext, exact
@@ -121,7 +122,11 @@ class ResponseFunction:
 
         The returned function applies the operations of `eval` in the same
         order, so under `ctx.workprec()` it returns the same value bit for bit.
+        The extended tiers take and return mpf around `raw_evaluator`.
         """
+        if not ctx.is_float:
+            raw = self.raw_evaluator(ctx)
+            return lambda x: mpmath.mp.make_mpf(raw(x._mpf_))
         if self.roots is not None:
             scale = ctx.scalar(self.scale)
             roots = tuple((ctx.scalar(r), mult) for r, mult in self.roots)
@@ -141,6 +146,32 @@ class ResponseFunction:
             acc = top
             for c in rest:
                 acc = acc * x + c
+            return acc
+
+        return evaluate_expanded
+
+    def raw_evaluator(self, ctx):
+        """`evaluator` of an extended tier on raw `_mpf_` tuples: the same operations."""
+        prec = ctx.working_prec
+        if self.roots is not None:
+            scale = ctx.raw(self.scale)
+            roots = tuple((ctx.raw(r), mult) for r, mult in self.roots)
+
+            def evaluate(x):
+                acc = scale
+                for r, mult in roots:
+                    factor = mpf_sub(x, r, prec, round_nearest)
+                    for _ in range(mult):
+                        acc = mpf_mul(acc, factor, prec, round_nearest)
+                return acc
+
+            return evaluate
+        top, *rest = (ctx.raw(c) for c in reversed(self.coeffs))
+
+        def evaluate_expanded(x):
+            acc = top
+            for c in rest:
+                acc = mpf_add(mpf_mul(acc, x, prec, round_nearest), c, prec, round_nearest)
             return acc
 
         return evaluate_expanded
@@ -190,6 +221,10 @@ class CallbackResponse:
     def evaluator(self, ctx):
         return self._func
 
+    def raw_evaluator(self, ctx):
+        func = self._func
+        return lambda x: ctx.raw(func(mpmath.mp.make_mpf(x)))
+
     def derivative(self, order: int = 1):
         raise UnsupportedStructureError(
             "exact derivatives need a polynomial response; callback responses are simulation-only"
@@ -219,9 +254,33 @@ class ResponseField:
 
     def evaluator(self, ctx):
         """`evaluate` for vectors of `ctx` scalars, with the constants converted once."""
+        if not ctx.is_float:
+            return ctx.vector_function(self.raw_evaluator(ctx))
         function = self.function.evaluator(ctx)
         gauges = [g.evaluator(ctx) for g in self.mean_gauges]
         return lambda x: _field_values(x, function, gauges)
+
+    def raw_evaluator(self, ctx):
+        """`evaluator` of an extended tier on lists of raw `_mpf_` tuples: the same operations."""
+        function = self.function.raw_evaluator(ctx)
+        if not self.mean_gauges:
+            return lambda x: [function(xi) for xi in x]
+        gauges = [g.raw_evaluator(ctx) for g in self.mean_gauges]
+        prec = ctx.working_prec
+
+        def evaluate(x):
+            out = [function(xi) for xi in x]
+            total = x[0]
+            for xi in x[1:]:
+                total = mpf_add(total, xi, prec, round_nearest)
+            mean = mpf_div(total, from_int(len(x)), prec, round_nearest)
+            shift = None
+            for gauge in gauges:
+                val = gauge(mean)
+                shift = val if shift is None else mpf_add(shift, val, prec, round_nearest)
+            return [mpf_add(v, shift, prec, round_nearest) for v in out]
+
+        return evaluate
 
 
 def _field_values(x, function, gauges):

@@ -28,6 +28,7 @@ from .precision import ScalarContext, exact
 from .response import ResponseFunction
 
 import numpy as np
+from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, round_nearest
 
 SINGULAR_TOL = 1e-10
 CRITICAL_TOL = 1e-12
@@ -91,19 +92,41 @@ class PlaneSystem:
         return y[1]
 
     def rhs_function(self, ctx: ScalarContext):
+        """(x, k) -> (-(f(x) - f(k - (n-1) x)) + eps g, eps ((n-1) g + g_tilde)).
+
+        `eps * g` and the slow drift are computed once per build; the extended
+        tiers compute on raw `_mpf_` tuples with the same operations.
+        """
         n = self.n
-        f = self.f.evaluator(ctx)
-        eps = ctx.scalar(self.epsilon)
-        g = ctx.scalar(self.g)
-        slow = eps * ((n - 1) * g + ctx.scalar(self.g_tilde))
-        dtype = float if ctx.is_float else object
+        if ctx.is_float:
+            f = self.f.evaluator(ctx)
+            eps = ctx.scalar(self.epsilon)
+            g = ctx.scalar(self.g)
+            eps_g = eps * g
+            slow = eps * ((n - 1) * g + ctx.scalar(self.g_tilde))
 
-        def rhs(y):
-            x, k = y[0], y[1]
-            fast = -(f(x) - f(k - (n - 1) * x)) + eps * g
-            return np.array([fast, slow], dtype=dtype)
+            def rhs(y):
+                x, k = y[0], y[1]
+                fast = -(f(x) - f(k - (n - 1) * x)) + eps_g
+                return np.array([fast, slow], dtype=float)
 
-        return rhs
+            return rhs
+
+        prec = ctx.working_prec
+        f = self.f.raw_evaluator(ctx)
+        eps = ctx.raw(self.epsilon)
+        g = ctx.raw(self.g)
+        eps_g = mpf_mul(eps, g, prec, round_nearest)
+        drift = mpf_add(mpf_mul_int(g, n - 1, prec, round_nearest), ctx.raw(self.g_tilde), prec, round_nearest)
+        slow = mpf_mul(eps, drift, prec, round_nearest)
+
+        def raw_rhs(y):
+            x, k = y
+            mirror = mpf_sub(k, mpf_mul_int(x, n - 1, prec, round_nearest), prec, round_nearest)
+            layer = mpf_sub(f(x), f(mirror), prec, round_nearest)
+            return [mpf_add(mpf_neg(layer, prec, round_nearest), eps_g, prec, round_nearest), slow]
+
+        return ctx.vector_function(raw_rhs)
 
 
 def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
@@ -528,20 +551,8 @@ def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport, h_step: f
 
     def partner(x: float) -> float:
         target = float(f.eval(x))
-        r = 2 * x_s - x
-        for _ in range(80):
-            val = float(f.eval(r)) - target
-            dv = float(fp.eval(r))
-            if dv == 0.0 or not math.isfinite(dv):
-                break
-            step = val / dv
-            r_new = r - step
-            if not math.isfinite(r_new):
-                raise ContinuationFailedError(f"partner-root iteration diverged near x={x}")
-            if abs(step) <= 1e-16 * max(1.0, abs(r)):
-                r = r_new
-                break
-            r = r_new
+        r = _newton_polish(lambda v: float(f.eval(v)) - target, lambda v: float(fp.eval(v)),
+                           2 * x_s - x, iterations=80)
         if abs(float(f.eval(r)) - target) > 1e-8 * (1.0 + abs(target)):
             raise ContinuationFailedError(f"no partner root found near x={x}")
         if abs(r - x) < abs(x - x_s) / 2:

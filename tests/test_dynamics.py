@@ -174,6 +174,44 @@ def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
             assert list(std_rhs(np.array(fast + [k], dtype=object))) == std_ref
 
 
+@pytest.mark.parametrize("digits", (32, 64))
+def test_tier_vector_steps_equal_mpf_object_arrays(digits, ex1_response):
+    # the mpf object-array arithmetic the extended steps used to run is the reference
+    import mpmath
+
+    from alf.dynamics import _DP_B5, _as_floats, _rk4_step
+    from alf.precision import ScalarContext
+
+    rng = SplitMix64(digits + 1)
+    pert = Perturbation.constant(rational_state(rng, 5))
+    sys_ = PerturbedSystem(_weighted_k5(), ResponseField(ex1_response), pert, Fraction(1, 10))
+    ctx = ScalarContext(digits)
+
+    def bits(values):
+        return [v._mpf_ for v in values]
+
+    with ctx.workprec():
+        rhs = sys_.rhs_function(ctx)
+
+        def rhs_array(y):
+            return np.array(rhs(y), dtype=object)
+
+        dt = ctx.scalar(Fraction(1, 50)) * mpmath.sqrt(3)
+        t = ctx.scalar(0)
+        for _ in range(5):
+            # irrational scaling fills every mantissa bit, so each rounding shows
+            states = [[ctx.scalar(v) * mpmath.sqrt(2) for v in rational_state(rng, 5)] for _ in range(7)]
+            arrays = [np.array(x, dtype=object) for x in states]
+            vectors = [ctx.tier_vector(x) for x in states]
+            assert bits(_rk4_step(rhs, vectors[0], t, dt).to_array()) == bits(_rk4_step(rhs_array, arrays[0], t, dt))
+            for ks in (arrays, vectors):
+                ks.append(ks[0] + sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0) * dt)
+                ks.append(ks[1] - ks[2] * 0.1 + 3 * ks[3])
+            for ref, vec in zip(arrays, vectors):
+                assert bits(ref) == vec.parts
+                assert _as_floats(vec) == [float(v) for v in ref]
+
+
 def test_is_regular_perturbation(ex1_response):
     balanced = Perturbation.constant([1, -1, 0, 0], 4)
     sys_ = _system(4, ex1_response, balanced, Fraction(1, 10))
@@ -335,3 +373,14 @@ def test_conservation_across_integrator_precision_combinations(method, digits, e
     assert drift <= 1e-9 * abs(float(k0))
     assert float(traj.times[0]) == 0.5
     assert abs(float(traj.times[-1]) - 3.0) < 1e-9
+
+
+def test_dp45_clipped_last_step_lands_on_the_end_time():
+    # t_end - t = 2.61 - 0.5706 rounds so that t + (t_end - t) falls one ulp
+    # short of 2.61; a further ~1e-16 step would trip the underflow check
+    sys_ = _system(3, ResponseFunction.from_coeffs([0.0, 1.0]))
+    cfg = IntegratorConfig(method="dp45", dt=0.0951)
+    traj = integrate(sys_, [0.5, 0.5, 0.5], (0.0, 2.61), cfg)
+    assert traj.times[-1] == 2.61
+    assert traj.times[-2] < 2.61
+    assert traj.times[-2] + (2.61 - traj.times[-2]) < 2.61

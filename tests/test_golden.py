@@ -10,7 +10,8 @@ BLAS, whose summation order may differ between machines.
 The CLI prints only `digits` of the `digits + 3` working digits, so the
 in-process runs below also hash the exact mpf bits of every state and slow
 value of short 32- and 64-digit integrations of the full, standard-form and
-plane systems.
+plane systems, of a response field with a mean gauge, of a run that ends in
+DivergenceError and of a run whose stop condition fires between strides.
 
 To print the hashes of the current sources: ``python tests/test_golden.py``.
 """
@@ -28,7 +29,17 @@ from pathlib import Path
 
 import pytest
 
-from alf import IntegratorConfig, integrate, plane_reduce, to_standard_form
+from alf import (
+    DivergenceError,
+    IntegratorConfig,
+    PerturbedSystem,
+    ResponseField,
+    ResponseFunction,
+    gauge_shift,
+    integrate,
+    plane_reduce,
+    to_standard_form,
+)
 from alf.config import build_system
 from alf.presets import get_preset
 
@@ -134,16 +145,31 @@ def test_golden_output_hashes(name, tmp_path):
 
 
 def _tier_runs():
-    """name -> (system, initial state) for the working-bit hashes."""
+    """name -> (system, initial state, stop condition) for the working-bit hashes."""
     full = build_system(_DP45_32)
     x0 = [Fraction(str(v)) for v in _DP45_32["initial"]["explicit"]]
     std = to_standard_form(full, 2)
     fast, k0 = std.project(x0)
     plane = plane_reduce(build_system(get_preset("ex1")), 3)
+    # a mean gauge h(mean x) added to every response value; x0 sums to 0, so the
+    # gauge run starts from x0 + 7/10, where a misrounded mean shows in h
+    gauge = PerturbedSystem(
+        full.graph,
+        gauge_shift(full.field, ResponseFunction.from_coeffs([Fraction(1, 3), 2, -1])),
+        full.perturbation,
+        full.epsilon,
+    )
+    # f = -x^3 makes -L F(x) anti-diffusive: the spread passes the cutoff near t = 0.32
+    diverging = PerturbedSystem(full.graph, ResponseField(ResponseFunction.from_coeffs([0, 0, 0, -1])),
+                                full.perturbation, full.epsilon)
+    # with stride 4, the stop at t > 0.25 fires after rk4 step 13, off the stride
     return {
-        "full": (full, x0),
-        "standard": (std, fast + [k0]),
-        "plane": (plane, [Fraction(6, 5), Fraction(4)]),
+        "full": (full, x0, None),
+        "standard": (std, fast + [k0], None),
+        "plane": (plane, [Fraction(6, 5), Fraction(4)], None),
+        "gauge": (gauge, [v + Fraction(7, 10) for v in x0], None),
+        "diverging": (diverging, [Fraction(-1, 2), Fraction(1, 2), 0, Fraction(1, 4), Fraction(-1, 4)], None),
+        "stopped": (plane, [Fraction(6, 5), Fraction(4)], lambda t, y: float(t) > 0.25),
     }
 
 
@@ -156,25 +182,37 @@ _TIER_CONFIGS = {
 def tier_bits_hash(key: str) -> str:
     """sha256 of the exact (sign, mantissa, exponent, bitcount) of every state and k value.
 
-    `key` is "<system>-<method>-<digits>".
+    `key` is "<system>-<method>-<digits>".  A run that ends in DivergenceError
+    is hashed through the partial trajectory the error carries.
     """
     system, method, digits = key.split("-")
-    sys_, x0 = _tier_runs()[system]
-    cfg = IntegratorConfig(digits=int(digits), **_TIER_CONFIGS[method])
-    traj = integrate(sys_, x0, (0.0, 0.5), cfg)
+    sys_, x0, stop = _tier_runs()[system]
+    cfg = IntegratorConfig(digits=int(digits), stride=4 if stop else 1, **_TIER_CONFIGS[method])
+    try:
+        traj = integrate(sys_, x0, (0.0, 0.5), cfg, stop_condition=stop)
+    except DivergenceError as err:
+        traj = err.trajectory
     digest = hashlib.sha256()
-    for state, k in zip(traj.states, traj.k_series):
-        for v in list(state) + [k]:
+    for t, state, k in zip(traj.times, traj.states, traj.k_series):
+        values = list(state) + [k]
+        if system in ("diverging", "stopped"):
+            values.append(t)
+        for v in values:
             sign, man, exp, bc = v._mpf_
             digest.update(repr((sign, int(man), exp, bc)).encode())
     return digest.hexdigest()
 
 
 TIER_GOLDEN = {
+    "diverging-rk4-32": "8f9a61682db7e3f1df8554424e5319f20d6aeec2dc8e2012be844b424df2b5fb",
     "full-dp45-32": "9bc66386172fcf41bc2d648293434674f0e521f028886f890df82ee36bf117fd",
     "full-dp45-64": "57ab6d91302eda1fd3ca99377f1b8d1fc786e2399834f6d1796ce6e562d94984",
     "full-rk4-32": "23cfddbed4e0c52493675c6392481f73638b69ece92644fa92442d60fc44561c",
     "full-rk4-64": "0946d4d88786c0d56cf9bbd010951ffb90a35a20da35433d673bde854fcaffe4",
+    "gauge-dp45-32": "9d8fabd79213ba634ab2cd32476c0d6e2dd2a14e49a995bafa4247420e334cc8",
+    "gauge-dp45-64": "b9b52922b4a042f3c713ac1f218a0f5efdfae451ed5d5fc8a8763b2fd93fdc9a",
+    "gauge-rk4-32": "78112cbb8c3a2629fcf912a0d1f88794ec7d0fe7d3e00d7a2e631aefdfb9b40b",
+    "gauge-rk4-64": "82894970c3f6d4802d35d72f7454e464f1ff5bc79fecd1ce5a9e37468428da24",
     "plane-dp45-32": "7a4b2f1a49571b231d95ab38b69015b9c9440f9b44bf3eb607a7bb332fa8f885",
     "plane-dp45-64": "bb005f03ea6f9dc5d9dfcc0f785c6335302c3657b7144023f63ec8001b1403b0",
     "plane-rk4-32": "543a01d6cfa7778a214493baceb7a1273d7b0dd1640ffcb06578e9fea54a5216",
@@ -183,6 +221,8 @@ TIER_GOLDEN = {
     "standard-dp45-64": "309328379019cb1a6e8e5325f4411e10bbf85f715e329ec81d96a0e9873461a2",
     "standard-rk4-32": "bc8c539f1e37089eb7ad29dccb330f42ff8d434dfc40fdc44ba1deba7d03ddac",
     "standard-rk4-64": "6e8dd64c01815543e0ea5875e0f81450bce23ff1bf6818a73798d4d777eca788",
+    "stopped-dp45-32": "465300cd8f111e57f87a4744d15291644c3f8fa5916a54804d4dd1861253d623",
+    "stopped-rk4-32": "841a6abf2705d2749920407cae7a18c2b0791026924e27b1b76976af51e52169",
 }
 
 

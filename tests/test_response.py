@@ -159,6 +159,13 @@ def test_callback_response_simulates_but_refuses_analysis():
     # oracle: -L F with F = (t, -t, 0), t = tanh(1/2), multiplied out by hand
     t = math.tanh(0.5)
     assert list(out) == pytest.approx([-3 * t, 3 * t, 0.0], abs=1e-15)
+    from alf.precision import ScalarContext
+
+    ctx = ScalarContext(32)
+    with ctx.workprec():
+        # math.tanh returns floats, which the extended tier takes exactly
+        out32 = sys_.rhs_function(ctx)(ctx.vector([0.5, -0.5, 0.0]))
+    assert [float(v) for v in out32] == list(out)
     with pytest.raises(UnsupportedStructureError):
         smooth.derivative()
     with pytest.raises(UnsupportedStructureError):
@@ -201,7 +208,7 @@ def test_evaluator_equals_eval_bit_for_bit(case, digits):
             assert horner(x) == f.eval_expanded(x) == f.eval_expanded(per_call(x))
 
 
-@pytest.mark.parametrize("digits", (16, 32))
+@pytest.mark.parametrize("digits", (16, 32, 64))
 def test_field_evaluator_matches_evaluate_with_gauges(ex1_field, digits):
     from alf.precision import ScalarContext
 
