@@ -53,7 +53,6 @@ from .slowfast import (
     consensus_stability,
     find_singular_points,
     flow_stability_probe,
-    is_critical_perturbation,
     plane_reduce,
     sample_manifold,
     slow_divergence_exact,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 any other package error such as a failed invariant
 check (InvariantViolationError), 2 configuration error, 3 divergence (partial
-CSV is flushed), 4 unsupported graph structure, 5 canard run under a
-non-critical perturbation (advisory; outputs are still written).
+CSV is flushed), 4 unsupported graph structure, 5 canard run whose tracked
+type-1 point has lambda != 1, the `canard` field of `singularities` being
+false there (advisory; outputs are still written).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .slowfast import (
     PlaneSystem,
     analyze_singularity,
     find_singular_points,
-    is_critical_perturbation,
     plane_reduce,
     sample_manifold,
     slow_divergence_exact,
@@ -289,8 +289,8 @@ def cmd_canard(args) -> int:
     if report is None:
         raise ConfigError(["no type-1 singular point lies ahead of the initial condition in the scan range"])
 
-    k_star, x_star = report.k_s, report.x_s
-    critical = is_critical_perturbation(sys_.perturbation, x_star, n)
+    k_star = report.k_s
+    critical = report.canard
     tube = CANARD_TUBE_FACTOR * epsilon
 
     def stop(t, y):

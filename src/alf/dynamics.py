@@ -27,10 +27,9 @@ from .errors import (
 from .graph import Graph
 from .precision import ScalarContext, TierVector, exact
 from .prng import SplitMix64
-from .response import ResponseField, _coerce
+from .response import ResponseField
 
 DIVERGENCE_CUTOFF = 1e6
-REGULARITY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +69,6 @@ class Perturbation:
         rng = SplitMix64(seed)
         return cls(tuple(rng.uniform(lo, hi) for _ in range(n)))
 
-    def evaluate(self, x):
-        """The components in the arithmetic domain of state x; x sets only the domain."""
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"state has {len(x)} components, expected {self.n}")
-        return [_coerce(v, x[0]) for v in self.values]
-
 
 # ---------------------------------------------------------------------------
 # systems
@@ -107,8 +100,9 @@ class PerturbedSystem:
         return -self.graph.laplacian_array()
 
     @cached_property
-    def _laplacian_exact(self) -> list[list[Fraction]]:
-        return self.graph.laplacian()
+    def _laplacian_rows(self) -> list[list[tuple[int, Fraction]]]:
+        """The nonzero exact entries (j, L_ij) of each row of L, in ascending j."""
+        return [[(j, w) for j, w in enumerate(row) if w != 0] for row in self.graph.laplacian()]
 
     # --- ODE-system protocol -------------------------------------------------
     @property
@@ -139,9 +133,9 @@ class PerturbedSystem:
 
         Every exact constant, `eps * h_i` included, is converted to the tier
         once, here.  The extended tiers map lists of raw `_mpf_` tuples and
-        apply L from the nonzero entries of each row in ascending column
-        order, O(|E|) per call; the skipped terms are exact zeros, so every
-        rounding is that of the dense row sum.
+        apply L from `_laplacian_rows` converted to the tier, O(|E|) per
+        call; the skipped terms are exact zeros, so every rounding is that of
+        the dense row sum.
         """
         if ctx.is_float:
             neg_l = self._neg_laplacian_float
@@ -151,8 +145,7 @@ class PerturbedSystem:
             return lambda y: neg_l @ _field_values_float(fld, coeffs, y) + eps_h
 
         prec = ctx.working_prec
-        rows = [[(j, ctx.raw(w)) for j, w in enumerate(row) if w != 0]
-                for row in self._laplacian_exact]
+        rows = [[(j, ctx.raw(w)) for j, w in row] for row in self._laplacian_rows]
         field = self.field.raw_evaluator(ctx)
         zero = ctx.raw(0)
         eps = ctx.raw(self.epsilon)
@@ -194,26 +187,26 @@ def _field_values_float(fld: ResponseField, coeffs, y: np.ndarray) -> np.ndarray
 def vector_field(sys: PerturbedSystem, x):
     """Evaluate -L F(x) + eps H in the arithmetic domain of x.
 
-    Float inputs use the cached numpy path; Fraction inputs stay exact.
+    A float array, or a sequence holding a float, runs the float tier.  Ints,
+    Fractions and mpf take the exact path: L is applied from the nonzero
+    exact rows `_flow` also reads, so int and Fraction states give the exact
+    value and mpf states are evaluated in mpf arithmetic.
     """
     if len(x) != sys.n:
         raise DimensionMismatchError(f"state has {len(x)} components, system has {sys.n}")
     if isinstance(x, np.ndarray) and x.dtype != object:
         return sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float))
-    if all(isinstance(v, (int, float)) for v in x):
+    if any(isinstance(v, float) for v in x):
         return list(sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float)))
-    # exact / extended path
-    fvals = sys.field.evaluate(list(x))
-    hvals = sys.perturbation.evaluate(list(x))
-    lap = sys._laplacian_exact
+    fvals = sys.field.evaluate(x)
+    zero = 0 * fvals[0]  # the zero of x's domain: a node without edges stays in it
     eps = sys.epsilon
     out = []
-    for i in range(sys.n):
-        acc = None
-        for j in range(sys.n):
-            term = lap[i][j] * fvals[j]
-            acc = term if acc is None else acc + term
-        out.append(-acc + eps * hvals[i])
+    for row, h in zip(sys._laplacian_rows, sys.perturbation.values):
+        acc = zero
+        for j, w in row:
+            acc = acc - w * fvals[j]
+        out.append(acc + eps * h)
     return out
 
 
@@ -316,21 +309,13 @@ def to_standard_form(sys: PerturbedSystem, l: int) -> StandardFormSystem:
     return StandardFormSystem(sys, l)
 
 
-def is_regular_perturbation(sys: PerturbedSystem, sample_states, tol: float = REGULARITY_TOL) -> bool:
-    """Sampled check that the forcing sums to zero at every given state.
+def is_regular_perturbation(sys: PerturbedSystem) -> bool:
+    """Whether the forcing sums to exactly zero.
 
-    A zero node-sum keeps k constant, so no slow variable appears.  This
-    inspects only the supplied samples; it is a necessary check, not a proof.
+    A zero node-sum keeps k constant, so no slow variable appears; any other
+    sum, however small, makes k drift at eps * sum(h).
     """
-    if not sample_states:
-        raise ValueError("need at least one sample state")
-    for x in sample_states:
-        total = None
-        for v in sys.perturbation.evaluate(list(x)):
-            total = v if total is None else total + v
-        if abs(total) > tol:
-            return False
-    return True
+    return sum(sys.perturbation.values) == 0
 
 
 # ---------------------------------------------------------------------------

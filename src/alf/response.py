@@ -249,7 +249,11 @@ class ResponseField:
     mean_gauges: tuple[ResponseFunction, ...] = ()
 
     def evaluate(self, x):
-        """Componentwise response values, same arithmetic domain as x."""
+        """Componentwise response values, same arithmetic domain as x.
+
+        Ints are read as Fractions, so the state mean a gauge reads is exact.
+        """
+        x = [Fraction(v) if isinstance(v, int) else v for v in x]
         return _field_values(x, self.function.eval, [g.eval for g in self.mean_gauges])
 
     def evaluator(self, ctx):

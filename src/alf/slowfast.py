@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .dynamics import Perturbation, PerturbedSystem
+from .dynamics import PerturbedSystem
 from .errors import (
     ContinuationFailedError,
     InvariantViolationError,
@@ -31,7 +31,6 @@ import numpy as np
 from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, round_nearest
 
 SINGULAR_TOL = 1e-10
-CRITICAL_TOL = 1e-12
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
@@ -461,6 +460,10 @@ def analyze_singularity(
     deciding the transcritical type, the canard threshold scalar, and the
     tangent line of the crossing branch.  A two-node system is reported as
     non-transversal rather than rejected.
+
+    `canard` is the exact test lambda == 1 at a type-1 point.  For n >= 3 it
+    holds exactly when the forcing is critical: g_tilde == g, and nonzero
+    since the point is not degenerate.
     """
     if consensus_stability(ps, x_s, tol=singular_tol).tag != SINGULAR:
         raise PreconditionError(f"x = {x_s} is not a singular consensus point")
@@ -504,16 +507,6 @@ def analyze_singularity(
         pert_sum=pert_sum, rho=rho, sing_type=sing_type, lam=lam, canard=canard,
         tangent_intercept=tangent_intercept, tangent_slope=tangent_slope,
     )
-
-
-def is_critical_perturbation(pert: Perturbation, x_s, n: int, tol: float = CRITICAL_TOL) -> bool:
-    """All forcing components equal and nonzero at the consensus point."""
-    point = [x_s] * n
-    values = pert.evaluate(point)
-    first = values[0]
-    if abs(first) <= tol:
-        return False
-    return all(abs(v - first) <= tol for v in values[1:])
 
 
 def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int = 2001) -> list[float]:

@@ -243,6 +243,19 @@ def test_noncritical_canard_advisory_exit(tmp_path):
     assert metrics["lambda"] == 0.5
 
 
+def test_canard_criticality_agrees_with_singularities(tmp_path):
+    # a forcing of -1e-13 is below any float tolerance, yet lambda is exactly 1
+    override = _write(tmp_path, "tiny.json", {"perturbation": {"constant": {"value": -1e-13}}, "tspan": [0, 0.5]})
+    out = tmp_path / "tiny"
+    assert main(["singularities", "--preset", "ex1-canard", "--config", override, "--out", str(out)]) == 0
+    reports = {r["k_s"]: r for r in json.load(open(out / "singularities.json"))}
+    assert main(["canard", "--preset", "ex1-canard", "--config", override, "--out", str(out)]) == 0
+    metrics = json.load(open(out / "canard_metrics.json"))
+    tracked = reports[metrics["k_star"]]
+    assert metrics["lambda"] == tracked["lambda"] == 1.0
+    assert metrics["critical_perturbation"] is tracked["canard"] is True
+
+
 def test_canard_on_consensus_stays_on_consensus(tmp_path):
     override = {"tspan": [0, 5], "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 5, "seed": 0}}
     out = tmp_path / "cc"

@@ -8,10 +8,13 @@ from alf import (
     DivergenceError,
     Graph,
     IntegratorConfig,
+    Permutation,
     Perturbation,
     PerturbedSystem,
     ResponseField,
     ResponseFunction,
+    check_equivariance,
+    gauge_shift,
     integrate,
     is_regular_perturbation,
     to_standard_form,
@@ -128,6 +131,59 @@ _SPARSE_GRAPHS = {
 }
 
 
+@pytest.mark.parametrize("gauged", (False, True), ids=("plain", "gauged"))
+@pytest.mark.parametrize("graph", sorted(_SPARSE_GRAPHS))
+def test_exact_vector_field_equals_dense_laplacian_loop(graph, gauged, ex1_response):
+    g = _SPARSE_GRAPHS[graph]()
+    n = g.n
+    rng = SplitMix64(17)
+    gauge = ResponseFunction.from_coeffs([Fraction(1, 3), 2, -1])
+    field = gauge_shift(ResponseField(ex1_response), gauge) if gauged else ResponseField(ex1_response)
+    pert = Perturbation.constant(rational_state(rng, n))
+    sys_ = PerturbedSystem(g, field, pert, Fraction(1, 10))
+    lap = g.laplacian()
+
+    def dense(x):
+        # -L F(x) + eps h over every entry of L, zeros included, in Fractions
+        shift = gauge.eval(sum(x, Fraction(0)) / n) if gauged else 0
+        fvals = [ex1_response.eval(v) + shift for v in x]
+        return [-sum((lap[i][j] * fvals[j] for j in range(n)), Fraction(0)) + Fraction(1, 10) * pert.values[i]
+                for i in range(n)]
+
+    for _ in range(10):
+        x = rational_state(rng, n)
+        assert vector_field(sys_, x) == dense(x)
+        ints = [int(rng.next_u64() % 7) - 3 for _ in range(n)]
+        out = vector_field(sys_, ints)
+        assert all(type(v) is Fraction for v in out)
+        assert out == dense([Fraction(v) for v in ints])
+
+
+def test_vector_field_keeps_mpf_states_in_mpf():
+    import mpmath
+
+    # node 3 has no edge, so its row of L is empty
+    sys_ = PerturbedSystem(Graph(3, ((1, 2, 1),)), ResponseField(ResponseFunction.from_coeffs([0, 0, 1])),
+                           Perturbation.constant([1, 1, 1]), Fraction(1, 2))
+    out = vector_field(sys_, [mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(3)])
+    assert all(type(v) is mpmath.mpf for v in out)
+    assert out == [3.5, -2.5, 0.5]
+
+
+def test_int_states_are_exact_on_a_weighted_cycle():
+    # a repeated root next to a weight of 1.5: the float tier rounds, so the
+    # rotation of the cycle failed an exact equivariance test on int states
+    g = Graph(6, tuple((i, i % 6 + 1, Fraction(3, 2)) for i in range(1, 7)))
+    f = ResponseFunction.from_roots([(Fraction(1, 3), 2), (-2, 1)])
+    sys_ = PerturbedSystem(g, ResponseField(f), Perturbation.zero(6), 0)
+    rotation = Permutation.cyclic_shift(6)
+    rng = SplitMix64(5)
+    for _ in range(200):
+        x = [int(rng.next_u64() % 41) - 20 for _ in range(6)]
+        assert check_equivariance(sys_, rotation, [x], tol=0)
+        assert vector_field(sys_, x) == vector_field(sys_, [Fraction(v) for v in x])
+
+
 @pytest.mark.parametrize("digits", (32, 64))
 @pytest.mark.parametrize("graph", sorted(_SPARSE_GRAPHS))
 def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
@@ -215,14 +271,20 @@ def test_tier_vector_steps_equal_mpf_object_arrays(digits, ex1_response):
 def test_is_regular_perturbation(ex1_response):
     balanced = Perturbation.constant([1, -1, 0, 0], 4)
     sys_ = _system(4, ex1_response, balanced, Fraction(1, 10))
-    states = [[0.1, 0.2, 0.3, 0.4], [1.0, -1.0, 0.5, 0.25]]
-    assert is_regular_perturbation(sys_, states)
+    assert is_regular_perturbation(sys_)
     uniform = _system(4, ex1_response, Perturbation.constant(-1, 4), Fraction(1, 10))
-    assert not is_regular_perturbation(uniform, states)
+    assert not is_regular_perturbation(uniform)
     zero = _system(4, ex1_response, Perturbation.zero(4), Fraction(1, 10))
-    assert is_regular_perturbation(zero, states)
-    with pytest.raises(ValueError):
-        is_regular_perturbation(zero, [])
+    assert is_regular_perturbation(zero)
+
+
+def test_tiny_forcing_sum_is_not_regular(ex1_response):
+    # a sum of 1e-13 is below any float tolerance, but k still drifts
+    sys_ = _system(3, ex1_response, Perturbation.constant([1e-13, 0, 0]), Fraction(1, 10))
+    assert not is_regular_perturbation(sys_)
+    traj = integrate(to_standard_form(sys_, 3), [0, 0, 0], (0.0, 1.0),
+                     IntegratorConfig(dt=0.1, digits=32))
+    assert traj.k_series[-1] != traj.k_series[0]
 
 
 # --- integration ------------------------------------------------------------

@@ -20,7 +20,6 @@ from alf import (
     consensus_stability,
     find_singular_points,
     flow_stability_probe,
-    is_critical_perturbation,
     plane_reduce,
     sample_manifold,
     slow_divergence_exact,
@@ -326,12 +325,13 @@ def test_find_singular_points_matches_companion_matrix_oracle():
 
 
 def test_is_critical_perturbation():
-    uniform = Perturbation.constant(-1, 4)
-    assert is_critical_perturbation(uniform, 1.0, 4)
-    unequal = Perturbation.constant([1, 2, 1])
-    assert not is_critical_perturbation(unequal, 1.0, 3)
-    zero = Perturbation.zero(3)
-    assert not is_critical_perturbation(zero, 1.0, 3)
+    # the canard verdict at a type-1 point is exact lambda == 1
+    uniform = analyze_singularity(_ex1_plane(values=[-1] * 4, n=4), 1)
+    assert uniform.sing_type == "type-1" and uniform.canard
+    unequal = analyze_singularity(_ex1_plane(values=[1, 1, 2]), 0)  # g_tilde != g
+    assert unequal.sing_type == "type-1" and unequal.lam == Fraction(5, 4) and not unequal.canard
+    zero = analyze_singularity(_ex1_plane(values=[0, 0, 0]), 1)
+    assert zero.sing_type == "degenerate" and not zero.canard
 
 
 # --- tangent continuation -------------------------------------------------------

@@ -18,6 +18,7 @@ from alf import (
     IntegratorConfig,
     maximal_canard_certificate,
     symmetry_generated_equilibria,
+    vector_field,
 )
 from alf.prng import SplitMix64
 
@@ -64,7 +65,6 @@ def test_symmetric_group_fixed_space_is_consensus():
 )
 def test_group_orders(group, n, order):
     assert group.order() == order
-    assert group.order_at_least(n)
     # every sufficiently large standard group pins consensus
     assert fixed_point_space(group, n).is_consensus
 
@@ -180,6 +180,42 @@ def test_certificate_verdict_confirmed_by_integration(ex1_response):
     for state in traj.states:
         mean = sum(state) / 3
         assert max(abs(v - mean) for v in state) <= 1e-12
+
+
+def test_certificate_requires_one_orbit(ex1_response):
+    # S3 on nodes 1-3 of K4 has order 6 >= 4 but two orbits; the forcing is
+    # constant on each, and the field at consensus leaves the consensus line
+    sys_ = _system(4, ex1_response, Perturbation.constant([1, 1, 1, 2]), Fraction(1, 10))
+    group = PermutationGroup((Permutation.transposition(4, 1, 2), Permutation.transposition(4, 2, 3)))
+    cert = _certificate(sys_, group)
+    assert cert.generators_commute and cert.perturbation_equivariant and cert.perturbation_nonzero
+    assert not cert.fix_is_consensus
+    assert not cert.verdict
+    half = Fraction(1, 2)
+    assert vector_field(sys_, [half] * 4) == [Fraction(1, 10)] * 3 + [Fraction(1, 5)]
+
+
+def test_certificate_cyclic_group_on_cycle_confirmed_by_integration(ex1_response):
+    # a transitive group that is not S_n: the rotations of a 5-cycle
+    sys_ = PerturbedSystem(Graph.cycle(5), ResponseField(ex1_response), Perturbation.constant(-1, 5),
+                           Fraction(1, 50))
+    cert = _certificate(sys_, PermutationGroup.cyclic(5))
+    assert cert.verdict
+    traj = integrate(sys_, [0.5] * 5, (0.0, 10.0), IntegratorConfig(dt=1e-3, stride=100))
+    for state in traj.states:
+        mean = sum(state) / 5
+        assert max(abs(v - mean) for v in state) <= 1e-12
+    assert abs(traj.states[-1][0] - 0.5) > 0.1  # the run moved along the line
+
+
+def test_certificate_forcing_checks_are_exact(ex1_response):
+    # a forcing below any tolerance is still nonzero, and an unequal one
+    # breaks equivariance however small the difference
+    tiny = _system(3, ex1_response, Perturbation.constant(1e-13, 3), Fraction(1, 100))
+    assert _certificate(tiny, PermutationGroup.symmetric(3)).verdict
+    skew = _system(3, ex1_response, Perturbation.constant([1, 1, 1 + 1e-13]), Fraction(1, 100))
+    cert = _certificate(skew, PermutationGroup.symmetric(3))
+    assert not cert.perturbation_equivariant and not cert.verdict
 
 
 def test_group_json_round_trip():
