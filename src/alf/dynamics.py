@@ -10,14 +10,13 @@ only as long as the available digits allow.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import mpmath
 import numpy as np
-from mpmath.libmp import mpf_add, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +24,15 @@ from .errors import (
     IntegrationStalledError,
 )
 from .graph import Graph
-from .precision import ScalarContext, TierVector, exact
+from .precision import (
+    ScalarContext,
+    TierVector,
+    exact,
+    fixed_point,
+    least_exponent,
+    round_ratio,
+    signed,
+)
 from .prng import SplitMix64
 from .response import ResponseField
 
@@ -123,43 +130,60 @@ class PerturbedSystem:
         return total
 
     def rhs_function(self, ctx: ScalarContext):
-        flow = self._flow(ctx)
         if ctx.is_float:
-            return flow
-        return ctx.vector_function(flow)
+            return self._float_flow(ctx)
+        flow = self._fixed_flow(ctx, range(self.n))
 
-    def _flow(self, ctx: ScalarContext):
-        """x -> -L F(x) + eps H in the tier of ctx.
+        def rhs(x):
+            exp = least_exponent(x)
+            return flow(fixed_point(x, exp), exp)
 
-        Every exact constant, `eps * h_i` included, is converted to the tier
-        once, here.  The extended tiers map lists of raw `_mpf_` tuples and
-        apply L from `_laplacian_rows` converted to the tier, O(|E|) per
-        call; the skipped terms are exact zeros, so every rounding is that of
-        the dense row sum.
+        return ctx.vector_function(rhs)
+
+    def _float_flow(self, ctx: ScalarContext):
+        """x -> -L F(x) + eps H on float arrays."""
+        neg_l = self._neg_laplacian_float
+        fld = self.field
+        coeffs = _float_coeffs(fld)
+        eps_h = ctx.scalar(self.epsilon) * ctx.vector(self.perturbation.values)
+        return lambda y: neg_l @ _field_values_float(fld, coeffs, y) + eps_h
+
+    def _fixed_flow(self, ctx: ScalarContext, rows):
+        """(X, exp) -> the components `rows` of -L F(x) + eps H at x_j = X_j * 2**exp.
+
+        Each component is computed exactly in integers and rounded once to
+        the extended tier of ctx.  The exact constants -L_ij and eps * h_i
+        are rounded to the tier once, here; L is applied from the nonzero
+        entries of each row, O(|E|) per call.  A mean gauge g adds
+        g(sum(x) / n) to every response value, so it adds that value times
+        the sum of the rounded weights to a row.  Those sums are zero when
+        the weights are dyadic, and the gauges are then skipped; otherwise
+        the gauges are evaluated exactly, constants included, at the exact
+        mean, and the row is rounded once from the exact rational.
         """
-        if ctx.is_float:
-            neg_l = self._neg_laplacian_float
-            fld = self.field
-            coeffs = _float_coeffs(fld)
-            eps_h = ctx.scalar(self.epsilon) * ctx.vector(self.perturbation.values)
-            return lambda y: neg_l @ _field_values_float(fld, coeffs, y) + eps_h
-
         prec = ctx.working_prec
-        rows = [[(j, ctx.raw(w)) for j, w in row] for row in self._laplacian_rows]
-        field = self.field.raw_evaluator(ctx)
-        zero = ctx.raw(0)
-        eps = ctx.raw(self.epsilon)
-        eps_h = [mpf_mul(eps, ctx.raw(v), prec, round_nearest) for v in self.perturbation.values]
+        values = self.field.function.fixed_evaluator(ctx)
+        lap = [[(j, signed(ctx.raw(-w))) for j, w in self._laplacian_rows[i]] for i in rows]
+        w_low = min([0] + [e for row in lap for _, (_, e) in row])
+        lap = [[(j, m << (e - w_low)) for j, (m, e) in row] for row in lap]
+        forcing = [signed(ctx.raw(self.epsilon * self.perturbation.values[i])) for i in rows]
+        h_low = min(0, min(e for _, e in forcing))
+        forcing = [m << (e - h_low) for m, e in forcing]
+        row_sums = [sum(w for _, w in row) for row in lap]
+        gauges = self.field.mean_gauges if any(row_sums) else ()
+        n = self.n
 
-        def flow(x):
-            fvals = field(x)
-            out = []
-            for row, eps_h_i in zip(rows, eps_h):
-                acc = zero
-                for j, w in row:
-                    acc = mpf_sub(acc, mpf_mul(w, fvals[j], prec, round_nearest), prec, round_nearest)
-                out.append(mpf_add(acc, eps_h_i, prec, round_nearest))
-            return out
+        def flow(xs, exp):
+            fv, fe = values(xs, exp)
+            low = min(fe + w_low, h_low)
+            a, b = fe + w_low - low, h_low - low
+            sums = [(sum([w * fv[j] for j, w in row]) << a) + (h << b) for row, h in zip(lap, forcing)]
+            if not gauges:
+                return [from_man_exp(v, low, prec, round_nearest) for v in sums]
+            mean = Fraction(sum(xs), n) * Fraction(2) ** exp
+            shift = sum(g.eval(mean) for g in gauges)
+            rows_exact = [v * Fraction(2) ** low + r * Fraction(2) ** w_low * shift for v, r in zip(sums, row_sums)]
+            return [round_ratio(q.numerator, 0, q.denominator, prec) for q in rows_exact]
 
         return flow
 
@@ -189,8 +213,9 @@ def vector_field(sys: PerturbedSystem, x):
 
     A float array, or a sequence holding a float, runs the float tier.  Ints,
     Fractions and mpf take the exact path: L is applied from the nonzero
-    exact rows `_flow` also reads, so int and Fraction states give the exact
-    value and mpf states are evaluated in mpf arithmetic.
+    exact rows `_fixed_flow` also reads, so int and Fraction states give the
+    exact value and mpf states are evaluated in mpf arithmetic (each
+    response value exact and rounded once, the row sums per operation).
     """
     if len(x) != sys.n:
         raise DimensionMismatchError(f"state has {len(x)} components, system has {sys.n}")
@@ -271,8 +296,8 @@ class StandardFormSystem:
         n = sys.n
         l = self.l
         keep = [j - 1 for j in self.kept]
-        flow = sys._flow(ctx)
         if ctx.is_float:
+            flow = sys._float_flow(ctx)
             slow = ctx.scalar(sys.epsilon) * float(np.sum(ctx.vector(sys.perturbation.values)))
 
             def rhs(y: np.ndarray) -> np.ndarray:
@@ -283,26 +308,20 @@ class StandardFormSystem:
 
             return rhs
 
-        prec = ctx.working_prec
-        h = [ctx.raw(v) for v in sys.perturbation.values]
-        hsum = h[0]
-        for v in h[1:]:
-            hsum = mpf_add(hsum, v, prec, round_nearest)
-        slow = mpf_mul(ctx.raw(sys.epsilon), hsum, prec, round_nearest)
+        flow = sys._fixed_flow(ctx, keep)
+        slow = ctx.raw(sys.epsilon * sum(sys.perturbation.values))
 
-        def rhs(y):
-            # lift: x_l = k - sum of the retained coordinates
-            full = y[:-1]
-            total = y[-1]
-            for v in full:
-                total = mpf_sub(total, v, prec, round_nearest)
-            full.insert(l - 1, total)
-            dx = flow(full)
-            out = [dx[i] for i in keep]
+        def fixed_rhs(y):
+            exp = least_exponent(y)
+            xs = fixed_point(y, exp)
+            k = xs.pop()
+            # lift, exactly: x_l = k - sum of the retained coordinates
+            xs.insert(l - 1, k - sum(xs))
+            out = flow(xs, exp)
             out.append(slow)
             return out
 
-        return ctx.vector_function(rhs)
+        return ctx.vector_function(fixed_rhs)
 
 
 def to_standard_form(sys: PerturbedSystem, l: int) -> StandardFormSystem:
@@ -323,7 +342,11 @@ def is_regular_perturbation(sys: PerturbedSystem) -> bool:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method, step policy and precision tier for one integration run."""
+    """Method, step policy and precision tier for one integration run.
+
+    `seed` is recorded in the trajectory metadata and read by nothing: rk4
+    and dp45 draw no random numbers.
+    """
 
     method: str = "rk4"
     dt: float = 1e-3
@@ -337,6 +360,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -379,35 +404,56 @@ class Trajectory:
             stream.write(",".join(cells) + "\n")
 
 
-# Dormand-Prince 5(4) tableau; fifth-order solution is propagated.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated.  The
+# float tier steps with the float values of the coefficients, the extended
+# tiers with dt times the exact ones, rounded to the tier once per step.
+_DP_A_EXACT = tuple(tuple(Fraction(a) for a in row) for row in (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+    ("1/5",),
+    ("3/40", "9/40"),
+    ("44/45", "-56/15", "32/9"),
+    ("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
+    ("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
+    ("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84"),
+))
+_DP_B5_EXACT = _DP_A_EXACT[6] + (Fraction(0),)
+_DP_B4_EXACT = tuple(Fraction(b) for b in (
+    "5179/57600", "0", "7571/16695", "393/640", "-92097/339200", "187/2100", "1/40"))
+_DP_A = tuple(tuple(float(a) for a in row) for row in _DP_A_EXACT)
+_DP_B5 = tuple(float(b) for b in _DP_B5_EXACT)
+_DP_B4 = tuple(float(b) for b in _DP_B4_EXACT)
+_DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 
 
 def _as_floats(y):
-    """The components of y that `float(abs(.))` reads: y itself, or a TierVector's floats.
+    """The float values of y's components: y itself (float tier), or a TierVector's floats.
 
     The divergence test and the dp45 error norm read nothing else of a state.
     """
     return y.floats() if type(y) is TierVector else y
 
 
+def _float_array(y) -> np.ndarray:
+    return np.asarray(_as_floats(y), dtype=float)
+
+
 def _diverged(y) -> bool:
-    for v in _as_floats(y):
-        fv = float(abs(v))
-        if math.isnan(fv) or fv > DIVERGENCE_CUTOFF:
-            return True
-    return False
+    """Whether a component is NaN or larger than DIVERGENCE_CUTOFF in absolute value."""
+    return not (np.abs(_float_array(y)) <= DIVERGENCE_CUTOFF).all()
+
+
+def _escapes(before, y, dy, span: float) -> bool:
+    """Whether y outgrew the accepted state `before` and, at its rate dy, passes the cutoff within span.
+
+    A step size that underflows on such a state marks a finite-time blow-up,
+    not a right-hand side that the error control cannot resolve.
+    """
+    now = _float_array(y)
+    rate = _float_array(dy)
+    if not np.abs(now).max() > np.abs(_float_array(before)).max():
+        return False
+    outward = now * rate > 0
+    return bool((outward & (np.abs(rate) * span > DIVERGENCE_CUTOFF - np.abs(now))).any())
 
 
 def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> Trajectory:
@@ -415,9 +461,10 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 
     `stop_condition(t, y)`, when given, ends the run early after recording
     the state that triggered it (used to bound open-ended tracking runs).
-    Raises DivergenceError when a component passes the cutoff and
-    IntegrationStalledError when the adaptive step underflows; both carry
-    the partial trajectory.
+    Raises DivergenceError when a component passes the cutoff, or when the
+    adaptive step underflows on a state that would pass it before t1, and
+    IntegrationStalledError when the adaptive step underflows otherwise;
+    both carry the partial trajectory.
 
     The extended tiers step a TierVector of raw `_mpf_` tuples; recorded
     states and the states passed to `stop_condition` are mpf arrays.
@@ -466,17 +513,33 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         return traj
 
 
-# Steps keep the vector left of a tier scalar, so the vector's own `*` runs:
-# `mpf * TierVector` would first send the vector through mpmath's conversion
-# of an unknown operand before Python falls back to `TierVector.__rmul__`.
-# Int and float coefficients may stand on either side.
+# The float tier steps in numpy arithmetic.  The extended tiers form each
+# stage input, y + k (dt/2) or y + k3 dt, and the update
+# y + (k1 + 2 k2 + 2 k3 + k4) (dt/6) as one exact sum per component, rounded
+# once; dt/2 and dt/6 are rounded to the tier once per step.  A sequence of
+# mpf takes the same sums and steps to an mpf array.
 def _rk4_step(rhs, y, t, dt):
     half = dt / 2
     k1 = rhs(y)
-    k2 = rhs(y + k1 * half)
-    k3 = rhs(y + k2 * half)
-    k4 = rhs(y + k3 * dt)
-    return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6)
+    if type(y) is np.ndarray and y.dtype != object:
+        k2 = rhs(y + k1 * half)
+        k3 = rhs(y + k2 * half)
+        k4 = rhs(y + k3 * dt)
+        return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6)
+    half = half._mpf_
+    k2 = rhs(_combine(y, (k1,), (1,), half))
+    k3 = rhs(_combine(y, (k2,), (1,), half))
+    k4 = rhs(_combine(y, (k3,), (1,), dt._mpf_))
+    return _combine(y, (k1, k2, k3, k4), (1, 2, 2, 1), (dt / 6)._mpf_)
+
+
+def _combine(y, ks, coeffs, scale=None):
+    """`TierVector.combine` of y, or of a sequence of mpf at the current precision as an mpf array."""
+    if type(y) is TierVector:
+        return y.combine(ks, coeffs, scale)
+    prec = mpmath.mp.prec
+    base, *vectors = [TierVector([v._mpf_ for v in vec], prec) for vec in (y, *ks)]
+    return base.combine(vectors, coeffs, scale).to_array()
 
 
 def _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
@@ -500,36 +563,73 @@ def _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
             break
 
 
+def _dp45_float_stages(rhs, y, fsal, dt):
+    """The six new stages, the fifth-order solution and its error estimate, in float arithmetic."""
+    ks = [fsal]
+    for stage in range(1, 7):
+        acc = y + ks[0] * (dt * _DP_A[stage][0])
+        for idx in range(1, stage):
+            coeff = _DP_A[stage][idx]
+            if coeff != 0.0:
+                acc = acc + ks[idx] * (dt * coeff)
+        ks.append(rhs(acc))
+    y5 = y + sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0) * dt
+    y4 = y + sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0) * dt
+    return ks, y5, y5 - y4
+
+
+def _dp45_fixed_stages(rhs, y, fsal, dt):
+    """`_dp45_float_stages` of the extended tiers: each stage input is y + sum_j c_j k_j.
+
+    The c_j are dt times the exact tableau entries, rounded to the tier once
+    per step, and every component is one exact sum, rounded once.  The last
+    row of the tableau is b5, so the last stage input is the fifth-order
+    solution; the error estimate sums the k_j with dt (b5_j - b4_j).
+    """
+    prec = y.prec
+    m, e = signed(dt._mpf_)
+
+    def stage(base, row, ks):
+        used = [(a, k) for a, k in zip(row, ks) if a]
+        coeffs = [round_ratio(m * a.numerator, e, a.denominator, prec) for a, _ in used]
+        return base.combine([k for _, k in used], coeffs)
+
+    ks = [fsal]
+    for row in _DP_A_EXACT[1:]:
+        y5 = stage(y, row, ks)
+        ks.append(rhs(y5))
+    zero = TierVector([(0, 0, 0, 0)] * len(y), prec)
+    return ks, y5, stage(zero, _DP_ERR_EXACT, ks)
+
+
+def _error_norm(y, y5, delta, tol: float) -> float:
+    """max_i |delta_i| / (tol + tol max(|y_i|, |y5_i|)) over the float values, and at least 0; NaNs are skipped."""
+    now = np.abs(_float_array(y))
+    new = np.abs(_float_array(y5))
+    scale = tol + tol * np.where(new > now, new, now)
+    return float(np.fmax.reduce(np.abs(_float_array(delta)) / scale, initial=0.0))
+
+
 def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
     t = ctx.scalar(t0)
     t_end = ctx.scalar(t1)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
     tol = cfg.tol
+    stages = _dp45_float_stages if ctx.is_float else _dp45_fixed_stages
     record(t, y)
     accepted = 0
+    before = y
     fsal = rhs(y)
     while float(t) < float(t_end):
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
         clipped = float(t) + float(dt) > float(t_end)
         if clipped:
             dt = t_end - t
-        ks = [fsal]
-        for stage in range(1, 7):
-            acc = y + ks[0] * (dt * _DP_A[stage][0])
-            for idx in range(1, stage):
-                coeff = _DP_A[stage][idx]
-                if coeff != 0.0:
-                    acc = acc + ks[idx] * (dt * coeff)
-            ks.append(rhs(acc))
-        y5 = y + sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0) * dt
-        y4 = y + sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0) * dt
-        err = 0.0
-        for a, d, yi in zip(_as_floats(y5), _as_floats(y5 - y4), _as_floats(y)):
-            scale = tol + tol * max(float(abs(yi)), float(abs(a)))
-            err = max(err, float(abs(d)) / scale)
+        ks, y5, delta = stages(rhs, y, fsal, dt)
+        err = _error_norm(y, y5, delta, tol)
         if err <= 1.0:
             t = t_end if clipped else t + dt
-            y = y5
+            before, y = y, y5
             fsal = ks[6]  # first-same-as-last
             accepted += 1
             if _diverged(y):
@@ -546,6 +646,11 @@ def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
         dt = dt * ctx.scalar(factor)
         if float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
             record(t, y)
+            if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):
+                raise DivergenceError(
+                    f"state diverges at t={float(t)}: the step size underflowed while it grows "
+                    f"fast enough to pass the divergence cutoff before t={float(t_end)}", float(t), traj
+                )
             raise IntegrationStalledError(
                 f"step size underflow at t={float(t)}", float(t), traj
             )

@@ -63,4 +63,8 @@ class IntegrationStalledError(IntegrationError):
 
 
 class DivergenceError(IntegrationError):
-    """A state component exceeded the divergence cutoff."""
+    """A state component exceeded the divergence cutoff.
+
+    dp45 also raises it when its step size underflows on a state that grows
+    fast enough to pass the cutoff before the end time (a finite-time blow-up).
+    """

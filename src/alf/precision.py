@@ -5,11 +5,14 @@ of 32 and 64 decimal digits backed by mpmath.  Extended tiers carry a few
 guard digits internally so that roundoff stays below the advertised level.
 
 Scalars of the extended tiers are mpf objects.  Their compiled kernels (the
-right-hand sides and the integrator steps) compute on mpmath's raw `_mpf_`
-tuples instead: a `TierVector` and the raw evaluators call the `mpmath.libmp`
-function that the mpf operator calls for the same operands, at the tier's
-working precision with round-to-nearest, so every bit is that of the mpf
-arithmetic, without one mpf object per operation.
+right-hand sides and the integrator stages) compute on mpmath's raw `_mpf_`
+tuples instead, in exact fixed point: each input is read as a signed integer
+times a power of two (`fixed_point`), every sum and product is a Python
+integer, and each output component is rounded once, to the nearest value of
+the tier's working precision (ties to even).  So every component is the
+correctly rounded value of its exact formula in the tier's inputs; only the
+exact constants (weights, roots, epsilon times the forcing, step fractions)
+are rounded to the tier before, once per build or per step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from mpmath.libmp import (
     dps_to_prec,
     from_float,
     from_int,
+    from_man_exp,
     mpf_add,
+    mpf_div,
     mpf_mul,
     mpf_mul_int,
     mpf_sub,
@@ -73,9 +78,9 @@ class ScalarContext:
         """Coerce ints, floats, Fractions, strings and mpf to the tier scalar."""
         if self.is_float:
             return float(value)
+        if isinstance(value, Fraction):
+            return _make_mpf(round_ratio(value.numerator, 0, value.denominator, self.working_prec))
         with mpmath.workdps(self.working_dps):
-            if isinstance(value, Fraction):
-                return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
             return mpmath.mpf(value)
 
     def vector(self, values) -> np.ndarray:
@@ -124,10 +129,12 @@ class ScalarContext:
 class TierVector:
     """An extended-tier vector held as raw `_mpf_` tuples, for the integrators.
 
-    `+` and `-` take another TierVector (`+` also the int 0 that `sum` starts
-    from); `*` takes an mpf, an int or a float on either side.  Each
-    component is computed by the libmp call that the mpf operator makes for
-    the same operands: `mpf_mul_int` for an int, `from_float` for a float.
+    The integrators step with `combine`, which rounds each component once.
+    The operators round per operation, as mpf arithmetic does: `+` and `-`
+    take another TierVector (`+` also the int 0 that `sum` starts from); `*`
+    takes an mpf, an int or a float on either side.  Each component is
+    computed by the libmp call that the mpf operator makes for the same
+    operands: `mpf_mul_int` for an int, `from_float` for a float.
     """
 
     __slots__ = ("parts", "prec")
@@ -161,6 +168,27 @@ class TierVector:
 
     __rmul__ = __mul__
 
+    def combine(self, ks, coeffs, scale=None) -> "TierVector":
+        """self + (c_1 k_1 + c_2 k_2 + ...) * scale, exact until one rounding per component.
+
+        The k_j are TierVectors, the c_j ints or raw tuples and `scale` a raw
+        tuple (None for 1).  The products c_j * scale are exact, so the
+        result is the correctly rounded value of the whole expression.
+        """
+        sm, se = (1, 0) if scale is None else signed(scale)
+        terms = [(c * sm, se) if type(c) is int else (c[1] * (-sm if c[0] else sm), c[2] + se) for c in coeffs]
+        low = min(0, min([e for _, e in terms]))
+        weights = [m << (e - low) for m, e in terms]
+        vectors = [self.parts] + [k.parts for k in ks]
+        exp = min(0, min([p[2] for parts in vectors for p in parts]))
+        # the k_ji are integers at 2**exp and the weights at 2**low, so each sum is one at 2**(exp + low)
+        out_exp = exp + low
+        prec = self.prec
+        out = [(-man if sign else man) << (e - out_exp) for sign, man, e, _ in self.parts]
+        for w, parts in zip(weights, vectors[1:]):
+            out = [a + w * ((-man if sign else man) << (e - exp)) for a, (sign, man, e, _) in zip(out, parts)]
+        return TierVector([from_man_exp(a, out_exp, prec, round_nearest) for a in out], prec)
+
     def floats(self) -> list[float]:
         """The components as `float(v_i)` gives them for mpf (round-to-nearest)."""
         return [to_float(a, rnd=round_nearest) for a in self.parts]
@@ -168,6 +196,27 @@ class TierVector:
     def to_array(self) -> np.ndarray:
         """The components as an mpf object array."""
         return np.array([_make_mpf(a) for a in self.parts], dtype=object)
+
+
+def signed(part) -> tuple[int, int]:
+    """(m, e) with the raw tuple `part` equal to m * 2**e; m carries the sign."""
+    sign, man, exp, _ = part
+    return (-man if sign else man), exp
+
+
+def least_exponent(parts) -> int:
+    """The least exponent of the raw tuples `parts`, and at most 0 (the exponent of zero)."""
+    return min(0, min([p[2] for p in parts]))
+
+
+def fixed_point(parts, exp: int) -> list[int]:
+    """The integers m_i with parts_i == m_i * 2**exp, for exp <= least_exponent(parts)."""
+    return [(-man if sign else man) << (e - exp) for sign, man, e, _ in parts]
+
+
+def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:
+    """num * 2**exp / den rounded once to prec bits, to nearest with ties to even."""
+    return mpf_div(from_man_exp(num, exp), from_int(den), prec, round_nearest)
 
 
 def exact(value) -> Fraction:

@@ -2,8 +2,10 @@
 
 Coefficients are exact rationals so differentiation and evenness checks are
 exact; evaluation follows the numeric type of the argument (float, mpf or
-Fraction).  A factored form (roots with multiplicities) is kept alongside
-the expanded coefficients when known, to avoid cancellation near the roots.
+Fraction).  An mpf argument gets the exact value of the polynomial, with its
+constants converted to the current precision, rounded once.  A factored
+form (roots with multiplicities) is kept alongside the expanded coefficients
+when known, to avoid cancellation near the roots.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import UnsupportedStructureError
-from .precision import ScalarContext, exact
+from .precision import ScalarContext, exact, fixed_point, least_exponent, round_ratio, signed
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -25,8 +27,6 @@ def _coerce(coeff: Fraction, like):
     """Bring an exact coefficient into the arithmetic domain of `like`."""
     if isinstance(like, (int, Fraction)):
         return coeff
-    if isinstance(like, mpmath.mpf):
-        return mpmath.mpf(coeff.numerator) / mpmath.mpf(coeff.denominator)
     return float(coeff)
 
 
@@ -96,6 +96,8 @@ class ResponseFunction:
         """Evaluate at x, preferring the factored form when available."""
         if type(x) is float:
             return self._float_evaluator(x)
+        if isinstance(x, mpmath.mpf):
+            return self._eval_mpf(x, self.roots is not None)
         if self.roots is not None:
             acc = _coerce(self.scale, x)
             for r, mult in self.roots:
@@ -106,7 +108,9 @@ class ResponseFunction:
         return self.eval_expanded(x)
 
     def eval_expanded(self, x):
-        """Horner evaluation of the dense coefficient form."""
+        """Horner evaluation of the dense coefficient form (exact, then rounded once, for mpf)."""
+        if isinstance(x, mpmath.mpf):
+            return self._eval_mpf(x, False)
         acc = _coerce(self.coeffs[-1], x)
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + _coerce(c, x)
@@ -117,15 +121,22 @@ class ResponseFunction:
         """`eval` for Python floats; the float scans call it on every point."""
         return self.evaluator(ScalarContext(16))
 
+    def _eval_mpf(self, x, factored: bool):
+        """The exact value at mpf x, with the constants rounded to the current precision, rounded once."""
+        prec = mpmath.mp.prec
+        values = self._fixed(lambda c: round_ratio(c.numerator, 0, c.denominator, prec), factored)
+        return mpmath.mp.make_mpf(_rounded(values, prec)(x._mpf_))
+
     def evaluator(self, ctx):
         """`eval` for scalars of the tier `ctx`, with the constants converted once.
 
-        The returned function applies the operations of `eval` in the same
-        order, so under `ctx.workprec()` it returns the same value bit for bit.
-        The extended tiers take and return mpf around `raw_evaluator`.
+        The float tier applies the operations of `eval` in the same order;
+        the extended tiers round the exact value once, as `eval` does for an
+        mpf.  Under `ctx.workprec()` both return the value of `eval` bit for
+        bit.
         """
         if not ctx.is_float:
-            raw = self.raw_evaluator(ctx)
+            raw = _rounded(self.fixed_evaluator(ctx), ctx.working_prec)
             return lambda x: mpmath.mp.make_mpf(raw(x._mpf_))
         if self.roots is not None:
             scale = ctx.scalar(self.scale)
@@ -150,31 +161,58 @@ class ResponseFunction:
 
         return evaluate_expanded
 
-    def raw_evaluator(self, ctx):
-        """`evaluator` of an extended tier on raw `_mpf_` tuples: the same operations."""
-        prec = ctx.working_prec
-        if self.roots is not None:
-            scale = ctx.raw(self.scale)
-            roots = tuple((ctx.raw(r), mult) for r, mult in self.roots)
+    def fixed_evaluator(self, ctx):
+        """Exact evaluation on fixed-point integers, constants in the tier of ctx.
 
-            def evaluate(x):
-                acc = scale
-                for r, mult in roots:
-                    factor = mpf_sub(x, r, prec, round_nearest)
-                    for _ in range(mult):
-                        acc = mpf_mul(acc, factor, prec, round_nearest)
-                return acc
+        The returned `values(xs, exp)` takes integers X_i and returns
+        integers V_i and one exponent e with f(X_i * 2**exp) == V_i * 2**e
+        exactly.  f is taken in the form `eval` uses (scale and roots, or
+        coefficients), each constant rounded to the tier once.
+        """
+        return self._fixed(ctx.raw, self.roots is not None)
 
-            return evaluate
-        top, *rest = (ctx.raw(c) for c in reversed(self.coeffs))
+    def _fixed(self, raw, factored: bool):
+        """`fixed_evaluator` with the constants converted by `raw`."""
+        if factored:
+            scale, scale_exp = signed(raw(self.scale))
+            roots = [(signed(raw(r)), mult) for r, mult in self.roots]
+            bound = min([0] + [e for (_, e), _ in roots])
+            degree = sum(mult for _, mult in roots)
 
-        def evaluate_expanded(x):
-            acc = top
-            for c in rest:
-                acc = mpf_add(mpf_mul(acc, x, prec, round_nearest), c, prec, round_nearest)
-            return acc
+            def values(xs, exp):
+                if exp > bound:
+                    xs = [x << (exp - bound) for x in xs]
+                    exp = bound
+                shifted = [(m << (e - exp), mult) for (m, e), mult in roots]
+                out = []
+                for x in xs:
+                    acc = scale
+                    for r, mult in shifted:
+                        acc *= (x - r) ** mult
+                    out.append(acc)
+                return out, scale_exp + degree * exp
 
-        return evaluate_expanded
+            return values
+        coeffs = [signed(raw(c)) for c in self.coeffs]
+        low = min(e for _, e in coeffs)
+        top, *rest = [m << (e - low) for m, e in reversed(coeffs)]
+        degree = len(rest)
+
+        def values(xs, exp):
+            if exp > 0:
+                xs = [x << exp for x in xs]
+                exp = 0
+            # Horner: the coefficient k places below the top carries 2**(-k * exp)
+            consts = [c << (-k * exp) for k, c in enumerate(rest, start=1)]
+            out = []
+            for x in xs:
+                acc = top
+                for c in consts:
+                    acc = acc * x + c
+                out.append(acc)
+            return out, low + degree * exp
+
+        return values
 
     def derivative(self, order: int = 1) -> "ResponseFunction":
         """Exact coefficient-level derivative of the given order (>= 1).
@@ -221,9 +259,20 @@ class CallbackResponse:
     def evaluator(self, ctx):
         return self._func
 
-    def raw_evaluator(self, ctx):
+    def fixed_evaluator(self, ctx):
+        """`values(xs, exp)` as `ResponseFunction.fixed_evaluator` gives it.
+
+        The values are the callback's results converted to the tier, so they
+        carry the callback's own roundings.
+        """
         func = self._func
-        return lambda x: ctx.raw(func(mpmath.mp.make_mpf(x)))
+
+        def values(xs, exp):
+            parts = [ctx.raw(func(mpmath.mp.make_mpf(from_man_exp(x, exp)))) for x in xs]
+            low = least_exponent(parts)
+            return fixed_point(parts, low), low
+
+        return values
 
     def derivative(self, order: int = 1):
         raise UnsupportedStructureError(
@@ -258,33 +307,20 @@ class ResponseField:
 
     def evaluator(self, ctx):
         """`evaluate` for vectors of `ctx` scalars, with the constants converted once."""
-        if not ctx.is_float:
-            return ctx.vector_function(self.raw_evaluator(ctx))
         function = self.function.evaluator(ctx)
         gauges = [g.evaluator(ctx) for g in self.mean_gauges]
         return lambda x: _field_values(x, function, gauges)
 
-    def raw_evaluator(self, ctx):
-        """`evaluator` of an extended tier on lists of raw `_mpf_` tuples: the same operations."""
-        function = self.function.raw_evaluator(ctx)
-        if not self.mean_gauges:
-            return lambda x: [function(xi) for xi in x]
-        gauges = [g.raw_evaluator(ctx) for g in self.mean_gauges]
-        prec = ctx.working_prec
 
-        def evaluate(x):
-            out = [function(xi) for xi in x]
-            total = x[0]
-            for xi in x[1:]:
-                total = mpf_add(total, xi, prec, round_nearest)
-            mean = mpf_div(total, from_int(len(x)), prec, round_nearest)
-            shift = None
-            for gauge in gauges:
-                val = gauge(mean)
-                shift = val if shift is None else mpf_add(shift, val, prec, round_nearest)
-            return [mpf_add(v, shift, prec, round_nearest) for v in out]
+def _rounded(values, prec: int):
+    """A function of one raw tuple: the exact value from a `fixed_evaluator`'s values, rounded once."""
 
-        return evaluate
+    def evaluate(x):
+        sign, man, exp, _ = x
+        (v,), e = values([-man if sign else man], exp)
+        return from_man_exp(v, e, prec, round_nearest)
+
+    return evaluate
 
 
 def _field_values(x, function, gauges):

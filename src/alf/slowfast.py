@@ -24,11 +24,11 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact
+from .precision import ScalarContext, exact, fixed_point, least_exponent, signed
 from .response import ResponseFunction
 
 import numpy as np
-from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 SINGULAR_TOL = 1e-10
 
@@ -93,8 +93,10 @@ class PlaneSystem:
     def rhs_function(self, ctx: ScalarContext):
         """(x, k) -> (-(f(x) - f(k - (n-1) x)) + eps g, eps ((n-1) g + g_tilde)).
 
-        `eps * g` and the slow drift are computed once per build; the extended
-        tiers compute on raw `_mpf_` tuples with the same operations.
+        `eps * g` and the slow drift are computed once per build.  The extended
+        tiers compute on raw `_mpf_` tuples: the mirror and the layer are
+        exact integers, and the fast component is rounded once; `eps * g` and
+        the slow drift are exact constants rounded to the tier.
         """
         n = self.n
         if ctx.is_float:
@@ -112,18 +114,17 @@ class PlaneSystem:
             return rhs
 
         prec = ctx.working_prec
-        f = self.f.raw_evaluator(ctx)
-        eps = ctx.raw(self.epsilon)
-        g = ctx.raw(self.g)
-        eps_g = mpf_mul(eps, g, prec, round_nearest)
-        drift = mpf_add(mpf_mul_int(g, n - 1, prec, round_nearest), ctx.raw(self.g_tilde), prec, round_nearest)
-        slow = mpf_mul(eps, drift, prec, round_nearest)
+        values = self.f.fixed_evaluator(ctx)
+        g, g_exp = signed(ctx.raw(self.epsilon * self.g))
+        slow = ctx.raw(self.epsilon * self.slow_rhs_factor())
 
         def raw_rhs(y):
-            x, k = y
-            mirror = mpf_sub(k, mpf_mul_int(x, n - 1, prec, round_nearest), prec, round_nearest)
-            layer = mpf_sub(f(x), f(mirror), prec, round_nearest)
-            return [mpf_add(mpf_neg(layer, prec, round_nearest), eps_g, prec, round_nearest), slow]
+            exp = least_exponent(y)
+            x, k = fixed_point(y, exp)
+            (fx, fm), f_exp = values([x, k - (n - 1) * x], exp)
+            low = min(f_exp, g_exp)
+            fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
+            return [from_man_exp(fast, low, prec, round_nearest), slow]
 
         return ctx.vector_function(raw_rhs)
 

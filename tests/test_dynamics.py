@@ -189,45 +189,33 @@ def test_int_states_are_exact_on_a_weighted_cycle():
 def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
     import mpmath
 
-    from alf.precision import ScalarContext
+    from fraction_reference import Tier, value
 
     g = _SPARSE_GRAPHS[graph]()
     n = g.n
     rng = SplitMix64(digits)
     pert = Perturbation.constant(rational_state(rng, n))
     sys_ = PerturbedSystem(g, ResponseField(ex1_response), pert, Fraction(1, 10))
-    ctx = ScalarContext(digits)
+    tier = Tier(digits)
+    ctx = tier.ctx
+    # the O(n^2) loop over every entry of L, zeros included, in exact arithmetic, rounded once
+    dense = tier.full_rhs(sys_)
+    std = to_standard_form(sys_, 2)
+    std_dense = tier.standard_rhs(std)
+
+    def rounded(values):
+        return [mpmath.mp.make_mpf(tier.raw(q)) for q in values]
+
     with ctx.workprec():
-        lap = [[ctx.scalar(v) for v in row] for row in g.laplacian()]
-        eps = ctx.scalar(sys_.epsilon)
-        hvals = [ctx.scalar(v) for v in pert.values]
-
-        def dense(x):
-            # the O(n^2) loop over every entry, zeros included
-            fvals = [ex1_response.eval(v) for v in x]
-            out = []
-            for i in range(n):
-                acc = ctx.scalar(0)
-                for j in range(n):
-                    acc = acc - lap[i][j] * fvals[j]
-                out.append(acc + eps * hvals[i])
-            return out
-
         rhs = sys_.rhs_function(ctx)
-        std = to_standard_form(sys_, 2)
         std_rhs = std.rhs_function(ctx)
         for _ in range(10):
             # irrational scaling fills every mantissa bit, so each rounding shows
             x = [ctx.scalar(v) * mpmath.sqrt(2) for v in rational_state(rng, n)]
-            ref = dense(x)
-            assert list(rhs(np.array(x, dtype=object))) == ref
+            assert list(rhs(np.array(x, dtype=object))) == rounded(dense([value(v) for v in x]))
             fast, k = std.project(x)
-            full = std.lift(fast, k)
-            hsum = hvals[0]
-            for v in hvals[1:]:
-                hsum = hsum + v
-            std_ref = [v for j, v in enumerate(dense(full), start=1) if j != 2] + [eps * hsum]
-            assert list(std_rhs(np.array(fast + [k], dtype=object))) == std_ref
+            y = fast + [k]
+            assert list(std_rhs(np.array(y, dtype=object))) == rounded(std_dense([value(v) for v in y]))
 
 
 @pytest.mark.parametrize("digits", (32, 64))
@@ -420,6 +408,29 @@ def test_adaptive_step_underflow_raises_stalled():
     with pytest.raises(IntegrationStalledError) as err:
         integrate(_RoughSystem(), [0.5], (0.0, 1.0), IntegratorConfig(method="dp45", dt=0.1, tol=1e-10))
     assert err.value.trajectory is not None
+
+
+def test_integrator_tolerance_must_be_positive():
+    # the dp45 error norm divides by tol + tol * max(|y|, |y5|)
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValueError):
+            IntegratorConfig(method="dp45", tol=tol)
+
+
+@pytest.mark.parametrize("digits", (16, 32))
+def test_dp45_reports_finite_time_blow_up_as_divergence(digits):
+    # f = -x^3 makes -L F(x) anti-diffusive and the spread blows up in finite
+    # time: the adaptive step underflows near t = 0.0084, before any
+    # component reaches the cutoff, while the state still grows
+    g = Graph.from_edge_list(5, [(1, 2, 1.5), (2, 3, 2.0), (3, 4, 0.5), (4, 5, 3.0), (1, 5, 1.0), (2, 4, 2.5)])
+    sys_ = PerturbedSystem(g, ResponseField(ResponseFunction.from_coeffs([0, 0, 0, -1])),
+                           Perturbation.constant([0.3, -0.2, 0.1, -0.4, 0.25]), 0.1)
+    cfg = IntegratorConfig(method="dp45", dt=0.05, tol=1e-12, digits=digits)
+    with pytest.raises(DivergenceError) as err:
+        integrate(sys_, [-3, 3, 0, 2, -2], (0.0, 1.0), cfg)
+    assert 0.008 < err.value.last_time < 0.0085
+    last = err.value.trajectory.states[-1]
+    assert 1e5 < max(abs(float(v)) for v in last) < 1e6
 
 
 @pytest.mark.parametrize("method,digits", [("rk4", 16), ("rk4", 32), ("dp45", 16), ("dp45", 32)])

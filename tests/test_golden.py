@@ -12,6 +12,9 @@ in-process runs below also hash the exact mpf bits of every state and slow
 value of short 32- and 64-digit integrations of the full, standard-form and
 plane systems, of a response field with a mean gauge, of a run that ends in
 DivergenceError and of a run whose stop condition fires between strides.
+Each of these runs is also stepped by `fraction_reference`, an independent
+integrator in exact rational arithmetic that rounds every stage sum once,
+and its states must equal alf's bit for bit.
 
 To print the hashes of the current sources: ``python tests/test_golden.py``.
 """
@@ -42,6 +45,8 @@ from alf import (
 )
 from alf.config import build_system
 from alf.presets import get_preset
+
+from fraction_reference import Tier, value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,7 +99,7 @@ GOLDEN = {
     },
     "canard-ex1": {
         "canard_metrics.json": "34ac1afad8ff107c576eff131c3e1e0560ae45c13f8736b8bd4b1fbb9c958dcb",
-        "canard_trajectory.csv": "88d3177f9b5dae649c3f0e48cd0bef94c2e8958dc1ff85d8c614d1b0d1fddbdb",
+        "canard_trajectory.csv": "b1051be5b685fe4699419992846728ad30ee8ab828264cdc784afa144daabb2d",
     },
     "divergence-ex1": {
         "divergence.json": "95f39b66be1a4aa9fae8f2d912a6862342dc7e61bbf4d1e7a43f223b6d4be9c2",
@@ -106,7 +111,7 @@ GOLDEN = {
         "manifold.csv": "3be499ade15d33490e7b3d9d5302e98eda16e5926b9c6a92a1e1b3ea2c3dbb89",
     },
     "simulate-dp45-32": {
-        "trajectory.csv": "cd9274a1f98881629d68e862df60ac3541f45da911dc270f27dc84b19022982c",
+        "trajectory.csv": "ad3b6336d6288aa3ba38cf42923d4c3a0b9af1a836836ee691f20b6432e8e103",
     },
     "simulate-rk4-64": {
         "trajectory.csv": "5bd0d28fdcde82d77713cfe4c3034e9e54b3794ce6b1594abf628ee92ae95f1c",
@@ -204,24 +209,24 @@ def tier_bits_hash(key: str) -> str:
 
 
 TIER_GOLDEN = {
-    "diverging-rk4-32": "8f9a61682db7e3f1df8554424e5319f20d6aeec2dc8e2012be844b424df2b5fb",
-    "full-dp45-32": "9bc66386172fcf41bc2d648293434674f0e521f028886f890df82ee36bf117fd",
-    "full-dp45-64": "57ab6d91302eda1fd3ca99377f1b8d1fc786e2399834f6d1796ce6e562d94984",
-    "full-rk4-32": "23cfddbed4e0c52493675c6392481f73638b69ece92644fa92442d60fc44561c",
-    "full-rk4-64": "0946d4d88786c0d56cf9bbd010951ffb90a35a20da35433d673bde854fcaffe4",
-    "gauge-dp45-32": "9d8fabd79213ba634ab2cd32476c0d6e2dd2a14e49a995bafa4247420e334cc8",
-    "gauge-dp45-64": "b9b52922b4a042f3c713ac1f218a0f5efdfae451ed5d5fc8a8763b2fd93fdc9a",
-    "gauge-rk4-32": "78112cbb8c3a2629fcf912a0d1f88794ec7d0fe7d3e00d7a2e631aefdfb9b40b",
-    "gauge-rk4-64": "82894970c3f6d4802d35d72f7454e464f1ff5bc79fecd1ce5a9e37468428da24",
-    "plane-dp45-32": "7a4b2f1a49571b231d95ab38b69015b9c9440f9b44bf3eb607a7bb332fa8f885",
-    "plane-dp45-64": "bb005f03ea6f9dc5d9dfcc0f785c6335302c3657b7144023f63ec8001b1403b0",
+    "diverging-rk4-32": "fd02f5eff0fb81e9722bf19409a5c142c02f53b3345cd2456cb75916c6db3fcd",
+    "full-dp45-32": "cff204e8a8217a5f22c22a18206d19ccb8f73060b99d7d98bcae6479cd13feb6",
+    "full-dp45-64": "99cdd6fc7fee62565516184864dc991f84acff8d4d59fbd1b568599f1e9d2cf3",
+    "full-rk4-32": "300647d39b7b6578b347dd00a5a30a1b9815cf65ad2771be063c3b2e478b1338",
+    "full-rk4-64": "01e9083c6f8334c3836e0fa614717682f901fc6c123acbf9513c6561222eb915",
+    "gauge-dp45-32": "eb0b7a131c40081f9f17e0d05dee49e81a2c526e1fe956a2503e9de796c34077",
+    "gauge-dp45-64": "068e07e1270af6db973ba0126921c5a2eb3c5045497f520482a99f59b5f34bf7",
+    "gauge-rk4-32": "764292864677e1bdfcd891efb147c52fe870832653d45bcb02f891e130dc5aee",
+    "gauge-rk4-64": "04f307e8e779349eb75c57dd63beeed6c89d37d388f115833032b7c7e04cfb24",
+    "plane-dp45-32": "3912fb90792c7c0f048766323d8492cedbb00fa2817d365258267907be5d0efc",
+    "plane-dp45-64": "d7c0c885fa10ebe390994061f641afac824a7d43b9be9741246017e624b559a9",
     "plane-rk4-32": "543a01d6cfa7778a214493baceb7a1273d7b0dd1640ffcb06578e9fea54a5216",
     "plane-rk4-64": "d05105cc812c278119e9e1fa5d65c12dcbd43994b3a873ed0af473c37b2310b1",
-    "standard-dp45-32": "33aa1a795f8ef26133a619ee026e04f26fac127ce7e0fbdbedef72b289748d96",
-    "standard-dp45-64": "309328379019cb1a6e8e5325f4411e10bbf85f715e329ec81d96a0e9873461a2",
-    "standard-rk4-32": "bc8c539f1e37089eb7ad29dccb330f42ff8d434dfc40fdc44ba1deba7d03ddac",
-    "standard-rk4-64": "6e8dd64c01815543e0ea5875e0f81450bce23ff1bf6818a73798d4d777eca788",
-    "stopped-dp45-32": "465300cd8f111e57f87a4744d15291644c3f8fa5916a54804d4dd1861253d623",
+    "standard-dp45-32": "0fd50d5eae16d7fde4d2129c3181fb672a29e5433a866cd05884dbafe62d7709",
+    "standard-dp45-64": "08a205296ff520f06470204c5c9e3aafe13337c580d40544d623546bad8ab11f",
+    "standard-rk4-32": "ccf3f7e77fe459e780b6b5b0e9d626f55084c45ef70755db539dd3def2ba9891",
+    "standard-rk4-64": "f121b38388bac2121cf55d0fc11a6d05bc1a2481a7460d4252786836913d3df8",
+    "stopped-dp45-32": "0dec337629c43528b28805ecfd7bb0820ab51b3f3558291e1526dd57efc37c42",
     "stopped-rk4-32": "841a6abf2705d2749920407cae7a18c2b0791026924e27b1b76976af51e52169",
 }
 
@@ -229,6 +234,27 @@ TIER_GOLDEN = {
 @pytest.mark.parametrize("key", sorted(TIER_GOLDEN))
 def test_extended_tier_working_bits(key):
     assert tier_bits_hash(key) == TIER_GOLDEN[key]
+
+
+# the stopped runs take the steps of the plane runs
+@pytest.mark.parametrize("key", sorted(k for k in TIER_GOLDEN if not k.startswith("stopped")))
+def test_extended_tier_runs_equal_fraction_reference(key):
+    system, method, digits = key.split("-")
+    sys_, x0, _ = _tier_runs()[system]
+    cfg = IntegratorConfig(digits=int(digits), **_TIER_CONFIGS[method])
+    try:
+        traj = integrate(sys_, x0, (0.0, 0.5), cfg)
+    except DivergenceError as err:
+        traj = err.trajectory
+    tier = Tier(int(digits))
+    rhs = tier.rhs(sys_)
+    y0 = [tier.const(v) for v in x0]
+    steps = len(traj.states) - 1
+    if method == "rk4":
+        ref = tier.rk4_run(rhs, y0, 0.0, 0.5, cfg.dt, steps)
+    else:
+        ref = tier.dp45_run(rhs, y0, 0.0, 0.5, cfg.dt, cfg.tol, steps)
+    assert [[value(v) for v in state] for state in traj.states] == ref
 
 
 if __name__ == "__main__":

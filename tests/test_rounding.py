@@ -1,0 +1,141 @@
+"""Every component of the 32- and 64-digit kernels is the correctly rounded exact value.
+
+The oracle is `fraction_reference`: the same tier inputs (state and
+constants as the tier holds them) in exact rational arithmetic, rounded once
+with mpmath's `from_rational` to nearest, ties to even.  States are dyadic
+rationals, which every tier holds exactly, or arbitrary Fractions, which the
+tier rounds first.  The systems cover the full flow (a dyadic-weight graph
+with missing edges; a graph with non-dyadic weights, whose rounded rows do
+not sum to zero, with and without mean gauges), its standard forms and two
+plane reductions; the rk4 checks take one fused stage input and the final
+update of a step.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
+from alf import gauge_shift, plane_reduce, to_standard_form
+from alf.dynamics import _rk4_step
+from alf.slowfast import PlaneSystem
+
+from fraction_reference import Tier, value
+
+TIERS = {digits: Tier(digits) for digits in (32, 64)}
+
+# weighted graph with missing edges and a coefficient-form response
+_DYADIC = PerturbedSystem(
+    Graph.from_edge_list(5, [(1, 2, 1.5), (2, 3, 2.0), (3, 4, 0.5), (4, 5, 3.0), (1, 5, 1.0), (2, 4, 2.5)]),
+    ResponseField(ResponseFunction.from_coeffs([0.1, -1.0, 0.0, 1.0])),
+    Perturbation.constant([0.3, -0.2, 0.1, -0.4, 0.25]),
+    0.1,
+)
+# non-dyadic weights, roots and forcing: every constant is rounded by the tier
+_RATIONAL = PerturbedSystem(
+    Graph(4, ((1, 2, Fraction(1, 3)), (1, 3, Fraction(2, 7)), (2, 3, Fraction(3, 10)), (3, 4, Fraction(5, 11)),
+              (1, 4, Fraction(1, 6)))),
+    ResponseField(ResponseFunction.from_roots([(Fraction(1, 3), 2), (Fraction(-5, 2), 1)], scale=Fraction(3, 7))),
+    Perturbation.constant([Fraction(1, 3), Fraction(-2, 9), Fraction(1, 10), Fraction(-4, 7)]),
+    Fraction(1, 30),
+)
+_GAUGED = PerturbedSystem(
+    _RATIONAL.graph,
+    gauge_shift(gauge_shift(_RATIONAL.field, ResponseFunction.from_coeffs([Fraction(1, 3), 2, -1])),
+                ResponseFunction.from_roots([(Fraction(2, 3), 1), (-1, 2)], scale=Fraction(1, 5))),
+    _RATIONAL.perturbation,
+    _RATIONAL.epsilon,
+)
+FULL = {"dyadic": _DYADIC, "rational": _RATIONAL, "gauged": _GAUGED}
+
+_EX1 = ResponseFunction.from_roots([(1, 2), (-1, 2)])
+PLANES = {
+    "ex1": plane_reduce(PerturbedSystem(Graph.complete(3), ResponseField(_EX1), Perturbation.constant(-1.0, 3), 0.1), 3),
+    "rational": PlaneSystem(4, _RATIONAL.field.function, Fraction(1, 7), Fraction(-2, 3), Fraction(1, 30)),
+}
+
+_STATE = st.one_of(
+    st.integers(-256, 256).map(lambda i: Fraction(i, 128)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+)
+
+
+def rhs_pairs(system, digits: int, y) -> list[tuple]:
+    """(alf's component, the correctly rounded reference) for each component of the RHS at y."""
+    tier = TIERS[digits]
+    ctx = tier.ctx
+    with ctx.workprec():
+        state = ctx.tier_vector(y)
+        got = system.rhs_function(ctx)(state).parts
+    expected = tier.rhs(system)([value(p) for p in state.parts])
+    return list(zip(got, (tier.raw(q) for q in expected)))
+
+
+def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
+    """(alf's, reference) for each component of the second stage input and of the update of one step."""
+    tier = TIERS[digits]
+    ctx = tier.ctx
+    seen, outputs = [], []
+    with ctx.workprec():
+        rhs = system.rhs_function(ctx)
+
+        def recording(v):
+            seen.append(v)
+            outputs.append(rhs(v))
+            return outputs[-1]
+
+        state = ctx.tier_vector(y)
+        h = ctx.scalar(dt)
+        new = _rk4_step(recording, state, ctx.scalar(0), h)
+    y0 = [value(p) for p in state.parts]
+    k1, k2, k3, k4 = ([value(p) for p in out.parts] for out in outputs)
+    h = value(h)
+    half, sixth = tier.round(h / 2), tier.round(h / 6)
+    stage = [a + b * half for a, b in zip(y0, k1)]
+    update = [a + (b1 + 2 * b2 + 2 * b3 + b4) * sixth for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    return list(zip(seen[1].parts + new.parts, [tier.raw(q) for q in stage + update]))
+
+
+def _assert_all_equal(pairs) -> None:
+    bad = [(got, want) for got, want in pairs if got != want]
+    assert not bad, bad[:3]
+
+
+def test_the_rational_graph_has_rows_whose_rounded_weights_do_not_cancel():
+    # otherwise the gauged system would not reach the gauge arithmetic
+    for tier in TIERS.values():
+        rows = [[tier.const(w) for w in row] for row in _RATIONAL.graph.laplacian()]
+        assert any(sum(row) != 0 for row in rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=st.sampled_from(sorted(FULL)), digits=st.sampled_from(sorted(TIERS)), data=st.data())
+def test_full_system_components_are_correctly_rounded(system, digits, data):
+    sys_ = FULL[system]
+    y = data.draw(st.lists(_STATE, min_size=sys_.n, max_size=sys_.n))
+    _assert_all_equal(rhs_pairs(sys_, digits, y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=st.sampled_from(sorted(FULL)), digits=st.sampled_from(sorted(TIERS)), data=st.data())
+def test_standard_form_components_are_correctly_rounded(system, digits, data):
+    sys_ = FULL[system]
+    std = to_standard_form(sys_, data.draw(st.integers(1, sys_.n)))
+    y = data.draw(st.lists(_STATE, min_size=sys_.n, max_size=sys_.n))
+    _assert_all_equal(rhs_pairs(std, digits, y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(plane=st.sampled_from(sorted(PLANES)), digits=st.sampled_from(sorted(TIERS)), x=_STATE, k=_STATE)
+def test_plane_components_are_correctly_rounded(plane, digits, x, k):
+    _assert_all_equal(rhs_pairs(PLANES[plane], digits, [x, 2 * k]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["full", "plane"]), digits=st.sampled_from(sorted(TIERS)), data=st.data(),
+       dt=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 10), max_denominator=1000))
+def test_rk4_stage_and_update_are_correctly_rounded(kind, digits, data, dt):
+    system = _GAUGED if kind == "full" else PLANES["rational"]
+    n = system.ode_dimension
+    y = data.draw(st.lists(_STATE, min_size=n, max_size=n))
+    _assert_all_equal(rk4_pairs(system, digits, y, dt))
