@@ -23,19 +23,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (
-    dps_to_prec,
-    from_float,
-    from_int,
-    from_man_exp,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest, to_float
 
 PRECISION_TIERS = (16, 32, 64)
 
@@ -130,11 +118,6 @@ class TierVector:
     """An extended-tier vector held as raw `_mpf_` tuples, for the integrators.
 
     The integrators step with `combine`, which rounds each component once.
-    The operators round per operation, as mpf arithmetic does: `+` and `-`
-    take another TierVector (`+` also the int 0 that `sum` starts from); `*`
-    takes an mpf, an int or a float on either side.  Each component is
-    computed by the libmp call that the mpf operator makes for the same
-    operands: `mpf_mul_int` for an int, `from_float` for a float.
     """
 
     __slots__ = ("parts", "prec")
@@ -145,28 +128,6 @@ class TierVector:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __add__(self, other):
-        prec = self.prec
-        if type(other) is int:
-            c = from_int(other)
-            return TierVector([mpf_add(a, c, prec, round_nearest) for a in self.parts], prec)
-        return TierVector([mpf_add(a, b, prec, round_nearest) for a, b in zip(self.parts, other.parts)], prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        prec = self.prec
-        return TierVector([mpf_sub(a, b, prec, round_nearest) for a, b in zip(self.parts, other.parts)], prec)
-
-    def __mul__(self, other):
-        prec = self.prec
-        if type(other) is int:
-            return TierVector([mpf_mul_int(a, other, prec, round_nearest) for a in self.parts], prec)
-        c = from_float(other) if isinstance(other, float) else other._mpf_
-        return TierVector([mpf_mul(a, c, prec, round_nearest) for a in self.parts], prec)
-
-    __rmul__ = __mul__
 
     def combine(self, ks, coeffs, scale=None) -> "TierVector":
         """self + (c_1 k_1 + c_2 k_2 + ...) * scale, exact until one rounding per component.

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath
+import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import UnsupportedStructureError
@@ -93,9 +94,11 @@ class ResponseFunction:
         return self.eval(x)
 
     def eval(self, x):
-        """Evaluate at x, preferring the factored form when available."""
+        """Evaluate at x (a float ndarray elementwise, to its shape), preferring the factored form."""
         if type(x) is float:
             return self._float_evaluator(x)
+        if isinstance(x, np.ndarray) and x.dtype == float:
+            return np.broadcast_to(self._float_evaluator(x), x.shape)
         if isinstance(x, mpmath.mpf):
             return self._eval_mpf(x, self.roots is not None)
         if self.roots is not None:
@@ -118,7 +121,7 @@ class ResponseFunction:
 
     @cached_property
     def _float_evaluator(self):
-        """`eval` for Python floats; the float scans call it on every point."""
+        """`eval` for Python floats and float arrays, as the root scans use it."""
         return self.evaluator(ScalarContext(16))
 
     def _eval_mpf(self, x, factored: bool):

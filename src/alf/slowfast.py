@@ -11,10 +11,8 @@ trajectory can continue along the repelling stretch (canard threshold 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .dynamics import PerturbedSystem
 from .errors import (
@@ -222,74 +220,104 @@ class ManifoldSample:
         return len({p.branch for p in self.points})
 
 
-def _bisect_root(func: Callable[[float], float], lo: float, hi: float, iterations: int = 200) -> float:
-    flo = func(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = func(mid)
-        if fmid == 0.0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _bisect(func, lo, hi, flo, p, iterations: int = 200):
+    """Bisect the brackets [lo, hi] of func(., p) in lock-step, flo = func(lo, p).
 
-
-def _newton_polish(func, deriv, x0: float, iterations: int = 30) -> float:
-    x = x0
+    Each element stops at mid = 0.5 (lo + hi) once func(mid) is exactly 0 or
+    the bracket is narrower than 1e-15 max(1, |mid|).  (np.fmax, like
+    Python's max(1.0, v), gives 1.0 for a NaN.)
+    """
+    out = np.empty_like(lo)
+    active = np.arange(len(lo))
     for _ in range(iterations):
-        fx = func(x)
-        dx = deriv(x)
-        if dx == 0.0 or not math.isfinite(dx):
+        if not len(active):
             break
+        mid = 0.5 * (lo + hi)
+        fmid = func(mid, p)
+        done = (fmid == 0.0) | (hi - lo < 1e-15 * np.fmax(np.abs(mid), 1.0))
+        out[active[done]] = mid[done]
+        go = ~done
+        active, lo, hi, flo, p, mid, fmid = (a[go] for a in (active, lo, hi, flo, p, mid, fmid))
+        left = (flo < 0) != (fmid < 0)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fmid)
+    out[active] = 0.5 * (lo + hi)
+    return out
+
+
+def _newton(func, deriv, x, p, iterations: int):
+    """Newton's method on func(., p) from x, every element in lock-step.
+
+    An element keeps its current point where the derivative is 0 or not
+    finite, or where the step leaves the finite floats; it takes the new
+    point once the step is at most 1e-16 max(1, |x|).
+    """
+    out = np.array(x, dtype=float)
+    active = np.arange(len(out))
+    for _ in range(iterations):
+        if not len(active):
+            break
+        fx = func(x, p)
+        dx = deriv(x, p)
         step = fx / dx
         x_new = x - step
-        if not math.isfinite(x_new):
-            break
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
+        stop = (dx == 0.0) | ~np.isfinite(dx) | ~np.isfinite(x_new)
+        converged = ~stop & (np.abs(step) <= 1e-16 * np.fmax(np.abs(x), 1.0))
+        out[active[stop]] = x[stop]
+        out[active[converged]] = x_new[converged]
+        go = ~(stop | converged)
+        active, x, p = active[go], x_new[go], p[go]
+    out[active] = x
+    return out
 
 
-def _scan_roots(func, deriv, lo: float, hi: float, count: int) -> list[float]:
-    """Zeros of func over `count` evenly spaced points of [lo, hi], in scan order.
+@np.errstate(all="ignore")
+def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[list[float]]:
+    """Zeros of func(., p) over `count` evenly spaced points of [lo, hi], per p of params.
 
-    A grid point where func is exactly 0 is a root itself (the end point
-    included).  Each sign change between neighbours is bisected; the Newton
-    polish of that root is kept only when it moves the root by at most one
-    grid step and does not raise the residual.
+    func and deriv work elementwise on float arrays x and p, so one array
+    pass scans every gridline.  A grid point where func is exactly 0 is a
+    root itself (the end point included).  Each sign change between
+    neighbours is bisected; the Newton polish of that root is kept only when
+    it moves the root by at most one grid step and does not raise the
+    residual.  Each root has the bits of a scan of one point at a time; the
+    roots of each p come back as Python floats, in scan order.
     """
+    params = np.asarray(params, dtype=float)
     step = (hi - lo) / (count - 1)
-    values = [func(lo + i * step) for i in range(count)]
-    roots: list[float] = []
-    for i in range(count - 1):
-        a, b = values[i], values[i + 1]
-        x_a = lo + i * step
-        if a == 0.0:
-            roots.append(x_a)
-            continue
-        if (a < 0) != (b < 0):
-            root = _bisect_root(func, x_a, x_a + step)
-            polished = _newton_polish(func, deriv, root)
-            if abs(polished - root) <= step and abs(func(polished)) <= abs(func(root)):
-                root = polished
-            roots.append(root)
-    if values[-1] == 0.0:
-        roots.append(hi)
-    return roots
+    grid = lo + np.arange(count) * step
+    values = np.broadcast_to(func(grid, params[:, None]), (len(params), count))
+    left, right = values[:, :-1], values[:, 1:]
+    zero = left == 0.0
+    bracket = ~zero & ((left < 0) != (right < 0))
+    rows, cols = np.nonzero(zero | bracket)
+    roots = grid[cols]
+    todo = bracket[rows, cols]
+    if todo.any():
+        x_a, p = roots[todo], params[rows[todo]]
+        root = _bisect(func, x_a, x_a + step, left[rows[todo], cols[todo]], p)
+        polished = _newton(func, deriv, root, p, 30)
+        keep = (np.abs(polished - root) <= step) & (np.abs(func(polished, p)) <= np.abs(func(root, p)))
+        roots[todo] = np.where(keep, polished, root)
+    out: list[list[float]] = [[] for _ in params]
+    for row, x in zip(rows.tolist(), roots.tolist()):
+        out[row].append(x)
+    for row in np.flatnonzero(values[:, -1] == 0.0).tolist():
+        out[row].append(hi)
+    return out
 
 
+@np.errstate(all="ignore")
 def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float = 1e-10) -> ManifoldSample:
     """Root scan of the layer equation over a (k, x) window.
 
-    Per k gridline, roots of f(x) - f(k - (n-1)x) are located by sign-change
-    bracketing plus bisection and a Newton polish; the consensus root k/n is
-    always included.  Branch ids connect nearest roots across consecutive
-    gridlines (threshold five x-grid spacings); the consensus chain keeps a
-    stable id.  A point whose residual exceeds `residual_tol` raises
-    InvariantViolationError before anything is returned.
+    One `_scan_roots` pass finds the roots of f(x) - f(k - (n-1)x) on every
+    k gridline; the consensus root k/n is always included.  Branch ids connect
+    nearest roots across consecutive gridlines (threshold five x-grid
+    spacings); the consensus chain keeps a stable id.  Residuals, curvatures
+    and rates are computed for all points at once; the first point whose
+    residual exceeds `residual_tol` raises InvariantViolationError.
     """
     if isinstance(grid, int):
         grid = (grid, grid)
@@ -299,25 +327,18 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
     k_lo, k_hi = map(float, k_range)
     x_lo, x_hi = map(float, x_range)
     link_tol = 5.0 * ((x_hi - x_lo) / (nx - 1))
-    fpp = ps.f.derivative(2)
+    ks = [k_lo + (k_hi - k_lo) * ik / (nk - 1) for ik in range(nk)]
+    scans = _scan_roots(ps.layer_value, lambda x, k: -ps.layer_jacobian(x, k), x_lo, x_hi, nx, ks)
 
-    points: list[ManifoldPoint] = []
+    entries: list[tuple[float, float, int, bool]] = []  # (k, x, branch, consensus)
     next_branch = 1
     prev: list[tuple[float, int]] = []  # (x, branch) on the previous gridline
     prev_consensus_branch = None
 
-    for ik in range(nk):
-        k = k_lo + (k_hi - k_lo) * ik / (nk - 1)
-
-        def phi(x, _k=k):
-            return float(ps.layer_value(x, _k))
-
-        def dphi(x, _k=k):
-            return -ps.layer_jacobian(x, _k)
-
+    for k, scanned in zip(ks, scans):
         consensus_x = k / ps.n
         roots = [consensus_x] if x_lo <= consensus_x <= x_hi else []
-        roots += _scan_roots(phi, dphi, x_lo, x_hi, nx)
+        roots += scanned
 
         # dedupe (consensus root may also arise from the scan)
         merged: list[tuple[float, bool]] = []
@@ -345,25 +366,32 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
                     branch = best[2]
                     available.pop(best[1])
             if branch is None:
-                branch = 0 if is_consensus and prev_consensus_branch is None and not points else next_branch
+                branch = 0 if is_consensus and prev_consensus_branch is None and not entries else next_branch
                 if branch == next_branch:
                     next_branch += 1
-            line_entries.append((x, branch, is_consensus))
-
-        prev = [(x, b) for x, b, _ in line_entries]
-        for x, branch, is_consensus in line_entries:
+            line_entries.append((k, x, branch, is_consensus))
             if is_consensus:
                 prev_consensus_branch = branch
-            residual = abs(phi(x))
-            if not residual <= residual_tol:
-                raise InvariantViolationError(
-                    f"manifold point (k={k}, x={x}) has residual {residual} > {residual_tol}"
-                )
-            curvature = float(fpp.eval(x) - (ps.n - 1) ** 2 * fpp.eval(ps.mirror(x, k)))
-            tag = _stability(dphi(x), curvature, SINGULAR_TOL)
-            points.append(ManifoldPoint(k=k, x=x, branch=branch, stability=tag, consensus=is_consensus))
+        prev = [(x, b) for _, x, b, _ in line_entries]
+        entries += line_entries
 
-    return ManifoldSample(tuple(points))
+    k_arr = np.array([e[0] for e in entries], dtype=float)
+    x_arr = np.array([e[1] for e in entries], dtype=float)
+    residuals = np.abs(ps.layer_value(x_arr, k_arr))
+    failed = np.flatnonzero(~(residuals <= residual_tol))
+    if failed.size:
+        k, x, _, _ = entries[failed[0]]
+        raise InvariantViolationError(
+            f"manifold point (k={k}, x={x}) has residual {float(residuals[failed[0]])} > {residual_tol}"
+        )
+    fpp = ps.f.derivative(2)
+    curvatures = fpp.eval(x_arr) - (ps.n - 1) ** 2 * fpp.eval(ps.mirror(x_arr, k_arr))
+    rates = -ps.layer_jacobian(x_arr, k_arr)
+    return ManifoldSample(tuple(
+        ManifoldPoint(k=k, x=x, branch=branch, stability=_stability(rate, curvature, SINGULAR_TOL),
+                      consensus=is_consensus)
+        for (k, x, branch, is_consensus), rate, curvature in zip(entries, rates.tolist(), curvatures.tolist())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -511,29 +539,27 @@ def analyze_singularity(
 
 
 def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int = 2001) -> list[float]:
-    """Real zeros of f' in [lo, hi] by sign-change scanning plus polish."""
+    """Real zeros of f' in [lo, hi] by one sign-change scan of `samples` points plus polish."""
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     fp = f.derivative()
     fpp = f.derivative(2)
-
-    def func(x):
-        return float(fp.eval(x))
-
-    def dfunc(x):
-        return float(fpp.eval(x))
-
+    (roots,) = _scan_roots(lambda x, _: fp.eval(x), lambda x, _: fpp.eval(x), lo, hi, samples, [0.0])
     merged: list[float] = []
-    for r in sorted(_scan_roots(func, dfunc, lo, hi, samples)):
+    for r in sorted(roots):
         if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
             merged.append(r)
     return merged
 
 
+@np.errstate(all="ignore")
 def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport, h_step: float = 1e-5) -> float:
     """Secant slope dk/dx of the crossing branch through the singular point.
 
     Continues the non-consensus root of the layer equation from both sides
     of the singular point: at x = x_s +/- h the partner coordinate r with
-    f(r) = f(x) is found by Newton from the mirrored guess 2 x_s - x, and
+    f(r) = f(x) is found by Newton (both sides at once, 80 steps at most)
+    from the mirrored guess 2 x_s - x, and
     k(x) = (n-1) x + r.  The result should sit within 1e-3 of n - 2 for
     polynomial responses once h_step <= 1e-4.
     """
@@ -542,20 +568,19 @@ def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport, h_step: f
     x_s = float(report.x_s)
     f = ps.f
     fp = f.derivative()
-
-    def partner(x: float) -> float:
-        target = float(f.eval(x))
-        r = _newton_polish(lambda v: float(f.eval(v)) - target, lambda v: float(fp.eval(v)),
-                           2 * x_s - x, iterations=80)
+    h = float(h_step)
+    xs = np.array([x_s + h, x_s - h])
+    targets = f.eval(xs)
+    partners = _newton(lambda v, target: f.eval(v) - target, lambda v, _: fp.eval(v),
+                       2 * x_s - xs, targets, 80)
+    ks = []
+    for x, r, target in zip(xs.tolist(), partners.tolist(), targets.tolist()):
         if abs(float(f.eval(r)) - target) > 1e-8 * (1.0 + abs(target)):
             raise ContinuationFailedError(f"no partner root found near x={x}")
         if abs(r - x) < abs(x - x_s) / 2:
             raise ContinuationFailedError(f"continuation collapsed onto the consensus root at x={x}")
-        return r
-
-    h = float(h_step)
-    k_plus = (ps.n - 1) * (x_s + h) + partner(x_s + h)
-    k_minus = (ps.n - 1) * (x_s - h) + partner(x_s - h)
+        ks.append((ps.n - 1) * x + r)
+    k_plus, k_minus = ks
     return (k_plus - k_minus) / (2 * h)
 
 

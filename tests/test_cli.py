@@ -214,6 +214,28 @@ def test_manifold_residual_gate_survives_optimised_python(tmp_path):
     assert not (out / "manifold.csv").exists()
 
 
+def test_overflowing_window_errors_print_one_json_line(tmp_path):
+    # values near 1e320 overflow to inf: the error report is the whole of stderr, with no warning text
+    override = _write(tmp_path, "wide.json",
+                      {"analysis": {"k_range": [-3, 3], "x_range": [-1e80, 1e80], "grid": [5, 11]}})
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    expected = {
+        "manifold": {"details": ["manifold point (k=-3.0, x=-1.1579208923731616e+77) has residual inf > 1e-09"],
+                     "error": "InvariantViolationError"},
+        "singularities": {"details": ["x = -1.1062041726954393e+58 is not a singular consensus point"],
+                          "error": "PreconditionError"},
+    }
+    for command, report in expected.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "alf.cli", command, "--preset", "ex1", "--config", override,
+             "--out", str(tmp_path / command)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == json.dumps(report, sort_keys=True) + "\n"
+
+
 def test_divergence_exit_code_flushes_partial(tmp_path):
     cfg = {
         "graph": {"type": "complete", "n": 3},

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,153 @@ def test_manifold_tags_singular_consensus_points():
     sample = sample_manifold(ps, (-4.5, 4.5), (-2.5, 2.5), (181, 201), 1e-9)
     sing_k = sorted(p.k for p in sample.points if p.consensus and p.stability == "singular")
     assert sing_k == pytest.approx([-3.0, 0.0, 3.0], abs=1e-9)
+
+
+# --- the array scan against the scalar scan -------------------------------------
+# The point-by-point scan the array scan replaced is the reference: every root
+# must carry the same bits.
+
+def _bisect_root(func, lo, hi, iterations=200):
+    flo = func(lo)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        fmid = func(mid)
+        if fmid == 0.0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
+            return mid
+        if (flo < 0) != (fmid < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _newton_polish(func, deriv, x0, iterations=30):
+    x = x0
+    for _ in range(iterations):
+        fx = func(x)
+        dx = deriv(x)
+        if dx == 0.0 or not math.isfinite(dx):
+            break
+        step = fx / dx
+        x_new = x - step
+        if not math.isfinite(x_new):
+            break
+        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+            return x_new
+        x = x_new
+    return x
+
+
+def _scalar_scan_roots(func, deriv, lo, hi, count, seen):
+    """The scalar scan; `seen` counts grid zeros, end-point zeros and rejected polishes."""
+    step = (hi - lo) / (count - 1)
+    values = [func(lo + i * step) for i in range(count)]
+    roots = []
+    for i in range(count - 1):
+        a, b = values[i], values[i + 1]
+        x_a = lo + i * step
+        if a == 0.0:
+            seen["grid zero"] += 1
+            roots.append(x_a)
+            continue
+        if (a < 0) != (b < 0):
+            root = _bisect_root(func, x_a, x_a + step)
+            polished = _newton_polish(func, deriv, root)
+            if abs(polished - root) <= step and abs(func(polished)) <= abs(func(root)):
+                root = polished
+            else:
+                seen["rejected polish"] += 1
+            roots.append(root)
+    if values[-1] == 0.0:
+        seen["end zero"] += 1
+        roots.append(hi)
+    return roots
+
+
+def _scan_responses(rng):
+    yield ResponseFunction.from_roots([(1, 2), (-1, 2)])
+    for lam in (Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+        yield ResponseFunction.family("ex3a", lam)
+        yield ResponseFunction.family("ex3b", lam)
+    for _ in range(6):
+        pairs = [(Fraction(rng.next_u64() % 17 - 8, 4), 1 + rng.next_u64() % 2)
+                 for _ in range(1 + rng.next_u64() % 3)]
+        yield ResponseFunction.from_roots(pairs, scale=Fraction(rng.next_u64() % 7 + 1, 2))
+    for _ in range(6):
+        deg = 2 + rng.next_u64() % 4
+        yield ResponseFunction.from_coeffs([Fraction(rng.next_u64() % 13 - 6, 2) for _ in range(deg + 1)])
+
+
+def test_array_scan_roots_equal_scalar_scan():
+    from alf.slowfast import _scan_roots
+
+    rng = SplitMix64(4242)
+    seen = {"grid zero": 0, "end zero": 0, "rejected polish": 0}
+    for idx, f in enumerate(_scan_responses(rng)):
+        n = 2 + idx % 8
+        ps = PlaneSystem(n=n, f=f)
+        # k = n x at dyadic x puts consensus roots exactly on the x grids
+        windows = [
+            ([-0.75 * n + 0.25 * n * i for i in range(7)], -2.0, 2.0, 17),
+            ([n * 0.5 - 0.5 * n * i for i in range(5)], -1.5, 0.5, 9),  # descending, ends on roots
+            ([rng.uniform(-4, 4) for _ in range(6)], -2.5, 2.5, 201),
+            (sorted(rng.uniform(-3, 3) for _ in range(4))[::-1], -2.2, 1.9, 64),
+        ]
+        if n == 2:
+            # the last grid point -1.1 + 3 * 0.6 is 0.6999999999999997, a root at k = 2x; hi is reported
+            windows.append(([2 * (-1.1 + 3 * 0.6), 1.0], -1.1, 0.7, 4))
+        for ks, lo, hi, count in windows:
+            got = _scan_roots(ps.layer_value, lambda x, k: -ps.layer_jacobian(x, k), lo, hi, count, ks)
+            assert len(got) == len(ks)
+            for k, roots in zip(ks, got):
+                ref = _scalar_scan_roots(lambda x: float(ps.layer_value(x, k)),
+                                         lambda x: -ps.layer_jacobian(x, k), lo, hi, count, seen)
+                assert all(type(r) is float for r in roots)
+                assert [repr(r) for r in roots] == [repr(r) for r in ref], (f, n, k, lo, hi, count)
+        # the zeros of f' take the same scan on one gridline
+        fp, fpp = f.derivative(), f.derivative(2)
+        for lo, hi, count in ((-3.0, 3.0, 2001), (-2.0, 2.0, 33)):
+            ref = _scalar_scan_roots(lambda x: float(fp.eval(x)), lambda x: float(fpp.eval(x)),
+                                     lo, hi, count, seen)
+            merged = []
+            for r in sorted(ref):
+                if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
+                    merged.append(r)
+            found = find_singular_points(f, lo, hi, count)
+            assert [repr(r) for r in found] == [repr(r) for r in merged]
+    assert all(seen.values()), seen  # every branch of the scan was exercised
+
+
+def _scalar_tangent_slope(ps, report, h_step=1e-5):
+    x_s = float(report.x_s)
+    f, fp = ps.f, ps.f.derivative()
+
+    def partner(x):
+        target = float(f.eval(x))
+        return _newton_polish(lambda v: float(f.eval(v)) - target, lambda v: float(fp.eval(v)),
+                              2 * x_s - x, iterations=80)
+
+    h = float(h_step)
+    k_plus = (ps.n - 1) * (x_s + h) + partner(x_s + h)
+    k_minus = (ps.n - 1) * (x_s - h) + partner(x_s - h)
+    return (k_plus - k_minus) / (2 * h)
+
+
+def test_tangent_slope_equals_scalar_continuation():
+    for n in (3, 5, 10):
+        ps = _ex1_plane(values=(-1,) * n, n=n)
+        for x_s in (1, 0, -1):
+            report = analyze_singularity(ps, x_s)
+            slope = tangent_slope_estimate(ps, report, h_step=1e-5)
+            assert type(slope) is float
+            assert repr(slope) == repr(_scalar_tangent_slope(ps, report, h_step=1e-5))
+
+
+def test_find_singular_points_needs_two_samples():
+    f = ResponseFunction.from_roots([(1, 2), (-1, 2)])
+    for samples in (1, 0, -3):
+        with pytest.raises(ValueError):
+            find_singular_points(f, -2.0, 2.0, samples)
 
 
 # --- singularity analysis -----------------------------------------------------
