@@ -141,12 +141,18 @@ class PerturbedSystem:
         return ctx.vector_function(rhs)
 
     def _float_flow(self, ctx: ScalarContext):
-        """x -> -L F(x) + eps H on float arrays."""
+        """x -> -L F(x) + eps H on float arrays, returned in a new array."""
         neg_l = self._neg_laplacian_float
         fld = self.field
-        coeffs = _float_coeffs(fld)
+        plan = _horner_plan(fld)
         eps_h = ctx.scalar(self.epsilon) * ctx.vector(self.perturbation.values)
-        return lambda y: neg_l @ _field_values_float(fld, coeffs, y) + eps_h
+
+        def flow(y):
+            out = neg_l @ _field_values_float(fld, plan, y)
+            out += eps_h
+            return out
+
+        return flow
 
     def _fixed_flow(self, ctx: ScalarContext, rows):
         """(X, exp) -> the components `rows` of -L F(x) + eps H at x_j = X_j * 2**exp.
@@ -188,20 +194,44 @@ class PerturbedSystem:
         return flow
 
 
-def _float_coeffs(fld: ResponseField):
-    """Float coefficients of the response, highest degree first; None for a callback."""
+def _horner_plan(fld: ResponseField):
+    """The float Horner loop of the response as in-place steps; None for a callback.
+
+    The loop acc = c0; acc = acc * y + c over the later coefficients c
+    (highest degree first) becomes (c0, first, later): (ufunc, operand)
+    steps on acc = y, an operand None standing for y.  `first` allocates
+    the result, `later` works in place; a constant has no steps.  Left out,
+    with every bit kept: the product by a leading coefficient 1 (1.0 * y is
+    y), and the + 0.0 of a zero coefficient other than the last.  That add
+    changes only the sign of a zero; the products after it keep a zero a
+    zero (or make it NaN), and a later add gives both signs the same value.
+    """
     coeffs = getattr(fld.function, "coeffs", None)
-    return None if coeffs is None else [float(c) for c in reversed(coeffs)]
+    if coeffs is None:
+        return None
+    top, *rest = [float(c) for c in reversed(coeffs)]
+    steps = [] if top == 1.0 or not rest else [(np.multiply, top)]
+    for i, c in enumerate(rest, start=1):
+        if i > 1:
+            steps.append((np.multiply, None))
+        if c != 0.0 or i == len(rest):
+            steps.append((np.add, c))
+    return top, (steps[0] if steps else None), tuple(steps[1:])
 
 
-def _field_values_float(fld: ResponseField, coeffs, y: np.ndarray) -> np.ndarray:
-    """Vectorised response values for float state vectors (`coeffs` from _float_coeffs)."""
-    if coeffs is None:  # callback response: evaluate pointwise
+def _field_values_float(fld: ResponseField, plan, y: np.ndarray) -> np.ndarray:
+    """Vectorised response values for float state vectors (`plan` from _horner_plan), in a new array."""
+    if plan is None:  # callback response: evaluate pointwise
         acc = np.array([float(fld.function.eval(float(v))) for v in y])
     else:
-        acc = np.full_like(y, coeffs[0])
-        for c in coeffs[1:]:
-            acc = acc * y + c
+        top, first, later = plan
+        if first is None:
+            acc = np.full_like(y, top)
+        else:
+            op, c = first
+            acc = op(y, y if c is None else c)
+            for op, c in later:
+                op(acc, y if c is None else c, acc)
     if fld.mean_gauges:
         mean = float(np.mean(y))
         acc = acc + sum(g.eval(mean) for g in fld.mean_gauges)
@@ -299,12 +329,21 @@ class StandardFormSystem:
         if ctx.is_float:
             flow = sys._float_flow(ctx)
             slow = ctx.scalar(sys.epsilon) * float(np.sum(ctx.vector(sys.perturbation.values)))
+            # the coordinates before and after the eliminated one, in the full state
+            below, above = slice(None, l - 1), slice(l, None)
 
             def rhs(y: np.ndarray) -> np.ndarray:
+                fast = y[:-1]
                 full = np.empty(n)
-                full[keep] = y[:-1]
-                full[l - 1] = y[-1] - float(np.sum(y[:-1]))
-                return np.append(flow(full)[keep], slow)
+                full[below] = fast[below]
+                full[above] = fast[l - 1:]
+                full[l - 1] = y[-1] - fast.sum()
+                dx = flow(full)
+                out = np.empty(n)
+                out[below] = dx[below]
+                out[l - 1:-1] = dx[above]
+                out[-1] = slow
+                return out
 
             return rhs
 
@@ -438,8 +477,8 @@ def _float_array(y) -> np.ndarray:
 
 
 def _diverged(y) -> bool:
-    """Whether a component is NaN or larger than DIVERGENCE_CUTOFF in absolute value."""
-    return not (np.abs(_float_array(y)) <= DIVERGENCE_CUTOFF).all()
+    """Whether a component is NaN or larger than DIVERGENCE_CUTOFF in absolute value (max propagates a NaN)."""
+    return not np.abs(_as_floats(y)).max() <= DIVERGENCE_CUTOFF
 
 
 def _escapes(before, y, dy, span: float) -> bool:
@@ -509,23 +548,40 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             return stop_condition(t, as_array(y))
 
         run = _run_rk4 if cfg.method == "rk4" else _run_dp45
-        run(system, rhs, y, ctx, t0, t1, cfg, record, stop if stop_condition is not None else None, traj)
+        # an overflowing state turns into inf and NaN, which the divergence tests catch
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(system, rhs, y, ctx, t0, t1, cfg, record, stop if stop_condition is not None else None, traj)
         return traj
 
 
-# The float tier steps in numpy arithmetic.  The extended tiers form each
-# stage input, y + k (dt/2) or y + k3 dt, and the update
-# y + (k1 + 2 k2 + 2 k3 + k4) (dt/6) as one exact sum per component, rounded
-# once; dt/2 and dt/6 are rounded to the tier once per step.  A sequence of
-# mpf takes the same sums and steps to an mpf array.
+# Both tiers form each stage input, y + k (dt/2) or y + k3 dt, and the
+# update y + (((k1 + 2 k2) + 2 k3) + k4) (dt/6).  The float tier takes these
+# numpy operations in this order, each rounded, in arrays the step allocates
+# itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
+# array that rhs returned.  The extended tiers take each as one exact sum per
+# component, rounded once; dt/2 and dt/6 are rounded to the tier once per
+# step.  A sequence of mpf takes the same sums and steps to an mpf array.
 def _rk4_step(rhs, y, t, dt):
     half = dt / 2
     k1 = rhs(y)
     if type(y) is np.ndarray and y.dtype != object:
-        k2 = rhs(y + k1 * half)
-        k3 = rhs(y + k2 * half)
-        k4 = rhs(y + k3 * dt)
-        return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6)
+        s = k1 * half
+        s += y
+        k2 = rhs(s)
+        s = k2 * half
+        s += y
+        k3 = rhs(s)
+        s = k3 * dt
+        s += y
+        k4 = rhs(s)
+        acc = k2 * 2.0
+        acc += k1
+        s = k3 * 2.0
+        acc += s
+        acc += k4
+        acc *= dt / 6
+        acc += y
+        return acc
     half = half._mpf_
     k2 = rhs(_combine(y, (k1,), (1,), half))
     k3 = rhs(_combine(y, (k2,), (1,), half))
@@ -566,16 +622,34 @@ def _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
 def _dp45_float_stages(rhs, y, fsal, dt):
     """The six new stages, the fifth-order solution and its error estimate, in float arithmetic."""
     ks = [fsal]
+    term = np.empty_like(y)
     for stage in range(1, 7):
-        acc = y + ks[0] * (dt * _DP_A[stage][0])
+        acc = ks[0] * (dt * _DP_A[stage][0])
+        acc += y
         for idx in range(1, stage):
             coeff = _DP_A[stage][idx]
             if coeff != 0.0:
-                acc = acc + ks[idx] * (dt * coeff)
+                acc += np.multiply(ks[idx], dt * coeff, term)
         ks.append(rhs(acc))
-    y5 = y + sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0) * dt
-    y4 = y + sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0) * dt
-    return ks, y5, y5 - y4
+    y5 = _dp45_float_solution(y, _DP_B5, ks, dt, term)
+    y4 = _dp45_float_solution(y, _DP_B4, ks, dt, term)
+    return ks, y5, np.subtract(y5, y4, y4)
+
+
+def _dp45_float_solution(y, weights, ks, dt, term):
+    """y + sum(b * k for the nonzero b) * dt in a new array, with `term` as scratch.
+
+    Python's sum() starts from the int 0, so the first term gets a + 0.0,
+    which turns a -0.0 into +0.0.
+    """
+    (b, k), *rest = [(b, k) for b, k in zip(weights, ks) if b != 0.0]
+    acc = k * b
+    acc += 0.0
+    for b, k in rest:
+        acc += np.multiply(k, b, term)
+    acc *= dt
+    acc += y
+    return acc
 
 
 def _dp45_fixed_stages(rhs, y, fsal, dt):

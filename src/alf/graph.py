@@ -167,7 +167,13 @@ class Graph:
         return lap
 
     def laplacian_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.laplacian()])
+        """`laplacian()` in floats; only the edge entries and the diagonal are converted."""
+        lap = self.laplacian()
+        out = np.zeros((self.n, self.n))
+        for i, j, _ in self.edges:
+            out[i - 1, j - 1] = out[j - 1, i - 1] = float(lap[i - 1][j - 1])
+        np.fill_diagonal(out, [float(lap[i][i]) for i in range(self.n)])
+        return out
 
     def connected_components(self) -> list[frozenset[int]]:
         """Node partition into components, sorted by smallest member."""

@@ -220,12 +220,14 @@ class ManifoldSample:
         return len({p.branch for p in self.points})
 
 
-def _bisect(func, lo, hi, flo, p, iterations: int = 200):
+def _bisect(func, lo, hi, flo, p, where: str, iterations: int = 200):
     """Bisect the brackets [lo, hi] of func(., p) in lock-step, flo = func(lo, p).
 
     Each element stops at mid = 0.5 (lo + hi) once func(mid) is exactly 0 or
     the bracket is narrower than 1e-15 max(1, |mid|).  (np.fmax, like
-    Python's max(1.0, v), gives 1.0 for a NaN.)
+    Python's max(1.0, v), gives 1.0 for a NaN.)  A bracket still wider after
+    `iterations` halvings raises InvariantViolationError, its message led by
+    `where`: its midpoint need not be near a root.
     """
     out = np.empty_like(lo)
     active = np.arange(len(lo))
@@ -242,7 +244,12 @@ def _bisect(func, lo, hi, flo, p, iterations: int = 200):
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fmid)
-    out[active] = 0.5 * (lo + hi)
+    if len(active):
+        widest = int(np.argmax(hi - lo))
+        raise InvariantViolationError(
+            f"{where}: {iterations} halvings left the root bracket [{float(lo[widest])!r}, {float(hi[widest])!r}] "
+            f"{hi[widest] - lo[widest]:.3g} wide"
+        )
     return out
 
 
@@ -295,8 +302,15 @@ def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[l
     roots = grid[cols]
     todo = bracket[rows, cols]
     if todo.any():
-        x_a, p = roots[todo], params[rows[todo]]
-        root = _bisect(func, x_a, x_a + step, left[rows[todo], cols[todo]], p)
+        x_a, p, f_a = roots[todo], params[rows[todo]], left[rows[todo], cols[todo]]
+        x_b, g_b = x_a + step, grid[cols[todo] + 1]
+        # x_a + step may round away from the grid point g_b; where it lands farther than the stop rule's
+        # width and [x_a, x_b] loses the sign change, bisection would return its end point, so such a
+        # cell bisects the grid bracket [x_a, g_b], which holds the sign change
+        far = np.flatnonzero(np.abs(x_b - g_b) > 1e-15 * np.fmax(np.abs(g_b), 1.0))
+        lost = far[(func(x_b[far], p[far]) < 0) == (f_a[far] < 0)]
+        x_b[lost] = g_b[lost]
+        root = _bisect(func, x_a, x_b, f_a, p, f"root scan of [{lo!r}, {hi!r}] at {count} points")
         polished = _newton(func, deriv, root, p, 30)
         keep = (np.abs(polished - root) <= step) & (np.abs(func(polished, p)) <= np.abs(func(root, p)))
         roots[todo] = np.where(keep, polished, root)

@@ -223,8 +223,11 @@ def test_overflowing_window_errors_print_one_json_line(tmp_path):
     expected = {
         "manifold": {"details": ["manifold point (k=-3.0, x=-1.1579208923731616e+77) has residual inf > 1e-09"],
                      "error": "InvariantViolationError"},
-        "singularities": {"details": ["x = -1.1062041726954393e+58 is not a singular consensus point"],
-                          "error": "PreconditionError"},
+        # the grid cell [-1e77, 0] is too wide for 200 halvings; the scan used to return
+        # -1.1062041726954393e+58, which is not a zero of f'
+        "singularities": {"details": ["root scan of [-1e+80, 1e+80] at 2001 points: 200 halvings left the "
+                                      "root bracket [-6.223015277861274e+16, 0.0] 6.22e+16 wide"],
+                          "error": "InvariantViolationError"},
     }
     for command, report in expected.items():
         proc = subprocess.run(
@@ -248,6 +251,28 @@ def test_divergence_exit_code_flushes_partial(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, "d.json", cfg), "--out", str(out)]) == 3
     rows = _read_csv(out / "trajectory.csv")
     assert rows  # partial trajectory was written
+
+
+@pytest.mark.parametrize("method", ["rk4", "dp45"])
+def test_diverging_float_run_prints_only_the_divergence_line(tmp_path, method):
+    # the state overflows to inf and NaN on its way out; numpy must not warn about it
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"coeffs": [0, 0, 0, -1]},
+        "initial": {"explicit": [5, -3, 40]},
+        "tspan": [0, 1],
+        "integrator": {"method": method, "dt": 0.01},
+    }
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "alf.cli", "simulate", "--config", _write(tmp_path, "div.json", cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "divergence at t=0.01; partial trajectory flushed\n"
+    assert _read_csv(tmp_path / "out" / "trajectory.csv")
 
 
 def test_noncritical_canard_advisory_exit(tmp_path):

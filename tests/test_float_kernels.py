@@ -1,0 +1,355 @@
+"""The float tier's in-place kernels against the expressions they replaced.
+
+The reference functions below are the float-tier arithmetic the kernels
+replaced, kept verbatim in spirit: a fresh array per numpy operation, the
+same operations in the same order.  The kernels must give every bit of
+them (NaN payloads aside), and must write into neither the state nor an
+array that a right-hand side returned.
+"""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
+from alf import dynamics
+from alf.dynamics import (
+    DIVERGENCE_CUTOFF,
+    _diverged,
+    _dp45_float_stages,
+    _field_values_float,
+    _horner_plan,
+    _rk4_step,
+    to_standard_form,
+)
+from alf.precision import ScalarContext
+from alf.prng import SplitMix64
+
+CTX = ScalarContext(16)
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0)
+
+
+# --- the replaced float expressions ----------------------------------------------
+
+def _ref_laplacian_array(g):
+    return np.array([[float(v) for v in row] for row in g.laplacian()])
+
+
+def _ref_values(fld, y):
+    coeffs = [float(c) for c in reversed(fld.function.coeffs)]
+    acc = np.full_like(y, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * y + c
+    if fld.mean_gauges:
+        acc = acc + sum(g.eval(float(np.mean(y))) for g in fld.mean_gauges)
+    return acc
+
+
+def _ref_full_rhs(sys_):
+    neg_l = -_ref_laplacian_array(sys_.graph)
+    eps_h = float(sys_.epsilon) * np.array([float(v) for v in sys_.perturbation.values])
+    return lambda y: neg_l @ _ref_values(sys_.field, y) + eps_h
+
+
+def _ref_standard_rhs(sf):
+    n, l = sf.n, sf.l
+    keep = [j - 1 for j in sf.kept]
+    flow = _ref_full_rhs(sf.base)
+    slow = float(sf.base.epsilon) * float(np.sum(np.array([float(v) for v in sf.base.perturbation.values])))
+
+    def rhs(y):
+        full = np.empty(n)
+        full[keep] = y[:-1]
+        full[l - 1] = y[-1] - float(np.sum(y[:-1]))
+        return np.append(flow(full)[keep], slow)
+
+    return rhs
+
+
+def _ref_rk4(rhs, y, dt):
+    half = dt / 2
+    k1 = rhs(y)
+    k2 = rhs(y + k1 * half)
+    k3 = rhs(y + k2 * half)
+    k4 = rhs(y + k3 * dt)
+    return y + (k1 + 2 * k2 + 2 * k3 + k4) * (dt / 6)
+
+
+def _ref_dp45(rhs, y, fsal, dt):
+    a, b5, b4 = dynamics._DP_A, dynamics._DP_B5, dynamics._DP_B4
+    ks = [fsal]
+    for stage in range(1, 7):
+        acc = y + ks[0] * (dt * a[stage][0])
+        for idx in range(1, stage):
+            if a[stage][idx] != 0.0:
+                acc = acc + ks[idx] * (dt * a[stage][idx])
+        ks.append(rhs(acc))
+    y5 = y + sum(b * k for b, k in zip(b5, ks) if b != 0.0) * dt
+    y4 = y + sum(b * k for b, k in zip(b4, ks) if b != 0.0) * dt
+    return ks, y5, y5 - y4
+
+
+# --- helpers ------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    """Equal bits, with NaN in the same places (whatever their payloads)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (got.view(np.int64)[~nan] == want.view(np.int64)[~nan]).all()
+
+
+def _field(coeffs, gauges=()):
+    return ResponseField(ResponseFunction.from_coeffs(coeffs), tuple(ResponseFunction.from_coeffs(g) for g in gauges))
+
+
+def _system(graph, field, seed, eps=Fraction(1, 10)):
+    return PerturbedSystem(graph, field, Perturbation.random_constant(graph.n, seed, -0.5, 0.5), eps)
+
+
+def _weighted(n, seed):
+    rng = SplitMix64(seed)
+    edges = [(i, j, Fraction(rng.next_u64() % 400 + 1, 7 * (rng.next_u64() % 13 + 1)))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.uniform() < 0.6]
+    return Graph(n, tuple(edges))
+
+
+GRAPHS = {
+    "weighted-10": _weighted(10, 3),
+    "isolated-node": Graph(5, ((1, 2, Fraction(1, 3)), (2, 4, Fraction(5, 7)), (1, 4, 2.5))),
+    "k10": Graph.complete(10),
+    "c100": Graph.cycle(100),
+}
+FIELDS = {
+    "ex1": _field([1, 0, -2, 0, 1]),
+    "cubic": _field([Fraction(1, 3), -1, 0, Fraction(-7, 5)]),
+    "linear": _field([0, 1]),
+    "constant": _field([Fraction(2, 3)]),
+    "gauged": _field([1, 0, -2, 0, 1], gauges=[[Fraction(1, 3), 2]]),
+}
+
+
+def _states(n, seed):
+    rng = SplitMix64(seed)
+    yield np.array([rng.uniform(-2.0, 2.0) for _ in range(n)])
+    yield np.array([SPECIAL[i % len(SPECIAL)] for i in range(n)])
+    yield np.array([SPECIAL[(i * 7 + 3) % len(SPECIAL)] * rng.uniform(0.5, 2.0) for i in range(n)])
+
+
+# --- Laplacian ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_laplacian_array_equals_dense_conversion(name):
+    g = GRAPHS[name]
+    assert_same_bits(g.laplacian_array(), _ref_laplacian_array(g))
+
+
+# --- Horner plan ----------------------------------------------------------------
+
+_COEFF = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(10**20 + 1, 10**20), Fraction(-5, 7)]),
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+)
+_VALUE = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_COEFF, min_size=1, max_size=8), y=st.lists(_VALUE, min_size=1, max_size=8))
+def test_horner_plan_equals_horner_loop(coeffs, y):
+    fld = _field(coeffs)
+    y = np.array(y, dtype=float)
+    with np.errstate(all="ignore"):
+        assert_same_bits(_field_values_float(fld, _horner_plan(fld), y), _ref_values(fld, y))
+
+
+def test_horner_plan_drops_no_op_operations():
+    # x^4 - 2x^2 + 1: y*y, -2, *y, *y, +1, with no product by the leading 1 and no + 0.0
+    top, (op, c), later = _horner_plan(FIELDS["ex1"])
+    assert (top, op, c) == (1.0, np.multiply, None)
+    assert later == ((np.add, -2.0), (np.multiply, None), (np.multiply, None), (np.add, 1.0))
+    # a trailing zero coefficient keeps its + 0.0: it turns -0.0 into +0.0
+    top, _, later = _horner_plan(FIELDS["linear"])
+    assert top == 1.0 and later == ()
+    assert _field_values_float(FIELDS["linear"], _horner_plan(FIELDS["linear"]), np.array([-0.0])).view(np.int64)[0] == 0
+    assert _horner_plan(FIELDS["constant"]) == (2 / 3, None, ())
+
+
+def test_callback_response_keeps_pointwise_path():
+    class Cube:
+        def eval(self, x):
+            return x * x * x
+
+    fld = ResponseField(Cube())
+    assert _horner_plan(fld) is None
+    y = np.array([1.5, -2.0, 0.25])
+    assert_same_bits(_field_values_float(fld, None, y), y * y * y)
+
+
+# --- right-hand sides -------------------------------------------------------------
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_full_rhs_equals_reference(graph, field):
+    sys_ = _system(GRAPHS[graph], FIELDS[field], seed=len(graph) + len(field))
+    rhs, ref = sys_.rhs_function(CTX), _ref_full_rhs(sys_)
+    with np.errstate(all="ignore"):
+        for y in _states(sys_.n, 5):
+            assert_same_bits(rhs(y), ref(y))
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("field", ["ex1", "gauged"])
+def test_standard_form_rhs_equals_reference_for_every_l(graph, field):
+    sys_ = _system(GRAPHS[graph], FIELDS[field], seed=11)
+    with np.errstate(all="ignore"):
+        for l in range(1, sys_.n + 1):
+            sf = to_standard_form(sys_, l)
+            rhs, ref = sf.rhs_function(CTX), _ref_standard_rhs(sf)
+            for y in _states(sys_.n, l):
+                y_before = y.copy()
+                assert_same_bits(rhs(y), ref(y))
+                assert_same_bits(y, y_before)
+
+
+# --- steps ----------------------------------------------------------------------
+
+class Recorder:
+    """Wraps an rhs; keeps every array it was given or returned, with a copy of its contents then."""
+
+    def __init__(self, rhs):
+        self.rhs = rhs
+        self.seen = []
+
+    def __call__(self, y):
+        self.seen.append((y, y.copy()))
+        k = self.rhs(y)
+        self.seen.append((k, k.copy()))
+        return k
+
+    def assert_untouched(self):
+        for array, contents in self.seen:
+            assert_same_bits(array, contents)
+
+
+def _step_cases():
+    for graph in ("weighted-10", "c100"):
+        sys_ = _system(GRAPHS[graph], FIELDS["ex1"], seed=2)
+        yield f"full-{graph}", sys_.rhs_function(CTX), _ref_full_rhs(sys_), sys_.n
+        sf = to_standard_form(sys_, 4)
+        yield f"standard-{graph}", sf.rhs_function(CTX), _ref_standard_rhs(sf), sf.n
+    const = np.array([0.3, -1.25, 7.0, -0.0])
+    # the same array object on every call
+    yield "same-object", (lambda y: const), (lambda y: const), 4
+    # the input array itself
+    yield "identity", (lambda y: y), (lambda y: y), 4
+
+
+STEP_CASES = {name: case for name, *case in _step_cases()}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_rk4_step_equals_reference_and_writes_nothing_it_reads(case):
+    rhs, ref, n = STEP_CASES[case]
+    for y in _states(n, 3):
+        y = np.where(np.isnan(y), 0.5, np.clip(y, -3.0, 3.0))  # finite: a NaN stage would hide the others' bits
+        y_before = y.copy()
+        recorder = Recorder(rhs)
+        got = _rk4_step(recorder, y, 0.0, 1e-3 * 1.1)
+        assert_same_bits(got, _ref_rk4(ref, y, 1e-3 * 1.1))
+        assert_same_bits(y, y_before)
+        recorder.assert_untouched()
+        assert all(got is not array for array, _ in recorder.seen)
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_dp45_stages_equal_reference_and_write_nothing_they_read(case):
+    rhs, ref, n = STEP_CASES[case]
+    for y in _states(n, 4):
+        y = np.where(np.isnan(y), -0.5, np.clip(y, -3.0, 3.0))
+        y_before = y.copy()
+        fsal = rhs(y)
+        recorder = Recorder(rhs)
+        ks, y5, delta = _dp45_float_stages(recorder, y, fsal, 2.3e-4)
+        ref_ks, ref_y5, ref_delta = _ref_dp45(ref, y, ref(y), 2.3e-4)
+        for k, ref_k in zip(ks, ref_ks, strict=True):
+            assert_same_bits(k, ref_k)
+        assert_same_bits(y5, ref_y5)
+        assert_same_bits(delta, ref_delta)
+        assert_same_bits(y, y_before)
+        recorder.assert_untouched()
+
+
+def test_dp45_first_term_turns_negative_zero_positive():
+    # sum() starts from the int 0, and 0 + (-0.0) is +0.0.  Stage 4 has the negative weights, so a +0.0
+    # there makes every term b * k a -0.0, and only that first + 0.0 tells the two sums apart.
+    calls = []
+
+    def rhs(y):
+        calls.append(None)
+        return np.full(2, 0.0 if len(calls) == 4 else -0.0)
+
+    y = np.array([-0.0, -0.0])
+    _, y5, delta = _dp45_float_stages(rhs, y, np.full(2, -0.0), 1e-3)
+    calls.clear()
+    _, ref_y5, ref_delta = _ref_dp45(rhs, y, np.full(2, -0.0), 1e-3)
+    assert_same_bits(y5, ref_y5)
+    assert_same_bits(delta, ref_delta)
+    assert y5.view(np.int64).tolist() == [0, 0]
+
+
+def test_diverged_equals_elementwise_test():
+    cases = [np.array(v) for v in (
+        [0.0, 1.0], [DIVERGENCE_CUTOFF, -DIVERGENCE_CUTOFF], [np.nextafter(DIVERGENCE_CUTOFF, np.inf), 0.0],
+        [np.nan, 0.0], [0.0, -np.inf], [np.inf, np.nan], [-0.0], [1e300, 1.0],
+    )]
+    for y in cases:
+        assert _diverged(y) == (not (np.abs(y) <= DIVERGENCE_CUTOFF).all())
+    tier = ScalarContext(32).tier_vector([1, float("nan")])
+    assert _diverged(tier)
+
+
+# --- determinism across processes -------------------------------------------------
+
+_SCENARIOS = """
+import sys
+from fractions import Fraction
+from pathlib import Path
+from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
+from alf.dynamics import IntegratorConfig, integrate, to_standard_form
+
+out = Path(sys.argv[1])
+field = ResponseField(ResponseFunction.from_roots([(1, 2), (-1, 2)]))
+sys_ = PerturbedSystem(Graph.cycle(12), field, Perturbation.random_constant(12, 9, -0.5, 0.5), Fraction(1, 10))
+x0 = [-1 + i / 12 for i in range(12)]
+runs = {
+    "rk4": (sys_, x0, IntegratorConfig("rk4", 1e-3, stride=25)),
+    "dp45": (sys_, x0, IntegratorConfig("dp45", 1e-3, 1e-9, stride=3)),
+}
+sf = to_standard_form(sys_, 5)
+fast, k = sf.project(x0)
+runs["standard-form"] = (sf, list(fast) + [k], IntegratorConfig("rk4", 1e-3, stride=25))
+for name, (system, start, cfg) in runs.items():
+    with open(out / f"{name}.csv", "w", encoding="utf-8") as fh:
+        integrate(system, start, (0.0, 1.5), cfg).write_csv(fh)
+"""
+
+
+def test_float_runs_identical_across_processes(tmp_path):
+    # not pinned as goldens: the float matvec goes through BLAS, which may sum in another order elsewhere
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _SCENARIOS, str(out)],
+                       check=True, timeout=300)
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outs[0]) == ["dp45.csv", "rk4.csv", "standard-form.csv"]
+    assert outs[0] == outs[1]
+    assert all(len(data.splitlines()) > 10 for data in outs[0].values())

@@ -361,6 +361,24 @@ def test_find_singular_points_needs_two_samples():
             find_singular_points(f, -2.0, 2.0, samples)
 
 
+def test_scan_refuses_brackets_it_cannot_resolve():
+    f = ResponseFunction.from_roots([(1, 2), (-1, 2)])
+    # a bracket [-5e79, 0] needs about 314 halvings to reach the stop rule near -1
+    with pytest.raises(InvariantViolationError, match=r"^root scan of \[-1e\+80, 0\.0\] at 3 points: "
+                                                     r"200 halvings left the root bracket .* wide$"):
+        find_singular_points(f, -1e80, 0.0, 3)
+    # -1e77 + step rounds to -2.1e63, not to the grid point 0.0, and f' < 0 at both ends of that interval;
+    # the scan used to bisect it to its end point and return that, polished to -1.1e58, as a zero of f'.
+    # The grid cell [-1e77, 0] holds the sign change but is too wide for 200 halvings.
+    with pytest.raises(InvariantViolationError, match=r"200 halvings left the root bracket \[.*, 0\.0\]"):
+        find_singular_points(f, -1e80, 1e80, 2001)
+    # x + step rounds away from the grid point here too, but the intervals keep their sign changes
+    assert find_singular_points(f, -3.0, 3.0, 2001) == [-1.0, 0.0, 1.0]
+    # x_a + step from the grid point before 0.0 rounds to -1.1e-14, short of the zero of f' = 2x at 0.0: the scan
+    # bisects the grid cell [-0.3, 0.0] instead of the interval short of it
+    assert find_singular_points(ResponseFunction.from_coeffs([0, 0, 1]), -300.0, 300.0, 2001) == [0.0]
+
+
 # --- singularity analysis -----------------------------------------------------
 
 def test_analyze_singularity_type1_canard():
