@@ -35,10 +35,7 @@ from .errors import (
 from .graph import (
     Graph,
     Permutation,
-    build_complete,
     commutes_with_laplacian,
-    connected_components,
-    laplacian,
     zero_eigenvalue_count,
 )
 from .precision import ScalarContext, exact

@@ -123,9 +123,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_trajectory(traj: Trajectory, path: Path) -> None:
+def _integrate_to_csv(system, x0, tspan, icfg, path: Path, stop_condition=None) -> tuple[Trajectory, int]:
+    """Integrate over tspan and write the trajectory CSV; (trajectory, exit code).
+
+    A divergence flushes the partial trajectory and gives EXIT_DIVERGENCE.
+    """
+    code = EXIT_OK
+    try:
+        traj = integrate(system, x0, tuple(tspan), icfg, stop_condition=stop_condition)
+    except DivergenceError as err:
+        traj = err.trajectory
+        code = EXIT_DIVERGENCE
+        print(f"divergence at t={err.last_time}; partial trajectory flushed", file=sys.stderr)
     with open(path, "w", encoding="utf-8") as fh:
         traj.write_csv(fh)
+    _emit(path)
+    return traj, code
 
 
 def _write_json(payload, path: Path) -> None:
@@ -148,16 +161,7 @@ def cmd_simulate(args) -> int:
     icfg = build_integrator(cfg.get("integrator"))
     x0 = build_initial(cfg["initial"], sys_.n)
     out = _out_dir(args)
-    csv_path = out / "trajectory.csv"
-    code = EXIT_OK
-    try:
-        traj = integrate(sys_, x0, tuple(cfg["tspan"]), icfg)
-    except DivergenceError as err:
-        traj = err.trajectory
-        code = EXIT_DIVERGENCE
-        print(f"divergence at t={err.last_time}; partial trajectory flushed", file=sys.stderr)
-    _write_trajectory(traj, csv_path)
-    _emit(csv_path)
+    traj, code = _integrate_to_csv(sys_, x0, cfg["tspan"], icfg, out / "trajectory.csv")
     if args.svg:
         series = [[state[i] for state in traj.states] for i in range(sys_.n)]
         svg = timeseries_svg(traj.times, series, traj.labels, log_time=args.log_time,
@@ -298,16 +302,7 @@ def cmd_canard(args) -> int:
         return abs(x - k / n) > 3.0 * tube or abs(x) > 100.0
 
     out = _out_dir(args)
-    csv_path = out / "canard_trajectory.csv"
-    code = EXIT_OK
-    try:
-        traj = integrate(ps, [x0_s, k0_s], tuple(cfg["tspan"]), icfg, stop_condition=stop)
-    except DivergenceError as err:
-        traj = err.trajectory
-        code = EXIT_DIVERGENCE
-        print(f"divergence at t={err.last_time}; partial trajectory flushed", file=sys.stderr)
-    _write_trajectory(traj, csv_path)
-    _emit(csv_path)
+    traj, code = _integrate_to_csv(ps, [x0_s, k0_s], cfg["tspan"], icfg, out / "canard_trajectory.csv", stop)
 
     metrics = canard_metrics(traj, n, k_star, epsilon)
     metrics.update({

@@ -21,6 +21,10 @@ _NUM = {"type": "number"}
 _SEED = {"type": "integer", "minimum": 0}
 _RANGE = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 
+# the most points of one analysis grid or singular-point scan; a manifold scan
+# holds arrays of about 32 bytes per grid point, so this bounds it near 128 MiB
+MAX_GRID_POINTS = 2**22
+
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -99,7 +103,6 @@ SCENARIO_SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "digits": {"enum": [16, 32, 64]},
                 "stride": {"type": "integer", "minimum": 1},
-                "seed": _SEED,
             },
         },
         "initial": {
@@ -145,7 +148,7 @@ SCENARIO_SCHEMA = {
                 "residual_tol": {"type": "number", "exclusiveMinimum": 0},
                 "lambda_values": {"type": "array", "items": _NUM, "minItems": 1},
                 "eliminate": {"type": "integer", "minimum": 1},
-                "scan_points": {"type": "integer", "minimum": 3},
+                "scan_points": {"type": "integer", "minimum": 3, "maximum": MAX_GRID_POINTS},
             },
         },
     },
@@ -161,6 +164,7 @@ def validate_config(cfg: dict) -> dict:
     integrator and the root scans have no meaning on a reversed interval.
     `k_range` may run either way for a manifold scan; `divergence`, whose
     integral is taken from k_range[0] to k_range[1], rejects a descending one.
+    `analysis/grid` may hold at most MAX_GRID_POINTS points in all.
     """
     errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
@@ -169,9 +173,13 @@ def validate_config(cfg: dict) -> dict:
             path = "/".join(str(p) for p in err.absolute_path) or "<root>"
             details.append(f"{path}: {err.message}")
         raise ConfigError(details)
-    ranges = (("tspan", cfg.get("tspan")), ("analysis/x_range", cfg.get("analysis", {}).get("x_range")))
+    analysis = cfg.get("analysis", {})
+    ranges = (("tspan", cfg.get("tspan")), ("analysis/x_range", analysis.get("x_range")))
     details = [f"{path}: {bounds} must increase" for path, bounds in ranges
                if bounds is not None and not bounds[0] < bounds[1]]
+    grid = analysis.get("grid")
+    if grid is not None and grid[0] * grid[1] > MAX_GRID_POINTS:
+        details.append(f"analysis/grid: {grid[0]} x {grid[1]} points exceed the limit of {MAX_GRID_POINTS}")
     if details:
         raise ConfigError(details)
     return cfg

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
@@ -24,15 +23,7 @@ from .errors import (
     IntegrationStalledError,
 )
 from .graph import Graph
-from .precision import (
-    ScalarContext,
-    TierVector,
-    exact,
-    fixed_point,
-    least_exponent,
-    round_ratio,
-    signed,
-)
+from .precision import ScalarContext, TierVector, exact, round_ratio, signed
 from .prng import SplitMix64
 from .response import ResponseField
 
@@ -132,13 +123,7 @@ class PerturbedSystem:
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
             return self._float_flow(ctx)
-        flow = self._fixed_flow(ctx, range(self.n))
-
-        def rhs(x):
-            exp = least_exponent(x)
-            return flow(fixed_point(x, exp), exp)
-
-        return ctx.vector_function(rhs)
+        return ctx.vector_function(self._fixed_flow(ctx, range(self.n)))
 
     def _float_flow(self, ctx: ScalarContext):
         """x -> -L F(x) + eps H on float arrays, returned in a new array."""
@@ -350,9 +335,7 @@ class StandardFormSystem:
         flow = sys._fixed_flow(ctx, keep)
         slow = ctx.raw(sys.epsilon * sum(sys.perturbation.values))
 
-        def fixed_rhs(y):
-            exp = least_exponent(y)
-            xs = fixed_point(y, exp)
+        def fixed_rhs(xs, exp):
             k = xs.pop()
             # lift, exactly: x_l = k - sum of the retained coordinates
             xs.insert(l - 1, k - sum(xs))
@@ -381,18 +364,13 @@ def is_regular_perturbation(sys: PerturbedSystem) -> bool:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Method, step policy and precision tier for one integration run.
-
-    `seed` is recorded in the trajectory metadata and read by nothing: rk4
-    and dp45 draw no random numbers.
-    """
+    """Method, step policy and precision tier for one integration run."""
 
     method: str = "rk4"
     dt: float = 1e-3
     tol: float = 1e-8
     digits: int = 16
     stride: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("rk4", "dp45"):
@@ -422,15 +400,6 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
-
-    def recomputed_k(self, i: int):
-        state = self.states[i]
-        if self.k_in_state:
-            return state[-1]
-        total = state[0]
-        for v in state[1:]:
-            total = total + v
-        return total
 
     def write_csv(self, stream, ctx: ScalarContext | None = None) -> None:
         ctx = ctx or ScalarContext(self.metadata.get("digits", 16))
@@ -464,21 +433,17 @@ _DP_B4 = tuple(float(b) for b in _DP_B4_EXACT)
 _DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 
 
-def _as_floats(y):
-    """The float values of y's components: y itself (float tier), or a TierVector's floats.
+def _floats(y) -> np.ndarray:
+    """The float values of y's components: y itself on the float tier, a TierVector's floats otherwise.
 
-    The divergence test and the dp45 error norm read nothing else of a state.
+    The divergence tests and the dp45 error norm read nothing else of a state.
     """
-    return y.floats() if type(y) is TierVector else y
-
-
-def _float_array(y) -> np.ndarray:
-    return np.asarray(_as_floats(y), dtype=float)
+    return y if type(y) is np.ndarray else np.array(y.floats())
 
 
 def _diverged(y) -> bool:
     """Whether a component is NaN or larger than DIVERGENCE_CUTOFF in absolute value (max propagates a NaN)."""
-    return not np.abs(_as_floats(y)).max() <= DIVERGENCE_CUTOFF
+    return not np.abs(_floats(y)).max() <= DIVERGENCE_CUTOFF
 
 
 def _escapes(before, y, dy, span: float) -> bool:
@@ -487,9 +452,9 @@ def _escapes(before, y, dy, span: float) -> bool:
     A step size that underflows on such a state marks a finite-time blow-up,
     not a right-hand side that the error control cannot resolve.
     """
-    now = _float_array(y)
-    rate = _float_array(dy)
-    if not np.abs(now).max() > np.abs(_float_array(before)).max():
+    now = _floats(y)
+    rate = _floats(dy)
+    if not np.abs(now).max() > np.abs(_floats(before)).max():
         return False
     outward = now * rate > 0
     return bool((outward & (np.abs(rate) * span > DIVERGENCE_CUTOFF - np.abs(now))).any())
@@ -505,8 +470,9 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     IntegrationStalledError when the adaptive step underflows otherwise;
     both carry the partial trajectory.
 
-    The extended tiers step a TierVector of raw `_mpf_` tuples; recorded
-    states and the states passed to `stop_condition` are mpf arrays.
+    The state is the tier's vector (`ScalarContext.vector`); on the extended
+    tiers, recorded states and the states passed to `stop_condition` are mpf
+    arrays.
     """
     t0, t1 = tspan
     if not t1 > t0:
@@ -514,7 +480,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)
-        y = ctx.vector(x0) if ctx.is_float else ctx.tier_vector(x0)
+        y = ctx.vector(x0)
         if len(y) != system.ode_dimension:
             raise DimensionMismatchError(
                 f"initial state has {len(y)} components, system has {system.ode_dimension}"
@@ -523,7 +489,6 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             "method": cfg.method,
             "digits": cfg.digits,
             "stride": cfg.stride,
-            "seed": cfg.seed,
             "dt": cfg.dt,
             "tol": cfg.tol,
             "labels": list(system.state_labels()),
@@ -544,13 +509,31 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             traj.states.append(state)
             traj.k_series.append(system.slow_value(state))
 
-        def stop(t, y):
-            return stop_condition(t, as_array(y))
+        def accept(count: int, t, y, last: bool) -> bool:
+            """Check and record the state y at t after the count-th accepted step; True when the run stops here.
 
-        run = _run_rk4 if cfg.method == "rk4" else _run_dp45
+            A diverged state is recorded and raises DivergenceError.  Every
+            stride-th state and the last one are recorded, and so is the state
+            that meets the stop condition.
+            """
+            if _diverged(y):
+                record(t, y)
+                raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
+            recorded = count % cfg.stride == 0 or last
+            if recorded:
+                record(t, y)
+            if stop_condition is not None and stop_condition(t, as_array(y)):
+                if not recorded:
+                    record(t, y)
+                return True
+            return False
+
         # an overflowing state turns into inf and NaN, which the divergence tests catch
         with np.errstate(over="ignore", invalid="ignore"):
-            run(system, rhs, y, ctx, t0, t1, cfg, record, stop if stop_condition is not None else None, traj)
+            if cfg.method == "rk4":
+                _run_rk4(rhs, y, ctx, t0, t1, cfg, record, accept)
+            else:
+                _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj)
         return traj
 
 
@@ -559,12 +542,12 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 # numpy operations in this order, each rounded, in arrays the step allocates
 # itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
 # array that rhs returned.  The extended tiers take each as one exact sum per
-# component, rounded once; dt/2 and dt/6 are rounded to the tier once per
-# step.  A sequence of mpf takes the same sums and steps to an mpf array.
+# component, rounded once (`TierVector.combine`); dt/2 and dt/6 are rounded
+# to the tier once per step.
 def _rk4_step(rhs, y, t, dt):
     half = dt / 2
     k1 = rhs(y)
-    if type(y) is np.ndarray and y.dtype != object:
+    if type(y) is np.ndarray:
         s = k1 * half
         s += y
         k2 = rhs(s)
@@ -583,22 +566,13 @@ def _rk4_step(rhs, y, t, dt):
         acc += y
         return acc
     half = half._mpf_
-    k2 = rhs(_combine(y, (k1,), (1,), half))
-    k3 = rhs(_combine(y, (k2,), (1,), half))
-    k4 = rhs(_combine(y, (k3,), (1,), dt._mpf_))
-    return _combine(y, (k1, k2, k3, k4), (1, 2, 2, 1), (dt / 6)._mpf_)
+    k2 = rhs(y.combine((k1,), (1,), half))
+    k3 = rhs(y.combine((k2,), (1,), half))
+    k4 = rhs(y.combine((k3,), (1,), dt._mpf_))
+    return y.combine((k1, k2, k3, k4), (1, 2, 2, 1), (dt / 6)._mpf_)
 
 
-def _combine(y, ks, coeffs, scale=None):
-    """`TierVector.combine` of y, or of a sequence of mpf at the current precision as an mpf array."""
-    if type(y) is TierVector:
-        return y.combine(ks, coeffs, scale)
-    prec = mpmath.mp.prec
-    base, *vectors = [TierVector([v._mpf_ for v in vec], prec) for vec in (y, *ks)]
-    return base.combine(vectors, coeffs, scale).to_array()
-
-
-def _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
+def _run_rk4(rhs, y, ctx, t0, t1, cfg, record, accept):
     span = float(t1) - float(t0)
     nsteps = max(1, round(span / cfg.dt))
     dt = ctx.scalar(exact(t1) - exact(t0)) / nsteps
@@ -608,14 +582,7 @@ def _run_rk4(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
     for step in range(1, nsteps + 1):
         y = _rk4_step(rhs, y, t, dt)
         t = t_start + step * dt
-        if _diverged(y):
-            record(t, y)
-            raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
-        if step % cfg.stride == 0 or step == nsteps:
-            record(t, y)
-        if stop_condition is not None and stop_condition(t, y):
-            if step % cfg.stride != 0 and step != nsteps:
-                record(t, y)
+        if accept(step, t, y, step == nsteps):
             break
 
 
@@ -678,13 +645,13 @@ def _dp45_fixed_stages(rhs, y, fsal, dt):
 
 def _error_norm(y, y5, delta, tol: float) -> float:
     """max_i |delta_i| / (tol + tol max(|y_i|, |y5_i|)) over the float values, and at least 0; NaNs are skipped."""
-    now = np.abs(_float_array(y))
-    new = np.abs(_float_array(y5))
+    now = np.abs(_floats(y))
+    new = np.abs(_floats(y5))
     scale = tol + tol * np.where(new > now, new, now)
-    return float(np.fmax.reduce(np.abs(_float_array(delta)) / scale, initial=0.0))
+    return float(np.fmax.reduce(np.abs(_floats(delta)) / scale, initial=0.0))
 
 
-def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
+def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
     t = ctx.scalar(t0)
     t_end = ctx.scalar(t1)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
@@ -706,14 +673,7 @@ def _run_dp45(system, rhs, y, ctx, t0, t1, cfg, record, stop_condition, traj):
             before, y = y, y5
             fsal = ks[6]  # first-same-as-last
             accepted += 1
-            if _diverged(y):
-                record(t, y)
-                raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
-            if accepted % cfg.stride == 0 or float(t) >= float(t_end):
-                record(t, y)
-            if stop_condition is not None and stop_condition(t, y):
-                if accepted % cfg.stride != 0 and float(t) < float(t_end):
-                    record(t, y)
+            if accept(accepted, t, y, float(t) >= float(t_end)):
                 return
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         factor = min(5.0, max(0.2, factor))

@@ -205,18 +205,6 @@ class Graph:
         }
 
 
-def build_complete(n: int) -> Graph:
-    return Graph.complete(n)
-
-
-def laplacian(g: Graph) -> list[list[Fraction]]:
-    return g.laplacian()
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    return g.connected_components()
-
-
 def commutes_with_laplacian(g: Graph, p: Permutation, tol=0) -> bool:
     """Whether L and the permutation matrix commute, to max-norm `tol`.
 

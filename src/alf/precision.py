@@ -1,18 +1,20 @@
-"""Configurable working-precision scalars.
+"""Configurable working-precision scalars and vectors.
 
 Three tiers are exposed: 16 digits (native float64) and two extended tiers
 of 32 and 64 decimal digits backed by mpmath.  Extended tiers carry a few
 guard digits internally so that roundoff stays below the advertised level.
 
-Scalars of the extended tiers are mpf objects.  Their compiled kernels (the
-right-hand sides and the integrator stages) compute on mpmath's raw `_mpf_`
-tuples instead, in exact fixed point: each input is read as a signed integer
-times a power of two (`fixed_point`), every sum and product is a Python
-integer, and each output component is rounded once, to the nearest value of
-the tier's working precision (ties to even).  So every component is the
-correctly rounded value of its exact formula in the tier's inputs; only the
-exact constants (weights, roots, epsilon times the forcing, step fractions)
-are rounded to the tier before, once per build or per step.
+Each tier has one vector type: a float ndarray on the 16-digit tier, and a
+`TierVector` of mpmath's raw `_mpf_` tuples on the extended tiers, whose
+scalars are mpf objects.  An extended kernel (a right-hand side, an
+integrator stage) computes in exact fixed point: `vector_function` reads the
+TierVector once as signed integers at one power of two (`fixed_point`), the
+kernel's sums and products are Python integers, and each output component
+is rounded once, to the nearest value of the tier's working precision (ties
+to even).  So every component is the correctly rounded value of its exact
+formula in the tier's inputs; only the exact constants (weights, roots,
+epsilon times the forcing, step fractions) are rounded to the tier before,
+once per build or per step.
 """
 
 from __future__ import annotations
@@ -71,32 +73,28 @@ class ScalarContext:
         with mpmath.workdps(self.working_dps):
             return mpmath.mpf(value)
 
-    def vector(self, values) -> np.ndarray:
-        vals = [self.scalar(v) for v in values]
+    def vector(self, values):
+        """The tier's vector of `values`: a float ndarray, or a TierVector on the extended tiers."""
         if self.is_float:
-            return np.array(vals, dtype=float)
-        return np.array(vals, dtype=object)
+            return np.array([self.scalar(v) for v in values], dtype=float)
+        return TierVector([self.raw(v) for v in values], self.working_prec)
 
     def raw(self, value) -> tuple:
         """The `_mpf_` tuple of `scalar(value)` (extended tiers)."""
         return self.scalar(value)._mpf_
 
-    def tier_vector(self, values) -> "TierVector":
-        """`vector(values)` of an extended tier, as a TierVector."""
-        return TierVector([self.raw(v) for v in values], self.working_prec)
-
     def vector_function(self, kernel):
-        """A function of extended-tier vectors from `kernel`, raw tuples in and out.
+        """A function of extended-tier TierVectors from a fixed-point kernel.
 
-        A TierVector gives a TierVector; any other sequence of mpf gives a
-        list of mpf.
+        `kernel(xs, exp)` takes the state as integers with x_i == xs_i * 2**exp,
+        exp = least_exponent(parts), and returns the raw tuples of the result.
         """
         prec = self.working_prec
 
         def apply(y):
-            if type(y) is TierVector:
-                return TierVector(kernel(y.parts), prec)
-            return [_make_mpf(v) for v in kernel([v._mpf_ for v in y])]
+            parts = y.parts
+            exp = least_exponent(parts)
+            return TierVector(kernel(fixed_point(parts, exp), exp), prec)
 
         return apply
 
@@ -115,9 +113,10 @@ class ScalarContext:
 
 
 class TierVector:
-    """An extended-tier vector held as raw `_mpf_` tuples, for the integrators.
+    """The vector of the extended tiers: raw `_mpf_` tuples at one working precision.
 
-    The integrators step with `combine`, which rounds each component once.
+    The integrators step with `combine`, which rounds each component once;
+    `to_array` gives the mpf array that leaves the integrator.
     """
 
     __slots__ = ("parts", "prec")

@@ -48,7 +48,7 @@ def _ex1_base() -> dict:
         "response": copy.deepcopy(_EX1_RESPONSE),
         "perturbation": {"constant": {"value": -1.0}},
         "epsilon": 0.1,
-        "integrator": {"method": "rk4", "dt": 0.001, "digits": 16, "stride": 10, "seed": 0},
+        "integrator": {"method": "rk4", "dt": 0.001, "digits": 16, "stride": 10},
         "initial": {"plane": {"x0": None, "k0": 4.0}},  # chosen IC on the attracting stretch
         "tspan": [0.0, 30.0],
         "analysis": copy.deepcopy(_ANALYSIS_N3),
@@ -66,7 +66,7 @@ def _build_presets() -> dict[str, dict]:
 
     canard = _ex1_base()
     canard["name"] = "ex1-canard"
-    canard["integrator"] = {"method": "rk4", "dt": 0.005, "digits": 32, "stride": 20, "seed": 0}
+    canard["integrator"] = {"method": "rk4", "dt": 0.005, "digits": 32, "stride": 20}
     canard["tspan"] = [0.0, 40.0]
     presets["ex1-canard"] = canard
 
@@ -74,7 +74,7 @@ def _build_presets() -> dict[str, dict]:
         "response": copy.deepcopy(_EX1_RESPONSE),
         "perturbation": {"random": {"seed": _EX2_PERTURBATION_SEED, "lo": 0.0, "hi": 1.0}},
         "epsilon": 0.1,  # chosen magnitude; matches the ex1 scenarios
-        "integrator": {"method": "rk4", "dt": 0.001, "digits": 16, "stride": 100, "seed": 0},
+        "integrator": {"method": "rk4", "dt": 0.001, "digits": 16, "stride": 100},
         "tspan": [0.0, 50.0],
     }
     presets["ex2-unweighted"] = {

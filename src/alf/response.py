@@ -1,11 +1,16 @@
 """Scalar response functions (polynomials) and per-node response fields.
 
 Coefficients are exact rationals so differentiation and evenness checks are
-exact; evaluation follows the numeric type of the argument (float, mpf or
-Fraction).  An mpf argument gets the exact value of the polynomial, with its
-constants converted to the current precision, rounded once.  A factored
-form (roots with multiplicities) is kept alongside the expanded coefficients
-when known, to avoid cancellation near the roots.
+exact.  A factored form (roots with multiplicities) is kept alongside the
+expanded coefficients when known, to avoid cancellation near the roots.
+Evaluation follows the numeric type of the argument, with one evaluator per
+arithmetic:
+- floats (numpy floats and float arrays included) go through `evaluator`,
+  built once with the constants converted to float;
+- an mpf gets the exact value of the polynomial, its constants rounded to
+  the current precision, rounded once (`fixed_evaluator` on integers is the
+  same computation for the extended-tier kernels);
+- ints and Fractions get the exact value.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import UnsupportedStructureError
-from .precision import ScalarContext, exact, fixed_point, least_exponent, round_ratio, signed
+from .precision import exact, fixed_point, least_exponent, round_ratio, signed
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -95,16 +100,16 @@ class ResponseFunction:
 
     def eval(self, x):
         """Evaluate at x (a float ndarray elementwise, to its shape), preferring the factored form."""
-        if type(x) is float:
-            return self._float_evaluator(x)
+        if isinstance(x, float):
+            return self.evaluator(x)
         if isinstance(x, np.ndarray) and x.dtype == float:
-            return np.broadcast_to(self._float_evaluator(x), x.shape)
+            return np.broadcast_to(self.evaluator(x), x.shape)
         if isinstance(x, mpmath.mpf):
             return self._eval_mpf(x, self.roots is not None)
         if self.roots is not None:
-            acc = _coerce(self.scale, x)
+            acc = self.scale
             for r, mult in self.roots:
-                factor = x - _coerce(r, x)
+                factor = x - r
                 for _ in range(mult):
                     acc = acc * factor
             return acc
@@ -119,31 +124,26 @@ class ResponseFunction:
             acc = acc * x + _coerce(c, x)
         return acc
 
-    @cached_property
-    def _float_evaluator(self):
-        """`eval` for Python floats and float arrays, as the root scans use it."""
-        return self.evaluator(ScalarContext(16))
-
     def _eval_mpf(self, x, factored: bool):
         """The exact value at mpf x, with the constants rounded to the current precision, rounded once."""
         prec = mpmath.mp.prec
         values = self._fixed(lambda c: round_ratio(c.numerator, 0, c.denominator, prec), factored)
-        return mpmath.mp.make_mpf(_rounded(values, prec)(x._mpf_))
+        m, e = signed(x._mpf_)
+        (v,), exp = values([m], e)
+        return mpmath.mp.make_mpf(from_man_exp(v, exp, prec, round_nearest))
 
-    def evaluator(self, ctx):
-        """`eval` for scalars of the tier `ctx`, with the constants converted once.
+    @cached_property
+    def evaluator(self):
+        """`eval` for Python floats and float arrays, with the constants converted once.
 
-        The float tier applies the operations of `eval` in the same order;
-        the extended tiers round the exact value once, as `eval` does for an
-        mpf.  Under `ctx.workprec()` both return the value of `eval` bit for
-        bit.
+        It applies the float operations of `eval`'s form (scale and roots, or
+        Horner on the coefficients) in the same order, so it gives the bits
+        of that arithmetic.  The root scans reach it through `eval`, the
+        plane's float right-hand side directly.
         """
-        if not ctx.is_float:
-            raw = _rounded(self.fixed_evaluator(ctx), ctx.working_prec)
-            return lambda x: mpmath.mp.make_mpf(raw(x._mpf_))
         if self.roots is not None:
-            scale = ctx.scalar(self.scale)
-            roots = tuple((ctx.scalar(r), mult) for r, mult in self.roots)
+            scale = float(self.scale)
+            roots = tuple((float(r), mult) for r, mult in self.roots)
 
             def evaluate(x):
                 acc = scale
@@ -154,7 +154,7 @@ class ResponseFunction:
                 return acc
 
             return evaluate
-        top, *rest = (ctx.scalar(c) for c in reversed(self.coeffs))
+        top, *rest = (float(c) for c in reversed(self.coeffs))
 
         def evaluate_expanded(x):
             acc = top
@@ -259,7 +259,8 @@ class CallbackResponse:
     def eval(self, x):
         return self._func(x)
 
-    def evaluator(self, ctx):
+    @property
+    def evaluator(self):
         return self._func
 
     def fixed_evaluator(self, ctx):
@@ -306,39 +307,18 @@ class ResponseField:
         Ints are read as Fractions, so the state mean a gauge reads is exact.
         """
         x = [Fraction(v) if isinstance(v, int) else v for v in x]
-        return _field_values(x, self.function.eval, [g.eval for g in self.mean_gauges])
-
-    def evaluator(self, ctx):
-        """`evaluate` for vectors of `ctx` scalars, with the constants converted once."""
-        function = self.function.evaluator(ctx)
-        gauges = [g.evaluator(ctx) for g in self.mean_gauges]
-        return lambda x: _field_values(x, function, gauges)
-
-
-def _rounded(values, prec: int):
-    """A function of one raw tuple: the exact value from a `fixed_evaluator`'s values, rounded once."""
-
-    def evaluate(x):
-        sign, man, exp, _ = x
-        (v,), e = values([-man if sign else man], exp)
-        return from_man_exp(v, e, prec, round_nearest)
-
-    return evaluate
-
-
-def _field_values(x, function, gauges):
-    out = [function(xi) for xi in x]
-    if gauges:
-        total = x[0]
-        for xi in x[1:]:
-            total = total + xi
-        mean = total / len(x)
-        shift = None
-        for gauge in gauges:
-            val = gauge(mean)
-            shift = val if shift is None else shift + val
-        out = [v + shift for v in out]
-    return out
+        out = [self.function.eval(xi) for xi in x]
+        if self.mean_gauges:
+            total = x[0]
+            for xi in x[1:]:
+                total = total + xi
+            mean = total / len(x)
+            shift = None
+            for gauge in self.mean_gauges:
+                val = gauge.eval(mean)
+                shift = val if shift is None else shift + val
+            out = [v + shift for v in out]
+        return out
 
 
 def gauge_shift(field: ResponseField, h: ResponseFunction) -> ResponseField:

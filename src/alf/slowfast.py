@@ -22,7 +22,7 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact, fixed_point, least_exponent, signed
+from .precision import ScalarContext, exact, signed
 from .response import ResponseFunction
 
 import numpy as np
@@ -98,7 +98,7 @@ class PlaneSystem:
         """
         n = self.n
         if ctx.is_float:
-            f = self.f.evaluator(ctx)
+            f = self.f.evaluator
             eps = ctx.scalar(self.epsilon)
             g = ctx.scalar(self.g)
             eps_g = eps * g
@@ -116,15 +116,14 @@ class PlaneSystem:
         g, g_exp = signed(ctx.raw(self.epsilon * self.g))
         slow = ctx.raw(self.epsilon * self.slow_rhs_factor())
 
-        def raw_rhs(y):
-            exp = least_exponent(y)
-            x, k = fixed_point(y, exp)
+        def fixed_rhs(xs, exp):
+            x, k = xs
             (fx, fm), f_exp = values([x, k - (n - 1) * x], exp)
             low = min(f_exp, g_exp)
             fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
             return [from_man_exp(fast, low, prec, round_nearest), slow]
 
-        return ctx.vector_function(raw_rhs)
+        return ctx.vector_function(fixed_rhs)
 
 
 def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
@@ -519,36 +518,24 @@ def analyze_singularity(
     h_tilde = ps.g_tilde
     pert_sum = (n - 1) * h + h_tilde
 
-    tangent_intercept = 2 * x_s
-    tangent_slope = n - 2
-
+    rho = lam = None
+    canard = False
     if n == 2:
-        return SingularityReport(
-            n=n, x_s=x_s, k_s=k_s, d2f=d2f, pert_shared=h, pert_last=h_tilde,
-            pert_sum=pert_sum, rho=None, sing_type="non-transcritical", lam=None,
-            canard=False, tangent_intercept=tangent_intercept,
-            tangent_slope=tangent_slope, non_transversal=True,
-        )
-    if d2f == 0 or pert_sum == 0:
-        return SingularityReport(
-            n=n, x_s=x_s, k_s=k_s, d2f=d2f, pert_shared=h, pert_last=h_tilde,
-            pert_sum=pert_sum, rho=None, sing_type="degenerate", lam=None,
-            canard=False, tangent_intercept=tangent_intercept,
-            tangent_slope=tangent_slope,
-        )
-
-    rho = _sign(d2f) * _sign(pert_sum)  # equals sgn(d2f)/sgn(pert sum)
-    sing_type = "type-1" if rho == -1 else "type-2"
-
-    # the forcing is exact, so lambda is too and the canard test is exact
-    lam = -Fraction(rho) * Fraction(h + (n - 1) * h_tilde, h_tilde + (n - 1) * h)
-    _lambda_cross_check(n, d2f, d2f_mirror, h, h_tilde, lam)
-    canard = sing_type == "type-1" and lam == 1
+        sing_type = "non-transcritical"
+    elif d2f == 0 or pert_sum == 0:
+        sing_type = "degenerate"
+    else:
+        rho = _sign(d2f) * _sign(pert_sum)  # equals sgn(d2f)/sgn(pert sum)
+        sing_type = "type-1" if rho == -1 else "type-2"
+        # the forcing is exact, so lambda is too and the canard test is exact
+        lam = -Fraction(rho) * Fraction(h + (n - 1) * h_tilde, h_tilde + (n - 1) * h)
+        _lambda_cross_check(n, d2f, d2f_mirror, h, h_tilde, lam)
+        canard = sing_type == "type-1" and lam == 1
 
     return SingularityReport(
         n=n, x_s=x_s, k_s=k_s, d2f=d2f, pert_shared=h, pert_last=h_tilde,
         pert_sum=pert_sum, rho=rho, sing_type=sing_type, lam=lam, canard=canard,
-        tangent_intercept=tangent_intercept, tangent_slope=tangent_slope,
+        tangent_intercept=2 * x_s, tangent_slope=n - 2, non_transversal=n == 2,
     )
 
 

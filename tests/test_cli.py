@@ -113,6 +113,37 @@ def test_config_error_exit_code(tmp_path):
     assert main(["manifold", "--out", str(tmp_path / "x")]) == 2  # no scenario at all
 
 
+def test_integrator_seed_is_config_error(tmp_path, capsys):
+    # rk4 and dp45 draw no random numbers, so the schema has no integrator seed
+    override = _write(tmp_path, "seed.json", {"integrator": {"seed": 0}})
+    out = tmp_path / "seed"
+    assert main(["simulate", "--preset", "ex2-unweighted", "--config", override, "--out", str(out)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "config" and report["details"][0].startswith("integrator:")
+    assert "seed" in report["details"][0]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_analysis_grids_are_bounded(tmp_path, capsys):
+    # validated only: a grid at the bound is not run here
+    from alf.config import MAX_GRID_POINTS
+    from alf.errors import ConfigError
+
+    assert MAX_GRID_POINTS == 2048 * 2048
+    base = get_preset("ex1-manifold")
+    validate_config({**base, "analysis": {**base["analysis"], "grid": [2048, 2048]}})
+    validate_config({**base, "analysis": {**base["analysis"], "scan_points": 2048 * 2048}})
+    for key, value in (("grid", [2049, 2049]), ("scan_points", 2048 * 2048 + 1)):
+        with pytest.raises(ConfigError) as err:
+            validate_config({**base, "analysis": {**base["analysis"], key: value}})
+        assert err.value.details[0].startswith(f"analysis/{key}:")
+        override = _write(tmp_path, f"{key}.json", {"analysis": {key: value}})
+        assert main(["manifold", "--preset", "ex1-manifold", "--config", override,
+                     "--out", str(tmp_path / key)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config" and report["details"][0].startswith(f"analysis/{key}:")
+
+
 def test_svg_flags_belong_to_simulate_only(tmp_path, capsys):
     out = str(tmp_path / "x")
     for flag in ("--svg", "--log-time"):
@@ -153,7 +184,7 @@ def test_canard_honours_scan_points(tmp_path):
     # a 3-point scan finds only k_s = -3 and 0; the default scan also finds 3
     override = _write(tmp_path, "sp.json", {
         "analysis": {"scan_points": 3}, "tspan": [0, 1],
-        "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 10, "seed": 0},
+        "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 10},
     })
     out = tmp_path / "sp"
     assert main(["singularities", "--preset", "ex1-canard", "--config", override, "--out", str(out)]) == 0
@@ -279,7 +310,7 @@ def test_noncritical_canard_advisory_exit(tmp_path):
     override = {
         "perturbation": {"constant": {"values": [-1, -1, 0]}},
         "tspan": [0, 8],
-        "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 10, "seed": 0},
+        "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 10},
     }
     out = tmp_path / "nc"
     code = main(["canard", "--preset", "ex1-canard",
@@ -304,7 +335,7 @@ def test_canard_criticality_agrees_with_singularities(tmp_path):
 
 
 def test_canard_on_consensus_stays_on_consensus(tmp_path):
-    override = {"tspan": [0, 5], "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 5, "seed": 0}}
+    override = {"tspan": [0, 5], "integrator": {"method": "rk4", "dt": 0.01, "digits": 32, "stride": 5}}
     out = tmp_path / "cc"
     code = main(["canard", "--preset", "ex1-canard",
                  "--config", _write(tmp_path, "cc.json", override), "--out", str(out)])

@@ -310,7 +310,7 @@ def test_diverged_equals_elementwise_test():
     )]
     for y in cases:
         assert _diverged(y) == (not (np.abs(y) <= DIVERGENCE_CUTOFF).all())
-    tier = ScalarContext(32).tier_vector([1, float("nan")])
+    tier = ScalarContext(32).vector([1, float("nan")])
     assert _diverged(tier)
 
 

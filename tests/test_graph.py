@@ -7,10 +7,7 @@ from alf import (
     Graph,
     InvalidGraphError,
     Permutation,
-    build_complete,
     commutes_with_laplacian,
-    connected_components,
-    laplacian,
     zero_eigenvalue_count,
 )
 from alf.errors import DimensionMismatchError
@@ -20,19 +17,19 @@ from conftest import random_graph, random_permutation
 
 
 def test_complete_graph_edges():
-    g = build_complete(3)
+    g = Graph.complete(3)
     assert {(i, j) for i, j, _ in g.edges} == {(1, 2), (1, 3), (2, 3)}
     assert all(w == 1 for _, _, w in g.edges)
 
 
 def test_complete_graph_sizes():
-    assert build_complete(1).edges == ()
-    assert len(build_complete(10).edges) == 45
+    assert Graph.complete(1).edges == ()
+    assert len(Graph.complete(10).edges) == 45
 
 
 def test_complete_graph_rejects_zero_nodes():
     with pytest.raises(InvalidGraphError):
-        build_complete(0)
+        Graph.complete(0)
 
 
 def test_graph_rejects_self_loops_duplicates_and_bad_weights():
@@ -47,12 +44,12 @@ def test_graph_rejects_self_loops_duplicates_and_bad_weights():
 
 
 def test_laplacian_k3():
-    lap = laplacian(build_complete(3))
+    lap = Graph.complete(3).laplacian()
     assert lap == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
 
 def test_laplacian_single_edge():
-    assert laplacian(Graph.path(2)) == [[1, -1], [-1, 1]]
+    assert Graph.path(2).laplacian() == [[1, -1], [-1, 1]]
 
 
 def test_laplacian_weighted_k3():
@@ -72,17 +69,17 @@ def test_laplacian_row_sums_zero_exactly():
 
 
 def test_connected_components():
-    assert connected_components(build_complete(3)) == [frozenset({1, 2, 3})]
+    assert Graph.complete(3).connected_components() == [frozenset({1, 2, 3})]
     two = Graph(5, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (4, 5, 1)))
-    assert connected_components(two) == [frozenset({1, 2, 3}), frozenset({4, 5})]
-    assert len(connected_components(Graph(4))) == 4
+    assert two.connected_components() == [frozenset({1, 2, 3}), frozenset({4, 5})]
+    assert len(Graph(4).connected_components()) == 4
 
 
 def test_zero_eigenvalue_multiplicity_matches_components():
     rng = SplitMix64(99)
     for _ in range(50):
         g = random_graph(rng, 2 + rng.next_u64() % 11, edge_prob=0.35)
-        assert zero_eigenvalue_count(g) == len(connected_components(g))
+        assert zero_eigenvalue_count(g) == len(g.connected_components())
 
 
 def test_laplacian_positive_semidefinite():
@@ -96,7 +93,7 @@ def test_laplacian_positive_semidefinite():
 def test_complete_graph_commutes_with_any_permutation_exactly():
     rng = SplitMix64(7)
     for n in (4, 6):
-        g = build_complete(n)
+        g = Graph.complete(n)
         for _ in range(25):
             assert commutes_with_laplacian(g, random_permutation(rng, n), tol=0)
 
@@ -165,7 +162,7 @@ def test_identity_always_commutes():
 
 def test_commutes_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        commutes_with_laplacian(build_complete(3), Permutation.identity(4))
+        commutes_with_laplacian(Graph.complete(3), Permutation.identity(4))
 
 
 def test_permutation_apply_and_compose():

@@ -165,7 +165,7 @@ def test_callback_response_simulates_but_refuses_analysis():
     with ctx.workprec():
         # math.tanh returns floats, which the extended tier takes exactly
         out32 = sys_.rhs_function(ctx)(ctx.vector([0.5, -0.5, 0.0]))
-    assert [float(v) for v in out32] == list(out)
+    assert out32.floats() == list(out)
     with pytest.raises(UnsupportedStructureError):
         smooth.derivative()
     with pytest.raises(UnsupportedStructureError):
@@ -184,39 +184,47 @@ _EVALUATOR_CASES = {
 }
 
 
+def _float_reference(f: ResponseFunction, x: float) -> float:
+    """f at x in the float operations of its form, one at a time: the scale times each factor, or Horner."""
+    if f.roots is not None:
+        acc = float(f.scale)
+        for r, mult in f.roots:
+            for _ in range(mult):
+                acc = acc * (x - float(r))
+        return acc
+    acc = float(f.coeffs[-1])
+    for c in reversed(f.coeffs[:-1]):
+        acc = acc * x + float(c)
+    return acc
+
+
 @pytest.mark.parametrize("digits", (16, 32, 64))
 @pytest.mark.parametrize("case", sorted(_EVALUATOR_CASES))
 def test_evaluator_equals_eval_bit_for_bit(case, digits):
+    # floats (numpy floats and arrays included) take the float evaluator; an mpf
+    # gets the exact value with the constants rounded to the tier, rounded once
     from alf.precision import ScalarContext
+
+    from fraction_reference import Tier, value
 
     f = _EVALUATOR_CASES[case]
+    expanded = ResponseFunction.from_coeffs(f.coeffs)
     ctx = ScalarContext(digits)
     rng = SplitMix64(digits + len(case))
-    # eval serves Python floats from its own float evaluator; a numpy float
-    # takes the path that converts every coefficient on each call
-    per_call = np.float64 if digits == 16 else (lambda x: x)
     with ctx.workprec():
-        compiled = f.evaluator(ctx)
-        for _ in range(60):
-            x = ctx.scalar(rational_state(rng, 1)[0] * 2)
-            assert compiled(x) == f.eval(per_call(x)) == f.eval(x)
-            assert type(compiled(x)) is type(f.eval(x))
-        # the coefficient form through the same Horner order as eval_expanded
-        horner = ResponseFunction.from_coeffs(f.coeffs).evaluator(ctx)
-        for _ in range(20):
-            x = ctx.scalar(rational_state(rng, 1)[0])
-            assert horner(x) == f.eval_expanded(x) == f.eval_expanded(per_call(x))
-
-
-@pytest.mark.parametrize("digits", (16, 32, 64))
-def test_field_evaluator_matches_evaluate_with_gauges(ex1_field, digits):
-    from alf.precision import ScalarContext
-
-    ctx = ScalarContext(digits)
-    fld = gauge_shift(ex1_field, ResponseFunction.from_coeffs([Fraction(1, 3), 2, -1]))
-    rng = SplitMix64(5)
-    with ctx.workprec():
-        compiled = fld.evaluator(ctx)
-        for _ in range(20):
-            x = [ctx.scalar(v) for v in rational_state(rng, 4)]
-            assert compiled(x) == fld.evaluate(x)
+        xs = [ctx.scalar(rational_state(rng, 1)[0] * 2) for _ in range(60)]
+        if ctx.is_float:
+            for x in xs:
+                want = _float_reference(f, x)
+                assert f.evaluator(x) == f.eval(x) == f.eval(np.float64(x)) == want
+                assert type(f.eval(x)) is type(want)
+                horner = _float_reference(expanded, x)
+                assert expanded.evaluator(x) == f.eval_expanded(x) == f.eval_expanded(np.float64(x)) == horner
+                assert type(f.eval_expanded(x)) is type(horner)
+            assert f.eval(np.array(xs)).tolist() == [f.eval(x) for x in xs]
+        else:
+            tier = Tier(digits)
+            factored, coefficients = tier.poly(f), tier.poly(expanded)
+            for x in xs:
+                assert f.eval(x)._mpf_ == tier.raw(factored(value(x)))
+                assert f.eval_expanded(x)._mpf_ == tier.raw(coefficients(value(x)))

@@ -65,7 +65,7 @@ def rhs_pairs(system, digits: int, y) -> list[tuple]:
     tier = TIERS[digits]
     ctx = tier.ctx
     with ctx.workprec():
-        state = ctx.tier_vector(y)
+        state = ctx.vector(y)
         got = system.rhs_function(ctx)(state).parts
     expected = tier.rhs(system)([value(p) for p in state.parts])
     return list(zip(got, (tier.raw(q) for q in expected)))
@@ -84,7 +84,7 @@ def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
             outputs.append(rhs(v))
             return outputs[-1]
 
-        state = ctx.tier_vector(y)
+        state = ctx.vector(y)
         h = ctx.scalar(dt)
         new = _rk4_step(recording, state, ctx.scalar(0), h)
     y0 = [value(p) for p in state.parts]

@@ -12,11 +12,13 @@ component.
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import plane_reduce, to_standard_form, vector_field
-from alf.precision import ScalarContext
+from alf.precision import ScalarContext, TierVector
 
 TIERS = (16, 32, 64)
 TOL = {digits: Fraction(1, 10 ** (digits - 5)) for digits in TIERS}
@@ -49,7 +51,8 @@ def _exact(v) -> Fraction:
 def _tier_rhs(system, digits: int, y) -> list[Fraction]:
     ctx = ScalarContext(digits)
     with ctx.workprec():
-        return [_exact(v) for v in system.rhs_function(ctx)(ctx.vector(y))]
+        out = system.rhs_function(ctx)(ctx.vector(y))
+    return [_exact(v) for v in (out if ctx.is_float else out.to_array())]
 
 
 def _assert_close(system, y, expected) -> None:
@@ -85,3 +88,16 @@ def test_plane_tiers_match_exact_reduced_flow(x, mirror):
     fast = -(f.eval(x) - f.eval(k - (n - 1) * x)) + eps * _PLANE.g
     slow = eps * ((n - 1) * _PLANE.g + _PLANE.g_tilde)
     _assert_close(_PLANE, [x, k], [fast, slow])
+
+
+@pytest.mark.parametrize("digits", TIERS)
+def test_each_tier_has_one_vector_type(digits):
+    # float arrays on the 16-digit tier, TierVectors on the extended tiers, in and out of every kernel
+    ctx = ScalarContext(digits)
+    kind = np.ndarray if ctx.is_float else TierVector
+    with ctx.workprec():
+        for system in (_FULL, to_standard_form(_FULL, 2), _PLANE):
+            y = ctx.vector([Fraction(i + 1, 4) for i in range(system.ode_dimension)])
+            out = system.rhs_function(ctx)(y)
+            assert type(y) is kind and type(out) is kind
+            assert len(out) == len(y) == system.ode_dimension
