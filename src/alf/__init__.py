@@ -23,7 +23,6 @@ from .errors import (
     ContinuationFailedError,
     DimensionMismatchError,
     DivergenceError,
-    GroupEnumerationCapError,
     IntegrationStalledError,
     InvalidGraphError,
     InvariantViolationError,

@@ -180,7 +180,7 @@ class PerturbedSystem:
 
 
 def _horner_plan(fld: ResponseField):
-    """The float Horner loop of the response as in-place steps; None for a callback.
+    """The float Horner loop of the response polynomial as in-place steps.
 
     The loop acc = c0; acc = acc * y + c over the later coefficients c
     (highest degree first) becomes (c0, first, later): (ufunc, operand)
@@ -191,10 +191,7 @@ def _horner_plan(fld: ResponseField):
     changes only the sign of a zero; the products after it keep a zero a
     zero (or make it NaN), and a later add gives both signs the same value.
     """
-    coeffs = getattr(fld.function, "coeffs", None)
-    if coeffs is None:
-        return None
-    top, *rest = [float(c) for c in reversed(coeffs)]
+    top, *rest = [float(c) for c in reversed(fld.function.coeffs)]
     steps = [] if top == 1.0 or not rest else [(np.multiply, top)]
     for i, c in enumerate(rest, start=1):
         if i > 1:
@@ -205,18 +202,18 @@ def _horner_plan(fld: ResponseField):
 
 
 def _field_values_float(fld: ResponseField, plan, y: np.ndarray) -> np.ndarray:
-    """Vectorised response values for float state vectors (`plan` from _horner_plan), in a new array."""
-    if plan is None:  # callback response: evaluate pointwise
-        acc = np.array([float(fld.function.eval(float(v))) for v in y])
+    """Vectorised response values for a float state vector, in a new array.
+
+    `plan` is `_horner_plan(fld)`, built once per right-hand side.
+    """
+    top, first, later = plan
+    if first is None:
+        acc = np.full_like(y, top)
     else:
-        top, first, later = plan
-        if first is None:
-            acc = np.full_like(y, top)
-        else:
-            op, c = first
-            acc = op(y, y if c is None else c)
-            for op, c in later:
-                op(acc, y if c is None else c, acc)
+        op, c = first
+        acc = op(y, y if c is None else c)
+        for op, c in later:
+            op(acc, y if c is None else c, acc)
     if fld.mean_gauges:
         mean = float(np.mean(y))
         acc = acc + sum(g.eval(mean) for g in fld.mean_gauges)
@@ -401,8 +398,9 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
-    def write_csv(self, stream, ctx: ScalarContext | None = None) -> None:
-        ctx = ctx or ScalarContext(self.metadata.get("digits", 16))
+    def write_csv(self, stream) -> None:
+        """One row per sample, each number printed at the run's precision tier."""
+        ctx = ScalarContext(self.metadata["digits"])
         fast_slice = slice(None, -1) if self.k_in_state else slice(None)
         stream.write("t," + ",".join(self.labels) + ",k\n")
         for t, state, k in zip(self.times, self.states, self.k_series):

@@ -14,7 +14,7 @@ class DimensionMismatchError(AlfError):
 
 
 class UnsupportedStructureError(AlfError):
-    """Operation requires a graph structure the input does not have."""
+    """Operation requires a structure the input does not have (a graph shape, a polynomial response)."""
 
 
 class SymmetryViolationError(AlfError):
@@ -35,10 +35,6 @@ class InvariantViolationError(AlfError):
 
 class ContinuationFailedError(AlfError):
     """Branch continuation could not locate the non-consensus root."""
-
-
-class GroupEnumerationCapError(AlfError):
-    """Group element enumeration exceeded the configured cap."""
 
 
 class ConfigError(AlfError):

@@ -53,10 +53,6 @@ class Permutation:
         """The order-reversing involution i -> n + 1 - i."""
         return cls(tuple(range(n, 0, -1)))
 
-    @classmethod
-    def from_one_based(cls, image) -> "Permutation":
-        return cls(tuple(int(v) for v in image))
-
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 
@@ -75,18 +71,6 @@ class Permutation:
         for j, target in enumerate(self.image):
             m[target - 1][j] = 1
         return m
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if other.n != self.n:
-            raise DimensionMismatchError("permutation sizes differ")
-        return Permutation(tuple(self.image[other.image[i] - 1] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, target in enumerate(self.image):
-            inv[target - 1] = i + 1
-        return Permutation(tuple(inv))
 
 
 @dataclass(frozen=True)

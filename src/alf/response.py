@@ -1,8 +1,10 @@
-"""Scalar response functions (polynomials) and per-node response fields.
+"""Scalar response functions and per-node response fields.
 
-Coefficients are exact rationals so differentiation and evenness checks are
-exact.  A factored form (roots with multiplicities) is kept alongside the
-expanded coefficients when known, to avoid cancellation near the roots.
+Every response is a polynomial with exact rational coefficients, so
+differentiation, evenness checks and the extended tiers' single rounding
+are exact; `ResponseField` refuses anything else.  A factored form (roots
+with multiplicities) is kept alongside the expanded coefficients when
+known, to avoid cancellation near the roots.
 Evaluation follows the numeric type of the argument, with one evaluator per
 arithmetic:
 - floats (numpy floats and float arrays included) go through `evaluator`,
@@ -24,7 +26,7 @@ import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import UnsupportedStructureError
-from .precision import exact, fixed_point, least_exponent, round_ratio, signed
+from .precision import exact, round_ratio, signed
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -242,53 +244,6 @@ class ResponseFunction:
         return all(c == 0 for c in self.coeffs[1::2])
 
 
-class CallbackResponse:
-    """Adapter for non-polynomial scalar responses.
-
-    Supports evaluation only, which is all simulation needs; the singularity
-    analysis requires exact derivatives and refuses these.
-    """
-
-    def __init__(self, func, label: str = "callback"):
-        self._func = func
-        self.label = label
-
-    def __call__(self, x):
-        return self.eval(x)
-
-    def eval(self, x):
-        return self._func(x)
-
-    @property
-    def evaluator(self):
-        return self._func
-
-    def fixed_evaluator(self, ctx):
-        """`values(xs, exp)` as `ResponseFunction.fixed_evaluator` gives it.
-
-        The values are the callback's results converted to the tier, so they
-        carry the callback's own roundings.
-        """
-        func = self._func
-
-        def values(xs, exp):
-            parts = [ctx.raw(func(mpmath.mp.make_mpf(from_man_exp(x, exp)))) for x in xs]
-            low = least_exponent(parts)
-            return fixed_point(parts, low), low
-
-        return values
-
-    def derivative(self, order: int = 1):
-        raise UnsupportedStructureError(
-            "exact derivatives need a polynomial response; callback responses are simulation-only"
-        )
-
-    def is_even(self) -> bool:
-        raise UnsupportedStructureError(
-            "symmetry detection needs a polynomial response; callback responses are simulation-only"
-        )
-
-
 @dataclass(frozen=True)
 class ResponseField:
     """Homogeneous per-node response: every node shares one function.
@@ -300,6 +255,15 @@ class ResponseField:
 
     function: ResponseFunction
     mean_gauges: tuple[ResponseFunction, ...] = ()
+
+    def __post_init__(self):
+        # the kernels read exact coefficients: anything else would fail in the
+        # float tier and lose the extended tiers' rounding, so refuse it here
+        for part in (self.function, *self.mean_gauges):
+            if not isinstance(part, ResponseFunction):
+                raise UnsupportedStructureError(
+                    f"responses and mean gauges must be ResponseFunction polynomials, got {type(part).__name__}"
+                )
 
     def evaluate(self, x):
         """Componentwise response values, same arithmetic domain as x.

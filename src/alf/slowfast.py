@@ -323,7 +323,7 @@ def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[l
 
 @np.errstate(all="ignore")
 def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float = 1e-10) -> ManifoldSample:
-    """Root scan of the layer equation over a (k, x) window.
+    """Root scan of the layer equation over a (k, x) window on an (nk, nx) `grid`.
 
     One `_scan_roots` pass finds the roots of f(x) - f(k - (n-1)x) on every
     k gridline; the consensus root k/n is always included.  Branch ids connect
@@ -332,8 +332,6 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
     and rates are computed for all points at once; the first point whose
     residual exceeds `residual_tol` raises InvariantViolationError.
     """
-    if isinstance(grid, int):
-        grid = (grid, grid)
     nk, nx = grid
     if nk < 2 or nx < 2:
         raise ValueError("grid must have at least 2 points per axis")
@@ -491,11 +489,7 @@ def _lambda_cross_check(n, d2f_center, d2f_mirror, h, h_tilde, lam) -> None:
         )
 
 
-def analyze_singularity(
-    ps: PlaneSystem,
-    x_s,
-    singular_tol: float = SINGULAR_TOL,
-) -> SingularityReport:
+def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
     """Classify a singular consensus point of the plane system.
 
     Computes the response curvature, the perturbation sum, the sign ratio
@@ -507,7 +501,7 @@ def analyze_singularity(
     holds exactly when the forcing is critical: g_tilde == g, and nonzero
     since the point is not degenerate.
     """
-    if consensus_stability(ps, x_s, tol=singular_tol).tag != SINGULAR:
+    if consensus_stability(ps, x_s).tag != SINGULAR:
         raise PreconditionError(f"x = {x_s} is not a singular consensus point")
     n = ps.n
     k_s = n * x_s

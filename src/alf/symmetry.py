@@ -11,21 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import PerturbedSystem, vector_field
-from .errors import (
-    DimensionMismatchError,
-    GroupEnumerationCapError,
-    UnsupportedSymmetryError,
-)
+from .errors import DimensionMismatchError, UnsupportedSymmetryError
 from .graph import Permutation, commutes_with_laplacian
 from .precision import exact
 
-ENUMERATION_CAP = 10**6
 EQUIVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """Group given by generators; elements are enumerated lazily and capped."""
+    """Group given by its generators; its orbits come from them without enumerating elements."""
 
     generators: tuple[Permutation, ...]
 
@@ -56,51 +51,8 @@ class PermutationGroup:
     def cyclic(cls, n: int) -> "PermutationGroup":
         return cls((Permutation.cyclic_shift(n),))
 
-    @classmethod
-    def dihedral(cls, n: int) -> "PermutationGroup":
-        return cls((Permutation.cyclic_shift(n), Permutation.reversal(n)))
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PermutationGroup":
-        """Parse {"generators": [[p(1),...,p(n)], ...]} with 1-based images."""
-        gens = tuple(Permutation.from_one_based(img) for img in payload["generators"])
-        return cls(gens)
-
-    def to_json(self) -> dict:
-        return {"generators": [list(g.image) for g in self.generators]}
-
-    def _bfs(self, limit: int):
-        """Breadth-first closure over generator products, stopping at limit."""
-        identity = Permutation.identity(self.n)
-        seen = {identity.image}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for elem in frontier:
-                for gen in self.generators:
-                    prod = gen.compose(elem)
-                    if prod.image not in seen:
-                        seen.add(prod.image)
-                        nxt.append(prod)
-                        if len(seen) >= limit:
-                            return seen, True
-            frontier = nxt
-        return seen, False
-
-    def order(self, cap: int = ENUMERATION_CAP) -> int:
-        seen, truncated = self._bfs(cap)
-        if truncated:
-            raise GroupEnumerationCapError(f"group has at least {cap} elements")
-        return len(seen)
-
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
-        seen, truncated = self._bfs(cap)
-        if truncated:
-            raise GroupEnumerationCapError(f"group has at least {cap} elements")
-        return [Permutation(img) for img in sorted(seen)]
-
     def orbits(self) -> list[frozenset[int]]:
-        """Node orbits under the generated action (no enumeration needed)."""
+        """Node orbits under the generated action: union-find over the generators."""
         parent = list(range(self.n + 1))
 
         def find(i: int) -> int:

@@ -180,17 +180,6 @@ def test_horner_plan_drops_no_op_operations():
     assert _horner_plan(FIELDS["constant"]) == (2 / 3, None, ())
 
 
-def test_callback_response_keeps_pointwise_path():
-    class Cube:
-        def eval(self, x):
-            return x * x * x
-
-    fld = ResponseField(Cube())
-    assert _horner_plan(fld) is None
-    y = np.array([1.5, -2.0, 0.25])
-    assert_same_bits(_field_values_float(fld, None, y), y * y * y)
-
-
 # --- right-hand sides -------------------------------------------------------------
 
 @pytest.mark.parametrize("graph", sorted(GRAPHS))

@@ -146,30 +146,17 @@ def test_gauge_shift_mean_state():
         assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-12
 
 
-def test_callback_response_simulates_but_refuses_analysis():
+def test_response_field_refuses_non_polynomials(ex1_response):
     import math
 
     from alf import UnsupportedStructureError
-    from alf.response import CallbackResponse
 
-    smooth = CallbackResponse(math.tanh)
-    field = ResponseField(smooth)
-    sys_ = PerturbedSystem(Graph.complete(3), field, Perturbation.zero(3), 0)
-    out = vector_field(sys_, [0.5, -0.5, 0.0])
-    # oracle: -L F with F = (t, -t, 0), t = tanh(1/2), multiplied out by hand
-    t = math.tanh(0.5)
-    assert list(out) == pytest.approx([-3 * t, 3 * t, 0.0], abs=1e-15)
-    from alf.precision import ScalarContext
-
-    ctx = ScalarContext(32)
-    with ctx.workprec():
-        # math.tanh returns floats, which the extended tier takes exactly
-        out32 = sys_.rhs_function(ctx)(ctx.vector([0.5, -0.5, 0.0]))
-    assert out32.floats() == list(out)
+    # a callback has no exact coefficients: no derivative for the analyses,
+    # and no correctly rounded value on the extended tiers
     with pytest.raises(UnsupportedStructureError):
-        smooth.derivative()
+        ResponseField(math.tanh)
     with pytest.raises(UnsupportedStructureError):
-        smooth.is_even()
+        ResponseField(ex1_response, (math.tanh,))
 
 
 # --- tier evaluators ------------------------------------------------------------
