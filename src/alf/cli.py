@@ -81,8 +81,10 @@ def load_scenario(preset: str | None, config_path: str | None) -> dict:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, an int over 4300 digits
             raise ConfigError([f"cannot read config {config_path}: {err}"])
+        if not isinstance(file_cfg, dict):
+            raise ConfigError([f"<root>: config {config_path} holds {type(file_cfg).__name__}, not a JSON object"])
         cfg = _deep_merge(cfg, file_cfg)
     if not cfg:
         raise ConfigError(["provide --preset and/or --config"])
@@ -92,7 +94,9 @@ def load_scenario(preset: str | None, config_path: str | None) -> dict:
             digits = int(env_digits)
         except ValueError:
             raise ConfigError([f"ALF_DIGITS must be an integer, got {env_digits!r}"])
-        cfg.setdefault("integrator", {})["digits"] = digits
+        integrator = cfg.setdefault("integrator", {})
+        if isinstance(integrator, dict):  # any other value is reported by validate_config
+            integrator["digits"] = digits
     return validate_config(cfg)
 
 

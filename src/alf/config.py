@@ -1,14 +1,17 @@
-"""Scenario configuration: schema validation and object builders.
+"""Scenario configuration: the schema, its checker and the object builders.
 
-Configurations are plain JSON; validation rejects unknown keys so presets
+Configurations are plain JSON.  `_schema_errors` checks SCENARIO_SCHEMA's
+keywords with Draft 2020-12's meaning, except that an integer is a JSON
+integer and a number is finite (within a double's range), neither a bool, so
+a builder reads only values of the type it needs.  Unknown keys are rejected so presets
 round-trip unchanged and typos fail loudly before any computation starts.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from fractions import Fraction
-
-import jsonschema
 
 from .dynamics import IntegratorConfig, Perturbation, PerturbedSystem
 from .errors import ConfigError
@@ -18,7 +21,8 @@ from .prng import SplitMix64
 from .response import ResponseField, ResponseFunction
 
 _NUM = {"type": "number"}
-_SEED = {"type": "integer", "minimum": 0}
+_NODE = {"type": "integer", "minimum": 1}
+_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}  # SplitMix64 keeps a seed's low 64 bits
 _RANGE = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 
 # the most points of one analysis grid or singular-point scan; a manifold scan
@@ -42,7 +46,7 @@ SCENARIO_SCHEMA = {
                     "type": "array",
                     "items": {
                         "type": "array",
-                        "items": _NUM,
+                        "prefixItems": [_NODE, _NODE, {"type": "number", "exclusiveMinimum": 0}],
                         "minItems": 2,
                         "maxItems": 3,
                     },
@@ -101,7 +105,7 @@ SCENARIO_SCHEMA = {
                 "method": {"enum": ["rk4", "dp45"]},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
-                "digits": {"enum": [16, 32, 64]},
+                "digits": {"type": "integer", "enum": [16, 32, 64]},
                 "stride": {"type": "integer", "minimum": 1},
             },
         },
@@ -154,11 +158,64 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    # finite: a double holds it, so an integer beyond about 1.8e308 is no number either
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+}
+
+_BOUNDS = (("minimum", operator.lt, "below"), ("exclusiveMinimum", operator.le, "not above"),
+           ("maximum", operator.gt, "above"))
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for every way `value` breaks `schema`.
+
+    As in Draft 2020-12, every keyword is checked on its own: a bound applies
+    only to a number, `properties` only to the keys present, `items` only
+    after the `prefixItems`.  An unknown key is one error at its object.
+    """
+    names = schema.get("type", [])
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_TYPES[name](value) for name in names):
+        yield path, f"{value!r} is not of type {' or '.join(names)}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']}"
+    if _TYPES["number"](value):
+        for key, fails, text in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                yield path, f"{value!r} is {text} {key} {schema[key]}"
+    if isinstance(value, (dict, list)):
+        kind = "Properties" if isinstance(value, dict) else "Items"
+        if len(value) < schema.get("min" + kind, 0):
+            yield path, f"has {len(value)} {kind.lower()}, fewer than min{kind} {schema['min' + kind]}"
+        if len(value) > schema.get("max" + kind, len(value)):
+            yield path, f"has {len(value)} {kind.lower()}, more than max{kind} {schema['max' + kind]}"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        yield from ((path, f"{key!r} is a required property")
+                    for key in schema.get("required", []) if key not in value)
+        unexpected = [key for key in value if key not in props]
+        if schema.get("additionalProperties") is False and unexpected:
+            yield path, f"unexpected keys: {', '.join(map(repr, unexpected))}"
+        for key, sub in props.items():
+            if key in value:
+                yield from _schema_errors(sub, value[key], (*path, key))
+    if isinstance(value, list):
+        prefix = schema.get("prefixItems", [])
+        for index, item in enumerate(value):
+            sub = prefix[index] if index < len(prefix) else schema.get("items")
+            if sub is not None:
+                yield from _schema_errors(sub, item, (*path, index))
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema-validate a scenario; raises ConfigError listing every problem.
+    """Check a scenario against SCENARIO_SCHEMA; raises ConfigError listing every problem.
 
     Beyond the schema, `tspan` and `analysis/x_range` must increase: the
     integrator and the root scans have no meaning on a reversed interval.
@@ -166,13 +223,9 @@ def validate_config(cfg: dict) -> dict:
     integral is taken from k_range[0] to k_range[1], rejects a descending one.
     `analysis/grid` may hold at most MAX_GRID_POINTS points in all.
     """
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(SCENARIO_SCHEMA, cfg), key=lambda error: error[0])
     if errors:
-        details = []
-        for err in errors:
-            path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            details.append(f"{path}: {err.message}")
-        raise ConfigError(details)
+        raise ConfigError([f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors])
     analysis = cfg.get("analysis", {})
     ranges = (("tspan", cfg.get("tspan")), ("analysis/x_range", analysis.get("x_range")))
     details = [f"{path}: {bounds} must increase" for path, bounds in ranges

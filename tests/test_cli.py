@@ -124,6 +124,58 @@ def test_integrator_seed_is_config_error(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+_CONSENSUS_RUN = '"initial": {"consensus": {"c": 0.5}}, "tspan": [0, 0.01]'
+_CUSTOM_RUN = '"response": {"coeffs": [0, 1]}, ' + _CONSENSUS_RUN
+
+
+# values no builder can read and files that hold no scenario: each is a config error before any
+# output is written; the raw JSON text keeps NaN, Infinity and 1e400, which json.dumps cannot write
+_UNREADABLE = [
+    ("n-float", "singularities", "ex1", '{"graph": {"type": "complete", "n": 3.0}}', None),
+    ("grid-float", "manifold", "ex1-manifold", '{"analysis": {"grid": [11.0, 21]}}', None),
+    ("scan-points-float", "singularities", "ex1", '{"analysis": {"scan_points": 101.0}}', None),
+    ("eliminate-float", "singularities", "ex1", '{"analysis": {"eliminate": 3.0}}', None),
+    ("initial-seed-float", "simulate", "ex2-unweighted",
+     '{"initial": {"random": {"seed": 1001.0, "lo": -1, "hi": 0}}, "tspan": [0, 0.01]}', None),
+    ("perturbation-seed-float", "simulate", "ex2-unweighted",
+     '{"perturbation": {"random": {"seed": 1001.0, "lo": 0, "hi": 1}}}', None),
+    ("digits-float", "simulate", "ex1", '{"integrator": {"digits": 32.0}, ' + _CONSENSUS_RUN + '}', None),
+    ("stride-float", "simulate", "ex1", '{"integrator": {"stride": 100.0}, ' + _CONSENSUS_RUN + '}', None),
+    ("epsilon-nan", "singularities", "ex1", '{"epsilon": NaN}', None),
+    ("x-range-infinity", "singularities", "ex1", '{"analysis": {"x_range": [-3, Infinity]}}', None),
+    ("value-1e400", "singularities", "ex1", '{"perturbation": {"constant": {"value": 1e400}}}', None),
+    ("x-range-401-digit-int", "singularities", "ex1", '{"analysis": {"x_range": [-3, 1%s]}}' % ("0" * 400), None),
+    ("epsilon-5001-digit-int", "singularities", "ex1", '{"epsilon": 1%s}' % ("0" * 5000), None),
+    ("dt-nan", "simulate", "ex1", '{"integrator": {"dt": NaN}, ' + _CONSENSUS_RUN + '}', None),
+    ("tspan-minus-infinity", "simulate", "ex1",
+     '{"initial": {"consensus": {"c": 0.5}}, "tspan": [-Infinity, 1]}', None),
+    ("edge-float-nodes", "simulate", None,
+     '{"graph": {"type": "custom", "n": 3, "edges": [[1.5, 2.7], [2, 3]]}, ' + _CUSTOM_RUN + '}', None),
+    ("edge-negative-weight", "simulate", None,
+     '{"graph": {"type": "custom", "n": 3, "edges": [[1, 2, -1], [2, 3]]}, ' + _CUSTOM_RUN + '}', None),
+    ("top-level-list", "singularities", None, '[1, 2]', None),
+    ("top-level-string", "singularities", "ex1", '"x"', None),
+    ("env-digits-over-int", "simulate", "ex1", '{"integrator": 5}', "32"),
+]
+
+
+@pytest.mark.parametrize("command, preset, text, env_digits",
+                         [pytest.param(*case[1:], id=case[0]) for case in _UNREADABLE])
+def test_unreadable_values_are_config_errors(tmp_path, capsys, monkeypatch, command, preset, text, env_digits):
+    if env_digits:
+        monkeypatch.setenv("ALF_DIGITS", env_digits)
+    else:
+        monkeypatch.delenv("ALF_DIGITS", raising=False)
+    config = tmp_path / "c.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)] + (["--preset", preset] if preset else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "config"
+    assert not out.exists()
+
+
 def test_analysis_grids_are_bounded(tmp_path, capsys):
     # validated only: a grid at the bound is not run here
     from alf.config import MAX_GRID_POINTS
