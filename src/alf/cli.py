@@ -20,6 +20,7 @@ from .config import (
     build_initial,
     build_integrator,
     build_system,
+    require,
     validate_config,
 )
 from .dynamics import Trajectory, integrate
@@ -100,12 +101,6 @@ def load_scenario(preset: str | None, config_path: str | None) -> dict:
     return validate_config(cfg)
 
 
-def _require(cfg: dict, *sections: str) -> None:
-    missing = [s for s in sections if s not in cfg]
-    if missing:
-        raise ConfigError([f"{s}: section is required for this command" for s in missing])
-
-
 def _analysis(cfg: dict, *keys: str) -> list:
     block = cfg.get("analysis") or {}
     missing = [k for k in keys if k not in block]
@@ -160,7 +155,7 @@ def _emit(path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_scenario(args.preset, args.config)
-    _require(cfg, "initial", "tspan")
+    require(cfg, "initial", "tspan")
     sys_ = build_system(cfg)
     icfg = build_integrator(cfg.get("integrator"))
     x0 = build_initial(cfg["initial"], sys_.n)
@@ -267,7 +262,7 @@ def canard_metrics(traj: Trajectory, n: int, k_star: float, epsilon: float) -> d
 
 def cmd_canard(args) -> int:
     cfg = load_scenario(args.preset, args.config)
-    _require(cfg, "initial", "tspan")
+    require(cfg, "initial", "tspan")
     if "plane" not in cfg["initial"]:
         raise ConfigError(["initial: canard runs need the plane form {\"plane\": {...}}"])
     sys_, ps = _plane_from_config(cfg)
@@ -328,7 +323,7 @@ def cmd_canard(args) -> int:
 
 def cmd_bifurcation(args) -> int:
     cfg = load_scenario(args.preset, args.config)
-    _require(cfg, "graph", "response")
+    require(cfg, "graph", "response")
     family = cfg["response"].get("family")
     if family is None:
         raise ConfigError(["response: bifurcation sweeps need a family response"])

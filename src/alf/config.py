@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .dynamics import IntegratorConfig, Perturbation, PerturbedSystem
-from .errors import ConfigError
+from .errors import ConfigError, InvalidGraphError
 from .graph import Graph
 from .precision import exact
 from .prng import SplitMix64
@@ -239,18 +239,21 @@ def validate_config(cfg: dict) -> dict:
 
 
 def build_graph(spec: dict) -> Graph:
+    """The graph of a `graph` section; a cycle or edge list that Graph refuses is a ConfigError."""
     kind = spec["type"]
     n = spec["n"]
     if kind == "complete":
         return Graph.complete(n)
-    if kind == "cycle":
-        return Graph.cycle(n)
     if kind == "path":
         return Graph.path(n)
-    edges = spec.get("edges")
-    if not edges:
+    if kind == "custom" and not spec.get("edges"):
         raise ConfigError(["graph: custom graphs need an edge list"])
-    return Graph.from_edge_list(n, edges)
+    try:
+        if kind == "cycle":
+            return Graph.cycle(n)
+        return Graph.from_edge_list(n, spec["edges"])
+    except InvalidGraphError as err:
+        raise ConfigError([f"graph/{'n' if kind == 'cycle' else 'edges'}: {err}"]) from err
 
 
 def build_response(spec: dict) -> ResponseFunction:
@@ -300,10 +303,15 @@ def build_initial(spec: dict, n: int) -> list[Fraction]:
     raise ConfigError(["initial: plane initial conditions only apply to the canard command"])
 
 
+def require(cfg: dict, *sections: str) -> None:
+    """Raise one ConfigError naming every section of `sections` that cfg lacks."""
+    missing = [s for s in sections if s not in cfg]
+    if missing:
+        raise ConfigError([f"{s}: section is required for this command" for s in missing])
+
+
 def build_system(cfg: dict) -> PerturbedSystem:
-    for section in ("graph", "response"):
-        if section not in cfg:
-            raise ConfigError([f"{section}: section is required for this command"])
+    require(cfg, "graph", "response")
     graph = build_graph(cfg["graph"])
     response = ResponseField(build_response(cfg["response"]))
     perturbation = build_perturbation(cfg.get("perturbation"), graph.n)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, sub
 
 import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
@@ -115,10 +116,7 @@ class PerturbedSystem:
         return False
 
     def slow_value(self, y):
-        total = y[0]
-        for v in y[1:]:
-            total = total + v
-        return total
+        return reduce(add, y)
 
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
@@ -272,20 +270,14 @@ class StandardFormSystem:
 
     def lift(self, fast, k):
         """Full state from (fast coordinates, k)."""
-        total = k
-        for v in fast:
-            total = total - v
         full = list(fast)
-        full.insert(self.l - 1, total)
+        full.insert(self.l - 1, reduce(sub, fast, k))
         return full
 
     def project(self, x):
         """(fast coordinates, k) from a full state."""
         fast = [v for j, v in enumerate(x, start=1) if j != self.l]
-        total = x[0]
-        for v in x[1:]:
-            total = total + v
-        return fast, total
+        return fast, self.base.slow_value(x)
 
     # --- ODE-system protocol -------------------------------------------------
     @property

@@ -1,4 +1,4 @@
-"""Weighted simple graphs, their Laplacian algebra, and permutations.
+"""Weighted simple graphs, their Laplacian algebra, permutations, and node partitions.
 
 Nodes are labelled 1..n.  Edge weights are stored as exact rationals
 (floats convert losslessly), so algebraic identities such as the zero row
@@ -16,6 +16,30 @@ from .errors import DimensionMismatchError, InvalidGraphError
 from .precision import exact
 
 ZERO_EIGENVALUE_TOL = 1e-8
+
+
+def components(n: int, pairs) -> list[frozenset[int]]:
+    """The partition of nodes 1..n that joins the two nodes of every pair, sorted by smallest member.
+
+    Union-find: each class is rooted at its smallest node.  Graph components
+    join the ends of every edge, group orbits every node with its image.
+    """
+    parent = list(range(n + 1))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    classes: dict[int, set[int]] = {}
+    for i in range(1, n + 1):
+        classes.setdefault(find(i), set()).add(i)
+    return sorted((frozenset(c) for c in classes.values()), key=min)
 
 
 @dataclass(frozen=True)
@@ -161,25 +185,7 @@ class Graph:
 
     def connected_components(self) -> list[frozenset[int]]:
         """Node partition into components, sorted by smallest member."""
-        neighbors: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for i, j, _ in self.edges:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        unseen = set(range(1, self.n + 1))
-        components = []
-        while unseen:
-            root = min(unseen)
-            stack, comp = [root], set()
-            unseen.discard(root)
-            while stack:
-                node = stack.pop()
-                comp.add(node)
-                for nb in neighbors[node]:
-                    if nb in unseen:
-                        unseen.discard(nb)
-                        stack.append(nb)
-            components.append(frozenset(comp))
-        return sorted(components, key=min)
+        return components(self.n, ((i, j) for i, j, _ in self.edges))
 
     def to_json(self) -> dict:
         return {
@@ -204,7 +210,7 @@ def commutes_with_laplacian(g: Graph, p: Permutation, tol=0) -> bool:
     return worst <= tol
 
 
-def zero_eigenvalue_count(g: Graph, tol: float = ZERO_EIGENVALUE_TOL) -> int:
+def zero_eigenvalue_count(g: Graph) -> int:
     """Number of numerically-zero Laplacian eigenvalues.
 
     The threshold scales with the matrix magnitude so heavy weights do not
@@ -213,4 +219,4 @@ def zero_eigenvalue_count(g: Graph, tol: float = ZERO_EIGENVALUE_TOL) -> int:
     lap = g.laplacian_array()
     scale = max(1.0, float(np.max(np.abs(lap)))) if lap.size else 1.0
     eigs = np.linalg.eigvalsh(lap)
-    return int(np.sum(np.abs(eigs) < tol * scale))
+    return int(np.sum(np.abs(eigs) < ZERO_EIGENVALUE_TOL * scale))

@@ -5,21 +5,22 @@ differentiation, evenness checks and the extended tiers' single rounding
 are exact; `ResponseField` refuses anything else.  A factored form (roots
 with multiplicities) is kept alongside the expanded coefficients when
 known, to avoid cancellation near the roots.
-Evaluation follows the numeric type of the argument, with one evaluator per
-arithmetic:
-- floats (numpy floats and float arrays included) go through `evaluator`,
-  built once with the constants converted to float;
-- an mpf gets the exact value of the polynomial, its constants rounded to
-  the current precision, rounded once (`fixed_evaluator` on integers is the
-  same computation for the extended-tier kernels);
-- ints and Fractions get the exact value.
+Each function evaluates in one form (scale and roots when known, else
+Horner on the coefficients), whatever the numeric type of the argument:
+- floats (numpy floats and float arrays included) run the form's loop on
+  constants converted to float once (`evaluator`);
+- ints and Fractions run the same loop on the exact constants;
+- an mpf gets the exact value of the form, its constants rounded to the
+  current precision, rounded once (`fixed_evaluator` on integers is the
+  same computation for the extended-tier kernels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import mpmath
 import numpy as np
@@ -29,13 +30,6 @@ from .errors import UnsupportedStructureError
 from .precision import exact, round_ratio, signed
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
-
-
-def _coerce(coeff: Fraction, like):
-    """Bring an exact coefficient into the arithmetic domain of `like`."""
-    if isinstance(like, (int, Fraction)):
-        return coeff
-    return float(coeff)
 
 
 @dataclass(frozen=True)
@@ -101,51 +95,43 @@ class ResponseFunction:
         return self.eval(x)
 
     def eval(self, x):
-        """Evaluate at x (a float ndarray elementwise, to its shape), preferring the factored form."""
+        """Evaluate at x (a float ndarray elementwise, to its shape) in this function's form."""
         if isinstance(x, float):
             return self.evaluator(x)
         if isinstance(x, np.ndarray) and x.dtype == float:
             return np.broadcast_to(self.evaluator(x), x.shape)
         if isinstance(x, mpmath.mpf):
-            return self._eval_mpf(x, self.roots is not None)
-        if self.roots is not None:
-            acc = self.scale
-            for r, mult in self.roots:
-                factor = x - r
-                for _ in range(mult):
-                    acc = acc * factor
-            return acc
-        return self.eval_expanded(x)
+            return self._eval_mpf(x)
+        return self._exact_evaluator(x)
 
-    def eval_expanded(self, x):
-        """Horner evaluation of the dense coefficient form (exact, then rounded once, for mpf)."""
-        if isinstance(x, mpmath.mpf):
-            return self._eval_mpf(x, False)
-        acc = _coerce(self.coeffs[-1], x)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + _coerce(c, x)
-        return acc
-
-    def _eval_mpf(self, x, factored: bool):
+    def _eval_mpf(self, x):
         """The exact value at mpf x, with the constants rounded to the current precision, rounded once."""
         prec = mpmath.mp.prec
-        values = self._fixed(lambda c: round_ratio(c.numerator, 0, c.denominator, prec), factored)
+        values = self._fixed(lambda c: round_ratio(c.numerator, 0, c.denominator, prec))
         m, e = signed(x._mpf_)
         (v,), exp = values([m], e)
         return mpmath.mp.make_mpf(from_man_exp(v, exp, prec, round_nearest))
 
     @cached_property
     def evaluator(self):
-        """`eval` for Python floats and float arrays, with the constants converted once.
+        """`eval` for Python floats and float arrays: the form's loop on float constants.
 
-        It applies the float operations of `eval`'s form (scale and roots, or
-        Horner on the coefficients) in the same order, so it gives the bits
-        of that arithmetic.  The root scans reach it through `eval`, the
-        plane's float right-hand side directly.
+        The constants are converted once, and the loop is the one `eval`
+        runs on exact constants for ints and Fractions, so the float
+        operations and their order are those of the form.  The root scans
+        reach it through `eval`, the plane's float right-hand side directly.
         """
+        return self._routine(float)
+
+    @cached_property
+    def _exact_evaluator(self):
+        return self._routine(lambda c: c)
+
+    def _routine(self, convert):
+        """The evaluation loop of this function's form, its constants converted by `convert`."""
         if self.roots is not None:
-            scale = float(self.scale)
-            roots = tuple((float(r), mult) for r, mult in self.roots)
+            scale = convert(self.scale)
+            roots = tuple((convert(r), mult) for r, mult in self.roots)
 
             def evaluate(x):
                 acc = scale
@@ -156,7 +142,7 @@ class ResponseFunction:
                 return acc
 
             return evaluate
-        top, *rest = (float(c) for c in reversed(self.coeffs))
+        top, *rest = (convert(c) for c in reversed(self.coeffs))
 
         def evaluate_expanded(x):
             acc = top
@@ -174,11 +160,11 @@ class ResponseFunction:
         exactly.  f is taken in the form `eval` uses (scale and roots, or
         coefficients), each constant rounded to the tier once.
         """
-        return self._fixed(ctx.raw, self.roots is not None)
+        return self._fixed(ctx.raw)
 
-    def _fixed(self, raw, factored: bool):
+    def _fixed(self, raw):
         """`fixed_evaluator` with the constants converted by `raw`."""
-        if factored:
+        if self.roots is not None:
             scale, scale_exp = signed(raw(self.scale))
             roots = [(signed(raw(r)), mult) for r, mult in self.roots]
             bound = min([0] + [e for (_, e), _ in roots])
@@ -273,14 +259,8 @@ class ResponseField:
         x = [Fraction(v) if isinstance(v, int) else v for v in x]
         out = [self.function.eval(xi) for xi in x]
         if self.mean_gauges:
-            total = x[0]
-            for xi in x[1:]:
-                total = total + xi
-            mean = total / len(x)
-            shift = None
-            for gauge in self.mean_gauges:
-                val = gauge.eval(mean)
-                shift = val if shift is None else shift + val
+            mean = reduce(add, x) / len(x)
+            shift = reduce(add, (gauge.eval(mean) for gauge in self.mean_gauges))
             out = [v + shift for v in out]
         return out
 

@@ -29,6 +29,8 @@ import numpy as np
 from mpmath.libmp import from_man_exp, round_nearest
 
 SINGULAR_TOL = 1e-10
+BISECT_HALVINGS = 200  # halvings of a root bracket before the scan gives up on it
+TANGENT_STEP = 1e-5  # the offset h from the singular point in the tangent secant
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
@@ -160,25 +162,25 @@ class StabilityResult:
     jacobian: float
 
 
-def consensus_stability(ps: PlaneSystem, x_star, tol: float = SINGULAR_TOL) -> StabilityResult:
+def consensus_stability(ps: PlaneSystem, x_star) -> StabilityResult:
     """Classify a consensus point by the response slope.
 
-    Positive slope attracts, negative repels; a slope below tol (scaled by
-    the local curvature) is singular.  Also reports the layer Jacobian
-    -n f'(x*) at the point.
+    Positive slope attracts, negative repels; a slope below SINGULAR_TOL
+    (scaled by the local curvature) is singular.  Also reports the layer
+    Jacobian -n f'(x*) at the point.
     """
     fp = ps.f.derivative().eval(x_star)
-    tag = _stability(fp, ps.f.derivative(2).eval(x_star), tol)
+    tag = _stability(fp, ps.f.derivative(2).eval(x_star))
     return StabilityResult(tag, -ps.n * float(fp))
 
 
-def _stability(rate, curvature, tol) -> str:
+def _stability(rate, curvature) -> str:
     """Tag a point of the layer flow by its decay rate.
 
-    A positive rate attracts, a negative one repels, and a rate within tol,
-    scaled by the curvature of the rate, is singular.
+    A positive rate attracts, a negative one repels, and a rate within
+    SINGULAR_TOL, scaled by the curvature of the rate, is singular.
     """
-    if abs(rate) <= tol * (1 + abs(curvature)):
+    if abs(rate) <= SINGULAR_TOL * (1 + abs(curvature)):
         return SINGULAR
     return ATTRACTING if rate > 0 else REPELLING
 
@@ -219,18 +221,18 @@ class ManifoldSample:
         return len({p.branch for p in self.points})
 
 
-def _bisect(func, lo, hi, flo, p, where: str, iterations: int = 200):
+def _bisect(func, lo, hi, flo, p, where: str):
     """Bisect the brackets [lo, hi] of func(., p) in lock-step, flo = func(lo, p).
 
     Each element stops at mid = 0.5 (lo + hi) once func(mid) is exactly 0 or
     the bracket is narrower than 1e-15 max(1, |mid|).  (np.fmax, like
     Python's max(1.0, v), gives 1.0 for a NaN.)  A bracket still wider after
-    `iterations` halvings raises InvariantViolationError, its message led by
+    BISECT_HALVINGS halvings raises InvariantViolationError, its message led by
     `where`: its midpoint need not be near a root.
     """
     out = np.empty_like(lo)
     active = np.arange(len(lo))
-    for _ in range(iterations):
+    for _ in range(BISECT_HALVINGS):
         if not len(active):
             break
         mid = 0.5 * (lo + hi)
@@ -246,7 +248,7 @@ def _bisect(func, lo, hi, flo, p, where: str, iterations: int = 200):
     if len(active):
         widest = int(np.argmax(hi - lo))
         raise InvariantViolationError(
-            f"{where}: {iterations} halvings left the root bracket [{float(lo[widest])!r}, {float(hi[widest])!r}] "
+            f"{where}: {BISECT_HALVINGS} halvings left the root bracket [{float(lo[widest])!r}, {float(hi[widest])!r}] "
             f"{hi[widest] - lo[widest]:.3g} wide"
         )
     return out
@@ -399,7 +401,7 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
     curvatures = fpp.eval(x_arr) - (ps.n - 1) ** 2 * fpp.eval(ps.mirror(x_arr, k_arr))
     rates = -ps.layer_jacobian(x_arr, k_arr)
     return ManifoldSample(tuple(
-        ManifoldPoint(k=k, x=x, branch=branch, stability=_stability(rate, curvature, SINGULAR_TOL),
+        ManifoldPoint(k=k, x=x, branch=branch, stability=_stability(rate, curvature),
                       consensus=is_consensus)
         for (k, x, branch, is_consensus), rate, curvature in zip(entries, rates.tolist(), curvatures.tolist())
     ))
@@ -548,22 +550,22 @@ def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int
 
 
 @np.errstate(all="ignore")
-def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport, h_step: float = 1e-5) -> float:
+def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport) -> float:
     """Secant slope dk/dx of the crossing branch through the singular point.
 
     Continues the non-consensus root of the layer equation from both sides
-    of the singular point: at x = x_s +/- h the partner coordinate r with
-    f(r) = f(x) is found by Newton (both sides at once, 80 steps at most)
-    from the mirrored guess 2 x_s - x, and
-    k(x) = (n-1) x + r.  The result should sit within 1e-3 of n - 2 for
-    polynomial responses once h_step <= 1e-4.
+    of the singular point: at x = x_s +/- h, h = TANGENT_STEP, the partner
+    coordinate r with f(r) = f(x) is found by Newton (both sides at once, 80
+    steps at most) from the mirrored guess 2 x_s - x, and k(x) = (n-1) x + r.
+    At this step the result should sit within 1e-3 of n - 2 for polynomial
+    responses.
     """
     if report.sing_type not in ("type-1", "type-2"):
         raise PreconditionError("tangent continuation needs a transcritical report")
     x_s = float(report.x_s)
     f = ps.f
     fp = f.derivative()
-    h = float(h_step)
+    h = TANGENT_STEP
     xs = np.array([x_s + h, x_s - h])
     targets = f.eval(xs)
     partners = _newton(lambda v, target: f.eval(v) - target, lambda v, _: fp.eval(v),

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .dynamics import PerturbedSystem, vector_field
 from .errors import DimensionMismatchError, UnsupportedSymmetryError
-from .graph import Permutation, commutes_with_laplacian
+from .graph import Permutation, commutes_with_laplacian, components
 from .precision import exact
 
 EQUIVARIANCE_TOL = 1e-12
@@ -52,27 +52,8 @@ class PermutationGroup:
         return cls((Permutation.cyclic_shift(n),))
 
     def orbits(self) -> list[frozenset[int]]:
-        """Node orbits under the generated action: union-find over the generators."""
-        parent = list(range(self.n + 1))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-        for gen in self.generators:
-            for i in range(1, self.n + 1):
-                union(i, gen(i))
-        classes: dict[int, set[int]] = {}
-        for i in range(1, self.n + 1):
-            classes.setdefault(find(i), set()).add(i)
-        return sorted((frozenset(c) for c in classes.values()), key=min)
+        """Node orbits under the generated action: each node joined with its image under every generator."""
+        return components(self.n, ((i, gen(i)) for gen in self.generators for i in range(1, self.n + 1)))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,31 @@ def test_unreadable_values_are_config_errors(tmp_path, capsys, monkeypatch, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("graph, where", [
+    ({"type": "custom", "n": 3, "edges": [[1, 5]]}, "graph/edges:"),
+    ({"type": "custom", "n": 3, "edges": [[1, 1]]}, "graph/edges:"),
+    ({"type": "custom", "n": 3, "edges": [[1, 2], [2, 1]]}, "graph/edges:"),
+    ({"type": "cycle", "n": 2}, "graph/n:"),
+], ids=["edge-out-of-range", "self-loop", "duplicate-edge", "two-node-cycle"])
+def test_graphs_the_schema_admits_but_graph_refuses_are_config_errors(tmp_path, capsys, graph, where):
+    config = _write(tmp_path, "g.json", {"graph": graph, "response": {"coeffs": [0, 1]},
+                                         "initial": {"consensus": {"c": 0.5}}, "tspan": [0, 0.01]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "config" and report["details"][0].startswith(where)
+    assert not out.exists()
+
+
+def test_every_missing_section_is_named(tmp_path, capsys):
+    config = _write(tmp_path, "bare.json", {"initial": {"consensus": {"c": 0.5}}, "tspan": [0, 0.01]})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    details = json.loads(capsys.readouterr().err)["details"]
+    assert [d.split(":")[0] for d in details] == ["graph", "response"]
+
+
 def test_analysis_grids_are_bounded(tmp_path, capsys):
     # validated only: a grid at the bound is not run here
     from alf.config import MAX_GRID_POINTS

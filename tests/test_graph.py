@@ -11,6 +11,7 @@ from alf import (
     zero_eigenvalue_count,
 )
 from alf.errors import DimensionMismatchError
+from alf.graph import components
 from alf.prng import SplitMix64
 
 from conftest import random_graph, random_permutation
@@ -73,6 +74,24 @@ def test_connected_components():
     two = Graph(5, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (4, 5, 1)))
     assert two.connected_components() == [frozenset({1, 2, 3}), frozenset({4, 5})]
     assert len(Graph(4).connected_components()) == 4
+
+
+def test_components_equal_transitive_closure():
+    # orbits join each node with its images, so self-pairs and repeated pairs occur
+    rng = SplitMix64(2024)
+    for _ in range(200):
+        n = 1 + rng.next_u64() % 12
+        pairs = [(1 + rng.next_u64() % n, 1 + rng.next_u64() % n) for _ in range(rng.next_u64() % (2 * n))]
+        pairs += [(i, i) for i, _ in pairs[:2]] + pairs[:3]
+        linked = [[i == j for j in range(n + 1)] for i in range(n + 1)]
+        for i, j in pairs:
+            linked[i][j] = linked[j][i] = True
+        for k in range(1, n + 1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    linked[i][j] = linked[i][j] or (linked[i][k] and linked[k][j])
+        closure = {frozenset(j for j in range(1, n + 1) if linked[i][j]) for i in range(1, n + 1)}
+        assert components(n, pairs) == sorted(closure, key=min)
 
 
 def test_zero_eigenvalue_multiplicity_matches_components():

@@ -349,7 +349,7 @@ def test_tangent_slope_equals_scalar_continuation():
         ps = _ex1_plane(values=(-1,) * n, n=n)
         for x_s in (1, 0, -1):
             report = analyze_singularity(ps, x_s)
-            slope = tangent_slope_estimate(ps, report, h_step=1e-5)
+            slope = tangent_slope_estimate(ps, report)
             assert type(slope) is float
             assert repr(slope) == repr(_scalar_tangent_slope(ps, report, h_step=1e-5))
 
@@ -507,7 +507,7 @@ def test_is_critical_perturbation():
 def test_tangent_slope_near_n_minus_2(n, x_s):
     ps = _ex1_plane(values=(-1,) * n, n=n)
     report = analyze_singularity(ps, x_s)
-    slope = tangent_slope_estimate(ps, report, h_step=1e-5)
+    slope = tangent_slope_estimate(ps, report)
     assert abs(slope - (n - 2)) <= 1e-3
 
 
@@ -531,7 +531,7 @@ def test_tangent_continuation_fails_without_crossing_branch():
         tangent_slope=1,
     )
     with pytest.raises(ContinuationFailedError):
-        tangent_slope_estimate(ps, fake, h_step=1e-5)
+        tangent_slope_estimate(ps, fake)
 
 
 # --- slow-divergence integral ----------------------------------------------------
@@ -585,5 +585,5 @@ def test_tangent_slopes_for_parameter_families(tag, lam):
             report = analyze_singularity(ps, x_s)
             if report.sing_type not in ("type-1", "type-2"):
                 continue
-            slope = tangent_slope_estimate(ps, report, h_step=1e-5)
+            slope = tangent_slope_estimate(ps, report)
             assert abs(slope - (n - 2)) <= 1e-3
