@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from operator import add, sub
 
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import round_nearest, to_float
 
 from .errors import (
     DimensionMismatchError,
@@ -24,7 +24,7 @@ from .errors import (
     IntegrationStalledError,
 )
 from .graph import Graph
-from .precision import ScalarContext, TierVector, exact, round_ratio, signed
+from .precision import ScalarContext, TierVector, exact, round_fixed, round_ratio, signed
 from .prng import SplitMix64
 from .response import ResponseField
 
@@ -168,7 +168,7 @@ class PerturbedSystem:
             a, b = fe + w_low - low, h_low - low
             sums = [(sum([w * fv[j] for j, w in row]) << a) + (h << b) for row, h in zip(lap, forcing)]
             if not gauges:
-                return [from_man_exp(v, low, prec, round_nearest) for v in sums]
+                return [round_fixed(v, low, prec) for v in sums]
             mean = Fraction(sum(xs), n) * Fraction(2) ** exp
             shift = sum(g.eval(mean) for g in gauges)
             rows_exact = [v * Fraction(2) ** low + r * Fraction(2) ** w_low * shift for v, r in zip(sums, row_sums)]
@@ -436,6 +436,12 @@ def _diverged(y) -> bool:
     return not np.abs(_floats(y)).max() <= DIVERGENCE_CUTOFF
 
 
+def _diverged_fixed(y: TierVector) -> bool:
+    """`_diverged` of a TierVector, without numpy: nonzero parts under 2**19 pass, the rest are read as floats."""
+    return not all([(p[1] and p[2] + p[3] <= 19) or abs(to_float(p, rnd=round_nearest)) <= DIVERGENCE_CUTOFF
+                    for p in y.parts])
+
+
 def _escapes(before, y, dy, span: float) -> bool:
     """Whether y outgrew the accepted state `before` and, at its rate dy, passes the cutoff within span.
 
@@ -492,6 +498,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             metadata=metadata,
         )
         as_array = (lambda y: y) if ctx.is_float else TierVector.to_array
+        diverged = _diverged if ctx.is_float else _diverged_fixed
 
         def record(t, y):
             state = as_array(y).copy()
@@ -506,7 +513,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             stride-th state and the last one are recorded, and so is the state
             that meets the stop condition.
             """
-            if _diverged(y):
+            if diverged(y):
                 record(t, y)
                 raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
             recorded = count % cfg.stride == 0 or last
@@ -518,10 +525,15 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
                 return True
             return False
 
+        # an initial state that fails the divergence test stops at t0 (the kernels would read NaN and inf as 0)
+        t = ctx.scalar(t0)
+        record(t, y)
+        if diverged(y):
+            raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
         # an overflowing state turns into inf and NaN, which the divergence tests catch
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.method == "rk4":
-                _run_rk4(rhs, y, ctx, t0, t1, cfg, record, accept)
+                _run_rk4(rhs, y, ctx, t0, t1, cfg, accept)
             else:
                 _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj)
         return traj
@@ -532,12 +544,12 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 # numpy operations in this order, each rounded, in arrays the step allocates
 # itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
 # array that rhs returned.  The extended tiers take each as one exact sum per
-# component, rounded once (`TierVector.combine`); dt/2 and dt/6 are rounded
-# to the tier once per step.
+# component, rounded once (`TierVector.combine`); there dt is the triple
+# `_fixed_rk4_dt` rounds to the tier once per run: dt/2, dt and dt/6.
 def _rk4_step(rhs, y, t, dt):
-    half = dt / 2
     k1 = rhs(y)
     if type(y) is np.ndarray:
+        half = dt / 2
         s = k1 * half
         s += y
         k2 = rhs(s)
@@ -555,22 +567,27 @@ def _rk4_step(rhs, y, t, dt):
         acc *= dt / 6
         acc += y
         return acc
-    half = half._mpf_
+    half, whole, sixth = dt
     k2 = rhs(y.combine((k1,), (1,), half))
     k3 = rhs(y.combine((k2,), (1,), half))
-    k4 = rhs(y.combine((k3,), (1,), dt._mpf_))
-    return y.combine((k1, k2, k3, k4), (1, 2, 2, 1), (dt / 6)._mpf_)
+    k4 = rhs(y.combine((k3,), (1,), whole))
+    return y.combine((k1, k2, k3, k4), (1, 2, 2, 1), sixth)
 
 
-def _run_rk4(rhs, y, ctx, t0, t1, cfg, record, accept):
+def _fixed_rk4_dt(dt) -> tuple:
+    """The raw tuples of dt/2, dt and dt/6 for mpf dt, rounded to the current precision."""
+    return (dt / 2)._mpf_, dt._mpf_, (dt / 6)._mpf_
+
+
+def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
     span = float(t1) - float(t0)
     nsteps = max(1, round(span / cfg.dt))
     dt = ctx.scalar(exact(t1) - exact(t0)) / nsteps
     t_start = ctx.scalar(t0)
     t = t_start
-    record(t, y)
+    step_dt = dt if ctx.is_float else _fixed_rk4_dt(dt)
     for step in range(1, nsteps + 1):
-        y = _rk4_step(rhs, y, t, dt)
+        y = _rk4_step(rhs, y, t, step_dt)
         t = t_start + step * dt
         if accept(step, t, y, step == nsteps):
             break
@@ -647,7 +664,6 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
     tol = cfg.tol
     stages = _dp45_float_stages if ctx.is_float else _dp45_fixed_stages
-    record(t, y)
     accepted = 0
     before = y
     fsal = rhs(y)

@@ -8,13 +8,13 @@ Each tier has one vector type: a float ndarray on the 16-digit tier, and a
 `TierVector` of mpmath's raw `_mpf_` tuples on the extended tiers, whose
 scalars are mpf objects.  An extended kernel (a right-hand side, an
 integrator stage) computes in exact fixed point: `vector_function` reads the
-TierVector once as signed integers at one power of two (`fixed_point`), the
+TierVector once as signed integers at one power of two, the
 kernel's sums and products are Python integers, and each output component
-is rounded once, to the nearest value of the tier's working precision (ties
-to even).  So every component is the correctly rounded value of its exact
-formula in the tier's inputs; only the exact constants (weights, roots,
-epsilon times the forcing, step fractions) are rounded to the tier before,
-once per build or per step.
+is rounded once by `round_fixed`, to the nearest value of the tier's working
+precision (ties to even).  So every component is the correctly rounded value
+of its exact formula in the tier's inputs; only the exact constants (weights,
+roots, epsilon times the forcing, step fractions) are rounded to the tier
+before, once per build, per run (rk4's) or per step (dp45's).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest, to_float
+from mpmath.libmp import MPZ, dps_to_prec, from_int, from_man_exp, fzero, mpf_div, round_nearest, to_float
 
 PRECISION_TIERS = (16, 32, 64)
 
@@ -87,14 +87,15 @@ class ScalarContext:
         """A function of extended-tier TierVectors from a fixed-point kernel.
 
         `kernel(xs, exp)` takes the state as integers with x_i == xs_i * 2**exp,
-        exp = least_exponent(parts), and returns the raw tuples of the result.
+        exp the least exponent of the parts and at most 0 (zero's), and returns
+        the raw tuples of the result.
         """
         prec = self.working_prec
 
         def apply(y):
             parts = y.parts
-            exp = least_exponent(parts)
-            return TierVector(kernel(fixed_point(parts, exp), exp), prec)
+            exp = min(0, min([p[2] for p in parts]))
+            return TierVector(kernel([(-man if sign else man) << (e - exp) for sign, man, e, _ in parts], exp), prec)
 
         return apply
 
@@ -147,7 +148,7 @@ class TierVector:
         out = [(-man if sign else man) << (e - out_exp) for sign, man, e, _ in self.parts]
         for w, parts in zip(weights, vectors[1:]):
             out = [a + w * ((-man if sign else man) << (e - exp)) for a, (sign, man, e, _) in zip(out, parts)]
-        return TierVector([from_man_exp(a, out_exp, prec, round_nearest) for a in out], prec)
+        return TierVector([round_fixed(a, out_exp, prec) for a in out], prec)
 
     def floats(self) -> list[float]:
         """The components as `float(v_i)` gives them for mpf (round-to-nearest)."""
@@ -164,14 +165,21 @@ def signed(part) -> tuple[int, int]:
     return (-man if sign else man), exp
 
 
-def least_exponent(parts) -> int:
-    """The least exponent of the raw tuples `parts`, and at most 0 (the exponent of zero)."""
-    return min(0, min([p[2] for p in parts]))
-
-
-def fixed_point(parts, exp: int) -> list[int]:
-    """The integers m_i with parts_i == m_i * 2**exp, for exp <= least_exponent(parts)."""
-    return [(-man if sign else man) << (e - exp) for sign, man, e, _ in parts]
+def round_fixed(a: int, exp: int, prec: int) -> tuple:
+    """a * 2**exp rounded to prec bits, to nearest, ties to even: `from_man_exp`'s one normalized `_mpf_` tuple."""
+    if not a:
+        return fzero
+    sign = 0
+    if a < 0:
+        sign, a = 1, -a
+    shift = a.bit_length() - prec
+    if shift > 0:
+        # t keeps one bit below the last kept bit: round up above half, and at half to even
+        t = a >> (shift - 1)
+        exp += shift
+        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (shift - 1)) - 1)) else t >> 1
+    zeros = (a & -a).bit_length() - 1
+    return sign, MPZ(a >> zeros), exp + zeros, a.bit_length() - zeros
 
 
 def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:

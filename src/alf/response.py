@@ -17,17 +17,16 @@ Horner on the coefficients), whatever the numeric type of the argument:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import UnsupportedStructureError
-from .precision import exact, round_ratio, signed
+from .precision import exact, round_fixed, round_ratio, signed
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -39,6 +38,8 @@ class ResponseFunction:
     coeffs: tuple[Fraction, ...]
     roots: tuple[tuple[Fraction, int], ...] | None = None
     scale: Fraction = Fraction(1)
+    # `_eval_mpf`'s fixed-point routine for each precision it has met
+    _mpf_routines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(exact(c) for c in self.coeffs)
@@ -107,10 +108,13 @@ class ResponseFunction:
     def _eval_mpf(self, x):
         """The exact value at mpf x, with the constants rounded to the current precision, rounded once."""
         prec = mpmath.mp.prec
-        values = self._fixed(lambda c: round_ratio(c.numerator, 0, c.denominator, prec))
+        values = self._mpf_routines.get(prec)
+        if values is None:
+            values = self._mpf_routines[prec] = self._fixed(
+                lambda c: round_ratio(c.numerator, 0, c.denominator, prec))
         m, e = signed(x._mpf_)
         (v,), exp = values([m], e)
-        return mpmath.mp.make_mpf(from_man_exp(v, exp, prec, round_nearest))
+        return mpmath.mp.make_mpf(round_fixed(v, exp, prec))
 
     @cached_property
     def evaluator(self):

@@ -22,11 +22,10 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact, signed
+from .precision import ScalarContext, exact, round_fixed, signed
 from .response import ResponseFunction
 
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
 
 SINGULAR_TOL = 1e-10
 BISECT_HALVINGS = 200  # halvings of a root bracket before the scan gives up on it
@@ -123,7 +122,7 @@ class PlaneSystem:
             (fx, fm), f_exp = values([x, k - (n - 1) * x], exp)
             low = min(f_exp, g_exp)
             fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
-            return [from_man_exp(fast, low, prec, round_nearest), slow]
+            return [round_fixed(fast, low, prec), slow]
 
         return ctx.vector_function(fixed_rhs)
 

@@ -20,7 +20,9 @@ from alf import (
     to_standard_form,
     vector_field,
 )
+from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
 from alf.errors import DimensionMismatchError
+from alf.precision import ScalarContext
 from alf.prng import SplitMix64
 
 from conftest import rational_state
@@ -284,6 +286,43 @@ def test_divergence_error_carries_partial_trajectory(ex1_response):
     traj = err.value.trajectory
     assert len(traj.times) >= 2
     assert err.value.last_time > 0
+
+
+@pytest.mark.parametrize("digits", (16, 32, 64))
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("method", ("rk4", "dp45"))
+def test_non_finite_initial_state_diverges_at_t0(digits, bad, method, ex1_response):
+    # the extended tiers' fixed-point kernels would read NaN and inf as 0
+    cfg = IntegratorConfig(method=method, dt=1e-3, digits=digits)
+    with pytest.raises(DivergenceError) as err:
+        integrate(_system(3, ex1_response), [bad, 0.5, 0.25], (0.0, 0.01), cfg)
+    assert err.value.last_time == 0.0
+    traj = err.value.trajectory
+    assert [float(t) for t in traj.times] == [0.0]
+    assert repr(float(traj.states[0][0])) == repr(bad)
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+def test_extended_divergence_test_reads_each_component_as_a_float(digits):
+    # around the cutoff a component's float value decides, as float(v) rounds it;
+    # around 2**19 and 2**20 the exponent shortcut must agree with it
+    cutoff = Fraction(DIVERGENCE_CUTOFF)
+    ulp = Fraction(np.nextafter(DIVERGENCE_CUTOFF, np.inf)) - cutoff
+    values = [cutoff, cutoff + ulp / 2, cutoff + ulp / 4, cutoff + 3 * ulp / 4, cutoff + ulp,
+              cutoff - ulp / 4, Fraction(2**19) - Fraction(1, 2**60), Fraction(2**19), Fraction(2**20),
+              Fraction(2**20) - Fraction(1, 2**60), 0, Fraction(1, 3), 10**300,
+              float("nan"), float("inf"), float("-inf")]
+    ctx = ScalarContext(digits)
+    with ctx.workprec():
+        for v in values:
+            for sign in (1, -1):
+                for state in ([sign * v, Fraction(1, 2)], [Fraction(1, 2), sign * v]):
+                    y = ctx.vector(state)
+                    expected = any(not abs(float(c)) <= DIVERGENCE_CUTOFF for c in y.to_array())
+                    assert _diverged_fixed(y) == expected, (v, sign, state)
+        # a tie rounds to the even 1e6, three quarters of an ulp to the next double
+        assert not _diverged_fixed(ctx.vector([cutoff + ulp / 2]))
+        assert _diverged_fixed(ctx.vector([-(cutoff + 3 * ulp / 4)]))
 
 
 def test_gauge_invariance_along_trajectories(ex1_response):

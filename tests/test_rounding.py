@@ -8,16 +8,19 @@ tier rounds first.  The systems cover the full flow (a dyadic-weight graph
 with missing edges; a graph with non-dyadic weights, whose rounded rows do
 not sum to zero, with and without mean gauges), its standard forms and two
 plane reductions; the rk4 checks take one fused stage input and the final
-update of a step.
+update of a step.  `round_fixed`, the one rounding of every kernel, is
+checked against mpmath's `from_man_exp` directly.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import MPZ, from_man_exp, round_nearest
 
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import gauge_shift, plane_reduce, to_standard_form
-from alf.dynamics import _rk4_step
+from alf.dynamics import _fixed_rk4_dt, _rk4_step
+from alf.precision import round_fixed
 from alf.slowfast import PlaneSystem
 
 from fraction_reference import Tier, value
@@ -86,7 +89,7 @@ def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
 
         state = ctx.vector(y)
         h = ctx.scalar(dt)
-        new = _rk4_step(recording, state, ctx.scalar(0), h)
+        new = _rk4_step(recording, state, ctx.scalar(0), _fixed_rk4_dt(h))
     y0 = [value(p) for p in state.parts]
     k1, k2, k3, k4 = ([value(p) for p in out.parts] for out in outputs)
     h = value(h)
@@ -139,3 +142,52 @@ def test_rk4_stage_and_update_are_correctly_rounded(kind, digits, data, dt):
     n = system.ode_dimension
     y = data.draw(st.lists(_STATE, min_size=n, max_size=n))
     _assert_all_equal(rk4_pairs(system, digits, y, dt))
+
+
+# --- round_fixed against mpmath's from_man_exp ----------------------------------
+
+PRECS = sorted({tier.ctx.working_prec for tier in TIERS.values()})
+
+
+def _assert_rounds_as_mpmath(a: int, exp: int, prec: int) -> None:
+    got = round_fixed(a, exp, prec)
+    assert got == from_man_exp(a, exp, prec, round_nearest), (a, exp, prec)
+    assert type(got[1]) is MPZ
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), prec=st.sampled_from(PRECS), exp=st.integers(-600, 50))
+def test_round_fixed_equals_from_man_exp(data, prec, exp):
+    # a of every length up to 4 prec bits: shorter than prec, exactly prec, and with up to 3 prec bits to round
+    # off; below its top bit, hypothesis's integers (mostly small) or uniformly random bits
+    bits = data.draw(st.integers(1, 4 * prec))
+    below = st.randoms(use_true_random=False).map(lambda r: r.getrandbits(bits - 1))
+    a = 1 << (bits - 1) | data.draw(st.one_of(st.integers(0, 2 ** (bits - 1) - 1), below))
+    shift = bits - prec
+    if shift > 0 and data.draw(st.booleans()):
+        # an exact tie: the bits below the last kept one read 100...0
+        a = a >> shift << shift | 1 << (shift - 1)
+    _assert_rounds_as_mpmath(data.draw(st.sampled_from((1, -1))) * a, exp, prec)
+
+
+def test_round_fixed_edge_cases():
+    for prec in PRECS:
+        odd = (1 << prec) - 1  # prec ones
+        even = (1 << prec) - 2
+        cases = [
+            0,
+            (odd << 1) + 1,  # a tie on the all-ones quotient rounds up: a carry to 2**prec
+            (even << 1) + 1,  # exact tie, even quotient: stays
+            (((1 << (prec - 1)) + 1) << 1) + 1,  # exact tie, odd quotient: rounds up
+            (odd << 5) + (1 << 4),  # a tie five bits down, odd quotient
+            (even << 5) + (1 << 4),  # a tie five bits down, even quotient
+            (even << 5) + (1 << 4) + 1,  # just above that tie
+            (odd << 5) + (1 << 4) - 1,  # just below a tie
+            3 << 40,  # shorter than prec, with trailing zeros
+            1 << (prec + 7),
+            ((1 << (prec - 3)) + 1) << 9,
+        ]
+        for a in cases:
+            for sign in (1, -1):
+                for exp in (-600, -prec, 0, 50):
+                    _assert_rounds_as_mpmath(sign * a, exp, prec)
