@@ -10,6 +10,7 @@ false there (advisory; outputs are still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -381,7 +382,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `alf` argument parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="alf",
         description="Numerical laboratory for absolute Laplacian flows.",

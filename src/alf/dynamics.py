@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 from operator import add, sub
 
 import numpy as np
@@ -102,6 +103,37 @@ class PerturbedSystem:
     def _laplacian_rows(self) -> list[list[tuple[int, Fraction]]]:
         """The nonzero exact entries (j, L_ij) of each row of L, in ascending j."""
         return [[(j, w) for j, w in enumerate(row) if w != 0] for row in self.graph.laplacian()]
+
+    @cached_property
+    def _exact_flow(self):
+        """x -> -L F(x) + eps H at a state of ints and Fractions, exactly, as Fractions.
+
+        The kernel computes in integers.  Built once: the entries -L_ij over
+        one denominator, and the values eps * h_i over another.  Per call:
+        the state as X_i / d with d the lcm of its denominators, the response
+        values V_j / den from `rational_evaluator`, one integer sum per row
+        over its nonzero entries, and one Fraction per component.  Mean gauges
+        are skipped: a gauge adds one value to every response value, and the
+        exact rows of L sum to zero, so its shift cancels exactly.
+        """
+        rows = self._laplacian_rows
+        lap_den = lcm(*(w.denominator for row in rows for _, w in row))
+        forcing = [self.epsilon * h for h in self.perturbation.values]
+        h_den = lcm(*(q.denominator for q in forcing))
+        # -L_ij == W_ij / lap_den and eps * h_i == H_i / (lap_den * h_den)
+        weights = [[(j, -w.numerator * (lap_den // w.denominator)) for j, w in row] for row in rows]
+        forcing = [q.numerator * (h_den // q.denominator) * lap_den for q in forcing]
+        values = self.field.function.rational_evaluator
+        const_den = lap_den * h_den
+
+        def flow(x):
+            d = lcm(*(v.denominator for v in x))
+            fv, den = values([v.numerator * (d // v.denominator) for v in x], d)
+            out_den = const_den * den
+            return [Fraction(sum([w * fv[j] for j, w in row]) * h_den + h * den, out_den)
+                    for row, h in zip(weights, forcing)]
+
+        return flow
 
     # --- ODE-system protocol -------------------------------------------------
     @property
@@ -221,16 +253,21 @@ def _field_values_float(fld: ResponseField, plan, y: np.ndarray) -> np.ndarray:
 def vector_field(sys: PerturbedSystem, x):
     """Evaluate -L F(x) + eps H in the arithmetic domain of x.
 
-    A float array, or a sequence holding a float, runs the float tier.  Ints,
-    Fractions and mpf take the exact path: L is applied from the nonzero
-    exact rows `_fixed_flow` also reads, so int and Fraction states give the
-    exact value and mpf states are evaluated in mpf arithmetic (each
-    response value exact and rounded once, the row sums per operation).
+    A float array, or a sequence holding a float, runs the float tier.  A
+    state of ints and Fractions gives the exact value as Fractions, from one
+    integer kernel per system (`PerturbedSystem._exact_flow`): one common
+    denominator for the state, integer response values and row sums, and
+    mean gauges skipped, since their shift cancels exactly in the exact rows
+    of L.  Any other state (mpf) is evaluated in its own arithmetic, per
+    operation: each response value exact and rounded once, the gauges and
+    the row sums over the nonzero exact entries of L.
     """
     if len(x) != sys.n:
         raise DimensionMismatchError(f"state has {len(x)} components, system has {sys.n}")
     if isinstance(x, np.ndarray) and x.dtype != object:
         return sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float))
+    if all([isinstance(v, (int, Fraction)) for v in x]):
+        return sys._exact_flow(x)
     if any(isinstance(v, float) for v in x):
         return list(sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float)))
     fvals = sys.field.evaluate(x)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -199,15 +200,34 @@ def commutes_with_laplacian(g: Graph, p: Permutation, tol=0) -> bool:
     """Whether L and the permutation matrix commute, to max-norm `tol`.
 
     The entries of L P - P L are L[sigma(a)][sigma(b)] - L[a][b] over all
-    (a, b), so no matrix product is formed: O(n^2) exact rational
-    comparisons, and tol=0 is meaningful.
+    (a, b).  Off the diagonal such an entry is nonzero only where (a, b) is
+    an edge or the image of one, so the max is taken over each edge's weight
+    against its image's and against its preimage's (0 for a pair that is no
+    edge), and over the weighted degrees of sigma(a) and a on the diagonal.
+    The weights are integers over one common denominator, so this is
+    O(|E| + n) exact integer work, no matrix, and tol=0 is meaningful.
     """
     if p.n != g.n:
         raise DimensionMismatchError(f"permutation on {p.n} symbols, graph has {g.n} nodes")
-    lap = g.laplacian()
-    sigma = [target - 1 for target in p.image]
-    worst = max(abs(lap[sigma[a]][sigma[b]] - lap[a][b]) for a in range(g.n) for b in range(g.n))
-    return worst <= tol
+    den = lcm(*(w.denominator for _, _, w in g.edges))
+    weight = {(i, j): w.numerator * (den // w.denominator) for i, j, w in g.edges}
+    degree = [0] * (g.n + 1)
+    for (i, j), w in weight.items():
+        degree[i] += w
+        degree[j] += w
+    sigma = (0,) + p.image
+    inverse = [0] * (g.n + 1)
+    for i in range(1, g.n + 1):
+        inverse[sigma[i]] = i
+
+    def weight_of(a: int, b: int) -> int:
+        return weight.get((a, b) if a < b else (b, a), 0)
+
+    diffs = [abs(degree[sigma[a]] - degree[a]) for a in range(1, g.n + 1)]
+    for (i, j), w in weight.items():
+        diffs.append(abs(weight_of(sigma[i], sigma[j]) - w))
+        diffs.append(abs(weight_of(inverse[i], inverse[j]) - w))
+    return Fraction(max(diffs), den) <= tol
 
 
 def zero_eigenvalue_count(g: Graph) -> int:

@@ -9,7 +9,9 @@ Each function evaluates in one form (scale and roots when known, else
 Horner on the coefficients), whatever the numeric type of the argument:
 - floats (numpy floats and float arrays included) run the form's loop on
   constants converted to float once (`evaluator`);
-- ints and Fractions run the same loop on the exact constants;
+- ints and Fractions run the same loop on the exact constants
+  (`rational_evaluator` on integers is the same value for the exact
+  vector field);
 - an mpf gets the exact value of the form, its constants rounded to the
   current precision, rounded once (`fixed_evaluator` on integers is the
   same computation for the extended-tier kernels).
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 from operator import add
 
 import mpmath
@@ -106,13 +109,19 @@ class ResponseFunction:
         return self._exact_evaluator(x)
 
     def _eval_mpf(self, x):
-        """The exact value at mpf x, with the constants rounded to the current precision, rounded once."""
+        """The exact value at mpf x, with the constants rounded to the current precision, rounded once.
+
+        A NaN or infinite x gets what mpf arithmetic on the form's loop gives.
+        """
         prec = mpmath.mp.prec
+        m, e = signed(x._mpf_)
+        if not m and e:
+            # NaN and the infinities (mantissa 0, nonzero exponent): the form's loop in mpf arithmetic
+            return self._routine(lambda c: mpmath.mpf(c.numerator) / c.denominator)(x)
         values = self._mpf_routines.get(prec)
         if values is None:
             values = self._mpf_routines[prec] = self._fixed(
                 lambda c: round_ratio(c.numerator, 0, c.denominator, prec))
-        m, e = signed(x._mpf_)
         (v,), exp = values([m], e)
         return mpmath.mp.make_mpf(round_fixed(v, exp, prec))
 
@@ -206,6 +215,53 @@ class ResponseFunction:
                     acc = acc * x + c
                 out.append(acc)
             return out, low + degree * exp
+
+        return values
+
+    @cached_property
+    def rational_evaluator(self):
+        """Exact evaluation at rationals on integers, constants exact.
+
+        The returned `values(xs, d)` takes integers X_i and d > 0 and returns
+        integers V_i and one denominator den > 0 with f(X_i / d) == V_i / den
+        exactly.  f is taken in the form `eval` uses: the scale times the
+        product over the roots, or Horner on the coefficients, each brought
+        to one integer denominator; the powers of d are folded into the
+        constants, as `_fixed` folds in powers of 2**exp.
+        """
+        if self.roots is not None:
+            scale, scale_den = self.scale.numerator, self.scale.denominator
+            root_den = lcm(*(r.denominator for r, _ in self.roots))
+            roots = [(r.numerator * (root_den // r.denominator), mult) for r, mult in self.roots]
+            degree = sum(mult for _, mult in roots)
+
+            def values(xs, d):
+                # x - r == (X root_den - R d) / (d root_den)
+                shifted = [(r * d, mult) for r, mult in roots]
+                out = []
+                for x in xs:
+                    x *= root_den
+                    acc = scale
+                    for r, mult in shifted:
+                        acc *= (x - r) ** mult
+                    out.append(acc)
+                return out, scale_den * (d * root_den) ** degree
+
+            return values
+        den = lcm(*(c.denominator for c in self.coeffs))
+        top, *rest = [c.numerator * (den // c.denominator) for c in reversed(self.coeffs)]
+        degree = len(rest)
+
+        def values(xs, d):
+            # Horner: the coefficient k places below the top carries d**k
+            consts = [c * d ** k for k, c in enumerate(rest, start=1)]
+            out = []
+            for x in xs:
+                acc = top
+                for c in consts:
+                    acc = acc * x + c
+                out.append(acc)
+            return out, den * d ** degree
 
         return values
 

@@ -491,3 +491,29 @@ def test_repeated_runs_identical_bytes(tmp_path):
         assert main(["singularities", "--preset", "ex1", "--out", str(out)]) == 0
         outs.append((out / "singularities.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_one_process_runs_many_commands_on_one_parser(tmp_path, capsys):
+    # the parser is built once per process; a bad argument between runs changes no later result
+    from alf.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    first, again, fresh = tmp_path / "first", tmp_path / "again", tmp_path / "fresh"
+    assert main(["singularities", "--preset", "ex1", "--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["singularities", "--preset", "ex1", "--out", str(again), "--svg"])
+    assert err.value.code == 2
+    assert main(["manifold", "--preset", "ex1-manifold", "--out", str(first)]) == 0
+    assert main(["singularities", "--preset", "ex1", "--out", str(again)]) == 0
+    assert main(["manifold", "--preset", "ex1-manifold", "--out", str(again)]) == 0
+    capsys.readouterr()
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    for command, preset in (("singularities", "ex1"), ("manifold", "ex1-manifold")):
+        proc = subprocess.run([sys.executable, "-m", "alf.cli", command, "--preset", preset, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes() == (fresh / name).read_bytes()

@@ -461,3 +461,87 @@ def test_dp45_clipped_last_step_lands_on_the_end_time():
     assert traj.times[-1] == 2.61
     assert traj.times[-2] < 2.61
     assert traj.times[-2] + (2.61 - traj.times[-2]) < 2.61
+
+
+# --- the exact kernel -----------------------------------------------------------
+
+def _reference_vector_field(sys_, x):
+    """The exact loop the integer kernel replaced, for int and Fraction states.
+
+    Response values in Fractions with every mean gauge added
+    (`ResponseField.evaluate`), then each row of -L F + eps H summed one
+    Fraction operation at a time over the dense exact Laplacian.
+    """
+    fvals = sys_.field.evaluate(x)
+    out = []
+    for row, h in zip(sys_.graph.laplacian(), sys_.perturbation.values):
+        acc = Fraction(0)
+        for w, v in zip(row, fvals):
+            acc = acc - w * v
+        out.append(acc + sys_.epsilon * h)
+    return out
+
+
+_KERNEL_GRAPHS = {
+    "k5-seven-fifths": Graph.complete(5, Fraction(7, 5)),
+    "c6": Graph.cycle(6),
+    # node 5 has no edges
+    "custom-isolated": Graph(5, ((1, 2, Fraction(1, 3)), (2, 3, Fraction(7, 5)), (1, 4, 2.5), (3, 4, 1))),
+    "single-node": Graph(1),
+}
+_KERNEL_FIELDS = {
+    "ex1-roots": ResponseField(ResponseFunction.from_roots([(1, 2), (-1, 2)])),
+    "roots": ResponseField(ResponseFunction.from_roots([(Fraction(1, 3), 1), (Fraction(-7, 5), 2)], Fraction(2, 3))),
+    "coeffs": ResponseField(ResponseFunction.from_coeffs([Fraction(1, 3), Fraction(-7, 5), 0, Fraction(5, 7)])),
+    "constant": ResponseField(ResponseFunction.from_coeffs([Fraction(5, 3)])),
+    "gauged": ResponseField(
+        ResponseFunction.from_roots([(Fraction(2, 3), 2)], Fraction(-3, 7)),
+        (ResponseFunction.from_coeffs([Fraction(1, 3), 2]), ResponseFunction.from_coeffs([0, 0, Fraction(-5, 11)])),
+    ),
+}
+# large coprime denominators: their lcm has about 24 digits
+_PRIMES = (999983, 1000003, 999979, 1000033)
+
+
+def _kernel_states(n, seed):
+    rng = SplitMix64(seed)
+    yield [int(rng.next_u64() % 9) - 4 for _ in range(n)]
+    yield [0] * n
+    yield rational_state(rng, n)
+    yield [Fraction(int(rng.next_u64() % 4_000_001) - 2_000_000, _PRIMES[i % len(_PRIMES)]) for i in range(n)]
+    yield [Fraction(int(rng.next_u64() % 41) - 20, int(rng.next_u64() % 30) + 1) if i % 2 else i - 2
+           for i in range(n)]
+
+
+@pytest.mark.parametrize("eps", (Fraction(0), Fraction(3, 7)))
+@pytest.mark.parametrize("field", sorted(_KERNEL_FIELDS))
+@pytest.mark.parametrize("graph", sorted(_KERNEL_GRAPHS))
+def test_exact_kernel_equals_fraction_reference(graph, field, eps):
+    g = _KERNEL_GRAPHS[graph]
+    pert = Perturbation(tuple((Fraction(-3, 5), Fraction(2, 9), 1, Fraction(-1, 3))[i % 4] for i in range(g.n)))
+    sys_ = PerturbedSystem(g, _KERNEL_FIELDS[field], pert, eps)
+    for x in _kernel_states(g.n, len(graph) * 31 + len(field)):
+        got = vector_field(sys_, x)
+        assert all(type(v) is Fraction for v in got)
+        assert got == _reference_vector_field(sys_, x)
+
+
+def test_exact_kernel_skips_the_gauges_the_reference_applies():
+    # the gauges shift every response value by a nonzero amount, and the exact rows of L cancel it
+    calls = []
+
+    class CountedGauge(ResponseFunction):
+        def eval(self, x):
+            calls.append(x)
+            return super().eval(x)
+
+    gauges = (CountedGauge.from_coeffs([Fraction(1, 3), 2]), CountedGauge.from_coeffs([0, 0, Fraction(-5, 11)]))
+    field = ResponseField(_KERNEL_FIELDS["gauged"].function, gauges)
+    sys_ = PerturbedSystem(_KERNEL_GRAPHS["custom-isolated"], field, Perturbation.constant(Fraction(1, 3), 5),
+                           Fraction(2, 7))
+    x = [Fraction(1, 3), -2, Fraction(5, 999983), Fraction(7, 4), 0]
+    got = vector_field(sys_, x)
+    assert calls == []
+    want = _reference_vector_field(sys_, x)
+    assert calls == [sum(x) / 5] * 2 and sum(g.eval(calls[0]) for g in gauges) != 0
+    assert got == want

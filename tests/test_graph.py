@@ -172,6 +172,56 @@ def test_commutes_agrees_with_matrix_product_oracle():
     assert any(not v[0] and v[-1] for v in seen)
 
 
+def _dense_commutator_norm(g: Graph, p: Permutation) -> Fraction:
+    """max |L[sigma(a)][sigma(b)] - L[a][b]| over all (a, b) of the dense exact Laplacian (the definition)."""
+    lap = g.laplacian()
+    s = [target - 1 for target in p.image]
+    return max(abs(lap[s[a]][s[b]] - lap[a][b]) for a in range(g.n) for b in range(g.n))
+
+
+def _graph_with_isolated_nodes(rng: SplitMix64, n: int) -> Graph:
+    """Random graph with weights among 1/3, 1, 7/5, 2 and about a quarter of the nodes left without edges."""
+    isolated = {i for i in range(1, n + 1) if rng.uniform() < 0.25}
+    weights = (Fraction(1, 3), Fraction(1), Fraction(7, 5), Fraction(2))
+    edges = [(i, j, weights[rng.next_u64() % 4]) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if i not in isolated and j not in isolated and rng.uniform() < 0.5]
+    return Graph(n, tuple(edges))
+
+
+def test_commutes_equals_dense_definition():
+    rng = SplitMix64(41)
+    seen = set()
+    for _ in range(300):
+        n = 1 + rng.next_u64() % 8
+        p = random_permutation(rng, n)
+        g = _graph_with_automorphism(rng, p) if rng.uniform() < 0.3 else _graph_with_isolated_nodes(rng, n)
+        lap = g.laplacian()
+        s = [target - 1 for target in p.image]
+        diffs = sorted({abs(lap[s[a]][s[b]] - lap[a][b]) for a in range(n) for b in range(n)})
+        # tols strictly between two of the entry differences, when there are two: the two largest and a random
+        # pair; and the largest difference itself
+        k = rng.next_u64() % max(1, len(diffs) - 1)
+        between = [(diffs[i] + diffs[i + 1]) / 2 for i in (k, len(diffs) - 2) if len(diffs) > 1]
+        worst = _dense_commutator_norm(g, p)
+        tols = [("fixed", 0), ("fixed", 1e-12), ("max", worst)] + [("between", tol) for tol in between]
+        for kind, tol in tols:
+            verdict = commutes_with_laplacian(g, p, tol=tol)
+            assert verdict == (worst <= tol)
+            seen.add((kind, verdict))
+    assert seen == {("fixed", True), ("fixed", False), ("between", False), ("max", True)}
+
+
+def test_commutes_reads_both_the_image_and_the_preimage_of_each_edge():
+    # every degree is 1/3 + 7/5, and the 3-cycle moves each missing pair onto an edge of weight 7/5 and one
+    # such edge onto a missing pair: the max 7/5 comes only from the edge met as an image under sigma, and
+    # only from the edge met as a preimage under its inverse
+    g = Graph(4, ((2, 3, Fraction(7, 5)), (1, 3, Fraction(1, 3)), (1, 4, Fraction(7, 5)), (2, 4, Fraction(1, 3))))
+    for p in (Permutation((2, 3, 1, 4)), Permutation((3, 1, 2, 4))):
+        assert _dense_commutator_norm(g, p) == Fraction(7, 5)
+        assert not commutes_with_laplacian(g, p, tol=(Fraction(16, 15) + Fraction(7, 5)) / 2)
+        assert commutes_with_laplacian(g, p, tol=Fraction(7, 5))
+
+
 def test_identity_always_commutes():
     rng = SplitMix64(13)
     for _ in range(10):

@@ -215,3 +215,49 @@ def test_evaluator_equals_eval_bit_for_bit(case, digits):
             for x in xs:
                 assert f.eval(x)._mpf_ == tier.raw(factored(value(x)))
                 assert expanded.eval(x)._mpf_ == tier.raw(coefficients(value(x)))
+
+
+def _mpf_loop(f: ResponseFunction, x):
+    """f at mpf x in mpf operations of its form, one at a time."""
+    import mpmath
+
+    def const(c):
+        return mpmath.mpf(c.numerator) / c.denominator
+
+    if f.roots is not None:
+        acc = const(f.scale)
+        for r, mult in f.roots:
+            for _ in range(mult):
+                acc = acc * (x - const(r))
+        return acc
+    acc = const(f.coeffs[-1])
+    for c in reversed(f.coeffs[:-1]):
+        acc = acc * x + const(c)
+    return acc
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+@pytest.mark.parametrize("case", sorted(_EVALUATOR_CASES))
+def test_eval_of_non_finite_mpf_follows_mpf_arithmetic(case, digits):
+    # NaN and the infinities are not read as 0: both forms give what mpf arithmetic gives
+    import mpmath
+
+    from alf.precision import ScalarContext
+
+    f = _EVALUATOR_CASES[case]
+    with ScalarContext(digits).workprec():
+        for form in (f, ResponseFunction(f.coeffs)):
+            for text in ("nan", "inf", "-inf"):
+                x = mpmath.mpf(text)
+                got, want = form.eval(x), _mpf_loop(form, x)
+                assert isinstance(got, mpmath.mpf)
+                assert (mpmath.isnan(got) and mpmath.isnan(want)) or got == want
+
+
+def test_vector_field_of_an_mpf_state_with_nan_is_nan(ex1_response):
+    import mpmath
+
+    sys_ = PerturbedSystem(Graph.complete(3), ResponseField(ex1_response), Perturbation.zero(3), 0)
+    with mpmath.workdps(35):
+        out = vector_field(sys_, [mpmath.mpf("nan"), mpmath.mpf(0), mpmath.mpf(1)])
+    assert all(mpmath.isnan(v) for v in out)
