@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import lcm
+from numbers import Integral
 from operator import add, sub
 
+import mpmath
 import numpy as np
 from mpmath.libmp import round_nearest, to_float
 
@@ -25,7 +27,9 @@ from .errors import (
     IntegrationStalledError,
 )
 from .graph import Graph
-from .precision import ScalarContext, TierVector, exact, round_fixed, round_ratio, signed
+from .precision import (
+    ScalarContext, TierVector, common_denominator, dyadic, exact, round_ratio, round_rationals, rounded, signed,
+)
 from .prng import SplitMix64
 from .response import ResponseField
 
@@ -106,32 +110,46 @@ class PerturbedSystem:
 
     @cached_property
     def _exact_flow(self):
-        """x -> -L F(x) + eps H at a state of ints and Fractions, exactly, as Fractions.
+        return self.integer_flow(None, range(self.n))
 
-        The kernel computes in integers.  Built once: the entries -L_ij over
-        one denominator, and the values eps * h_i over another.  Per call:
-        the state as X_i / d with d the lcm of its denominators, the response
-        values V_j / den from `rational_evaluator`, one integer sum per row
-        over its nonzero entries, and one Fraction per component.  Mean gauges
-        are skipped: a gauge adds one value to every response value, and the
-        exact rows of L sum to zero, so its shift cancels exactly.
+    def integer_flow(self, prec, rows):
+        """(X, d) -> (V, den): the components `rows` of -L F(x) + eps H at x_j = X_j / d are V_i / den.
+
+        The constants are exact (prec None) or each rounded once to prec
+        bits: -L_ij and eps * h_i over one denominator each, and the
+        response's.  Per call: one integer sum per row over its nonzero
+        entries, O(|E|).  A mean gauge adds g(mean) to every response value,
+        so g(mean) times the sum of the row's converted weights to a row.
+        Those sums are zero for exact and for rounded dyadic weights, and the
+        gauges are then skipped; otherwise they are evaluated exactly.
         """
-        rows = self._laplacian_rows
-        lap_den = lcm(*(w.denominator for row in rows for _, w in row))
-        forcing = [self.epsilon * h for h in self.perturbation.values]
-        h_den = lcm(*(q.denominator for q in forcing))
-        # -L_ij == W_ij / lap_den and eps * h_i == H_i / (lap_den * h_den)
-        weights = [[(j, -w.numerator * (lap_den // w.denominator)) for j, w in row] for row in rows]
-        forcing = [q.numerator * (h_den // q.denominator) * lap_den for q in forcing]
-        values = self.field.function.rational_evaluator
-        const_den = lap_den * h_den
+        values = self.field.function.integer_evaluator(prec)
+        # -L_ij == W_ij / lap_den; rounding to nearest, ties to even, commutes with the sign
+        lap = [[(j, rounded(w, prec)) for j, w in self._laplacian_rows[i]] for i in rows]
+        lap_den = lcm(*(w.denominator for row in lap for _, w in row))
+        lap = [[(j, -w.numerator * (lap_den // w.denominator)) for j, w in row] for row in lap]
+        forcing, h_den = common_denominator([rounded(self.epsilon * self.perturbation.values[i], prec) for i in rows])
+        row_sums = [sum(w for _, w in row) for row in lap]
+        gauges = self.field.mean_gauges if any(row_sums) else ()
 
-        def flow(x):
-            d = lcm(*(v.denominator for v in x))
-            fv, den = values([v.numerator * (d // v.denominator) for v in x], d)
-            out_den = const_den * den
-            return [Fraction(sum([w * fv[j] for j, w in row]) * h_den + h * den, out_den)
-                    for row, h in zip(weights, forcing)]
+        @lru_cache(maxsize=1)
+        def terms(den):
+            # over out_den, a common multiple of the rows' and the forcing's denominators; kept for the last den
+            row_den = lap_den * den
+            out_den = row_den if row_den % h_den == 0 else row_den * h_den
+            b = out_den // h_den
+            return out_den // row_den, [h * b for h in forcing], out_den
+
+        def flow(xs, d):
+            fv, den = values(xs, d)
+            a, hs, out_den = terms(den)
+            sums = [sum([w * fv[j] for j, w in row]) * a + h for row, h in zip(lap, hs)]
+            if not gauges:
+                return sums, out_den
+            # row i gains row_sums[i] / lap_den times the shift
+            shift = sum(g.eval(Fraction(sum(xs), len(xs) * d)) for g in gauges)
+            c = out_den // lap_den * shift.numerator
+            return [v * shift.denominator + r * c for v, r in zip(sums, row_sums)], out_den * shift.denominator
 
         return flow
 
@@ -153,7 +171,9 @@ class PerturbedSystem:
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
             return self._float_flow(ctx)
-        return ctx.vector_function(self._fixed_flow(ctx, range(self.n)))
+        prec = ctx.working_prec
+        flow = self.integer_flow(prec, range(self.n))
+        return ctx.vector_function(lambda xs, d: round_rationals(*flow(xs, d), prec))
 
     def _float_flow(self, ctx: ScalarContext):
         """x -> -L F(x) + eps H on float arrays, returned in a new array."""
@@ -166,45 +186,6 @@ class PerturbedSystem:
             out = neg_l @ _field_values_float(fld, plan, y)
             out += eps_h
             return out
-
-        return flow
-
-    def _fixed_flow(self, ctx: ScalarContext, rows):
-        """(X, exp) -> the components `rows` of -L F(x) + eps H at x_j = X_j * 2**exp.
-
-        Each component is computed exactly in integers and rounded once to
-        the extended tier of ctx.  The exact constants -L_ij and eps * h_i
-        are rounded to the tier once, here; L is applied from the nonzero
-        entries of each row, O(|E|) per call.  A mean gauge g adds
-        g(sum(x) / n) to every response value, so it adds that value times
-        the sum of the rounded weights to a row.  Those sums are zero when
-        the weights are dyadic, and the gauges are then skipped; otherwise
-        the gauges are evaluated exactly, constants included, at the exact
-        mean, and the row is rounded once from the exact rational.
-        """
-        prec = ctx.working_prec
-        values = self.field.function.fixed_evaluator(ctx)
-        lap = [[(j, signed(ctx.raw(-w))) for j, w in self._laplacian_rows[i]] for i in rows]
-        w_low = min([0] + [e for row in lap for _, (_, e) in row])
-        lap = [[(j, m << (e - w_low)) for j, (m, e) in row] for row in lap]
-        forcing = [signed(ctx.raw(self.epsilon * self.perturbation.values[i])) for i in rows]
-        h_low = min(0, min(e for _, e in forcing))
-        forcing = [m << (e - h_low) for m, e in forcing]
-        row_sums = [sum(w for _, w in row) for row in lap]
-        gauges = self.field.mean_gauges if any(row_sums) else ()
-        n = self.n
-
-        def flow(xs, exp):
-            fv, fe = values(xs, exp)
-            low = min(fe + w_low, h_low)
-            a, b = fe + w_low - low, h_low - low
-            sums = [(sum([w * fv[j] for j, w in row]) << a) + (h << b) for row, h in zip(lap, forcing)]
-            if not gauges:
-                return [round_fixed(v, low, prec) for v in sums]
-            mean = Fraction(sum(xs), n) * Fraction(2) ** exp
-            shift = sum(g.eval(mean) for g in gauges)
-            rows_exact = [v * Fraction(2) ** low + r * Fraction(2) ** w_low * shift for v, r in zip(sums, row_sums)]
-            return [round_ratio(q.numerator, 0, q.denominator, prec) for q in rows_exact]
 
         return flow
 
@@ -253,33 +234,39 @@ def _field_values_float(fld: ResponseField, plan, y: np.ndarray) -> np.ndarray:
 def vector_field(sys: PerturbedSystem, x):
     """Evaluate -L F(x) + eps H in the arithmetic domain of x.
 
-    A float array, or a sequence holding a float, runs the float tier.  A
-    state of ints and Fractions gives the exact value as Fractions, from one
-    integer kernel per system (`PerturbedSystem._exact_flow`): one common
-    denominator for the state, integer response values and row sums, and
-    mean gauges skipped, since their shift cancels exactly in the exact rows
-    of L.  Any other state (mpf) is evaluated in its own arithmetic, per
-    operation: each response value exact and rounded once, the gauges and
-    the row sums over the nonzero exact entries of L.
+    A float array, or a sequence holding a float or a numpy float, runs the
+    float tier.  A state of ints, Fractions and mpfs is read exactly and
+    evaluated by the system's one integer kernel (`integer_flow`): as exact
+    Fractions, the mean gauges skipped since they cancel in the exact rows of
+    L; or, when it holds an mpf, as mpfs, each the exact value on constants
+    rounded to the current precision, rounded once, as `ResponseFunction.eval`
+    of an mpf is.  A NaN or infinite mpf makes every component NaN.
+    Any other component type raises TypeError.
     """
     if len(x) != sys.n:
         raise DimensionMismatchError(f"state has {len(x)} components, system has {sys.n}")
-    if isinstance(x, np.ndarray) and x.dtype != object:
-        return sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float))
-    if all([isinstance(v, (int, Fraction)) for v in x]):
-        return sys._exact_flow(x)
-    if any(isinstance(v, float) for v in x):
-        return list(sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float)))
-    fvals = sys.field.evaluate(x)
-    zero = 0 * fvals[0]  # the zero of x's domain: a node without edges stays in it
-    eps = sys.epsilon
-    out = []
-    for row, h in zip(sys._laplacian_rows, sys.perturbation.values):
-        acc = zero
-        for j, w in row:
-            acc = acc - w * fvals[j]
-        out.append(acc + eps * h)
-    return out
+    types = set(map(type, x))
+    prec, rationals = None, x
+    if not types <= {int, Fraction}:
+        if any([issubclass(t, (float, np.floating)) for t in types]):
+            out = sys.rhs_function(ScalarContext(16))(np.asarray(x, dtype=float))
+            return out if isinstance(x, np.ndarray) else list(out)
+        rationals = []
+        for v in x:
+            if isinstance(v, mpmath.mpf):
+                if not mpmath.isfinite(v):
+                    return [mpmath.mpf("nan") for _ in x]
+                prec, v = mpmath.mp.prec, dyadic(v._mpf_)
+            elif not isinstance(v, (int, Fraction)):
+                if not isinstance(v, Integral):
+                    raise TypeError(f"vector_field reads floats, ints, Fractions and mpfs, not {type(v).__name__}")
+                v = int(v)
+            rationals.append(v)
+    flow = sys._exact_flow if prec is None else sys.integer_flow(prec, range(sys.n))
+    nums, den = flow(*common_denominator(rationals))
+    if prec is None:
+        return [Fraction(v, den) for v in nums]
+    return [mpmath.mp.make_mpf(a) for a in round_rationals(nums, den, prec)]
 
 
 @dataclass(frozen=True)
@@ -358,16 +345,15 @@ class StandardFormSystem:
 
             return rhs
 
-        flow = sys._fixed_flow(ctx, keep)
+        prec = ctx.working_prec
+        flow = sys.integer_flow(prec, keep)
         slow = ctx.raw(sys.epsilon * sum(sys.perturbation.values))
 
-        def fixed_rhs(xs, exp):
+        def fixed_rhs(xs, d):
             k = xs.pop()
             # lift, exactly: x_l = k - sum of the retained coordinates
             xs.insert(l - 1, k - sum(xs))
-            out = flow(xs, exp)
-            out.append(slow)
-            return out
+            return round_rationals(*flow(xs, d), prec) + [slow]
 
         return ctx.vector_function(fixed_rhs)
 
@@ -401,7 +387,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "dp45"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")

@@ -6,15 +6,15 @@ guard digits internally so that roundoff stays below the advertised level.
 
 Each tier has one vector type: a float ndarray on the 16-digit tier, and a
 `TierVector` of mpmath's raw `_mpf_` tuples on the extended tiers, whose
-scalars are mpf objects.  An extended kernel (a right-hand side, an
-integrator stage) computes in exact fixed point: `vector_function` reads the
-TierVector once as signed integers at one power of two, the
-kernel's sums and products are Python integers, and each output component
-is rounded once by `round_fixed`, to the nearest value of the tier's working
-precision (ties to even).  So every component is the correctly rounded value
-of its exact formula in the tier's inputs; only the exact constants (weights,
-roots, epsilon times the forcing, step fractions) are rounded to the tier
-before, once per build, per run (rk4's) or per step (dp45's).
+scalars are mpf objects.  Exact values and the extended tiers share one
+integer kernel per idea (a response, a flow): integers over one denominator
+in and out, every constant exact or rounded once (`rounded`).  An extended
+kernel reads the TierVector as integers over a power of two
+(`vector_function`) and rounds each output component once
+(`round_rationals`), to nearest with ties to even: the correctly rounded
+value of its exact formula in the tier's inputs.  Only the exact constants
+(weights, roots, epsilon times the forcing, step fractions) are rounded to
+the tier before, once per build, per run (rk4's) or per step (dp45's).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import numpy as np
@@ -84,18 +85,20 @@ class ScalarContext:
         return self.scalar(value)._mpf_
 
     def vector_function(self, kernel):
-        """A function of extended-tier TierVectors from a fixed-point kernel.
+        """A function of extended-tier TierVectors from an integer kernel.
 
-        `kernel(xs, exp)` takes the state as integers with x_i == xs_i * 2**exp,
-        exp the least exponent of the parts and at most 0 (zero's), and returns
-        the raw tuples of the result.
+        `kernel(xs, d)` takes the state as integers with x_i == xs_i / d and
+        returns the raw tuples of the result.  d == 2**-exp, exp at most 0 and
+        the least exponent of a part's last bit at the working precision (zero
+        reads -prec): d follows the state's magnitudes, not its trailing zeros,
+        so consecutive states of a run mostly share it.
         """
         prec = self.working_prec
 
         def apply(y):
-            parts = y.parts
-            exp = min(0, min([p[2] for p in parts]))
-            return TierVector(kernel([(-man if sign else man) << (e - exp) for sign, man, e, _ in parts], exp), prec)
+            exp = min(0, min([p[2] + p[3] for p in y.parts]) - prec)
+            xs = [(-man if sign else man) << (e - exp) for sign, man, e, _ in y.parts]
+            return TierVector(kernel(xs, 1 << -exp), prec)
 
         return apply
 
@@ -185,6 +188,31 @@ def round_fixed(a: int, exp: int, prec: int) -> tuple:
 def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:
     """num * 2**exp / den rounded once to prec bits, to nearest with ties to even."""
     return mpf_div(from_man_exp(num, exp), from_int(den), prec, round_nearest)
+
+
+def round_rationals(nums, den: int, prec: int) -> list:
+    """The raw tuples of each num / den rounded once to prec bits: `round_fixed` for a power-of-two den."""
+    if den & (den - 1):
+        return [round_ratio(v, 0, den, prec) for v in nums]
+    exp = 1 - den.bit_length()
+    return [round_fixed(v, exp, prec) for v in nums]
+
+
+def common_denominator(qs) -> tuple[list[int], int]:
+    """Integers N_i and one D > 0, the lcm of the denominators, with q_i == N_i / D for the rationals q_i."""
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def dyadic(part) -> Fraction:
+    """The exact value of a finite raw `_mpf_` tuple."""
+    m, e = signed(part)
+    return Fraction(int(m) << e) if e >= 0 else Fraction(int(m), 1 << -e)
+
+
+def rounded(q: Fraction, prec: int | None) -> Fraction:
+    """q rounded once to prec bits, to nearest with ties to even, as an exact value; q itself for prec None."""
+    return q if prec is None else dyadic(round_ratio(q.numerator, 0, q.denominator, prec))
 
 
 def exact(value) -> Fraction:

@@ -9,27 +9,25 @@ Each function evaluates in one form (scale and roots when known, else
 Horner on the coefficients), whatever the numeric type of the argument:
 - floats (numpy floats and float arrays included) run the form's loop on
   constants converted to float once (`evaluator`);
-- ints and Fractions run the same loop on the exact constants
-  (`rational_evaluator` on integers is the same value for the exact
-  vector field);
-- an mpf gets the exact value of the form, its constants rounded to the
-  current precision, rounded once (`fixed_evaluator` on integers is the
-  same computation for the extended-tier kernels).
+- ints and Fractions run the same loop on the exact constants;
+- exact values and the extended tiers share one integer routine of the
+  form (`integer_evaluator`): integers over one denominator in and out, the
+  constants exact, or rounded once to a precision for the extended-tier
+  kernels and `eval` of an mpf, which round each value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 from math import lcm
-from operator import add
 
 import mpmath
 import numpy as np
 
 from .errors import UnsupportedStructureError
-from .precision import exact, round_fixed, round_ratio, signed
+from .precision import common_denominator, dyadic, exact, round_rationals, rounded
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -41,8 +39,8 @@ class ResponseFunction:
     coeffs: tuple[Fraction, ...]
     roots: tuple[tuple[Fraction, int], ...] | None = None
     scale: Fraction = Fraction(1)
-    # `_eval_mpf`'s fixed-point routine for each precision it has met
-    _mpf_routines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # `integer_evaluator`'s routine for each precision it has met (None: exact constants)
+    _integer_routines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(exact(c) for c in self.coeffs)
@@ -113,17 +111,12 @@ class ResponseFunction:
 
         A NaN or infinite x gets what mpf arithmetic on the form's loop gives.
         """
-        prec = mpmath.mp.prec
-        m, e = signed(x._mpf_)
-        if not m and e:
-            # NaN and the infinities (mantissa 0, nonzero exponent): the form's loop in mpf arithmetic
+        if not mpmath.isfinite(x):
+            # NaN and the infinities: the form's loop in mpf arithmetic
             return self._routine(lambda c: mpmath.mpf(c.numerator) / c.denominator)(x)
-        values = self._mpf_routines.get(prec)
-        if values is None:
-            values = self._mpf_routines[prec] = self._fixed(
-                lambda c: round_ratio(c.numerator, 0, c.denominator, prec))
-        (v,), exp = values([m], e)
-        return mpmath.mp.make_mpf(round_fixed(v, exp, prec))
+        prec, q = mpmath.mp.prec, dyadic(x._mpf_)
+        values, den = self.integer_evaluator(prec)([q.numerator], q.denominator)
+        return mpmath.mp.make_mpf(round_rationals(values, den, prec)[0])
 
     @cached_property
     def evaluator(self):
@@ -165,104 +158,57 @@ class ResponseFunction:
 
         return evaluate_expanded
 
-    def fixed_evaluator(self, ctx):
-        """Exact evaluation on fixed-point integers, constants in the tier of ctx.
-
-        The returned `values(xs, exp)` takes integers X_i and returns
-        integers V_i and one exponent e with f(X_i * 2**exp) == V_i * 2**e
-        exactly.  f is taken in the form `eval` uses (scale and roots, or
-        coefficients), each constant rounded to the tier once.
-        """
-        return self._fixed(ctx.raw)
-
-    def _fixed(self, raw):
-        """`fixed_evaluator` with the constants converted by `raw`."""
-        if self.roots is not None:
-            scale, scale_exp = signed(raw(self.scale))
-            roots = [(signed(raw(r)), mult) for r, mult in self.roots]
-            bound = min([0] + [e for (_, e), _ in roots])
-            degree = sum(mult for _, mult in roots)
-
-            def values(xs, exp):
-                if exp > bound:
-                    xs = [x << (exp - bound) for x in xs]
-                    exp = bound
-                shifted = [(m << (e - exp), mult) for (m, e), mult in roots]
-                out = []
-                for x in xs:
-                    acc = scale
-                    for r, mult in shifted:
-                        acc *= (x - r) ** mult
-                    out.append(acc)
-                return out, scale_exp + degree * exp
-
-            return values
-        coeffs = [signed(raw(c)) for c in self.coeffs]
-        low = min(e for _, e in coeffs)
-        top, *rest = [m << (e - low) for m, e in reversed(coeffs)]
-        degree = len(rest)
-
-        def values(xs, exp):
-            if exp > 0:
-                xs = [x << exp for x in xs]
-                exp = 0
-            # Horner: the coefficient k places below the top carries 2**(-k * exp)
-            consts = [c << (-k * exp) for k, c in enumerate(rest, start=1)]
-            out = []
-            for x in xs:
-                acc = top
-                for c in consts:
-                    acc = acc * x + c
-                out.append(acc)
-            return out, low + degree * exp
-
-        return values
-
-    @cached_property
-    def rational_evaluator(self):
-        """Exact evaluation at rationals on integers, constants exact.
+    def integer_evaluator(self, prec=None):
+        """Exact evaluation at rationals on integers, built once per precision.
 
         The returned `values(xs, d)` takes integers X_i and d > 0 and returns
         integers V_i and one denominator den > 0 with f(X_i / d) == V_i / den
-        exactly.  f is taken in the form `eval` uses: the scale times the
-        product over the roots, or Horner on the coefficients, each brought
-        to one integer denominator; the powers of d are folded into the
-        constants, as `_fixed` folds in powers of 2**exp.
+        exactly.  f is taken in the form `eval` uses, each constant exact
+        (prec None) or rounded once to prec bits (`rounded`), so the
+        extended tiers, with d a power of two, get a power of two for den.
         """
+        if prec in self._integer_routines:
+            return self._integer_routines[prec]
         if self.roots is not None:
-            scale, scale_den = self.scale.numerator, self.scale.denominator
-            root_den = lcm(*(r.denominator for r, _ in self.roots))
-            roots = [(r.numerator * (root_den // r.denominator), mult) for r, mult in self.roots]
+            scale = rounded(self.scale, prec)
+            s_num, s_den = scale.numerator, scale.denominator
+            nums, root_den = common_denominator([rounded(r, prec) for r, _ in self.roots])
+            roots = [(r, mult) for r, (_, mult) in zip(nums, self.roots)]
             degree = sum(mult for _, mult in roots)
 
+            # kept for the last d: the states of an extended-tier run mostly share one (`vector_function`)
+            @lru_cache(maxsize=1)
+            def terms(d):
+                # x - r == (X a - R b) / den with den the lcm of d and root_den, a = den / d and b = den / root_den
+                den = lcm(d, root_den)
+                return den // d, [(r * (den // root_den), mult) for r, mult in roots], s_den * den ** degree
+
             def values(xs, d):
-                # x - r == (X root_den - R d) / (d root_den)
-                shifted = [(r * d, mult) for r, mult in roots]
+                a, shifted, den = terms(d)
+                if a != 1:
+                    xs = [x * a for x in xs]
                 out = []
                 for x in xs:
-                    x *= root_den
-                    acc = scale
+                    acc = s_num
                     for r, mult in shifted:
                         acc *= (x - r) ** mult
                     out.append(acc)
-                return out, scale_den * (d * root_den) ** degree
+                return out, den
+        else:
+            (top, *rest), den = common_denominator([rounded(c, prec) for c in reversed(self.coeffs)])
 
-            return values
-        den = lcm(*(c.denominator for c in self.coeffs))
-        top, *rest = [c.numerator * (den // c.denominator) for c in reversed(self.coeffs)]
-        degree = len(rest)
+            def values(xs, d):
+                # Horner: the coefficient k places below the top carries d**k
+                consts = [c * d**k for k, c in enumerate(rest, start=1)]
+                out = []
+                for x in xs:
+                    acc = top
+                    for c in consts:
+                        acc = acc * x + c
+                    out.append(acc)
+                return out, den * d ** len(rest)
 
-        def values(xs, d):
-            # Horner: the coefficient k places below the top carries d**k
-            consts = [c * d ** k for k, c in enumerate(rest, start=1)]
-            out = []
-            for x in xs:
-                acc = top
-                for c in consts:
-                    acc = acc * x + c
-                out.append(acc)
-            return out, den * d ** degree
-
+        self._integer_routines[prec] = values
         return values
 
     def derivative(self, order: int = 1) -> "ResponseFunction":
@@ -310,19 +256,6 @@ class ResponseField:
                 raise UnsupportedStructureError(
                     f"responses and mean gauges must be ResponseFunction polynomials, got {type(part).__name__}"
                 )
-
-    def evaluate(self, x):
-        """Componentwise response values, same arithmetic domain as x.
-
-        Ints are read as Fractions, so the state mean a gauge reads is exact.
-        """
-        x = [Fraction(v) if isinstance(v, int) else v for v in x]
-        out = [self.function.eval(xi) for xi in x]
-        if self.mean_gauges:
-            mean = reduce(add, x) / len(x)
-            shift = reduce(add, (gauge.eval(mean) for gauge in self.mean_gauges))
-            out = [v + shift for v in out]
-        return out
 
 
 def gauge_shift(field: ResponseField, h: ResponseFunction) -> ResponseField:

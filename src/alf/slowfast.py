@@ -93,9 +93,10 @@ class PlaneSystem:
         """(x, k) -> (-(f(x) - f(k - (n-1) x)) + eps g, eps ((n-1) g + g_tilde)).
 
         `eps * g` and the slow drift are computed once per build.  The extended
-        tiers compute on raw `_mpf_` tuples: the mirror and the layer are
-        exact integers, and the fast component is rounded once; `eps * g` and
-        the slow drift are exact constants rounded to the tier.
+        tiers compute in integers (`ResponseFunction.integer_evaluator`): the
+        mirror and the layer are exact, and the fast component is rounded
+        once; `eps * g` and the slow drift are exact constants rounded to the
+        tier.
         """
         n = self.n
         if ctx.is_float:
@@ -113,13 +114,15 @@ class PlaneSystem:
             return rhs
 
         prec = ctx.working_prec
-        values = self.f.fixed_evaluator(ctx)
+        values = self.f.integer_evaluator(prec)
         g, g_exp = signed(ctx.raw(self.epsilon * self.g))
         slow = ctx.raw(self.epsilon * self.slow_rhs_factor())
 
-        def fixed_rhs(xs, exp):
+        def fixed_rhs(xs, d):
             x, k = xs
-            (fx, fm), f_exp = values([x, k - (n - 1) * x], exp)
+            (fx, fm), den = values([x, k - (n - 1) * x], d)
+            # the constants are dyadic, so den is a power of two: den == 2**-f_exp
+            f_exp = 1 - den.bit_length()
             low = min(f_exp, g_exp)
             fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
             return [round_fixed(fast, low, prec), slow]

@@ -1,8 +1,12 @@
 import io
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alf import (
     DivergenceError,
@@ -468,11 +472,16 @@ def test_dp45_clipped_last_step_lands_on_the_end_time():
 def _reference_vector_field(sys_, x):
     """The exact loop the integer kernel replaced, for int and Fraction states.
 
-    Response values in Fractions with every mean gauge added
-    (`ResponseField.evaluate`), then each row of -L F + eps H summed one
-    Fraction operation at a time over the dense exact Laplacian.
+    Response values in Fractions with every mean gauge added at the exact
+    mean, then each row of -L F + eps H summed one Fraction operation at a
+    time over the dense exact Laplacian.
     """
-    fvals = sys_.field.evaluate(x)
+    x = [Fraction(v) if isinstance(v, int) else v for v in x]
+    fvals = [sys_.field.function.eval(xi) for xi in x]
+    if sys_.field.mean_gauges:
+        mean = reduce(add, x) / len(x)
+        shift = reduce(add, (gauge.eval(mean) for gauge in sys_.field.mean_gauges))
+        fvals = [v + shift for v in fvals]
     out = []
     for row, h in zip(sys_.graph.laplacian(), sys_.perturbation.values):
         acc = Fraction(0)
@@ -545,3 +554,90 @@ def test_exact_kernel_skips_the_gauges_the_reference_applies():
     want = _reference_vector_field(sys_, x)
     assert calls == [sum(x) / 5] * 2 and sum(g.eval(calls[0]) for g in gauges) != 0
     assert got == want
+
+
+def test_integrator_step_must_be_positive():
+    # a NaN dt would reach rk4's step count or dp45's divergence test
+    for method in ("rk4", "dp45"):
+        for dt in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                IntegratorConfig(method=method, dt=dt)
+
+
+# --- the arithmetic domain of vector_field ------------------------------------------
+
+def _mixed_system():
+    # non-dyadic weights, response constants and forcing, and a gauge: every constant is rounded for an mpf state
+    field = gauge_shift(_KERNEL_FIELDS["roots"], ResponseFunction.from_coeffs([Fraction(1, 3), 2]))
+    return PerturbedSystem(_KERNEL_GRAPHS["custom-isolated"], field,
+                           Perturbation((Fraction(-3, 5), Fraction(2, 9), 1, Fraction(-1, 3), 0)), Fraction(3, 7))
+
+
+def _rounded_reference(sys_, prec, x):
+    """The dense Fraction-then-round reference with every constant rounded to prec bits, as raw tuples."""
+    from fraction_reference import Tier, value
+
+    tier = Tier(32)
+    tier.prec = prec
+    exact = [value(v) if isinstance(v, mpmath.mpf) else v if isinstance(v, Fraction) else Fraction(int(v)) for v in x]
+    return [tier.raw(q) for q in tier.full_rhs(sys_)(exact)]
+
+
+def test_vector_field_reads_a_mixed_state_exactly():
+    sys_ = _mixed_system()
+    x = [Fraction(1, 3), 2, mpmath.mpf(3), np.int64(-1), mpmath.mpf("0.1")]
+    for prec in (80, 200):
+        with mpmath.workprec(prec):
+            out = vector_field(sys_, x)
+        assert all(type(v) is mpmath.mpf for v in out)
+        assert [v._mpf_ for v in out] == _rounded_reference(sys_, prec, x)
+    # ints of any integral type and Fractions stay exact
+    assert vector_field(sys_, [np.int64(2), Fraction(-1, 3), True, 4, np.int8(-3)]) == vector_field(
+        sys_, [Fraction(2), Fraction(-1, 3), Fraction(1), Fraction(4), Fraction(-3)])
+    out = vector_field(sys_, np.array([1, -2, 0, 3, 1]))
+    assert all(type(v) is Fraction for v in out)
+    assert out == vector_field(sys_, [1, -2, 0, 3, 1])
+
+
+def test_vector_field_of_numpy_floats_runs_the_float_tier():
+    sys_ = _mixed_system()
+    x = [0.25, -1.5, 0.5, 1.0, -0.75]
+    want = vector_field(sys_, np.array(x))
+    for state in ([np.float32(v) for v in x], [Fraction(1, 4), np.float32(-1.5), 0.5, 1, mpmath.mpf(-0.75)],
+                  np.array(x, dtype=np.float32)):
+        out = vector_field(sys_, state)
+        assert [float(v) for v in out] == want.tolist()
+        assert all(type(v) is np.float64 for v in out)
+
+
+def test_vector_field_refuses_other_component_types():
+    from decimal import Decimal
+
+    sys_ = _mixed_system()
+    for bad in (Decimal("0.5"), 1j, "1", mpmath.mpc(1, 2)):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            vector_field(sys_, [Fraction(1), 2, bad, 0, 1])
+
+
+_MPF_STATE = st.tuples(st.integers(-2**70, 2**70), st.integers(-90, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(_MPF_STATE, min_size=5, max_size=5), prec=st.sampled_from((80, 200)),
+       system=st.sampled_from(("gauged", "dyadic")))
+def test_vector_field_of_an_mpf_state_is_the_exact_value_rounded_once(parts, prec, system):
+    sys_ = _mixed_system() if system == "gauged" else PerturbedSystem(
+        _KERNEL_GRAPHS["k5-seven-fifths"], _KERNEL_FIELDS["coeffs"], Perturbation.constant(Fraction(1, 3), 5), 1)
+    with mpmath.workprec(prec):
+        x = [mpmath.mpf(p) for p in parts]
+        out = vector_field(sys_, x)
+    assert [v._mpf_ for v in out] == _rounded_reference(sys_, prec, x)
+
+
+@pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("where", (0, 2, 4))
+def test_vector_field_of_a_non_finite_mpf_is_nan_everywhere(bad, where):
+    x = [Fraction(1, 3), mpmath.mpf(2), 0, mpmath.mpf("0.5"), -1]
+    x[where] = mpmath.mpf(bad)
+    out = vector_field(_mixed_system(), x)
+    assert len(out) == 5 and all(type(v) is mpmath.mpf and mpmath.isnan(v) for v in out)

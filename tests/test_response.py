@@ -123,7 +123,7 @@ def test_gauge_shift_identity(ex1_field):
     shifted = gauge_shift(ex1_field, ResponseFunction.from_coeffs([0]))
     rng = SplitMix64(77)
     x = rational_state(rng, 3)
-    assert _k3_system(shifted).field.evaluate(x) is not None
+    assert shifted.mean_gauges == (ResponseFunction.from_coeffs([0]),)
     assert vector_field(_k3_system(ex1_field), x) == vector_field(_k3_system(shifted), x)
 
 
@@ -261,3 +261,70 @@ def test_vector_field_of_an_mpf_state_with_nan_is_nan(ex1_response):
     with mpmath.workdps(35):
         out = vector_field(sys_, [mpmath.mpf("nan"), mpmath.mpf(0), mpmath.mpf(1)])
     assert all(mpmath.isnan(v) for v in out)
+
+
+# --- the integer routine ----------------------------------------------------------
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+_NONZERO = _RATIONALS.filter(lambda q: q != 0)
+_FORMS = st.one_of(
+    st.builds(ResponseFunction.from_roots, st.lists(st.tuples(_RATIONALS, st.integers(1, 3)), max_size=3), _NONZERO),
+    st.builds(ResponseFunction.from_coeffs, st.lists(_RATIONALS, min_size=1, max_size=5)),
+)
+
+
+def _reference(f: ResponseFunction, const):
+    """f in the form `eval` uses, in Fraction arithmetic, on the constants `const` gives."""
+    if f.roots is not None:
+        scale, roots = const(f.scale), [(const(r), m) for r, m in f.roots]
+
+        def factored(x):
+            acc = scale
+            for r, m in roots:
+                acc *= (x - r) ** m
+            return acc
+
+        return factored
+    coeffs = [const(c) for c in f.coeffs]
+    return lambda x: sum((c * x**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def _rounded_to(prec):
+    """A constant rounded once to prec bits, to nearest with ties to even, as an exact value."""
+    from mpmath.libmp import from_rational, round_nearest
+
+    from fraction_reference import value
+
+    return lambda q: value(from_rational(q.numerator, q.denominator, prec, round_nearest))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_FORMS, xs=st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=4),
+       d=st.one_of(st.integers(0, 90).map(lambda k: 2**k), st.integers(1, 10**9)),
+       prec=st.sampled_from((None, 53, 113, 226)))
+def test_integer_evaluator_equals_fraction_arithmetic(f, xs, d, prec):
+    # both forms, with non-dyadic constants; dyadic and non-dyadic d; constants exact or rounded to prec
+    for form in (f, ResponseFunction(f.coeffs)):
+        values, den = form.integer_evaluator(prec)(xs, d)
+        assert form.integer_evaluator(prec) is form.integer_evaluator(prec)
+        ref = _reference(form, (lambda q: q) if prec is None else _rounded_to(prec))
+        assert [Fraction(v, den) for v in values] == [ref(Fraction(x, d)) for x in xs]
+        if prec is not None and d & (d - 1) == 0:
+            # dyadic constants over a dyadic d: the tier callers read den as a power of two
+            assert den & (den - 1) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_FORMS, m=st.integers(-2**80, 2**80), e=st.integers(-120, 120), prec=st.sampled_from((53, 113, 226)))
+def test_eval_of_an_mpf_is_the_exact_value_rounded_once(f, m, e, prec):
+    # states with a positive exponent included: the mpf is read exactly, the constants rounded to the precision
+    import mpmath
+    from mpmath.libmp import from_rational, round_nearest
+
+    from fraction_reference import value
+
+    with mpmath.workprec(prec):
+        x = mpmath.mpf((m, e))
+        for form in (f, ResponseFunction(f.coeffs)):
+            want = _reference(form, _rounded_to(prec))(value(x))
+            assert form.eval(x)._mpf_ == from_rational(want.numerator, want.denominator, prec, round_nearest)
