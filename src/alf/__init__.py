@@ -35,7 +35,6 @@ from .graph import (
     Graph,
     Permutation,
     commutes_with_laplacian,
-    zero_eigenvalue_count,
 )
 from .precision import ScalarContext, exact
 from .prng import SplitMix64

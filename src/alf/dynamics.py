@@ -104,11 +104,6 @@ class PerturbedSystem:
         return -self.graph.laplacian_array()
 
     @cached_property
-    def _laplacian_rows(self) -> list[list[tuple[int, Fraction]]]:
-        """The nonzero exact entries (j, L_ij) of each row of L, in ascending j."""
-        return [[(j, w) for j, w in enumerate(row) if w != 0] for row in self.graph.laplacian()]
-
-    @cached_property
     def _exact_flow(self):
         return self.integer_flow(None, range(self.n))
 
@@ -124,8 +119,9 @@ class PerturbedSystem:
         gauges are then skipped; otherwise they are evaluated exactly.
         """
         values = self.field.function.integer_evaluator(prec)
+        laplacian = self.graph.laplacian()
         # -L_ij == W_ij / lap_den; rounding to nearest, ties to even, commutes with the sign
-        lap = [[(j, rounded(w, prec)) for j, w in self._laplacian_rows[i]] for i in rows]
+        lap = [[(j, rounded(w, prec)) for j, w in laplacian[i]] for i in rows]
         lap_den = lcm(*(w.denominator for row in lap for _, w in row))
         lap = [[(j, -w.numerator * (lap_den // w.denominator)) for j, w in row] for row in lap]
         forcing, h_den = common_denominator([rounded(self.epsilon * self.perturbation.values[i], prec) for i in rows])

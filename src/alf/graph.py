@@ -1,8 +1,11 @@
-"""Weighted simple graphs, their Laplacian algebra, permutations, and node partitions.
+"""Weighted simple graphs, their Laplacian, permutations, and node partitions.
 
 Nodes are labelled 1..n.  Edge weights are stored as exact rationals
 (floats convert losslessly), so algebraic identities such as the zero row
 sums of the Laplacian hold exactly and are testable without tolerances.
+The Laplacian is built from the edge list as sparse exact rows, and
+commutation with a permutation is decided on the edges alone: no n x n
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -10,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidGraphError
 from .precision import exact
-
-ZERO_EIGENVALUE_TOL = 1e-8
 
 
 def components(n: int, pairs) -> list[frozenset[int]]:
@@ -90,13 +92,6 @@ class Permutation:
             out[target - 1] = x[i]
         return out
 
-    def matrix(self) -> list[list[int]]:
-        """The 0/1 matrix P with P e_j = e_sigma(j); the tests' reference for commutation."""
-        m =[[0] * self.n for _ in range(self.n)]
-        for j, target in enumerate(self.image):
-            m[target - 1][j] = 1
-        return m
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -115,6 +110,10 @@ class Graph:
         seen = set()
         norm = []
         for i, j, w in self.edges:
+            try:
+                i, j = index(i), index(j)
+            except TypeError:
+                raise InvalidGraphError(f"edge ({i},{j}) has a non-integer endpoint") from None
             if i == j:
                 raise InvalidGraphError(f"self-loop at node {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -124,7 +123,10 @@ class Graph:
             if (i, j) in seen:
                 raise InvalidGraphError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-            w = exact(w)
+            try:
+                w = exact(w)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidGraphError(f"edge ({i},{j}) has non-numeric or non-finite weight {w!r}") from None
             if w <= 0:
                 raise InvalidGraphError(f"edge ({i},{j}) has non-positive weight {w}")
             norm.append((i, j, w))
@@ -147,16 +149,8 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, n: int, edge_list) -> "Graph":
-        """Build from [(i, j), ...] or [(i, j, w), ...] entries."""
-        edges = []
-        for entry in edge_list:
-            if len(entry) == 2:
-                i, j = entry
-                edges.append((int(i), int(j), Fraction(1)))
-            else:
-                i, j, w = entry
-                edges.append((int(i), int(j), exact(w)))
-        return cls(n, tuple(edges))
+        """Build from [(i, j), ...] or [(i, j, w), ...] entries; a pair has weight 1."""
+        return cls(n, tuple((*entry, 1) if len(entry) == 2 else tuple(entry) for entry in edge_list))
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -165,23 +159,34 @@ class Graph:
         """Complete with every edge weight 1, so any two nodes are exchangeable."""
         return self.is_complete() and all(w == 1 for _, _, w in self.edges)
 
-    def laplacian(self) -> list[list[Fraction]]:
-        """Degree matrix minus adjacency matrix, in exact rationals."""
-        lap = [[Fraction(0)] * self.n for _ in range(self.n)]
+    def laplacian(self) -> list[list[tuple[int, Fraction]]]:
+        """L = D - A as sparse exact rows: row i holds the nonzero (j, L_ij) in ascending j, 0-based.
+
+        Built from `edges` in O(|E| + n).  The edges are sorted, so each
+        row meets its lower neighbours, then its upper ones, in ascending
+        order; the degree goes between them, summed in integers over the
+        weights' common denominator.  An isolated node has an empty row.
+        """
+        den = lcm(*(w.denominator for _, _, w in self.edges))
+        lower = [[] for _ in range(self.n)]
+        upper = [[] for _ in range(self.n)]
+        degree = [0] * self.n
         for i, j, w in self.edges:
-            lap[i - 1][j - 1] -= w
-            lap[j - 1][i - 1] -= w
-            lap[i - 1][i - 1] += w
-            lap[j - 1][j - 1] += w
-        return lap
+            neg = -w
+            upper[i - 1].append((j - 1, neg))
+            lower[j - 1].append((i - 1, neg))
+            d = w.numerator * (den // w.denominator)
+            degree[i - 1] += d
+            degree[j - 1] += d
+        return [lo + [(a, Fraction(d, den))] + up if d else []
+                for a, (lo, d, up) in enumerate(zip(lower, degree, upper))]
 
     def laplacian_array(self) -> np.ndarray:
-        """`laplacian()` in floats; only the edge entries and the diagonal are converted."""
-        lap = self.laplacian()
+        """`laplacian()` as a dense float matrix, each exact entry converted once."""
         out = np.zeros((self.n, self.n))
-        for i, j, _ in self.edges:
-            out[i - 1, j - 1] = out[j - 1, i - 1] = float(lap[i - 1][j - 1])
-        np.fill_diagonal(out, [float(lap[i][i]) for i in range(self.n)])
+        for i, row in enumerate(self.laplacian()):
+            for j, w in row:
+                out[i, j] = float(w)
         return out
 
     def connected_components(self) -> list[frozenset[int]]:
@@ -196,47 +201,21 @@ class Graph:
         }
 
 
-def commutes_with_laplacian(g: Graph, p: Permutation, tol=0) -> bool:
-    """Whether L and the permutation matrix commute, to max-norm `tol`.
+def commutes_with_laplacian(g: Graph, p: Permutation) -> bool:
+    """Whether L P = P L exactly: whether p maps every edge onto an edge of the same weight.
 
-    The entries of L P - P L are L[sigma(a)][sigma(b)] - L[a][b] over all
-    (a, b).  Off the diagonal such an entry is nonzero only where (a, b) is
-    an edge or the image of one, so the max is taken over each edge's weight
-    against its image's and against its preimage's (0 for a pair that is no
-    edge), and over the weighted degrees of sigma(a) and a on the diagonal.
-    The weights are integers over one common denominator, so this is
-    O(|E| + n) exact integer work, no matrix, and tol=0 is meaningful.
+    L P = P L says L[sigma(a)][sigma(b)] = L[a][b] for all (a, b).  Off the
+    diagonal that is the edge-map test.  sigma permutes the node pairs, so
+    when the edges land on edges they fill them, non-edges land on
+    non-edges, and each node's weighted degree is its image's: the
+    diagonal follows.  One pass over the edges, O(|E| + n), no matrix.
     """
     if p.n != g.n:
         raise DimensionMismatchError(f"permutation on {p.n} symbols, graph has {g.n} nodes")
-    den = lcm(*(w.denominator for _, _, w in g.edges))
-    weight = {(i, j): w.numerator * (den // w.denominator) for i, j, w in g.edges}
-    degree = [0] * (g.n + 1)
-    for (i, j), w in weight.items():
-        degree[i] += w
-        degree[j] += w
+    weight = {(i, j): w for i, j, w in g.edges}
     sigma = (0,) + p.image
-    inverse = [0] * (g.n + 1)
-    for i in range(1, g.n + 1):
-        inverse[sigma[i]] = i
-
-    def weight_of(a: int, b: int) -> int:
-        return weight.get((a, b) if a < b else (b, a), 0)
-
-    diffs = [abs(degree[sigma[a]] - degree[a]) for a in range(1, g.n + 1)]
-    for (i, j), w in weight.items():
-        diffs.append(abs(weight_of(sigma[i], sigma[j]) - w))
-        diffs.append(abs(weight_of(inverse[i], inverse[j]) - w))
-    return Fraction(max(diffs), den) <= tol
-
-
-def zero_eigenvalue_count(g: Graph) -> int:
-    """Number of numerically-zero Laplacian eigenvalues.
-
-    The threshold scales with the matrix magnitude so heavy weights do not
-    misclassify small nonzero eigenvalues.
-    """
-    lap = g.laplacian_array()
-    scale = max(1.0, float(np.max(np.abs(lap)))) if lap.size else 1.0
-    eigs = np.linalg.eigvalsh(lap)
-    return int(np.sum(np.abs(eigs) < ZERO_EIGENVALUE_TOL * scale))
+    for i, j, w in g.edges:
+        a, b = sigma[i], sigma[j]
+        if weight.get((a, b) if a < b else (b, a)) != w:
+            return False
+    return True

@@ -147,7 +147,7 @@ def maximal_canard_certificate(sys: PerturbedSystem, group: PermutationGroup, sa
     """
     h = sys.perturbation.values
     return CanardCertificate(
-        generators_commute=all(commutes_with_laplacian(sys.graph, g, tol=0) for g in group.generators),
+        generators_commute=all(commutes_with_laplacian(sys.graph, g) for g in group.generators),
         fix_is_consensus=fixed_point_space(group, sys.n).is_consensus,
         perturbation_equivariant=all(
             h[g(i) - 1] == h[i - 1] for g in group.generators for i in range(1, sys.n + 1)

@@ -34,6 +34,25 @@ def random_graph(rng: SplitMix64, n: int, edge_prob: float = 0.5) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def dense_laplacian(g: Graph) -> list[list[Fraction]]:
+    """Degree matrix minus adjacency matrix of g, n x n exact rationals built from its edge list (the definition)."""
+    lap = [[Fraction(0)] * g.n for _ in range(g.n)]
+    for i, j, w in g.edges:
+        lap[i - 1][j - 1] -= w
+        lap[j - 1][i - 1] -= w
+        lap[i - 1][i - 1] += w
+        lap[j - 1][j - 1] += w
+    return lap
+
+
+def permutation_matrix(p: Permutation) -> list[list[int]]:
+    """The 0/1 matrix P with P e_j = e_sigma(j)."""
+    m = [[0] * p.n for _ in range(p.n)]
+    for j, target in enumerate(p.image):
+        m[target - 1][j] = 1
+    return m
+
+
 @pytest.fixture
 def ex1_response() -> ResponseFunction:
     """The double-well quartic (x-1)^2 (x+1)^2 used across the examples."""

@@ -21,6 +21,8 @@ from mpmath.libmp import from_rational, round_nearest
 
 from alf.precision import ScalarContext
 
+from conftest import dense_laplacian
+
 
 def value(v) -> Fraction:
     """The exact rational value of an mpf or of a raw `_mpf_` tuple."""
@@ -85,7 +87,7 @@ class Tier:
     # --- exact right-hand sides on tier values --------------------------------
     def full_rhs(self, system):
         n = system.n
-        lap = [[self.const(w) for w in row] for row in system.graph.laplacian()]
+        lap = [[self.const(w) for w in row] for row in dense_laplacian(system.graph)]
         forcing = [self.const(system.epsilon * h) for h in system.perturbation.values]
         f = self.poly(system.field.function)
         gauges = [self.poly(g, Fraction) for g in system.field.mean_gauges]

@@ -30,6 +30,8 @@ from alf.dynamics import (
 from alf.precision import ScalarContext
 from alf.prng import SplitMix64
 
+from conftest import dense_laplacian
+
 CTX = ScalarContext(16)
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0)
 
@@ -37,7 +39,7 @@ SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 1
 # --- the replaced float expressions ----------------------------------------------
 
 def _ref_laplacian_array(g):
-    return np.array([[float(v) for v in row] for row in g.laplacian()])
+    return np.array([[float(v) for v in row] for row in dense_laplacian(g)])
 
 
 def _ref_values(fld, y):

@@ -8,13 +8,12 @@ from alf import (
     InvalidGraphError,
     Permutation,
     commutes_with_laplacian,
-    zero_eigenvalue_count,
 )
 from alf.errors import DimensionMismatchError
 from alf.graph import components
 from alf.prng import SplitMix64
 
-from conftest import random_graph, random_permutation
+from conftest import dense_laplacian, permutation_matrix, random_graph, random_permutation
 
 
 def test_complete_graph_edges():
@@ -44,19 +43,38 @@ def test_graph_rejects_self_loops_duplicates_and_bad_weights():
         Graph(2, ((1, 3, Fraction(1)),))
 
 
+def test_graph_rejects_a_non_integer_endpoint():
+    with pytest.raises(InvalidGraphError, match="non-integer endpoint"):
+        Graph(3, ((1.5, 2, 1),))
+    with pytest.raises(InvalidGraphError, match="non-integer endpoint"):
+        Graph.from_edge_list(3, [(1, "2", 1)])
+
+
+@pytest.mark.parametrize("weight", (float("nan"), float("inf"), float("-inf")), ids=("nan", "inf", "-inf"))
+def test_graph_rejects_a_non_finite_weight(weight):
+    with pytest.raises(InvalidGraphError, match="non-finite weight"):
+        Graph(3, ((1, 2, weight),))
+
+
+@pytest.mark.parametrize("weight", ("heavy", None, [1]), ids=("string", "none", "list"))
+def test_graph_rejects_a_non_numeric_weight(weight):
+    with pytest.raises(InvalidGraphError, match="non-numeric"):
+        Graph.from_edge_list(3, [(1, 2, weight)])
+
+
 def test_laplacian_k3():
     lap = Graph.complete(3).laplacian()
-    assert lap == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert lap == [[(0, 2), (1, -1), (2, -1)], [(0, -1), (1, 2), (2, -1)], [(0, -1), (1, -1), (2, 2)]]
 
 
 def test_laplacian_single_edge():
-    assert Graph.path(2).laplacian() == [[1, -1], [-1, 1]]
+    assert Graph.path(2).laplacian() == [[(0, 1), (1, -1)], [(0, -1), (1, 1)]]
 
 
 def test_laplacian_weighted_k3():
     # hand evaluation of degree-minus-adjacency with w12 = 2
     g = Graph(3, ((1, 2, Fraction(2)), (1, 3, Fraction(1)), (2, 3, Fraction(1))))
-    lap = g.laplacian()
+    lap = [dict(row) for row in g.laplacian()]
     assert [lap[i][i] for i in range(3)] == [3, 3, 2]
     assert lap[0][1] == -2 and lap[1][0] == -2
 
@@ -66,7 +84,23 @@ def test_laplacian_row_sums_zero_exactly():
     for _ in range(25):
         g = random_graph(rng, 3 + rng.next_u64() % 8)
         for row in g.laplacian():
-            assert sum(row) == 0
+            assert sum(w for _, w in row) == 0
+
+
+def test_laplacian_rows_equal_the_dense_definition():
+    rng = SplitMix64(808)
+    graphs = [Graph(1), Graph(4), Graph(5, ((2, 4, Fraction(1, 3)),))]
+    graphs += [random_graph(rng, 1 + rng.next_u64() % 10, 0.1 + 0.8 * rng.uniform()) for _ in range(60)]
+    graphs += [_graph_with_isolated_nodes(rng, 1 + rng.next_u64() % 10) for _ in range(60)]
+    assert any(not row for g in graphs for row in g.laplacian())
+    for g in graphs:
+        rows = g.laplacian()
+        assert len(rows) == g.n
+        for row, dense_row in zip(rows, dense_laplacian(g)):
+            cols = [j for j, _ in row]
+            assert cols == sorted(set(cols))
+            assert all(type(w) is Fraction and w != 0 for _, w in row)
+            assert row == [(j, w) for j, w in enumerate(dense_row) if w != 0]
 
 
 def test_connected_components():
@@ -98,7 +132,10 @@ def test_zero_eigenvalue_multiplicity_matches_components():
     rng = SplitMix64(99)
     for _ in range(50):
         g = random_graph(rng, 2 + rng.next_u64() % 11, edge_prob=0.35)
-        assert zero_eigenvalue_count(g) == len(g.connected_components())
+        lap = g.laplacian_array()
+        scale = max(1.0, float(np.max(np.abs(lap))))
+        zeros = int(np.sum(np.abs(np.linalg.eigvalsh(lap)) < 1e-8 * scale))
+        assert zeros == len(g.connected_components())
 
 
 def test_laplacian_positive_semidefinite():
@@ -114,7 +151,7 @@ def test_complete_graph_commutes_with_any_permutation_exactly():
     for n in (4, 6):
         g = Graph.complete(n)
         for _ in range(25):
-            assert commutes_with_laplacian(g, random_permutation(rng, n), tol=0)
+            assert commutes_with_laplacian(g, random_permutation(rng, n))
 
 
 def test_path_graph_commutator_counterexample():
@@ -122,15 +159,15 @@ def test_path_graph_commutator_counterexample():
     sigma = Permutation.transposition(3, 1, 2)
     # independent oracle: float matrix commutator
     lap = g.laplacian_array()
-    mat = np.array(sigma.matrix(), dtype=float)
+    mat = np.array(permutation_matrix(sigma), dtype=float)
     assert np.max(np.abs(lap @ mat - mat @ lap)) > 0.5
-    assert not commutes_with_laplacian(g, sigma, tol=1e-12)
+    assert not commutes_with_laplacian(g, sigma)
 
 
 def _commutator_norm(g: Graph, p: Permutation) -> Fraction:
     """max |(L P - P L)_ij| from the two exact matrix products (reference oracle)."""
-    lap = g.laplacian()
-    sigma = p.matrix()
+    lap = dense_laplacian(g)
+    sigma = permutation_matrix(p)
     worst = Fraction(0)
     for i in range(g.n):
         for j in range(g.n):
@@ -157,24 +194,20 @@ def _graph_with_automorphism(rng: SplitMix64, p: Permutation) -> Graph:
 
 def test_commutes_agrees_with_matrix_product_oracle():
     rng = SplitMix64(29)
-    tols = (0, Fraction(1, 2), 2.5)
     seen = set()
     for _ in range(60):
         n = 2 + rng.next_u64() % 6
         p = random_permutation(rng, n)
         g = _graph_with_automorphism(rng, p) if rng.uniform() < 0.5 else random_graph(rng, n, 0.6)
-        worst = _commutator_norm(g, p)
-        verdicts = tuple(commutes_with_laplacian(g, p, tol=tol) for tol in tols)
-        assert verdicts == tuple(worst <= tol for tol in tols)
-        seen.add(verdicts)
-    # automorphisms, non-automorphisms, and commutators that only a positive tol accepts
-    assert (True, True, True) in seen and (False, False, False) in seen
-    assert any(not v[0] and v[-1] for v in seen)
+        verdict = commutes_with_laplacian(g, p)
+        assert verdict == (_commutator_norm(g, p) == 0)
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def _dense_commutator_norm(g: Graph, p: Permutation) -> Fraction:
     """max |L[sigma(a)][sigma(b)] - L[a][b]| over all (a, b) of the dense exact Laplacian (the definition)."""
-    lap = g.laplacian()
+    lap = dense_laplacian(g)
     s = [target - 1 for target in p.image]
     return max(abs(lap[s[a]][s[b]] - lap[a][b]) for a in range(g.n) for b in range(g.n))
 
@@ -194,39 +227,30 @@ def test_commutes_equals_dense_definition():
     for _ in range(300):
         n = 1 + rng.next_u64() % 8
         p = random_permutation(rng, n)
-        g = _graph_with_automorphism(rng, p) if rng.uniform() < 0.3 else _graph_with_isolated_nodes(rng, n)
-        lap = g.laplacian()
-        s = [target - 1 for target in p.image]
-        diffs = sorted({abs(lap[s[a]][s[b]] - lap[a][b]) for a in range(n) for b in range(n)})
-        # tols strictly between two of the entry differences, when there are two: the two largest and a random
-        # pair; and the largest difference itself
-        k = rng.next_u64() % max(1, len(diffs) - 1)
-        between = [(diffs[i] + diffs[i + 1]) / 2 for i in (k, len(diffs) - 2) if len(diffs) > 1]
-        worst = _dense_commutator_norm(g, p)
-        tols = [("fixed", 0), ("fixed", 1e-12), ("max", worst)] + [("between", tol) for tol in between]
-        for kind, tol in tols:
-            verdict = commutes_with_laplacian(g, p, tol=tol)
-            assert verdict == (worst <= tol)
-            seen.add((kind, verdict))
-    assert seen == {("fixed", True), ("fixed", False), ("between", False), ("max", True)}
+        automorphic = rng.uniform() < 0.3
+        g = _graph_with_automorphism(rng, p) if automorphic else _graph_with_isolated_nodes(rng, n)
+        verdict = commutes_with_laplacian(g, p)
+        assert verdict == (_dense_commutator_norm(g, p) == 0)
+        seen.add((automorphic, verdict))
+    # graphs built with p as an automorphism commute; the others both commute (p fixing the edges) and not
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_commutes_reads_both_the_image_and_the_preimage_of_each_edge():
-    # every degree is 1/3 + 7/5, and the 3-cycle moves each missing pair onto an edge of weight 7/5 and one
-    # such edge onto a missing pair: the max 7/5 comes only from the edge met as an image under sigma, and
-    # only from the edge met as a preimage under its inverse
+    # every degree is 1/3 + 7/5, so the diagonal of L P - P L is zero and the verdict rests on the edge map
+    # alone: under the 3-cycle and under its inverse every edge lands on a missing pair or on an edge of the
+    # other weight, and every missing pair on an edge
     g = Graph(4, ((2, 3, Fraction(7, 5)), (1, 3, Fraction(1, 3)), (1, 4, Fraction(7, 5)), (2, 4, Fraction(1, 3))))
     for p in (Permutation((2, 3, 1, 4)), Permutation((3, 1, 2, 4))):
         assert _dense_commutator_norm(g, p) == Fraction(7, 5)
-        assert not commutes_with_laplacian(g, p, tol=(Fraction(16, 15) + Fraction(7, 5)) / 2)
-        assert commutes_with_laplacian(g, p, tol=Fraction(7, 5))
+        assert not commutes_with_laplacian(g, p)
 
 
 def test_identity_always_commutes():
     rng = SplitMix64(13)
     for _ in range(10):
         g = random_graph(rng, 3 + rng.next_u64() % 6)
-        assert commutes_with_laplacian(g, Permutation.identity(g.n), tol=0)
+        assert commutes_with_laplacian(g, Permutation.identity(g.n))
 
 
 def test_commutes_dimension_mismatch():
@@ -243,7 +267,7 @@ def test_permutation_matrix_is_orthogonal():
     rng = SplitMix64(5)
     for _ in range(10):
         p = random_permutation(rng, 6)
-        m = np.array(p.matrix(), dtype=float)
+        m = np.array(permutation_matrix(p), dtype=float)
         assert np.allclose(m @ m.T, np.eye(6))
         x = np.arange(1.0, 7.0)
         assert np.allclose(m @ x, p.apply(list(x)))
