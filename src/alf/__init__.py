@@ -56,10 +56,8 @@ from .slowfast import (
 )
 from .symmetry import (
     CanardCertificate,
-    FixedPointSpace,
     PermutationGroup,
     check_equivariance,
-    fixed_point_space,
     maximal_canard_certificate,
     symmetry_generated_equilibria,
 )

@@ -32,7 +32,7 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact
+from .precision import exact
 from .presets import PRESET_NAMES, get_preset
 from .response import ResponseFunction
 from .slowfast import (
@@ -276,10 +276,7 @@ def cmd_canard(args) -> int:
 
     plane_ic = cfg["initial"]["plane"]
     k0 = exact(plane_ic["k0"])
-    ctx = ScalarContext(icfg.digits)
-    with ctx.workprec():
-        k0_s = ctx.scalar(k0)
-        x0_s = k0_s / n if plane_ic.get("x0") is None else ctx.scalar(exact(plane_ic["x0"]))
+    x0 = k0 / n if plane_ic.get("x0") is None else exact(plane_ic["x0"])
 
     slow_sign = 1.0 if float(ps.slow_rhs_factor()) > 0 else -1.0
     report = None
@@ -302,7 +299,7 @@ def cmd_canard(args) -> int:
         return abs(x - k / n) > 3.0 * tube or abs(x) > 100.0
 
     out = _out_dir(args)
-    traj, code = _integrate_to_csv(ps, [x0_s, k0_s], cfg["tspan"], icfg, out / "canard_trajectory.csv", stop)
+    traj, code = _integrate_to_csv(ps, [x0, k0], cfg["tspan"], icfg, out / "canard_trajectory.csv", stop)
 
     metrics = canard_metrics(traj, n, k_star, epsilon)
     metrics.update({

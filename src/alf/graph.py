@@ -52,6 +52,10 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "image", tuple(index(t) for t in self.image))
+        except TypeError:
+            raise InvalidGraphError(f"permutation image has a non-integer entry: {self.image}") from None
         n = len(self.image)
         if sorted(self.image) != list(range(1, n + 1)):
             raise InvalidGraphError(f"not a bijection on 1..{n}: {self.image}")
@@ -105,11 +109,19 @@ class Graph:
     edges: tuple[tuple[int, int, Fraction], ...] = field(default=())
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", index(self.n))
+        except TypeError:
+            raise InvalidGraphError(f"node count must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise InvalidGraphError(f"node count must be >= 1, got {self.n}")
         seen = set()
         norm = []
-        for i, j, w in self.edges:
+        for edge in self.edges:
+            try:
+                i, j, w = edge
+            except (TypeError, ValueError):
+                raise InvalidGraphError(f"edge {edge!r} is not an (i, j, weight) triple") from None
             try:
                 i, j = index(i), index(j)
             except TypeError:

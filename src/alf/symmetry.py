@@ -1,21 +1,19 @@
-"""Permutation groups, fixed-point spaces, and equivariance checks.
+"""Permutation groups, exact equivariance, sign-action equilibria and the canard certificate.
 
-Fixed-point spaces are stored as partitions of the node set: a group element
-fixing a state forces equality along its orbits, so the dimension of the
-fixed subspace is simply the number of orbit classes.
+Every verdict is decided from the data, never from samples of the field:
+V(x) = -L F(x) + eps h commutes with a permutation P exactly when P fixes
+the forcing (or eps is 0) and PL = LP (or f is constant).  A group's
+orbits are its fixed-point partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dynamics import PerturbedSystem, vector_field
-from .errors import DimensionMismatchError, UnsupportedSymmetryError
+from .errors import DimensionMismatchError, InvariantViolationError, UnsupportedSymmetryError
 from .graph import Permutation, commutes_with_laplacian, components
 from .precision import exact
-
-EQUIVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,51 +50,44 @@ class PermutationGroup:
         return cls((Permutation.cyclic_shift(n),))
 
     def orbits(self) -> list[frozenset[int]]:
-        """Node orbits under the generated action: each node joined with its image under every generator."""
+        """Node orbits under the generated action: each node joined with its image under every generator.
+
+        They are the fixed-point partition: a fixed state is constant on each
+        orbit, so the fixed subspace has one dimension per orbit.
+        """
         return components(self.n, ((i, gen(i)) for gen in self.generators for i in range(1, self.n + 1)))
 
 
-@dataclass(frozen=True)
-class FixedPointSpace:
-    """Partition of nodes into classes forced equal by the group action."""
-
-    classes: tuple[frozenset[int], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.classes)
-
-    @property
-    def is_consensus(self) -> bool:
-        return len(self.classes) == 1
+def fixes_forcing(sys: PerturbedSystem, p: Permutation) -> bool:
+    """Whether P h == h exactly: `h[p(i)] == h[i]` for every node i."""
+    h = sys.perturbation.values
+    return all(h[target - 1] == v for target, v in zip(p.image, h))
 
 
-def fixed_point_space(group: PermutationGroup, n: int) -> FixedPointSpace:
-    if group.n != n:
-        raise DimensionMismatchError(f"group acts on {group.n} symbols, requested n={n}")
-    return FixedPointSpace(tuple(group.orbits()))
+def check_equivariance(sys: PerturbedSystem, p: Permutation, samples=None, tol=None) -> bool:
+    """Whether V(P x) == P V(x) for every state x, decided exactly in O(|E| + n).
 
+    V(P x) - P V(x) = (P L - L P) F(x) + eps (h - P h).  F(x) ranges over a
+    set with interior unless f is constant, and a mean gauge adds a multiple
+    of the all-ones vector, which L P and P L both annihilate; so the field
+    commutes with P exactly when (f is constant or L P == P L) and (eps is 0
+    or P fixes h).  No field is evaluated.
 
-def check_equivariance(sys: PerturbedSystem, p: Permutation, samples, tol: float = EQUIVARIANCE_TOL) -> bool:
-    """Whether the full vector field commutes with the permutation at samples.
-
-    Exact (tol 0 meaningful) when the samples are rational.
+    `samples` and `tol` are not read; they stay for the callers that pass them.
     """
     if p.n != sys.n:
         raise DimensionMismatchError("permutation size does not match the system")
-    for x in samples:
-        lhs = p.apply(vector_field(sys, list(x)))
-        rhs = vector_field(sys, p.apply(list(x)))
-        if any(abs(a - b) > tol for a, b in zip(lhs, rhs)):
-            return False
-    return True
+    return ((sys.field.function.degree == 0 or commutes_with_laplacian(sys.graph, p))
+            and (sys.epsilon == 0 or fixes_forcing(sys, p)))
 
 
-def symmetry_generated_equilibria(sys: PerturbedSystem, c, signs) -> tuple[list, float]:
-    """Equilibrium candidate (s1*c, ..., sn*c) from the sign action.
+def symmetry_generated_equilibria(sys: PerturbedSystem, c, signs) -> list:
+    """The equilibrium (s1*c, ..., sn*c) of the unperturbed field from the sign action.
 
-    Only meaningful for responses invariant under x -> -x; the residual of
-    the unperturbed field at the candidate is returned alongside it.
+    Mixed signs need a response invariant under x -> -x.  Then f(s_i c) ==
+    f(c) for every i, so F is f(c) times the all-ones vector (a mean gauge
+    adds another multiple), which L annihilates: the unperturbed field is
+    exactly 0 at the state.
     """
     if len(signs) != sys.n:
         raise DimensionMismatchError(f"need {sys.n} signs")
@@ -105,11 +96,7 @@ def symmetry_generated_equilibria(sys: PerturbedSystem, c, signs) -> tuple[list,
     nontrivial = any(s == -1 for s in signs) and any(s == 1 for s in signs)
     if nontrivial and not sys.field.function.is_even():
         raise UnsupportedSymmetryError("response lacks sign symmetry; mixed signs do not map consensus to equilibria")
-    unperturbed = PerturbedSystem(sys.graph, sys.field, sys.perturbation, Fraction(0))
-    state = [s * exact(c) if isinstance(c, (int, float, Fraction)) else s * c for s in signs]
-    residual_vec = vector_field(unperturbed, state)
-    residual = max(abs(v) for v in residual_vec)
-    return state, float(residual)
+    return [s * exact(c) if isinstance(c, (int, float)) else s * c for s in signs]
 
 
 @dataclass(frozen=True)
@@ -136,21 +123,26 @@ def maximal_canard_certificate(sys: PerturbedSystem, group: PermutationGroup, sa
 
     Conditions, each decided exactly: every generator commutes with the
     Laplacian, the group has one orbit (its fixed space is the consensus
-    line), the forcing is constant on it (`h[p(i)] == h[i]` for every
-    generator p) and the forcing is nonzero.  Then the field at a consensus
-    point is fixed by the group, so it points along the all-ones vector.  A
-    true verdict predicts an invariant consensus trajectory; integration
-    tests confirm it downstream.
+    line), every generator fixes the forcing and the forcing is nonzero.
+    Then the field at a consensus point is fixed by the group, so it points
+    along the all-ones vector.  A true verdict predicts an invariant
+    consensus trajectory; integration tests confirm it downstream, and the
+    exact field at the consensus point 0 cross-checks it here
+    (InvariantViolationError if it leaves the consensus line).
 
     `samples` is not read: the forcing is a constant vector, so no state
     needs sampling.  The parameter stays for the callers that pass it.
     """
-    h = sys.perturbation.values
-    return CanardCertificate(
+    if group.n != sys.n:
+        raise DimensionMismatchError(f"group acts on {group.n} symbols, the system has {sys.n} nodes")
+    cert = CanardCertificate(
         generators_commute=all(commutes_with_laplacian(sys.graph, g) for g in group.generators),
-        fix_is_consensus=fixed_point_space(group, sys.n).is_consensus,
-        perturbation_equivariant=all(
-            h[g(i) - 1] == h[i - 1] for g in group.generators for i in range(1, sys.n + 1)
-        ),
-        perturbation_nonzero=any(h),
+        fix_is_consensus=len(group.orbits()) == 1,
+        perturbation_equivariant=all(fixes_forcing(sys, g) for g in group.generators),
+        perturbation_nonzero=any(sys.perturbation.values),
     )
+    if cert.verdict:
+        velocity = vector_field(sys, [0] * sys.n)
+        if any(v != velocity[0] for v in velocity):
+            raise InvariantViolationError("certified, but the field at consensus leaves the consensus line")
+    return cert

@@ -34,6 +34,30 @@ def random_graph(rng: SplitMix64, n: int, edge_prob: float = 0.5) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def graph_with_automorphism(rng: SplitMix64, p: Permutation) -> Graph:
+    """Random weighted graph invariant under p: one draw per orbit of node pairs."""
+    edges = {}
+    for i in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
+            if (i, j) in edges:
+                continue
+            weight = Fraction(rng.next_u64() % 400 + 1, 100) if rng.uniform() < 0.6 else None
+            a, b = i, j
+            while (min(a, b), max(a, b)) not in edges:
+                edges[(min(a, b), max(a, b))] = weight
+                a, b = p(a), p(b)
+    return Graph(p.n, tuple((i, j, w) for (i, j), w in edges.items() if w is not None))
+
+
+def graph_with_isolated_nodes(rng: SplitMix64, n: int) -> Graph:
+    """Random graph with weights among 1/3, 1, 7/5, 2 and about a quarter of the nodes left without edges."""
+    isolated = {i for i in range(1, n + 1) if rng.uniform() < 0.25}
+    weights = (Fraction(1, 3), Fraction(1), Fraction(7, 5), Fraction(2))
+    edges = [(i, j, weights[rng.next_u64() % 4]) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if i not in isolated and j not in isolated and rng.uniform() < 0.5]
+    return Graph(n, tuple(edges))
+
+
 def dense_laplacian(g: Graph) -> list[list[Fraction]]:
     """Degree matrix minus adjacency matrix of g, n x n exact rationals built from its edge list (the definition)."""
     lap = [[Fraction(0)] * g.n for _ in range(g.n)]

@@ -17,7 +17,6 @@ from alf import (
     PerturbedSystem,
     ResponseField,
     ResponseFunction,
-    check_equivariance,
     gauge_shift,
     integrate,
     is_regular_perturbation,
@@ -186,7 +185,7 @@ def test_int_states_are_exact_on_a_weighted_cycle():
     rng = SplitMix64(5)
     for _ in range(200):
         x = [int(rng.next_u64() % 41) - 20 for _ in range(6)]
-        assert check_equivariance(sys_, rotation, [x], tol=0)
+        assert rotation.apply(vector_field(sys_, x)) == vector_field(sys_, rotation.apply(x))
         assert vector_field(sys_, x) == vector_field(sys_, [Fraction(v) for v in x])
 
 

@@ -13,7 +13,14 @@ from alf.errors import DimensionMismatchError
 from alf.graph import components
 from alf.prng import SplitMix64
 
-from conftest import dense_laplacian, permutation_matrix, random_graph, random_permutation
+from conftest import (
+    dense_laplacian,
+    graph_with_automorphism,
+    graph_with_isolated_nodes,
+    permutation_matrix,
+    random_graph,
+    random_permutation,
+)
 
 
 def test_complete_graph_edges():
@@ -62,6 +69,17 @@ def test_graph_rejects_a_non_numeric_weight(weight):
         Graph.from_edge_list(3, [(1, 2, weight)])
 
 
+def test_graph_rejects_a_non_integer_node_count():
+    with pytest.raises(InvalidGraphError, match="node count must be an integer"):
+        Graph(2.5, ((1, 2, 1),))
+
+
+@pytest.mark.parametrize("edges", (((1, 2),), (5,), ((1, 2, 1, 1),)), ids=("pair", "int", "quadruple"))
+def test_graph_rejects_an_edge_that_is_not_a_triple(edges):
+    with pytest.raises(InvalidGraphError, match="not an \\(i, j, weight\\) triple"):
+        Graph(3, edges)
+
+
 def test_laplacian_k3():
     lap = Graph.complete(3).laplacian()
     assert lap == [[(0, 2), (1, -1), (2, -1)], [(0, -1), (1, 2), (2, -1)], [(0, -1), (1, -1), (2, 2)]]
@@ -91,7 +109,7 @@ def test_laplacian_rows_equal_the_dense_definition():
     rng = SplitMix64(808)
     graphs = [Graph(1), Graph(4), Graph(5, ((2, 4, Fraction(1, 3)),))]
     graphs += [random_graph(rng, 1 + rng.next_u64() % 10, 0.1 + 0.8 * rng.uniform()) for _ in range(60)]
-    graphs += [_graph_with_isolated_nodes(rng, 1 + rng.next_u64() % 10) for _ in range(60)]
+    graphs += [graph_with_isolated_nodes(rng, 1 + rng.next_u64() % 10) for _ in range(60)]
     assert any(not row for g in graphs for row in g.laplacian())
     for g in graphs:
         rows = g.laplacian()
@@ -177,28 +195,13 @@ def _commutator_norm(g: Graph, p: Permutation) -> Fraction:
     return worst
 
 
-def _graph_with_automorphism(rng: SplitMix64, p: Permutation) -> Graph:
-    """Random weighted graph invariant under p: one draw per orbit of node pairs."""
-    edges = {}
-    for i in range(1, p.n + 1):
-        for j in range(i + 1, p.n + 1):
-            if (i, j) in edges:
-                continue
-            weight = Fraction(rng.next_u64() % 400 + 1, 100) if rng.uniform() < 0.6 else None
-            a, b = i, j
-            while (min(a, b), max(a, b)) not in edges:
-                edges[(min(a, b), max(a, b))] = weight
-                a, b = p(a), p(b)
-    return Graph(p.n, tuple((i, j, w) for (i, j), w in edges.items() if w is not None))
-
-
 def test_commutes_agrees_with_matrix_product_oracle():
     rng = SplitMix64(29)
     seen = set()
     for _ in range(60):
         n = 2 + rng.next_u64() % 6
         p = random_permutation(rng, n)
-        g = _graph_with_automorphism(rng, p) if rng.uniform() < 0.5 else random_graph(rng, n, 0.6)
+        g = graph_with_automorphism(rng, p) if rng.uniform() < 0.5 else random_graph(rng, n, 0.6)
         verdict = commutes_with_laplacian(g, p)
         assert verdict == (_commutator_norm(g, p) == 0)
         seen.add(verdict)
@@ -212,15 +215,6 @@ def _dense_commutator_norm(g: Graph, p: Permutation) -> Fraction:
     return max(abs(lap[s[a]][s[b]] - lap[a][b]) for a in range(g.n) for b in range(g.n))
 
 
-def _graph_with_isolated_nodes(rng: SplitMix64, n: int) -> Graph:
-    """Random graph with weights among 1/3, 1, 7/5, 2 and about a quarter of the nodes left without edges."""
-    isolated = {i for i in range(1, n + 1) if rng.uniform() < 0.25}
-    weights = (Fraction(1, 3), Fraction(1), Fraction(7, 5), Fraction(2))
-    edges = [(i, j, weights[rng.next_u64() % 4]) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             if i not in isolated and j not in isolated and rng.uniform() < 0.5]
-    return Graph(n, tuple(edges))
-
-
 def test_commutes_equals_dense_definition():
     rng = SplitMix64(41)
     seen = set()
@@ -228,7 +222,7 @@ def test_commutes_equals_dense_definition():
         n = 1 + rng.next_u64() % 8
         p = random_permutation(rng, n)
         automorphic = rng.uniform() < 0.3
-        g = _graph_with_automorphism(rng, p) if automorphic else _graph_with_isolated_nodes(rng, n)
+        g = graph_with_automorphism(rng, p) if automorphic else graph_with_isolated_nodes(rng, n)
         verdict = commutes_with_laplacian(g, p)
         assert verdict == (_dense_commutator_norm(g, p) == 0)
         seen.add((automorphic, verdict))
@@ -261,6 +255,15 @@ def test_commutes_dimension_mismatch():
 def test_permutation_apply():
     p = Permutation((2, 3, 1))  # 1->2, 2->3, 3->1
     assert p.apply([10, 20, 30]) == [30, 10, 20]
+
+
+def test_permutation_stores_int_images_and_refuses_non_integer_entries():
+    p = Permutation([np.int64(2), np.int64(1)])
+    assert p.image == (2, 1) and all(type(t) is int for t in p.image)
+    with pytest.raises(InvalidGraphError, match="non-integer entry"):
+        Permutation((2.0, 1.0))
+    with pytest.raises(InvalidGraphError, match="non-integer entry"):
+        Permutation((1, "2"))
 
 
 def test_permutation_matrix_is_orthogonal():
