@@ -19,7 +19,6 @@ from operator import add, sub
 
 import mpmath
 import numpy as np
-from mpmath.libmp import round_nearest, to_float
 
 from .errors import (
     DimensionMismatchError,
@@ -28,7 +27,8 @@ from .errors import (
 )
 from .graph import Graph
 from .precision import (
-    ScalarContext, TierVector, common_denominator, dyadic, exact, round_ratio, round_rationals, rounded, signed,
+    ScalarContext, TierVector, combine_weights, common_denominator, dyadic, exact, round_ratio, round_rationals,
+    rounded, signed,
 )
 from .prng import SplitMix64
 from .response import ResponseField
@@ -167,9 +167,7 @@ class PerturbedSystem:
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
             return self._float_flow(ctx)
-        prec = ctx.working_prec
-        flow = self.integer_flow(prec, range(self.n))
-        return ctx.vector_function(lambda xs, d: round_rationals(*flow(xs, d), prec))
+        return ctx.vector_function(self.integer_flow(ctx.working_prec, range(self.n)))
 
     def _float_flow(self, ctx: ScalarContext):
         """x -> -L F(x) + eps H on float arrays, returned in a new array."""
@@ -343,13 +341,19 @@ class StandardFormSystem:
 
         prec = ctx.working_prec
         flow = sys.integer_flow(prec, keep)
-        slow = ctx.raw(sys.epsilon * sum(sys.perturbation.values))
+        slow = rounded(sys.epsilon * sum(sys.perturbation.values), prec)
+        s_num, s_den = slow.numerator, slow.denominator
 
         def fixed_rhs(xs, d):
-            k = xs.pop()
+            full = xs[:-1]
             # lift, exactly: x_l = k - sum of the retained coordinates
-            xs.insert(l - 1, k - sum(xs))
-            return round_rationals(*flow(xs, d), prec) + [slow]
+            full.insert(l - 1, xs[-1] - sum(full))
+            nums, den = flow(full, d)
+            # the slow drift, a tier value, joins exactly over a common denominator
+            if den % s_den:
+                nums, den = [v * s_den for v in nums], den * s_den
+            nums.append(s_num * (den // s_den))
+            return nums, den
 
         return ctx.vector_function(fixed_rhs)
 
@@ -456,9 +460,14 @@ def _diverged(y) -> bool:
 
 
 def _diverged_fixed(y: TierVector) -> bool:
-    """`_diverged` of a TierVector, without numpy: nonzero parts under 2**19 pass, the rest are read as floats."""
-    return not all([(p[1] and p[2] + p[3] <= 19) or abs(to_float(p, rnd=round_nearest)) <= DIVERGENCE_CUTOFF
-                    for p in y.parts])
+    """`_diverged` of a TierVector, on its integers.
+
+    Components under 2**19 pass and those from 2**20 up fail; the rest are
+    read as `float(v)` reads them, correctly rounded (int / int is).
+    """
+    exp = y.exp
+    return any([a.bit_length() + exp > 19
+                and (a.bit_length() + exp > 20 or not abs(a) / (1 << -exp) <= DIVERGENCE_CUTOFF) for a in y.ints])
 
 
 def _escapes(before, y, dy, span: float) -> bool:
@@ -487,7 +496,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 
     The state is the tier's vector (`ScalarContext.vector`); on the extended
     tiers, recorded states and the states passed to `stop_condition` are mpf
-    arrays.
+    arrays.  An initial state that fails the divergence test, a NaN or an
+    infinity included, is recorded and raises DivergenceError at t0.
     """
     t0, t1 = tspan
     if not t1 > t0:
@@ -495,7 +505,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)
-        y = ctx.vector(x0)
+        # the tier's scalars: a TierVector holds finite values only, so the test at t0 reads these
+        y = np.array([ctx.scalar(v) for v in x0], dtype=float if ctx.is_float else object)
         if len(y) != system.ode_dimension:
             raise DimensionMismatchError(
                 f"initial state has {len(y)} components, system has {system.ode_dimension}"
@@ -520,7 +531,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         diverged = _diverged if ctx.is_float else _diverged_fixed
 
         def record(t, y):
-            state = as_array(y).copy()
+            state = y.copy() if type(y) is np.ndarray else y.to_array()
             traj.times.append(t)
             traj.states.append(state)
             traj.k_series.append(system.slow_value(state))
@@ -544,11 +555,12 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
                 return True
             return False
 
-        # an initial state that fails the divergence test stops at t0 (the kernels would read NaN and inf as 0)
         t = ctx.scalar(t0)
         record(t, y)
-        if diverged(y):
+        if _diverged(np.array(y, dtype=float)):
             raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
+        if not ctx.is_float:
+            y = ctx.vector(y)
         # an overflowing state turns into inf and NaN, which the divergence tests catch
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.method == "rk4":
@@ -563,8 +575,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 # numpy operations in this order, each rounded, in arrays the step allocates
 # itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
 # array that rhs returned.  The extended tiers take each as one exact sum per
-# component, rounded once (`TierVector.combine`); there dt is the triple
-# `_fixed_rk4_dt` rounds to the tier once per run: dt/2, dt and dt/6.
+# component, rounded once (`TierVector.combine`); there dt is the triple of
+# combine weights `_fixed_rk4_dt` builds once per run from dt/2, dt and dt/6.
 def _rk4_step(rhs, y, t, dt):
     k1 = rhs(y)
     if type(y) is np.ndarray:
@@ -587,15 +599,20 @@ def _rk4_step(rhs, y, t, dt):
         acc += y
         return acc
     half, whole, sixth = dt
-    k2 = rhs(y.combine((k1,), (1,), half))
-    k3 = rhs(y.combine((k2,), (1,), half))
-    k4 = rhs(y.combine((k3,), (1,), whole))
-    return y.combine((k1, k2, k3, k4), (1, 2, 2, 1), sixth)
+    k2 = rhs(y.combine((k1,), half))
+    k3 = rhs(y.combine((k2,), half))
+    k4 = rhs(y.combine((k3,), whole))
+    return y.combine((k1, k2, k3, k4), sixth)
 
 
 def _fixed_rk4_dt(dt) -> tuple:
-    """The raw tuples of dt/2, dt and dt/6 for mpf dt, rounded to the current precision."""
-    return (dt / 2)._mpf_, dt._mpf_, (dt / 6)._mpf_
+    """The combine weights of the stage inputs and the update for mpf dt.
+
+    dt/2, dt and dt/6 are rounded to the current precision; the update's
+    weights are (1, 2, 2, 1) times dt/6.
+    """
+    half, whole, (m, e) = (signed(v._mpf_) for v in (dt / 2, dt, dt / 6))
+    return combine_weights([half]), combine_weights([whole]), combine_weights([(c * m, e) for c in (1, 2, 2, 1)])
 
 
 def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
@@ -658,14 +675,14 @@ def _dp45_fixed_stages(rhs, y, fsal, dt):
 
     def stage(base, row, ks):
         used = [(a, k) for a, k in zip(row, ks) if a]
-        coeffs = [round_ratio(m * a.numerator, e, a.denominator, prec) for a, _ in used]
-        return base.combine([k for _, k in used], coeffs)
+        weights = combine_weights([signed(round_ratio(m * a.numerator, e, a.denominator, prec)) for a, _ in used])
+        return base.combine([k for _, k in used], weights)
 
     ks = [fsal]
     for row in _DP_A_EXACT[1:]:
         y5 = stage(y, row, ks)
         ks.append(rhs(y5))
-    zero = TierVector([(0, 0, 0, 0)] * len(y), prec)
+    zero = TierVector([0] * len(y), -prec, prec)
     return ks, y5, stage(zero, _DP_ERR_EXACT, ks)
 
 

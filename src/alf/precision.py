@@ -5,16 +5,19 @@ of 32 and 64 decimal digits backed by mpmath.  Extended tiers carry a few
 guard digits internally so that roundoff stays below the advertised level.
 
 Each tier has one vector type: a float ndarray on the 16-digit tier, and a
-`TierVector` of mpmath's raw `_mpf_` tuples on the extended tiers, whose
-scalars are mpf objects.  Exact values and the extended tiers share one
-integer kernel per idea (a response, a flow): integers over one denominator
-in and out, every constant exact or rounded once (`rounded`).  An extended
-kernel reads the TierVector as integers over a power of two
-(`vector_function`) and rounds each output component once
-(`round_rationals`), to nearest with ties to even: the correctly rounded
-value of its exact formula in the tier's inputs.  Only the exact constants
-(weights, roots, epsilon times the forcing, step fractions) are rounded to
-the tier before, once per build, per run (rk4's) or per step (dp45's).
+`TierVector` on the extended tiers, whose scalars are mpf objects.  A
+TierVector is one integer frame: Python integers over one power of two,
+each component a value of the working precision.  Exact values and the
+extended tiers share one integer kernel per idea (a response, a flow):
+integers over one denominator in and out, every constant exact or rounded
+once (`rounded`).  An extended kernel reads the frame (`vector_function`)
+and returns each component exactly; `TierVector.rounded` rounds each once,
+to nearest with ties to even, back into the frame: the correctly rounded
+value of its exact formula in the tier's inputs.  The integrators' stage
+sums stay in the frame too (`TierVector.combine`).  Only the exact
+constants (weights, roots, epsilon times the forcing, step fractions) are
+rounded to the tier before, once per build, per run (rk4's) or per step
+(dp45's); mpmath's `_mpf_` tuples appear only where a value leaves a step.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from math import lcm
 import mpmath
 import numpy as np
 from mpmath.libmp import MPZ, dps_to_prec, from_int, from_man_exp, fzero, mpf_div, round_nearest, to_float
+
+from .errors import PreconditionError
 
 PRECISION_TIERS = (16, 32, 64)
 
@@ -75,30 +80,39 @@ class ScalarContext:
             return mpmath.mpf(value)
 
     def vector(self, values):
-        """The tier's vector of `values`: a float ndarray, or a TierVector on the extended tiers."""
+        """The tier's vector of `values`: a float ndarray, or a TierVector on the extended tiers.
+
+        A TierVector holds finite values only: a NaN or an infinity raises
+        PreconditionError.
+        """
         if self.is_float:
             return np.array([self.scalar(v) for v in values], dtype=float)
-        return TierVector([self.raw(v) for v in values], self.working_prec)
+        scalars = [self.scalar(v) for v in values]
+        for v in scalars:
+            if not mpmath.isfinite(v):
+                raise PreconditionError(f"the {self.digits}-digit tier holds finite values only, not {v}")
+        return TierVector.of_parts([v._mpf_ for v in scalars], self.working_prec)
 
     def raw(self, value) -> tuple:
         """The `_mpf_` tuple of `scalar(value)` (extended tiers)."""
         return self.scalar(value)._mpf_
 
     def vector_function(self, kernel):
-        """A function of extended-tier TierVectors from an integer kernel.
+        """A function of extended-tier TierVectors from an exact integer kernel.
 
-        `kernel(xs, d)` takes the state as integers with x_i == xs_i / d and
-        returns the raw tuples of the result.  d == 2**-exp, exp at most 0 and
-        the least exponent of a part's last bit at the working precision (zero
-        reads -prec): d follows the state's magnitudes, not its trailing zeros,
-        so consecutive states of a run mostly share it.
+        `kernel(xs, d)` reads the state's frame, x_i == xs_i / d with
+        d == 2**-exp (`TierVector`), and returns integers and one denominator,
+        the exact components nums_i / den; each is rounded once.  d follows
+        the state's magnitudes, not its trailing zeros, so consecutive states
+        of a run mostly share it.
         """
         prec = self.working_prec
 
         def apply(y):
-            exp = min(0, min([p[2] + p[3] for p in y.parts]) - prec)
-            xs = [(-man if sign else man) << (e - exp) for sign, man, e, _ in y.parts]
-            return TierVector(kernel(xs, 1 << -exp), prec)
+            nums, den = kernel(y.ints, 1 << -y.exp)
+            if den & (den - 1):
+                return TierVector.of_parts(round_rationals(nums, den, prec), prec)
+            return TierVector.rounded(nums, 1 - den.bit_length(), prec)
 
         return apply
 
@@ -117,41 +131,102 @@ class ScalarContext:
 
 
 class TierVector:
-    """The vector of the extended tiers: raw `_mpf_` tuples at one working precision.
+    """The vector of the extended tiers: integers over one power of two, each component a prec-bit value.
 
-    The integrators step with `combine`, which rounds each component once;
-    `to_array` gives the mpf array that leaves the integrator.
+    Component i is ints[i] * 2**exp.  `exp` is the least exponent of a
+    component's last bit at the working precision, a zero reading -prec,
+    and at most 0: it follows the magnitudes, not the trailing zeros.  The
+    integrators step with `combine`, which rounds each component once;
+    `parts`, `floats` and `to_array` are the views that leave the step.
     """
 
-    __slots__ = ("parts", "prec")
+    __slots__ = ("ints", "exp", "prec")
 
-    def __init__(self, parts: list, prec: int):
-        self.parts = parts
+    def __init__(self, ints: list, exp: int, prec: int):
+        self.ints = ints
+        self.exp = exp
         self.prec = prec
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.ints)
 
-    def combine(self, ks, coeffs, scale=None) -> "TierVector":
-        """self + (c_1 k_1 + c_2 k_2 + ...) * scale, exact until one rounding per component.
+    @classmethod
+    def rounded(cls, accs, exp: int, prec: int) -> "TierVector":
+        """The vector of each a * 2**exp, a in `accs`, rounded once to prec bits, to nearest, ties to even."""
+        kept = []
+        low = 0
+        for a in accs:
+            shift = a.bit_length() - prec
+            if shift > 0:
+                # t keeps one bit below the last kept bit: round up above half, and at half to even;
+                # on a negative a, t and the bits below it are those of the floor, so this rounds |a|
+                t = a >> (shift - 1)
+                a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (shift - 1)) - 1)) else t >> 1
+                if a.bit_length() > prec:
+                    # a carry to 2**prec
+                    a >>= 1
+                    shift += 1
+                # a has prec bits now, so its last bit is at exp + shift
+                if exp + shift < low:
+                    low = exp + shift
+                kept.append((a, exp + shift))
+            elif a:
+                if exp + shift < low:
+                    low = exp + shift
+                kept.append((a, exp))
+            else:
+                # a zero reads -prec, and sits at exponent 0, which is at least any frame's
+                if low > -prec:
+                    low = -prec
+                kept.append((0, 0))
+        return cls([a << (e - low) for a, e in kept], low, prec)
 
-        The k_j are TierVectors, the c_j ints or raw tuples and `scale` a raw
-        tuple (None for 1).  The products c_j * scale are exact, so the
-        result is the correctly rounded value of the whole expression.
+    @classmethod
+    def of_parts(cls, parts, prec: int) -> "TierVector":
+        """The vector of finite raw tuples of at most prec bits."""
+        pairs = [signed(p) for p in parts]
+        low = min([e for _, e in pairs], default=0)
+        return cls.rounded([m << (e - low) for m, e in pairs], low, prec)
+
+    def combine(self, ks, weights) -> "TierVector":
+        """self + (w_1 k_1 + w_2 k_2 + ...) * 2**wexp, exact until one rounding per component.
+
+        The k_j are TierVectors and `weights` is (w, wexp) as `combine_weights`
+        builds it: the products c_j * scale of a stage, exact, so the result is
+        the correctly rounded value of the whole expression.
         """
-        sm, se = (1, 0) if scale is None else signed(scale)
-        terms = [(c * sm, se) if type(c) is int else (c[1] * (-sm if c[0] else sm), c[2] + se) for c in coeffs]
-        low = min(0, min([e for _, e in terms]))
-        weights = [m << (e - low) for m, e in terms]
-        vectors = [self.parts] + [k.parts for k in ks]
-        exp = min(0, min([p[2] for parts in vectors for p in parts]))
-        # the k_ji are integers at 2**exp and the weights at 2**low, so each sum is one at 2**(exp + low)
-        out_exp = exp + low
-        prec = self.prec
-        out = [(-man if sign else man) << (e - out_exp) for sign, man, e, _ in self.parts]
-        for w, parts in zip(weights, vectors[1:]):
-            out = [a + w * ((-man if sign else man) << (e - exp)) for a, (sign, man, e, _) in zip(out, parts)]
-        return TierVector([round_fixed(a, out_exp, prec) for a in out], prec)
+        ws, wexp = weights
+        exp = self.exp
+        if len(ks) == 1:
+            # a stage input: one k, one weight
+            (k,), (w,) = ks, ws
+            low = min(exp, k.exp + wexp)
+            shift, w = exp - low, w << (k.exp + wexp - low)
+            return TierVector.rounded([(a << shift) + w * b for a, b in zip(self.ints, k.ints)], low, self.prec)
+        low = min(exp, min([k.exp for k in ks]) + wexp)
+        shift = exp - low
+        acc = [a << shift for a in self.ints] if shift else self.ints
+        for w, k in zip(ws, ks):
+            w <<= k.exp + wexp - low
+            acc = [a + w * b for a, b in zip(acc, k.ints)]
+        return TierVector.rounded(acc, low, self.prec)
+
+    @property
+    def parts(self) -> list:
+        """The components as normalized `_mpf_` tuples."""
+        exp = self.exp
+        out = []
+        for a in self.ints:
+            if not a:
+                out.append(fzero)
+                continue
+            sign = 0
+            if a < 0:
+                sign, a = 1, -a
+            zeros = (a & -a).bit_length() - 1
+            a >>= zeros
+            out.append((sign, MPZ(a), exp + zeros, a.bit_length()))
+        return out
 
     def floats(self) -> list[float]:
         """The components as `float(v_i)` gives them for mpf (round-to-nearest)."""
@@ -162,27 +237,24 @@ class TierVector:
         return np.array([_make_mpf(a) for a in self.parts], dtype=object)
 
 
+def combine_weights(terms) -> tuple[list[int], int]:
+    """The (m, e) pairs, each m * 2**e, as integers over one power of two: `TierVector.combine`'s weights."""
+    low = min(e for _, e in terms)
+    return [m << (e - low) for m, e in terms], low
+
+
 def signed(part) -> tuple[int, int]:
-    """(m, e) with the raw tuple `part` equal to m * 2**e; m carries the sign."""
+    """(m, e) with the raw tuple `part` equal to m * 2**e; m is a Python int carrying the sign."""
     sign, man, exp, _ = part
-    return (-man if sign else man), exp
+    return (-int(man) if sign else int(man)), exp
 
 
 def round_fixed(a: int, exp: int, prec: int) -> tuple:
-    """a * 2**exp rounded to prec bits, to nearest, ties to even: `from_man_exp`'s one normalized `_mpf_` tuple."""
-    if not a:
-        return fzero
-    sign = 0
-    if a < 0:
-        sign, a = 1, -a
-    shift = a.bit_length() - prec
-    if shift > 0:
-        # t keeps one bit below the last kept bit: round up above half, and at half to even
-        t = a >> (shift - 1)
-        exp += shift
-        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (shift - 1)) - 1)) else t >> 1
-    zeros = (a & -a).bit_length() - 1
-    return sign, MPZ(a >> zeros), exp + zeros, a.bit_length() - zeros
+    """a * 2**exp rounded to prec bits, to nearest, ties to even: `from_man_exp`'s one normalized `_mpf_` tuple.
+
+    The scalar view of `TierVector.rounded`.
+    """
+    return TierVector.rounded([a], exp, prec).parts[0]
 
 
 def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:
@@ -207,7 +279,7 @@ def common_denominator(qs) -> tuple[list[int], int]:
 def dyadic(part) -> Fraction:
     """The exact value of a finite raw `_mpf_` tuple."""
     m, e = signed(part)
-    return Fraction(int(m) << e) if e >= 0 else Fraction(int(m), 1 << -e)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def rounded(q: Fraction, prec: int | None) -> Fraction:

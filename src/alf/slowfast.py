@@ -22,7 +22,7 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact, round_fixed, signed
+from .precision import ScalarContext, exact, signed
 from .response import ResponseFunction
 
 import numpy as np
@@ -113,19 +113,19 @@ class PlaneSystem:
 
             return rhs
 
-        prec = ctx.working_prec
-        values = self.f.integer_evaluator(prec)
+        values = self.f.integer_evaluator(ctx.working_prec)
         g, g_exp = signed(ctx.raw(self.epsilon * self.g))
-        slow = ctx.raw(self.epsilon * self.slow_rhs_factor())
+        s, s_exp = signed(ctx.raw(self.epsilon * self.slow_rhs_factor()))
+        c_exp = min(g_exp, s_exp)
 
         def fixed_rhs(xs, d):
             x, k = xs
             (fx, fm), den = values([x, k - (n - 1) * x], d)
             # the constants are dyadic, so den is a power of two: den == 2**-f_exp
             f_exp = 1 - den.bit_length()
-            low = min(f_exp, g_exp)
+            low = min(f_exp, c_exp)
             fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
-            return [round_fixed(fast, low, prec), slow]
+            return [fast, s << (s_exp - low)], 1 << -low
 
         return ctx.vector_function(fixed_rhs)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import PerturbedSystem, vector_field
-from .errors import DimensionMismatchError, InvariantViolationError, UnsupportedSymmetryError
+from .errors import DimensionMismatchError, InvariantViolationError, PreconditionError, UnsupportedSymmetryError
 from .graph import Permutation, commutes_with_laplacian, components
 from .precision import exact
 
@@ -24,7 +24,7 @@ class PermutationGroup:
 
     def __post_init__(self):
         if not self.generators:
-            raise ValueError("need at least one generator (use the identity for the trivial group)")
+            raise PreconditionError("need at least one generator (use the identity for the trivial group)")
         n = self.generators[0].n
         if any(g.n != n for g in self.generators):
             raise DimensionMismatchError("generators act on different node counts")
@@ -92,7 +92,7 @@ def symmetry_generated_equilibria(sys: PerturbedSystem, c, signs) -> list:
     if len(signs) != sys.n:
         raise DimensionMismatchError(f"need {sys.n} signs")
     if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
+        raise PreconditionError("signs must be +1 or -1")
     nontrivial = any(s == -1 for s in signs) and any(s == 1 for s in signs)
     if nontrivial and not sys.field.function.is_even():
         raise UnsupportedSymmetryError("response lacks sign symmetry; mixed signs do not map consensus to equilibria")

@@ -24,7 +24,7 @@ from alf import (
     vector_field,
 )
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
-from alf.errors import DimensionMismatchError
+from alf.errors import DimensionMismatchError, PreconditionError
 from alf.precision import ScalarContext
 from alf.prng import SplitMix64
 
@@ -313,10 +313,13 @@ def test_extended_divergence_test_reads_each_component_as_a_float(digits):
     ulp = Fraction(np.nextafter(DIVERGENCE_CUTOFF, np.inf)) - cutoff
     values = [cutoff, cutoff + ulp / 2, cutoff + ulp / 4, cutoff + 3 * ulp / 4, cutoff + ulp,
               cutoff - ulp / 4, Fraction(2**19) - Fraction(1, 2**60), Fraction(2**19), Fraction(2**20),
-              Fraction(2**20) - Fraction(1, 2**60), 0, Fraction(1, 3), 10**300,
-              float("nan"), float("inf"), float("-inf")]
+              Fraction(2**20) - Fraction(1, 2**60), 0, Fraction(1, 3), 10**300]
     ctx = ScalarContext(digits)
     with ctx.workprec():
+        # a TierVector holds finite values only; integrate tests a non-finite initial state itself
+        for v in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(PreconditionError):
+                ctx.vector([v, Fraction(1, 2)])
         for v in values:
             for sign in (1, -1):
                 for state in ([sign * v, Fraction(1, 2)], [Fraction(1, 2), sign * v]):
@@ -326,6 +329,22 @@ def test_extended_divergence_test_reads_each_component_as_a_float(digits):
         # a tie rounds to the even 1e6, three quarters of an ulp to the next double
         assert not _diverged_fixed(ctx.vector([cutoff + ulp / 2]))
         assert _diverged_fixed(ctx.vector([-(cutoff + 3 * ulp / 4)]))
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+def test_extended_divergence_verdict_at_the_cutoff(digits):
+    # 1e6 + 2**-34 is half an ulp of 1e6 in float64, a tie that float() rounds to the even 1e6;
+    # 1e6 + 2**-33 reads as the next double; 2**1100 beside 2**-1100 spans a frame of over 2200 bits
+    cutoff = Fraction(10**6)
+    cases = [([cutoff, 0], False), ([cutoff + Fraction(1, 2**34), 1], False),
+             ([cutoff + Fraction(1, 2**33), 1], True), ([Fraction(2**1100), Fraction(1, 2**1100)], True),
+             ([Fraction(1, 2**1100), -Fraction(2**1100)], True)]
+    ctx = ScalarContext(digits)
+    with ctx.workprec():
+        for state, diverged in cases:
+            y = ctx.vector(state)
+            assert _diverged_fixed(y) == any(not abs(float(v)) <= DIVERGENCE_CUTOFF for v in y.to_array())
+            assert _diverged_fixed(y) == diverged, state
 
 
 def test_gauge_invariance_along_trajectories(ex1_response):

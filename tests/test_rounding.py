@@ -8,8 +8,11 @@ tier rounds first.  The systems cover the full flow (a dyadic-weight graph
 with missing edges; a graph with non-dyadic weights, whose rounded rows do
 not sum to zero, with and without mean gauges), its standard forms and two
 plane reductions; the rk4 checks take one fused stage input and the final
-update of a step.  `round_fixed`, the one rounding of every kernel, is
-checked against mpmath's `from_man_exp` directly.
+update of a step, the dp45 checks every stage input, the fifth-order
+solution and the error estimate, also on states that mix an exact zero,
+components near 2**-600 and O(1) ones.  `round_fixed`, the scalar view of
+the one rounding of every kernel, is checked against mpmath's
+`from_man_exp` directly.
 """
 
 from fractions import Fraction
@@ -19,12 +22,12 @@ from mpmath.libmp import MPZ, from_man_exp, round_nearest
 
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import gauge_shift, plane_reduce, to_standard_form
-from alf.dynamics import _fixed_rk4_dt, _rk4_step
+from alf.dynamics import _dp45_fixed_stages, _fixed_rk4_dt, _rk4_step
 from alf.precision import round_fixed
 from alf.slowfast import PlaneSystem
 
 from conftest import dense_laplacian
-from fraction_reference import Tier, value
+from fraction_reference import _A, _B4, _B5, Tier, value
 
 TIERS = {digits: Tier(digits) for digits in (32, 64)}
 
@@ -62,6 +65,15 @@ _STATE = st.one_of(
     st.integers(-256, 256).map(lambda i: Fraction(i, 128)),
     st.fractions(min_value=-2, max_value=2, max_denominator=1000),
 )
+_TINY = st.builds(lambda m, sign: sign * Fraction(m, 2**620), st.integers(1, 2**20), st.sampled_from((1, -1)))
+
+
+@st.composite
+def _mixed_states(draw, n: int) -> list:
+    """n components taken from an exact zero, one near 2**-600, one of O(1) and more of either kind, shuffled."""
+    y = [Fraction(0), draw(_TINY), draw(_STATE.filter(bool))]
+    y += draw(st.lists(st.one_of(_TINY, _STATE), min_size=max(0, n - 3), max_size=max(0, n - 3)))
+    return draw(st.permutations(y))[:n]
 
 
 def rhs_pairs(system, digits: int, y) -> list[tuple]:
@@ -98,6 +110,41 @@ def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
     stage = [a + b * half for a, b in zip(y0, k1)]
     update = [a + (b1 + 2 * b2 + 2 * b3 + b4) * sixth for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
     return list(zip(seen[1].parts + new.parts, [tier.raw(q) for q in stage + update]))
+
+
+def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
+    """(alf's, reference) for each component of every stage input, the fifth-order solution and the error estimate.
+
+    The reference sums the stages alf computed with dt times each tableau
+    entry rounded to the tier, and rounds each sum once.
+    """
+    tier = TIERS[digits]
+    ctx = tier.ctx
+    seen = []
+    with ctx.workprec():
+        rhs = system.rhs_function(ctx)
+
+        def recording(v):
+            seen.append(v)
+            return rhs(v)
+
+        state = ctx.vector(y)
+        h = ctx.scalar(dt)
+        ks, y5, delta = _dp45_fixed_stages(recording, state, rhs(state), h)
+    y0 = [value(p) for p in state.parts]
+    k = [[value(p) for p in v.parts] for v in ks]
+    h = value(h)
+
+    def summed(base, weights):
+        coeffs = [tier.round(h * w) for w in weights]
+        return [tier.raw(b + sum(c * kj[i] for c, kj in zip(coeffs, k))) for i, b in enumerate(base)]
+
+    pairs = []
+    for stage, row in zip(seen, _A[1:]):
+        pairs += zip(stage.parts, summed(y0, row))
+    pairs += zip(y5.parts, summed(y0, _B5))
+    pairs += zip(delta.parts, summed([0] * len(y0), [b5 - b4 for b5, b4 in zip(_B5, _B4)]))
+    return pairs
 
 
 def _assert_all_equal(pairs) -> None:
@@ -143,6 +190,26 @@ def test_rk4_stage_and_update_are_correctly_rounded(kind, digits, data, dt):
     n = system.ode_dimension
     y = data.draw(st.lists(_STATE, min_size=n, max_size=n))
     _assert_all_equal(rk4_pairs(system, digits, y, dt))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["full", "plane"]), digits=st.sampled_from(sorted(TIERS)), data=st.data(),
+       dt=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 10), max_denominator=1000))
+def test_rk4_stage_and_update_are_correctly_rounded_on_mixed_magnitudes(kind, digits, data, dt):
+    system = _GAUGED if kind == "full" else PLANES["rational"]
+    _assert_all_equal(rk4_pairs(system, digits, data.draw(_mixed_states(system.ode_dimension)), dt))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["dyadic", "gauged", "standard", "plane"]), digits=st.sampled_from(sorted(TIERS)),
+       mixed=st.booleans(), data=st.data(),
+       dt=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 10), max_denominator=1000))
+def test_dp45_stages_solution_and_error_are_correctly_rounded(kind, digits, mixed, data, dt):
+    system = {"dyadic": _DYADIC, "gauged": _GAUGED, "standard": to_standard_form(_RATIONAL, 2),
+              "plane": PLANES["ex1"]}[kind]
+    n = system.ode_dimension
+    y = data.draw(_mixed_states(n) if mixed else st.lists(_STATE, min_size=n, max_size=n))
+    _assert_all_equal(dp45_pairs(system, digits, y, dt))
 
 
 # --- round_fixed against mpmath's from_man_exp ----------------------------------

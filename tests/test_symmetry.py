@@ -9,6 +9,7 @@ from alf import (
     Permutation,
     PermutationGroup,
     Perturbation,
+    PreconditionError,
     PerturbedSystem,
     ResponseField,
     ResponseFunction,
@@ -163,6 +164,16 @@ def test_sign_action_rejects_odd_response():
     sys_ = _system(3, ResponseFunction.from_coeffs([0, 0, 0, 1]))
     with pytest.raises(UnsupportedSymmetryError):
         symmetry_generated_equilibria(sys_, 1, [1, -1, 1])
+
+
+def test_sign_action_refuses_a_sign_other_than_plus_or_minus_one(ex1_response):
+    with pytest.raises(PreconditionError, match="signs must be"):
+        symmetry_generated_equilibria(_system(2, ex1_response), 1, [2, 1])
+
+
+def test_group_refuses_an_empty_generator_list():
+    with pytest.raises(PreconditionError, match="at least one generator"):
+        PermutationGroup(())
 
 
 # --- canard certificate ------------------------------------------------------------
