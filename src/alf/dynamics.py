@@ -27,8 +27,8 @@ from .errors import (
 )
 from .graph import Graph
 from .precision import (
-    ScalarContext, TierVector, combine_weights, common_denominator, dyadic, exact, round_ratio, round_rationals,
-    rounded, signed,
+    ScalarContext, TierVector, common_denominator, dyadic, exact, frame_floats, round_frame, round_ratio,
+    round_rationals, rounded, signed,
 )
 from .prng import SplitMix64
 from .response import ResponseField
@@ -104,8 +104,15 @@ class PerturbedSystem:
         return -self.graph.laplacian_array()
 
     @cached_property
-    def _exact_flow(self):
-        return self.integer_flow(None, range(self.n))
+    def _flows(self) -> dict:
+        return {}
+
+    def _full_flow(self, prec):
+        """`integer_flow(prec, every row)`, built once per precision (prec None: exact)."""
+        flows = self._flows
+        if prec not in flows:
+            flows[prec] = self.integer_flow(prec, range(self.n))
+        return flows[prec]
 
     def integer_flow(self, prec, rows):
         """(X, d) -> (V, den): the components `rows` of -L F(x) + eps H at x_j = X_j / d are V_i / den.
@@ -167,7 +174,7 @@ class PerturbedSystem:
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
             return self._float_flow(ctx)
-        return ctx.vector_function(self.integer_flow(ctx.working_prec, range(self.n)))
+        return ctx.vector_function(self._full_flow(ctx.working_prec))
 
     def _float_flow(self, ctx: ScalarContext):
         """x -> -L F(x) + eps H on float arrays, returned in a new array."""
@@ -256,8 +263,7 @@ def vector_field(sys: PerturbedSystem, x):
                     raise TypeError(f"vector_field reads floats, ints, Fractions and mpfs, not {type(v).__name__}")
                 v = int(v)
             rationals.append(v)
-    flow = sys._exact_flow if prec is None else sys.integer_flow(prec, range(sys.n))
-    nums, den = flow(*common_denominator(rationals))
+    nums, den = sys._full_flow(prec)(*common_denominator(rationals))
     if prec is None:
         return [Fraction(v, den) for v in nums]
     return [mpmath.mp.make_mpf(a) for a in round_rationals(nums, den, prec)]
@@ -447,11 +453,11 @@ _DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 
 
 def _floats(y) -> np.ndarray:
-    """The float values of y's components: y itself on the float tier, a TierVector's floats otherwise.
+    """The float values of y's components: y itself on the float tier, a frame's `frame_floats` otherwise.
 
     The divergence tests and the dp45 error norm read nothing else of a state.
     """
-    return y if type(y) is np.ndarray else np.array(y.floats())
+    return y if type(y) is np.ndarray else np.array(frame_floats(y))
 
 
 def _diverged(y) -> bool:
@@ -459,15 +465,15 @@ def _diverged(y) -> bool:
     return not np.abs(_floats(y)).max() <= DIVERGENCE_CUTOFF
 
 
-def _diverged_fixed(y: TierVector) -> bool:
-    """`_diverged` of a TierVector, on its integers.
+def _diverged_fixed(y) -> bool:
+    """`_diverged` of a frame (ints, exp), on its integers.
 
     Components under 2**19 pass and those from 2**20 up fail; the rest are
     read as `float(v)` reads them, correctly rounded (int / int is).
     """
-    exp = y.exp
+    ints, exp = y
     return any([a.bit_length() + exp > 19
-                and (a.bit_length() + exp > 20 or not abs(a) / (1 << -exp) <= DIVERGENCE_CUTOFF) for a in y.ints])
+                and (a.bit_length() + exp > 20 or not abs(a) / (1 << -exp) <= DIVERGENCE_CUTOFF) for a in ints])
 
 
 def _escapes(before, y, dy, span: float) -> bool:
@@ -489,15 +495,23 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 
     `stop_condition(t, y)`, when given, ends the run early after recording
     the state that triggered it (used to bound open-ended tracking runs).
+    t is the tier scalar; y is the float array of the state on the 16-digit
+    tier, and on the extended tiers the list of its components' float
+    values, each `float()` of the component's mpf.
     Raises DivergenceError when a component passes the cutoff, or when the
     adaptive step underflows on a state that would pass it before t1, and
     IntegrationStalledError when the adaptive step underflows otherwise;
     both carry the partial trajectory.
 
-    The state is the tier's vector (`ScalarContext.vector`); on the extended
-    tiers, recorded states and the states passed to `stop_condition` are mpf
-    arrays.  An initial state that fails the divergence test, a NaN or an
-    infinity included, is recorded and raises DivergenceError at t0.
+    The state is the tier's vector (`ScalarContext.vector`): on the extended
+    tiers, a frame (ints, exp) that the right-hand side reads and returns
+    and the steps sum exactly; recorded states and the partial trajectory of
+    an error are mpf arrays.  An initial state that fails the divergence
+    test, a NaN or an infinity included, is recorded and raises
+    DivergenceError at t0.
+
+    The metadata counts the accepted steps and dp45's rejected ones, and
+    names the stop reason: "end", "stop_condition", "divergence" or "stall".
     """
     t0, t1 = tspan
     if not t1 > t0:
@@ -518,6 +532,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             "dt": cfg.dt,
             "tol": cfg.tol,
             "labels": list(system.state_labels()),
+            "accepted_steps": 0,
+            "rejected_steps": 0,
         }
         traj = Trajectory(
             times=[],
@@ -527,11 +543,11 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             k_in_state=system.k_in_state,
             metadata=metadata,
         )
-        as_array = (lambda y: y) if ctx.is_float else TierVector.to_array
+        view = (lambda y: y) if ctx.is_float else frame_floats
         diverged = _diverged if ctx.is_float else _diverged_fixed
 
         def record(t, y):
-            state = y.copy() if type(y) is np.ndarray else y.to_array()
+            state = y.copy() if type(y) is np.ndarray else TierVector(*y).to_array()
             traj.times.append(t)
             traj.states.append(state)
             traj.k_series.append(system.slow_value(state))
@@ -543,21 +559,25 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             stride-th state and the last one are recorded, and so is the state
             that meets the stop condition.
             """
+            metadata["accepted_steps"] = count
             if diverged(y):
                 record(t, y)
+                metadata["stop_reason"] = "divergence"
                 raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
             recorded = count % cfg.stride == 0 or last
             if recorded:
                 record(t, y)
-            if stop_condition is not None and stop_condition(t, as_array(y)):
+            if stop_condition is not None and stop_condition(t, view(y)):
                 if not recorded:
                     record(t, y)
+                metadata["stop_reason"] = "stop_condition"
                 return True
             return False
 
         t = ctx.scalar(t0)
         record(t, y)
         if _diverged(np.array(y, dtype=float)):
+            metadata["stop_reason"] = "divergence"
             raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
         if not ctx.is_float:
             y = ctx.vector(y)
@@ -567,6 +587,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
                 _run_rk4(rhs, y, ctx, t0, t1, cfg, accept)
             else:
                 _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj)
+        metadata.setdefault("stop_reason", "end")
         return traj
 
 
@@ -575,8 +596,9 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 # numpy operations in this order, each rounded, in arrays the step allocates
 # itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
 # array that rhs returned.  The extended tiers take each as one exact sum per
-# component, rounded once (`TierVector.combine`); there dt is the triple of
-# combine weights `_fixed_rk4_dt` builds once per run from dt/2, dt and dt/6.
+# component of the frames, rounded once (`round_frame`); there dt is what
+# `_fixed_rk4_dt` builds once per run: dt/2, dt and dt/6 as (m, e) pairs, each
+# m * 2**e, and the working precision.
 def _rk4_step(rhs, y, t, dt):
     k1 = rhs(y)
     if type(y) is np.ndarray:
@@ -598,21 +620,30 @@ def _rk4_step(rhs, y, t, dt):
         acc *= dt / 6
         acc += y
         return acc
-    half, whole, sixth = dt
-    k2 = rhs(y.combine((k1,), half))
-    k3 = rhs(y.combine((k2,), half))
-    k4 = rhs(y.combine((k3,), whole))
-    return y.combine((k1, k2, k3, k4), sixth)
+    half, whole, (m, e), prec = dt
+    ints, exp = y
+    ks = [k1]
+    for c, c_exp in (half, half, whole):
+        # y + c 2**c_exp k over 2**low, low the least exponent of its terms
+        b, k_exp = ks[-1]
+        low = min(exp, k_exp + c_exp)
+        shift, w = exp - low, c << (k_exp + c_exp - low)
+        ks.append(rhs(round_frame([(a << shift) + w * v for a, v in zip(ints, b)], low, prec)))
+    (b1, e1), (b2, e2), (b3, e3), (b4, e4) = ks
+    # the weights (1, 2, 2, 1) m 2**e, each aligned with its k; a factor 2 is one more shift
+    low = min(exp, min(e1, e2, e3, e4) + e)
+    shift, e = exp - low, e - low
+    w1, w2, w3, w4 = m << (e1 + e), m << (e2 + e + 1), m << (e3 + e + 1), m << (e4 + e)
+    return round_frame([(a << shift) + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4
+                        for a, v1, v2, v3, v4 in zip(ints, b1, b2, b3, b4)], low, prec)
 
 
 def _fixed_rk4_dt(dt) -> tuple:
-    """The combine weights of the stage inputs and the update for mpf dt.
+    """The step constants of the extended-tier rk4 step for mpf dt: dt/2, dt and dt/6 as (m, e) pairs, and prec.
 
-    dt/2, dt and dt/6 are rounded to the current precision; the update's
-    weights are (1, 2, 2, 1) times dt/6.
+    dt/2, dt and dt/6 are rounded to the current precision, prec.
     """
-    half, whole, (m, e) = (signed(v._mpf_) for v in (dt / 2, dt, dt / 6))
-    return combine_weights([half]), combine_weights([whole]), combine_weights([(c * m, e) for c in (1, 2, 2, 1)])
+    return (*(signed(v._mpf_) for v in (dt / 2, dt, dt / 6)), mpmath.mp.prec)
 
 
 def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
@@ -663,27 +694,31 @@ def _dp45_float_solution(y, weights, ks, dt, term):
 
 
 def _dp45_fixed_stages(rhs, y, fsal, dt):
-    """`_dp45_float_stages` of the extended tiers: each stage input is y + sum_j c_j k_j.
+    """`_dp45_float_stages` of the extended tiers: each stage input is y + sum_j c_j k_j, on frames.
 
     The c_j are dt times the exact tableau entries, rounded to the tier once
     per step, and every component is one exact sum, rounded once.  The last
     row of the tableau is b5, so the last stage input is the fifth-order
     solution; the error estimate sums the k_j with dt (b5_j - b4_j).
     """
-    prec = y.prec
+    prec = mpmath.mp.prec
     m, e = signed(dt._mpf_)
 
     def stage(base, row, ks):
-        used = [(a, k) for a, k in zip(row, ks) if a]
-        weights = combine_weights([signed(round_ratio(m * a.numerator, e, a.denominator, prec)) for a, _ in used])
-        return base.combine([k for _, k in used], weights)
+        ints, exp = base
+        terms = [(signed(round_ratio(m * a.numerator, e, a.denominator, prec)), k) for a, k in zip(row, ks) if a]
+        low = min(exp, min([c_exp + k_exp for (_, c_exp), (_, k_exp) in terms]))
+        acc = [a << (exp - low) for a in ints]
+        for (c, c_exp), (b, k_exp) in terms:
+            w = c << (c_exp + k_exp - low)
+            acc = [a + w * v for a, v in zip(acc, b)]
+        return round_frame(acc, low, prec)
 
     ks = [fsal]
     for row in _DP_A_EXACT[1:]:
         y5 = stage(y, row, ks)
         ks.append(rhs(y5))
-    zero = TierVector([0] * len(y), -prec, prec)
-    return ks, y5, stage(zero, _DP_ERR_EXACT, ks)
+    return ks, y5, stage(([0] * len(y[0]), -prec), _DP_ERR_EXACT, ks)
 
 
 def _error_norm(y, y5, delta, tol: float) -> float:
@@ -703,6 +738,7 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
     accepted = 0
     before = y
     fsal = rhs(y)
+    metadata = traj.metadata
     while float(t) < float(t_end):
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
         clipped = float(t) + float(dt) > float(t_end)
@@ -717,16 +753,20 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
             accepted += 1
             if accept(accepted, t, y, float(t) >= float(t_end)):
                 return
+        else:
+            metadata["rejected_steps"] += 1
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         factor = min(5.0, max(0.2, factor))
         dt = dt * ctx.scalar(factor)
         if float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
             record(t, y)
             if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):
+                metadata["stop_reason"] = "divergence"
                 raise DivergenceError(
                     f"state diverges at t={float(t)}: the step size underflowed while it grows "
                     f"fast enough to pass the divergence cutoff before t={float(t_end)}", float(t), traj
                 )
+            metadata["stop_reason"] = "stall"
             raise IntegrationStalledError(
                 f"step size underflow at t={float(t)}", float(t), traj
             )

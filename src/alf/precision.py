@@ -4,20 +4,22 @@ Three tiers are exposed: 16 digits (native float64) and two extended tiers
 of 32 and 64 decimal digits backed by mpmath.  Extended tiers carry a few
 guard digits internally so that roundoff stays below the advertised level.
 
-Each tier has one vector type: a float ndarray on the 16-digit tier, and a
-`TierVector` on the extended tiers, whose scalars are mpf objects.  A
-TierVector is one integer frame: Python integers over one power of two,
-each component a value of the working precision.  Exact values and the
-extended tiers share one integer kernel per idea (a response, a flow):
-integers over one denominator in and out, every constant exact or rounded
-once (`rounded`).  An extended kernel reads the frame (`vector_function`)
-and returns each component exactly; `TierVector.rounded` rounds each once,
-to nearest with ties to even, back into the frame: the correctly rounded
-value of its exact formula in the tier's inputs.  The integrators' stage
-sums stay in the frame too (`TierVector.combine`).  Only the exact
-constants (weights, roots, epsilon times the forcing, step fractions) are
-rounded to the tier before, once per build, per run (rk4's) or per step
-(dp45's); mpmath's `_mpf_` tuples appear only where a value leaves a step.
+Each tier has one vector type: a float ndarray on the 16-digit tier, and an
+integer frame on the extended tiers, `(ints, exp)`: Python integers over one
+power of two, each component ints_i * 2**exp a value of the working
+precision.  Exact values and the extended tiers share one integer kernel per
+idea (a response, a flow): integers over one denominator in and out, every
+constant exact or rounded once (`rounded`).  On the extended tiers a
+right-hand side is a frame function, frame in and frame out: the exact
+kernel, then `round_frame`, which rounds each component once, to nearest
+with ties to even, back into a frame, so each is the correctly rounded value
+of its exact formula in the tier's inputs (`vector_function`).  The
+integrators' stage sums stay on the frame too, one exact sum per component,
+rounded once.  Only the exact constants (weights, roots, epsilon times the
+forcing, step fractions) are rounded to the tier before, once per build, per
+run (rk4's) or per step (dp45's).  A `TierVector` is a frame with the views
+a state needs where it leaves a step (mpmath's `_mpf_` tuples, an mpf array);
+`frame_floats` is the float view, without mpf objects.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -91,28 +94,29 @@ class ScalarContext:
         for v in scalars:
             if not mpmath.isfinite(v):
                 raise PreconditionError(f"the {self.digits}-digit tier holds finite values only, not {v}")
-        return TierVector.of_parts([v._mpf_ for v in scalars], self.working_prec)
+        return TierVector(*frame_of_parts([v._mpf_ for v in scalars], self.working_prec))
 
     def raw(self, value) -> tuple:
         """The `_mpf_` tuple of `scalar(value)` (extended tiers)."""
         return self.scalar(value)._mpf_
 
     def vector_function(self, kernel):
-        """A function of extended-tier TierVectors from an exact integer kernel.
+        """The extended tiers' frame function (ints, exp) -> (ints, exp) of an exact integer kernel.
 
         `kernel(xs, d)` reads the state's frame, x_i == xs_i / d with
         d == 2**-exp (`TierVector`), and returns integers and one denominator,
-        the exact components nums_i / den; each is rounded once.  d follows
-        the state's magnitudes, not its trailing zeros, so consecutive states
-        of a run mostly share it.
+        the exact components nums_i / den; each is rounded once into the
+        returned frame.  d follows the state's magnitudes, not its trailing
+        zeros, so consecutive states of a run mostly share it.
         """
         prec = self.working_prec
 
-        def apply(y):
-            nums, den = kernel(y.ints, 1 << -y.exp)
+        def apply(frame):
+            xs, exp = frame
+            nums, den = kernel(xs, 1 << -exp)
             if den & (den - 1):
-                return TierVector.of_parts(round_rationals(nums, den, prec), prec)
-            return TierVector.rounded(nums, 1 - den.bit_length(), prec)
+                return frame_of_parts(round_rationals(nums, den, prec), prec)
+            return round_frame(nums, 1 - den.bit_length(), prec)
 
         return apply
 
@@ -130,117 +134,98 @@ class ScalarContext:
             )
 
 
-class TierVector:
-    """The vector of the extended tiers: integers over one power of two, each component a prec-bit value.
+def round_frame(accs, exp: int, prec: int) -> tuple[list[int], int]:
+    """The frame (ints, exp) of each a * 2**exp, a in `accs`, rounded once to prec bits, to nearest, ties to even.
 
-    Component i is ints[i] * 2**exp.  `exp` is the least exponent of a
-    component's last bit at the working precision, a zero reading -prec,
-    and at most 0: it follows the magnitudes, not the trailing zeros.  The
-    integrators step with `combine`, which rounds each component once;
-    `parts`, `floats` and `to_array` are the views that leave the step.
+    The frame's exponent is the least exponent of a component's last bit
+    at prec bits, a zero reading -prec, and at most 0 (`TierVector`).
+    """
+    kept = []
+    low = 0
+    for a in accs:
+        shift = a.bit_length() - prec
+        if shift > 0:
+            # t keeps one bit below the last kept bit: round up above half, and at half to even;
+            # on a negative a, t and the bits below it are those of the floor, so this rounds |a|
+            t = a >> (shift - 1)
+            a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (shift - 1)) - 1)) else t >> 1
+            if a.bit_length() > prec:
+                # a carry to 2**prec
+                a >>= 1
+                shift += 1
+            # a has prec bits now, so its last bit is at exp + shift
+            if exp + shift < low:
+                low = exp + shift
+            kept.append((a, exp + shift))
+        elif a:
+            if exp + shift < low:
+                low = exp + shift
+            kept.append((a, exp))
+        else:
+            # a zero reads -prec, and sits at exponent 0, which is at least any frame's
+            if low > -prec:
+                low = -prec
+            kept.append((0, 0))
+    return [a << (e - low) for a, e in kept], low
+
+
+def frame_of_parts(parts, prec: int) -> tuple[list[int], int]:
+    """The frame of finite raw tuples of at most prec bits."""
+    pairs = [signed(p) for p in parts]
+    low = min([e for _, e in pairs], default=0)
+    return round_frame([m << (e - low) for m, e in pairs], low, prec)
+
+
+def _part(a: int, exp: int) -> tuple:
+    """a * 2**exp as a normalized `_mpf_` tuple."""
+    if not a:
+        return fzero
+    sign = 0
+    if a < 0:
+        sign, a = 1, -a
+    zeros = (a & -a).bit_length() - 1
+    a >>= zeros
+    return sign, MPZ(a), exp + zeros, a.bit_length()
+
+
+def frame_floats(frame) -> list[float]:
+    """The components of a frame as `float()` reads their mpfs: rounded to 53 bits, to nearest, ties to even.
+
+    Where the value lies in [2**-1022, 2**1023), a normal float, int / int
+    is that one correctly rounded division.  The rest (subnormals, values
+    at the overflow end, a zero in a frame below 2**-1021) go through
+    `to_float`, which rounds a subnormal to 53 bits and then again to its
+    own bits, as mpmath does.
+    """
+    ints, exp = frame
+    d = 1 << -exp
+    return [a / d if -1021 <= a.bit_length() + exp <= 1023 else to_float(_part(a, exp), rnd=round_nearest)
+            for a in ints]
+
+
+class TierVector(NamedTuple):
+    """A frame of the extended tiers with the views that leave a step: integers over one power of two.
+
+    Component i is ints[i] * 2**exp, a value of the working precision.
+    `exp` is the least exponent of a component's last bit at the working
+    precision, a zero reading -prec, and at most 0: it follows the
+    magnitudes, not the trailing zeros.  The kernels and the integrators
+    read and return bare (ints, exp) tuples; `frame_floats` is the float
+    view of either.
     """
 
-    __slots__ = ("ints", "exp", "prec")
-
-    def __init__(self, ints: list, exp: int, prec: int):
-        self.ints = ints
-        self.exp = exp
-        self.prec = prec
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    @classmethod
-    def rounded(cls, accs, exp: int, prec: int) -> "TierVector":
-        """The vector of each a * 2**exp, a in `accs`, rounded once to prec bits, to nearest, ties to even."""
-        kept = []
-        low = 0
-        for a in accs:
-            shift = a.bit_length() - prec
-            if shift > 0:
-                # t keeps one bit below the last kept bit: round up above half, and at half to even;
-                # on a negative a, t and the bits below it are those of the floor, so this rounds |a|
-                t = a >> (shift - 1)
-                a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (shift - 1)) - 1)) else t >> 1
-                if a.bit_length() > prec:
-                    # a carry to 2**prec
-                    a >>= 1
-                    shift += 1
-                # a has prec bits now, so its last bit is at exp + shift
-                if exp + shift < low:
-                    low = exp + shift
-                kept.append((a, exp + shift))
-            elif a:
-                if exp + shift < low:
-                    low = exp + shift
-                kept.append((a, exp))
-            else:
-                # a zero reads -prec, and sits at exponent 0, which is at least any frame's
-                if low > -prec:
-                    low = -prec
-                kept.append((0, 0))
-        return cls([a << (e - low) for a, e in kept], low, prec)
-
-    @classmethod
-    def of_parts(cls, parts, prec: int) -> "TierVector":
-        """The vector of finite raw tuples of at most prec bits."""
-        pairs = [signed(p) for p in parts]
-        low = min([e for _, e in pairs], default=0)
-        return cls.rounded([m << (e - low) for m, e in pairs], low, prec)
-
-    def combine(self, ks, weights) -> "TierVector":
-        """self + (w_1 k_1 + w_2 k_2 + ...) * 2**wexp, exact until one rounding per component.
-
-        The k_j are TierVectors and `weights` is (w, wexp) as `combine_weights`
-        builds it: the products c_j * scale of a stage, exact, so the result is
-        the correctly rounded value of the whole expression.
-        """
-        ws, wexp = weights
-        exp = self.exp
-        if len(ks) == 1:
-            # a stage input: one k, one weight
-            (k,), (w,) = ks, ws
-            low = min(exp, k.exp + wexp)
-            shift, w = exp - low, w << (k.exp + wexp - low)
-            return TierVector.rounded([(a << shift) + w * b for a, b in zip(self.ints, k.ints)], low, self.prec)
-        low = min(exp, min([k.exp for k in ks]) + wexp)
-        shift = exp - low
-        acc = [a << shift for a in self.ints] if shift else self.ints
-        for w, k in zip(ws, ks):
-            w <<= k.exp + wexp - low
-            acc = [a + w * b for a, b in zip(acc, k.ints)]
-        return TierVector.rounded(acc, low, self.prec)
+    ints: list
+    exp: int
 
     @property
     def parts(self) -> list:
         """The components as normalized `_mpf_` tuples."""
         exp = self.exp
-        out = []
-        for a in self.ints:
-            if not a:
-                out.append(fzero)
-                continue
-            sign = 0
-            if a < 0:
-                sign, a = 1, -a
-            zeros = (a & -a).bit_length() - 1
-            a >>= zeros
-            out.append((sign, MPZ(a), exp + zeros, a.bit_length()))
-        return out
-
-    def floats(self) -> list[float]:
-        """The components as `float(v_i)` gives them for mpf (round-to-nearest)."""
-        return [to_float(a, rnd=round_nearest) for a in self.parts]
+        return [_part(a, exp) for a in self.ints]
 
     def to_array(self) -> np.ndarray:
         """The components as an mpf object array."""
-        return np.array([_make_mpf(a) for a in self.parts], dtype=object)
-
-
-def combine_weights(terms) -> tuple[list[int], int]:
-    """The (m, e) pairs, each m * 2**e, as integers over one power of two: `TierVector.combine`'s weights."""
-    low = min(e for _, e in terms)
-    return [m << (e - low) for m, e in terms], low
+        return np.array([_make_mpf(p) for p in self.parts], dtype=object)
 
 
 def signed(part) -> tuple[int, int]:
@@ -252,9 +237,10 @@ def signed(part) -> tuple[int, int]:
 def round_fixed(a: int, exp: int, prec: int) -> tuple:
     """a * 2**exp rounded to prec bits, to nearest, ties to even: `from_man_exp`'s one normalized `_mpf_` tuple.
 
-    The scalar view of `TierVector.rounded`.
+    The scalar view of `round_frame`.
     """
-    return TierVector.rounded([a], exp, prec).parts[0]
+    (a,), exp = round_frame([a], exp, prec)
+    return _part(a, exp)
 
 
 def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:

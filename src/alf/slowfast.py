@@ -22,7 +22,7 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact, signed
+from .precision import ScalarContext, exact, round_frame, signed
 from .response import ResponseFunction
 
 import numpy as np
@@ -93,10 +93,11 @@ class PlaneSystem:
         """(x, k) -> (-(f(x) - f(k - (n-1) x)) + eps g, eps ((n-1) g + g_tilde)).
 
         `eps * g` and the slow drift are computed once per build.  The extended
-        tiers compute in integers (`ResponseFunction.integer_evaluator`): the
-        mirror and the layer are exact, and the fast component is rounded
-        once; `eps * g` and the slow drift are exact constants rounded to the
-        tier.
+        tiers compute in integers (`ResponseFunction.integer_evaluator`), frame
+        in and frame out as `ScalarContext.vector_function` is: the mirror and
+        the layer are exact, and the fast component is rounded once, in the
+        same call; `eps * g` and the slow drift are exact constants rounded to
+        the tier.
         """
         n = self.n
         if ctx.is_float:
@@ -113,21 +114,22 @@ class PlaneSystem:
 
             return rhs
 
-        values = self.f.integer_evaluator(ctx.working_prec)
+        prec = ctx.working_prec
+        values = self.f.integer_evaluator(prec)
         g, g_exp = signed(ctx.raw(self.epsilon * self.g))
         s, s_exp = signed(ctx.raw(self.epsilon * self.slow_rhs_factor()))
         c_exp = min(g_exp, s_exp)
 
-        def fixed_rhs(xs, d):
-            x, k = xs
-            (fx, fm), den = values([x, k - (n - 1) * x], d)
+        def fixed_rhs(frame):
+            (x, k), exp = frame
+            (fx, fm), den = values([x, k - (n - 1) * x], 1 << -exp)
             # the constants are dyadic, so den is a power of two: den == 2**-f_exp
             f_exp = 1 - den.bit_length()
             low = min(f_exp, c_exp)
             fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
-            return [fast, s << (s_exp - low)], 1 << -low
+            return round_frame([fast, s << (s_exp - low)], low, prec)
 
-        return ctx.vector_function(fixed_rhs)
+        return fixed_rhs
 
 
 def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:

@@ -25,7 +25,7 @@ from alf import (
 )
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
 from alf.errors import DimensionMismatchError, PreconditionError
-from alf.precision import ScalarContext
+from alf.precision import ScalarContext, TierVector
 from alf.prng import SplitMix64
 
 from conftest import dense_laplacian, rational_state
@@ -217,10 +217,10 @@ def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
         for _ in range(10):
             # irrational scaling fills every mantissa bit, so each rounding shows
             x = [ctx.scalar(v) * mpmath.sqrt(2) for v in rational_state(rng, n)]
-            assert list(rhs(ctx.vector(x)).to_array()) == rounded(dense([value(v) for v in x]))
+            assert list(TierVector(*rhs(ctx.vector(x))).to_array()) == rounded(dense([value(v) for v in x]))
             fast, k = std.project(x)
             y = fast + [k]
-            assert list(std_rhs(ctx.vector(y)).to_array()) == rounded(std_dense([value(v) for v in y]))
+            assert list(TierVector(*std_rhs(ctx.vector(y))).to_array()) == rounded(std_dense([value(v) for v in y]))
 
 
 def test_is_regular_perturbation(ex1_response):
@@ -650,6 +650,28 @@ def test_vector_field_of_an_mpf_state_is_the_exact_value_rounded_once(parts, pre
         x = [mpmath.mpf(p) for p in parts]
         out = vector_field(sys_, x)
     assert [v._mpf_ for v in out] == _rounded_reference(sys_, prec, x)
+
+
+def test_vector_field_builds_one_flow_per_precision(ex1_response, monkeypatch):
+    # unit K10 with ex1's response at 35 digits: the flow's constants are rounded once per precision, not per call
+    sys_ = _system(10, ex1_response, Perturbation.constant(Fraction(-1, 3), 10), Fraction(1, 10))
+    builds = []
+    build = PerturbedSystem.integer_flow
+    monkeypatch.setattr(PerturbedSystem, "integer_flow", lambda self, prec, rows: builds.append(prec) or build(
+        self, prec, rows))
+    rng = SplitMix64(35)
+    with mpmath.workdps(35):
+        prec = mpmath.mp.prec
+        x = [mpmath.mpf(v.numerator) / v.denominator * mpmath.sqrt(2) for v in rational_state(rng, 10)]
+        tiny = [v / 2**300 for v in x]
+        first, other, second = vector_field(sys_, x), vector_field(sys_, tiny), vector_field(sys_, x)
+    with mpmath.workprec(80):
+        coarse = vector_field(sys_, x)
+    monkeypatch.undo()
+    assert builds == [prec, 80]
+    assert [v._mpf_ for v in first] == [v._mpf_ for v in second] == _rounded_reference(sys_, prec, x)
+    assert [v._mpf_ for v in other] == _rounded_reference(sys_, prec, tiny)
+    assert [v._mpf_ for v in coarse] == _rounded_reference(sys_, 80, x)
 
 
 @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))

@@ -1,0 +1,141 @@
+"""The extended tiers' integer frame: its one rounding on vectors and its float view.
+
+`round_frame` must give each component what mpmath's `from_man_exp` gives
+at the working precision, to nearest with ties to even, and put the frame
+at the frame rule's exponent: the least exponent of a component's last bit
+at that precision, a zero reading -prec, at most 0.  `frame_floats`, the
+state a stop condition sees, must equal `float()` of each component's mpf
+bit for bit, subnormals included, where mpmath rounds twice.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
+
+from alf import Graph, IntegratorConfig, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
+from alf import integrate, plane_reduce
+from alf.precision import ScalarContext, TierVector, dyadic, frame_floats, round_frame
+
+PRECS = tuple(ScalarContext(digits).working_prec for digits in (32, 64))
+
+
+def _bits(length: int):
+    """Positive integers of exactly `length` bits."""
+    return st.integers(1 << (length - 1), (1 << length) - 1)
+
+
+@st.composite
+def _component(draw, exp: int, prec: int) -> int:
+    """One a of a frame a * 2**exp: a zero, an O(1) value, one near 2**-600, or a carry or a tie at prec bits."""
+    kind = draw(st.sampled_from(["zero", "unit", "tiny", "carry", "tie", "short"]))
+    if kind == "zero":
+        return 0
+    if kind == "unit":
+        a = draw(_bits(-exp + draw(st.integers(-4, 4))))
+    elif kind == "tiny":
+        a = draw(_bits(-exp - 600 + draw(st.integers(-8, 8))))
+    elif kind == "short":
+        # already prec bits or fewer: kept as it is
+        a = draw(_bits(draw(st.integers(1, prec))))
+    else:
+        shift = draw(st.integers(1, 300))
+        if kind == "carry":
+            # prec one bits, then a one above half: rounds up to 2**prec
+            a = (((1 << prec) - 1) << shift) + (1 << (shift - 1)) + draw(st.integers(0, (1 << (shift - 1)) - 1))
+        else:
+            # exactly half an ulp above prec bits: to even
+            a = (draw(_bits(prec)) << shift) + (1 << (shift - 1))
+    return a * draw(st.sampled_from((1, -1)))
+
+
+@st.composite
+def _frames(draw):
+    prec = draw(st.sampled_from(PRECS))
+    exp = draw(st.integers(-1400, -700))
+    accs = draw(st.lists(_component(exp, prec), min_size=1, max_size=6))
+    return accs, exp, prec
+
+
+def _last_bit(part, prec: int) -> int:
+    """The exponent of a rounded component's last bit at prec bits; a zero reads -prec."""
+    sign, man, exp, bc = part
+    return exp + bc - prec if man else -prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames())
+def test_round_frame_rounds_each_component_as_from_man_exp(frame):
+    accs, exp, prec = frame
+    ints, out_exp = round_frame(accs, exp, prec)
+    expected = [from_man_exp(a, exp, prec, round_nearest) for a in accs]
+    assert TierVector(ints, out_exp).parts == expected
+    assert out_exp == min([0] + [_last_bit(p, prec) for p in expected])
+    assert all(Fraction(a) * Fraction(2) ** out_exp == dyadic(p) for a, p in zip(ints, expected))
+
+
+def test_round_frame_edge_cases():
+    prec = PRECS[0]
+    # a carry to 2**prec renormalizes, and the frame follows the carried value's last bit
+    ints, exp = round_frame([(1 << (prec + 1)) - 1], -prec - 1, prec)
+    assert TierVector(ints, exp).parts == [from_man_exp(1, 0, prec, round_nearest)] and exp == 1 - prec
+    # 3 * 2**-600 beside 1: the frame reaches the tiny one's last bit
+    ints, exp = round_frame([3 << 100, 1 << 700], -700, prec)
+    assert exp == -598 - prec and ints == [3 << (prec - 2), 1 << (598 + prec)]
+    # only zeros: each reads -prec
+    assert round_frame([0, 0], -5, prec) == ([0, 0], -prec)
+
+
+def _float_view_values():
+    tie = Fraction(10**6) + Fraction(1, 2**34)
+    # above a subnormal halfway point by 2**-80 of it: mpmath rounds to 53 bits onto the halfway point, then to even
+    twice = Fraction(1, 2**1060) * (1 + Fraction(1, 2**15) + Fraction(1, 2**80))
+    return [0, 10**6, -10**6, tie, -tie, Fraction(1, 3), -Fraction(22, 7), Fraction(3, 2**1060),
+            -Fraction(1, 2**1060) * Fraction(5, 3), twice, -twice, Fraction(1, 2**1074), Fraction(2**1100)]
+
+
+def test_the_double_rounding_value_separates_the_two_roundings():
+    # the correctly rounded subnormal is one step above what float() of the mpf gives
+    twice = _float_view_values()[9]
+    ctx = ScalarContext(32)
+    with ctx.workprec():
+        via_mpf = float(ctx.scalar(twice))
+    assert via_mpf == 2.0**-1060
+    assert twice.numerator / twice.denominator == 2.0**-1060 + 2.0**-1074
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+def test_float_view_equals_float_of_each_mpf(digits):
+    values = _float_view_values()
+    ctx = ScalarContext(digits)
+    with ctx.workprec():
+        mpfs = [ctx.scalar(v) for v in values]
+        # O(1) values with every mantissa bit set
+        mpfs += [mpmath.sqrt(2), -mpmath.pi / 7, mpmath.e * 10**5]
+        for state in (mpfs, mpfs[::-1], mpfs[:1], mpfs[5:7], mpfs[7:12]):
+            got = frame_floats(ctx.vector(state))
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [float(v).hex() for v in state]
+
+
+def test_a_canard_stop_condition_sees_the_floats_of_each_state():
+    ex1 = ResponseFunction.from_roots([(1, 2), (-1, 2)])
+    ps = plane_reduce(PerturbedSystem(Graph.complete(3), ResponseField(ex1), Perturbation.constant(-1, 3),
+                                      Fraction(1, 10)), 3)
+    seen = []
+
+    def stop(t, y):
+        seen.append(y)
+        return abs(y[0] - y[1] / 3) > 3.0
+
+    ctx = ScalarContext(32)
+    with ctx.workprec():
+        k0 = ctx.scalar(4)
+    cfg = IntegratorConfig(method="rk4", dt=0.005, digits=32, stride=1)
+    traj = integrate(ps, [k0 / 3, k0], (0.0, 2.0), cfg, stop_condition=stop)
+    assert len(seen) == len(traj.states) - 1 == 400
+    for y, state in zip(seen, traj.states[1:]):
+        assert type(y) is list and all(type(v) is float for v in y)
+        assert [v.hex() for v in y] == [float(v).hex() for v in state]

@@ -23,7 +23,7 @@ from mpmath.libmp import MPZ, from_man_exp, round_nearest
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import gauge_shift, plane_reduce, to_standard_form
 from alf.dynamics import _dp45_fixed_stages, _fixed_rk4_dt, _rk4_step
-from alf.precision import round_fixed
+from alf.precision import TierVector, round_fixed
 from alf.slowfast import PlaneSystem
 
 from conftest import dense_laplacian
@@ -82,7 +82,7 @@ def rhs_pairs(system, digits: int, y) -> list[tuple]:
     ctx = tier.ctx
     with ctx.workprec():
         state = ctx.vector(y)
-        got = system.rhs_function(ctx)(state).parts
+        got = TierVector(*system.rhs_function(ctx)(state)).parts
     expected = tier.rhs(system)([value(p) for p in state.parts])
     return list(zip(got, (tier.raw(q) for q in expected)))
 
@@ -104,12 +104,12 @@ def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
         h = ctx.scalar(dt)
         new = _rk4_step(recording, state, ctx.scalar(0), _fixed_rk4_dt(h))
     y0 = [value(p) for p in state.parts]
-    k1, k2, k3, k4 = ([value(p) for p in out.parts] for out in outputs)
+    k1, k2, k3, k4 = ([value(p) for p in TierVector(*out).parts] for out in outputs)
     h = value(h)
     half, sixth = tier.round(h / 2), tier.round(h / 6)
     stage = [a + b * half for a, b in zip(y0, k1)]
     update = [a + (b1 + 2 * b2 + 2 * b3 + b4) * sixth for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return list(zip(seen[1].parts + new.parts, [tier.raw(q) for q in stage + update]))
+    return list(zip(TierVector(*seen[1]).parts + TierVector(*new).parts, [tier.raw(q) for q in stage + update]))
 
 
 def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
@@ -132,7 +132,7 @@ def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
         h = ctx.scalar(dt)
         ks, y5, delta = _dp45_fixed_stages(recording, state, rhs(state), h)
     y0 = [value(p) for p in state.parts]
-    k = [[value(p) for p in v.parts] for v in ks]
+    k = [[value(p) for p in TierVector(*v).parts] for v in ks]
     h = value(h)
 
     def summed(base, weights):
@@ -141,9 +141,9 @@ def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
 
     pairs = []
     for stage, row in zip(seen, _A[1:]):
-        pairs += zip(stage.parts, summed(y0, row))
-    pairs += zip(y5.parts, summed(y0, _B5))
-    pairs += zip(delta.parts, summed([0] * len(y0), [b5 - b4 for b5, b4 in zip(_B5, _B4)]))
+        pairs += zip(TierVector(*stage).parts, summed(y0, row))
+    pairs += zip(TierVector(*y5).parts, summed(y0, _B5))
+    pairs += zip(TierVector(*delta).parts, summed([0] * len(y0), [b5 - b4 for b5, b4 in zip(_B5, _B4)]))
     return pairs
 
 

@@ -52,7 +52,7 @@ def _tier_rhs(system, digits: int, y) -> list[Fraction]:
     ctx = ScalarContext(digits)
     with ctx.workprec():
         out = system.rhs_function(ctx)(ctx.vector(y))
-    return [_exact(v) for v in (out if ctx.is_float else out.to_array())]
+    return [_exact(v) for v in (out if ctx.is_float else TierVector(*out).to_array())]
 
 
 def _assert_close(system, y, expected) -> None:
@@ -92,12 +92,19 @@ def test_plane_tiers_match_exact_reduced_flow(x, mirror):
 
 @pytest.mark.parametrize("digits", TIERS)
 def test_each_tier_has_one_vector_type(digits):
-    # float arrays on the 16-digit tier, TierVectors on the extended tiers, in and out of every kernel
+    # float arrays in and out of every kernel on the 16-digit tier; on the extended tiers a TierVector
+    # is a frame (ints, exp), and every kernel takes a frame and returns a bare one
     ctx = ScalarContext(digits)
-    kind = np.ndarray if ctx.is_float else TierVector
     with ctx.workprec():
         for system in (_FULL, to_standard_form(_FULL, 2), _PLANE):
             y = ctx.vector([Fraction(i + 1, 4) for i in range(system.ode_dimension)])
             out = system.rhs_function(ctx)(y)
-            assert type(y) is kind and type(out) is kind
-            assert len(out) == len(y) == system.ode_dimension
+            if ctx.is_float:
+                assert type(y) is np.ndarray and type(out) is np.ndarray
+                assert len(out) == len(y) == system.ode_dimension
+                continue
+            assert type(y) is TierVector and type(out) is tuple
+            (ints, exp), (out_ints, out_exp) = y, out
+            assert type(exp) is int and type(out_exp) is int and exp <= 0 and out_exp <= 0
+            assert all(type(a) is int for a in ints + out_ints)
+            assert len(out_ints) == len(ints) == system.ode_dimension
