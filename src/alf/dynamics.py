@@ -31,7 +31,7 @@ from .precision import (
     round_rationals, rounded, signed,
 )
 from .prng import SplitMix64
-from .response import ResponseField
+from .response import ResponseField, float_constant
 
 DIVERGENCE_CUTOFF = 1e6
 
@@ -114,6 +114,25 @@ class PerturbedSystem:
             flows[prec] = self.integer_flow(prec, range(self.n))
         return flows[prec]
 
+    @cached_property
+    def _float_flow(self):
+        """x -> -L F(x) + eps H on float arrays, returned in a new array; built once per system.
+
+        `ndarray.dot` applies the Laplacian: the same BLAS call as `@`, with
+        less dispatch per call.
+        """
+        neg_l = self._neg_laplacian_float
+        fld = self.field
+        plan = _horner_plan(fld)
+        eps_h = float(self.epsilon) * np.array([float(v) for v in self.perturbation.values])
+
+        def flow(y):
+            out = neg_l.dot(_field_values_float(fld, plan, y))
+            out += eps_h
+            return out
+
+        return flow
+
     def integer_flow(self, prec, rows):
         """(X, d) -> (V, den): the components `rows` of -L F(x) + eps H at x_j = X_j / d are V_i / den.
 
@@ -173,22 +192,8 @@ class PerturbedSystem:
 
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
-            return self._float_flow(ctx)
+            return self._float_flow
         return ctx.vector_function(self._full_flow(ctx.working_prec))
-
-    def _float_flow(self, ctx: ScalarContext):
-        """x -> -L F(x) + eps H on float arrays, returned in a new array."""
-        neg_l = self._neg_laplacian_float
-        fld = self.field
-        plan = _horner_plan(fld)
-        eps_h = ctx.scalar(self.epsilon) * ctx.vector(self.perturbation.values)
-
-        def flow(y):
-            out = neg_l @ _field_values_float(fld, plan, y)
-            out += eps_h
-            return out
-
-        return flow
 
 
 def _horner_plan(fld: ResponseField):
@@ -202,8 +207,10 @@ def _horner_plan(fld: ResponseField):
     y), and the + 0.0 of a zero coefficient other than the last.  That add
     changes only the sign of a zero; the products after it keep a zero a
     zero (or make it NaN), and a later add gives both signs the same value.
+    The coefficients are `float_constant`s held as 0-d float64 arrays: the
+    same values, and a ufunc dispatches on them faster than on Python floats.
     """
-    top, *rest = [float(c) for c in reversed(fld.function.coeffs)]
+    top, *rest = [np.array(float_constant(c)) for c in reversed(fld.function.coeffs)]
     steps = [] if top == 1.0 or not rest else [(np.multiply, top)]
     for i, c in enumerate(rest, start=1):
         if i > 1:
@@ -325,21 +332,18 @@ class StandardFormSystem:
         l = self.l
         keep = [j - 1 for j in self.kept]
         if ctx.is_float:
-            flow = sys._float_flow(ctx)
+            flow = sys._float_flow
             slow = ctx.scalar(sys.epsilon) * float(np.sum(ctx.vector(sys.perturbation.values)))
-            # the coordinates before and after the eliminated one, in the full state
-            below, above = slice(None, l - 1), slice(l, None)
+            # lift: y's entry for each node of the full state, k standing in for x_l until it is set;
+            # project: the retained nodes' entries of the full derivative, then x_l's, replaced by the drift
+            lift = np.array([*range(l - 1), n - 1, *range(l - 1, n - 1)])
+            project = np.array([*keep, l - 1])
+            total = np.add.reduce
 
             def rhs(y: np.ndarray) -> np.ndarray:
-                fast = y[:-1]
-                full = np.empty(n)
-                full[below] = fast[below]
-                full[above] = fast[l - 1:]
-                full[l - 1] = y[-1] - fast.sum()
-                dx = flow(full)
-                out = np.empty(n)
-                out[below] = dx[below]
-                out[l - 1:-1] = dx[above]
+                full = y.take(lift)
+                full[l - 1] = y[-1] - total(y[:-1])
+                out = flow(full).take(project)
                 out[-1] = slow
                 return out
 
@@ -455,14 +459,14 @@ _DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 def _floats(y) -> np.ndarray:
     """The float values of y's components: y itself on the float tier, a frame's `frame_floats` otherwise.
 
-    The divergence tests and the dp45 error norm read nothing else of a state.
+    The escape test and the dp45 error norm read nothing else of a state.
     """
     return y if type(y) is np.ndarray else np.array(frame_floats(y))
 
 
-def _diverged(y) -> bool:
-    """Whether a component is NaN or larger than DIVERGENCE_CUTOFF in absolute value (max propagates a NaN)."""
-    return not np.abs(_floats(y)).max() <= DIVERGENCE_CUTOFF
+def _diverged(y: np.ndarray) -> bool:
+    """Whether a float state has a NaN or a component above DIVERGENCE_CUTOFF in absolute value (max propagates NaN)."""
+    return not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_CUTOFF
 
 
 def _diverged_fixed(y) -> bool:
@@ -595,29 +599,31 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 # update y + (((k1 + 2 k2) + 2 k3) + k4) (dt/6).  The float tier takes these
 # numpy operations in this order, each rounded, in arrays the step allocates
 # itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
-# array that rhs returned.  The extended tiers take each as one exact sum per
-# component of the frames, rounded once (`round_frame`); there dt is what
-# `_fixed_rk4_dt` builds once per run: dt/2, dt and dt/6 as (m, e) pairs, each
-# m * 2**e, and the working precision.
+# array that rhs returned.  There dt is what `_float_rk4_dt` builds once per
+# run: dt/2, dt, dt/6 and 2.0 as 0-d float64 arrays, the values the step
+# would compute from the float dt.  The extended tiers take each as one exact
+# sum per component of the frames, rounded once (`round_frame`); there dt is
+# what `_fixed_rk4_dt` builds once per run: dt/2, dt and dt/6 as (m, e)
+# pairs, each m * 2**e, and the working precision.
 def _rk4_step(rhs, y, t, dt):
     k1 = rhs(y)
     if type(y) is np.ndarray:
-        half = dt / 2
+        half, whole, sixth, two = dt
         s = k1 * half
         s += y
         k2 = rhs(s)
         s = k2 * half
         s += y
         k3 = rhs(s)
-        s = k3 * dt
+        s = k3 * whole
         s += y
         k4 = rhs(s)
-        acc = k2 * 2.0
+        acc = k2 * two
         acc += k1
-        s = k3 * 2.0
+        s = k3 * two
         acc += s
         acc += k4
-        acc *= dt / 6
+        acc *= sixth
         acc += y
         return acc
     half, whole, (m, e), prec = dt
@@ -638,6 +644,11 @@ def _rk4_step(rhs, y, t, dt):
                         for a, v1, v2, v3, v4 in zip(ints, b1, b2, b3, b4)], low, prec)
 
 
+def _float_rk4_dt(dt: float) -> tuple:
+    """The step constants of the float rk4 step: dt/2, dt, dt/6 and 2.0 as 0-d float64 arrays."""
+    return tuple(np.array(v) for v in (dt / 2, dt, dt / 6, 2.0))
+
+
 def _fixed_rk4_dt(dt) -> tuple:
     """The step constants of the extended-tier rk4 step for mpf dt: dt/2, dt and dt/6 as (m, e) pairs, and prec.
 
@@ -652,7 +663,7 @@ def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
     dt = ctx.scalar(exact(t1) - exact(t0)) / nsteps
     t_start = ctx.scalar(t0)
     t = t_start
-    step_dt = dt if ctx.is_float else _fixed_rk4_dt(dt)
+    step_dt = _float_rk4_dt(dt) if ctx.is_float else _fixed_rk4_dt(dt)
     for step in range(1, nsteps + 1):
         y = _rk4_step(rhs, y, t, step_dt)
         t = t_start + step * dt

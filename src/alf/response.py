@@ -8,7 +8,7 @@ known, to avoid cancellation near the roots.
 Each function evaluates in one form (scale and roots when known, else
 Horner on the coefficients), whatever the numeric type of the argument:
 - floats (numpy floats and float arrays included) run the form's loop on
-  constants converted to float once (`evaluator`);
+  constants converted to float once (`evaluator`, `float_constant`);
 - ints and Fractions run the same loop on the exact constants;
 - exact values and the extended tiers share one integer routine of the
   form (`integer_evaluator`): integers over one denominator in and out, the
@@ -26,10 +26,26 @@ from math import lcm
 import mpmath
 import numpy as np
 
-from .errors import UnsupportedStructureError
+from .errors import PreconditionError, UnsupportedStructureError
 from .precision import common_denominator, dyadic, exact, round_rationals, rounded
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
+
+
+def float_constant(c: Fraction) -> float:
+    """The exact constant c of a response as the float the float tier computes with.
+
+    A constant outside float64's range has no such float: it raises
+    PreconditionError naming it, before any float arithmetic could
+    overflow on it.
+    """
+    try:
+        return float(c)
+    except OverflowError:
+        raise PreconditionError(
+            f"response constant {mpmath.nstr(mpmath.mpf(c.numerator) / c.denominator, 6)} "
+            "is outside the float tier's range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,7 @@ class ResponseFunction:
         operations and their order are those of the form.  The root scans
         reach it through `eval`, the plane's float right-hand side directly.
         """
-        return self._routine(float)
+        return self._routine(float_constant)
 
     @cached_property
     def _exact_evaluator(self):

@@ -383,6 +383,34 @@ def test_diverging_float_run_prints_only_the_divergence_line(tmp_path, method):
     assert _read_csv(tmp_path / "out" / "trajectory.csv")
 
 
+@pytest.mark.parametrize("command, constant", [("simulate", "1.0e+400"), ("singularities", "2.0e+400")])
+def test_response_constant_outside_float_range_prints_one_error_line(tmp_path, command, constant):
+    # (x - 1e200)^2 (x + 1)^2 has an x^2 coefficient near 1e400, and its derivative an x coefficient near
+    # 2e400: no float64 holds either, so the float tier refuses them before any arithmetic overflows
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"roots": [[1e200, 2], [-1.0, 2]]},
+        "perturbation": {"constant": {"value": 0.5}},
+        "initial": {"explicit": [0.1, 0.2, 0.3]},
+        "tspan": [0, 1],
+        "integrator": {"method": "rk4", "dt": 0.01, "digits": 16},
+        "analysis": {"x_range": [-2.5, 2.5]},
+    }
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "alf.cli", command, "--config", _write(tmp_path, "big.json", cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "PreconditionError", "details": [f"response constant {constant} is outside the float tier's range"],
+    }
+
+
 def test_noncritical_canard_advisory_exit(tmp_path):
     override = {
         "perturbation": {"constant": {"values": [-1, -1, 0]}},

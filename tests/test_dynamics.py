@@ -23,6 +23,7 @@ from alf import (
     to_standard_form,
     vector_field,
 )
+from alf import dynamics
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
 from alf.errors import DimensionMismatchError, PreconditionError
 from alf.precision import ScalarContext, TierVector
@@ -659,6 +660,9 @@ def test_vector_field_builds_one_flow_per_precision(ex1_response, monkeypatch):
     build = PerturbedSystem.integer_flow
     monkeypatch.setattr(PerturbedSystem, "integer_flow", lambda self, prec, rows: builds.append(prec) or build(
         self, prec, rows))
+    # the float tier's flow, its Horner plan and eps H included, is built once per system
+    plan = dynamics._horner_plan
+    monkeypatch.setattr(dynamics, "_horner_plan", lambda fld: builds.append("float") or plan(fld))
     rng = SplitMix64(35)
     with mpmath.workdps(35):
         prec = mpmath.mp.prec
@@ -667,11 +671,18 @@ def test_vector_field_builds_one_flow_per_precision(ex1_response, monkeypatch):
         first, other, second = vector_field(sys_, x), vector_field(sys_, tiny), vector_field(sys_, x)
     with mpmath.workprec(80):
         coarse = vector_field(sys_, x)
+    y = np.array([float(v) for v in x])
+    floats = [vector_field(sys_, y), vector_field(sys_, list(y)), vector_field(sys_, y)]
+    rhs = sys_.rhs_function(ScalarContext(16))
     monkeypatch.undo()
-    assert builds == [prec, 80]
+    assert builds == [prec, 80, "float"]
     assert [v._mpf_ for v in first] == [v._mpf_ for v in second] == _rounded_reference(sys_, prec, x)
     assert [v._mpf_ for v in other] == _rounded_reference(sys_, prec, tiny)
     assert [v._mpf_ for v in coarse] == _rounded_reference(sys_, 80, x)
+    # each call still returns a new array, with the bits of the run's right-hand side
+    assert floats[0] is not floats[2] and type(floats[1]) is list
+    for out in floats:
+        assert np.array(out).tobytes() == rhs(y).tobytes()
 
 
 @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))

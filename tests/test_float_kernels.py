@@ -10,6 +10,8 @@ array that a right-hand side returned.
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from alf.dynamics import (
     _diverged,
     _dp45_float_stages,
     _field_values_float,
+    _float_rk4_dt,
     _horner_plan,
     _rk4_step,
     to_standard_form,
@@ -252,7 +255,7 @@ def test_rk4_step_equals_reference_and_writes_nothing_it_reads(case):
         y = np.where(np.isnan(y), 0.5, np.clip(y, -3.0, 3.0))  # finite: a NaN stage would hide the others' bits
         y_before = y.copy()
         recorder = Recorder(rhs)
-        got = _rk4_step(recorder, y, 0.0, 1e-3 * 1.1)
+        got = _rk4_step(recorder, y, 0.0, _float_rk4_dt(1e-3 * 1.1))
         assert_same_bits(got, _ref_rk4(ref, y, 1e-3 * 1.1))
         assert_same_bits(y, y_before)
         recorder.assert_untouched()
@@ -293,6 +296,88 @@ def test_dp45_first_term_turns_negative_zero_positive():
     assert_same_bits(y5, ref_y5)
     assert_same_bits(delta, ref_delta)
     assert y5.view(np.int64).tolist() == [0, 0]
+
+
+# --- whole runs -------------------------------------------------------------------
+
+def _ref_rk4_run(rhs, y, tspan, cfg):
+    """`integrate`'s rk4 run on the reference step: (times, states) of every recorded step."""
+    t0, t1 = tspan
+    nsteps = max(1, round((t1 - t0) / cfg.dt))
+    dt = float(Fraction(t1) - Fraction(t0)) / nsteps
+    times, states = [t0], [y]
+    for step in range(1, nsteps + 1):
+        y = _ref_rk4(rhs, y, dt)
+        if step % cfg.stride == 0 or step == nsteps:
+            times.append(t0 + step * dt)
+            states.append(y)
+    return times, states
+
+
+def _ref_dp45_run(rhs, y, tspan, cfg):
+    """`integrate`'s dp45 run on the reference stages, its step control written out."""
+    t, t1 = tspan
+    dt = min(cfg.dt, t1 - t)
+    times, states = [t], [y]
+    accepted = 0
+    fsal = rhs(y)
+    while t < t1:
+        clipped = t + dt > t1
+        if clipped:
+            dt = t1 - t
+        ks, y5, delta = _ref_dp45(rhs, y, fsal, dt)
+        scaled = [abs(d) / (cfg.tol + cfg.tol * max(abs(a), abs(b))) for d, a, b in zip(delta, y, y5)]
+        err = float(max(scaled, default=0.0))
+        if err <= 1.0:
+            t = t1 if clipped else t + dt
+            y, fsal = y5, ks[6]
+            accepted += 1
+            if accepted % cfg.stride == 0 or t >= t1:
+                times.append(t)
+                states.append(y)
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        dt = dt * factor
+        assert dt >= 1e-14  # the run must not stall
+    return times, states
+
+
+def _run_cases():
+    weighted = _system(GRAPHS["weighted-10"], FIELDS["ex1"], seed=6)
+    c100 = _system(GRAPHS["c100"], FIELDS["ex1"], seed=7)
+    sf = to_standard_form(weighted, 4)
+    # 273 steps of 0.3 / 273 each, not of the configured dt
+    yield "rk4-weighted-10", weighted, dynamics.IntegratorConfig("rk4", 1.1e-3, stride=3)
+    yield "rk4-c100", c100, dynamics.IntegratorConfig("rk4", 1.1e-3, stride=3)
+    yield "rk4-standard-form", sf, dynamics.IntegratorConfig("rk4", 1.1e-3, stride=3)
+    # the last of the 273 steps is recorded off-stride
+    yield "rk4-off-stride", weighted, dynamics.IntegratorConfig("rk4", 1.1e-3, stride=10)
+    yield "dp45-weighted-10", weighted, dynamics.IntegratorConfig("dp45", 1e-3, 1e-9, stride=3)
+    yield "dp45-standard-form", sf, dynamics.IntegratorConfig("dp45", 1e-3, 1e-9, stride=2)
+
+
+RUN_CASES = {name: case for name, *case in _run_cases()}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_integrate_equals_reference_run(case):
+    system, cfg = RUN_CASES[case]
+    rng = SplitMix64(len(case))
+    x = [rng.uniform(1.05, 1.5) for _ in range(system.n)]  # where f is increasing: the flow is diffusive
+    if system.k_in_state:
+        fast, k = system.project(x)
+        x = [*fast, k]
+    tspan = (0.0, 0.3)
+    traj = dynamics.integrate(system, x, tspan, cfg)
+    ref = _ref_standard_rhs(system) if system.k_in_state else _ref_full_rhs(system)
+    run = _ref_rk4_run if cfg.method == "rk4" else _ref_dp45_run
+    times, states = run(ref, np.array(x), tspan, cfg)
+    assert traj.metadata["stop_reason"] == "end" and len(times) > 20
+    assert traj.times == times
+    assert len(traj.states) == len(states)
+    for got, want in zip(traj.states, states):
+        assert_same_bits(got, want)
+    ks = [want[-1] for want in states] if system.k_in_state else [reduce(add, want) for want in states]
+    assert_same_bits(traj.k_series, ks)
 
 
 def test_diverged_equals_elementwise_test():
