@@ -29,6 +29,7 @@ from .errors import (
     AlfError,
     ConfigError,
     DivergenceError,
+    PreconditionError,
     SymmetryViolationError,
     UnsupportedStructureError,
 )
@@ -358,10 +359,13 @@ def cmd_divergence(args) -> int:
     if not k1 < k2:
         raise ConfigError([f"analysis/k_range: {k_range} must increase"])
     quad = slow_divergence_integral(ps, k1, k2)
-    exact_val = slow_divergence_exact(ps, k1, k2)
+    try:
+        exact_val = float(slow_divergence_exact(ps, k1, k2))
+    except OverflowError:
+        raise PreconditionError(f"the exact slow-divergence integral over {k_range} is outside the float range") from None
     out = _out_dir(args)
     path = out / "divergence.json"
-    _write_json({"integral": quad, "exact": float(exact_val)}, path)
+    _write_json({"integral": quad, "exact": exact_val}, path)
     _emit(path)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import lcm
+from math import isfinite, lcm
 from numbers import Integral
 from operator import add, sub
 
@@ -24,10 +24,11 @@ from .errors import (
     DimensionMismatchError,
     DivergenceError,
     IntegrationStalledError,
+    PreconditionError,
 )
 from .graph import Graph
 from .precision import (
-    ScalarContext, TierVector, common_denominator, dyadic, exact, frame_floats, round_frame, round_ratio,
+    ScalarContext, common_denominator, dyadic, exact, frame_array, frame_floats, round_frame, round_ratio,
     round_rationals, rounded, signed,
 )
 from .prng import SplitMix64
@@ -119,12 +120,15 @@ class PerturbedSystem:
         """x -> -L F(x) + eps H on float arrays, returned in a new array; built once per system.
 
         `ndarray.dot` applies the Laplacian: the same BLAS call as `@`, with
-        less dispatch per call.
+        less dispatch per call.  A term eps * h_i outside float64's range is
+        refused (`check_float_forcing`).
         """
         neg_l = self._neg_laplacian_float
         fld = self.field
         plan = _horner_plan(fld)
-        eps_h = float(self.epsilon) * np.array([float(v) for v in self.perturbation.values])
+        eps = float(self.epsilon)
+        eps_h = np.array([eps * float(v) for v in self.perturbation.values])
+        check_float_forcing(eps_h)
 
         def flow(y):
             out = neg_l.dot(_field_values_float(fld, plan, y))
@@ -194,6 +198,16 @@ class PerturbedSystem:
         if ctx.is_float:
             return self._float_flow
         return ctx.vector_function(self._full_flow(ctx.working_prec))
+
+
+def check_float_forcing(values) -> None:
+    """Refuse float forcing terms (epsilon times a forcing value or sum) outside float64's range.
+
+    Such a term would make the first step diverge; it raises
+    PreconditionError instead.
+    """
+    if not all(map(isfinite, values)):
+        raise PreconditionError("epsilon times the forcing is outside the float tier's range")
 
 
 def _horner_plan(fld: ResponseField):
@@ -273,7 +287,7 @@ def vector_field(sys: PerturbedSystem, x):
     nums, den = sys._full_flow(prec)(*common_denominator(rationals))
     if prec is None:
         return [Fraction(v, den) for v in nums]
-    return [mpmath.mp.make_mpf(a) for a in round_rationals(nums, den, prec)]
+    return list(frame_array(round_rationals(nums, den, prec)))
 
 
 @dataclass(frozen=True)
@@ -333,7 +347,10 @@ class StandardFormSystem:
         keep = [j - 1 for j in self.kept]
         if ctx.is_float:
             flow = sys._float_flow
-            slow = ctx.scalar(sys.epsilon) * float(np.sum(ctx.vector(sys.perturbation.values)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(np.sum(ctx.vector(sys.perturbation.values)))
+            slow = ctx.scalar(sys.epsilon) * total
+            check_float_forcing([slow])
             # lift: y's entry for each node of the full state, k standing in for x_l until it is set;
             # project: the retained nodes' entries of the full derivative, then x_l's, replaced by the drift
             lift = np.array([*range(l - 1), n - 1, *range(l - 1, n - 1)])
@@ -523,7 +540,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)
-        # the tier's scalars: a TierVector holds finite values only, so the test at t0 reads these
+        # the tier's scalars: a frame holds finite values only, so the test at t0 reads these
         y = np.array([ctx.scalar(v) for v in x0], dtype=float if ctx.is_float else object)
         if len(y) != system.ode_dimension:
             raise DimensionMismatchError(
@@ -551,7 +568,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         diverged = _diverged if ctx.is_float else _diverged_fixed
 
         def record(t, y):
-            state = y.copy() if type(y) is np.ndarray else TierVector(*y).to_array()
+            state = y.copy() if type(y) is np.ndarray else frame_array(y)
             traj.times.append(t)
             traj.states.append(state)
             traj.k_series.append(system.slow_value(state))
@@ -781,5 +798,3 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
             raise IntegrationStalledError(
                 f"step size underflow at t={float(t)}", float(t), traj
             )
-    if traj.times and float(traj.times[-1]) < float(t):
-        record(t, y)

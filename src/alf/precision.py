@@ -11,15 +11,16 @@ precision.  Exact values and the extended tiers share one integer kernel per
 idea (a response, a flow): integers over one denominator in and out, every
 constant exact or rounded once (`rounded`).  On the extended tiers a
 right-hand side is a frame function, frame in and frame out: the exact
-kernel, then `round_frame`, which rounds each component once, to nearest
-with ties to even, back into a frame, so each is the correctly rounded value
+kernel, then `round_rationals`, the one rounding of a rational result, which
+rounds each component once, to nearest with ties to even, back into a frame
+(`round_frame` over a power of two), so each is the correctly rounded value
 of its exact formula in the tier's inputs (`vector_function`).  The
 integrators' stage sums stay on the frame too, one exact sum per component,
 rounded once.  Only the exact constants (weights, roots, epsilon times the
 forcing, step fractions) are rounded to the tier before, once per build, per
-run (rk4's) or per step (dp45's).  A `TierVector` is a frame with the views
-a state needs where it leaves a step (mpmath's `_mpf_` tuples, an mpf array);
-`frame_floats` is the float view, without mpf objects.
+run (rk4's) or per step (dp45's).  A state leaves a step as an mpf array
+(`frame_array`) where it is recorded, and as floats (`frame_floats`) where a
+stop condition or an error norm reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -83,9 +83,9 @@ class ScalarContext:
             return mpmath.mpf(value)
 
     def vector(self, values):
-        """The tier's vector of `values`: a float ndarray, or a TierVector on the extended tiers.
+        """The tier's vector of `values`: a float ndarray, or a frame (ints, exp) on the extended tiers.
 
-        A TierVector holds finite values only: a NaN or an infinity raises
+        A frame holds finite values only: a NaN or an infinity raises
         PreconditionError.
         """
         if self.is_float:
@@ -94,29 +94,23 @@ class ScalarContext:
         for v in scalars:
             if not mpmath.isfinite(v):
                 raise PreconditionError(f"the {self.digits}-digit tier holds finite values only, not {v}")
-        return TierVector(*frame_of_parts([v._mpf_ for v in scalars], self.working_prec))
-
-    def raw(self, value) -> tuple:
-        """The `_mpf_` tuple of `scalar(value)` (extended tiers)."""
-        return self.scalar(value)._mpf_
+        return round_rationals(*common_denominator([dyadic(v._mpf_) for v in scalars]), self.working_prec)
 
     def vector_function(self, kernel):
         """The extended tiers' frame function (ints, exp) -> (ints, exp) of an exact integer kernel.
 
         `kernel(xs, d)` reads the state's frame, x_i == xs_i / d with
-        d == 2**-exp (`TierVector`), and returns integers and one denominator,
-        the exact components nums_i / den; each is rounded once into the
-        returned frame.  d follows the state's magnitudes, not its trailing
-        zeros, so consecutive states of a run mostly share it.
+        d == 2**-exp (`round_frame`), and returns integers and one
+        denominator, the exact components nums_i / den; each is rounded once
+        into the returned frame (`round_rationals`).  d follows the state's
+        magnitudes, not its trailing zeros, so consecutive states of a run
+        mostly share it.
         """
         prec = self.working_prec
 
         def apply(frame):
             xs, exp = frame
-            nums, den = kernel(xs, 1 << -exp)
-            if den & (den - 1):
-                return frame_of_parts(round_rationals(nums, den, prec), prec)
-            return round_frame(nums, 1 - den.bit_length(), prec)
+            return round_rationals(*kernel(xs, 1 << -exp), prec)
 
         return apply
 
@@ -137,8 +131,10 @@ class ScalarContext:
 def round_frame(accs, exp: int, prec: int) -> tuple[list[int], int]:
     """The frame (ints, exp) of each a * 2**exp, a in `accs`, rounded once to prec bits, to nearest, ties to even.
 
-    The frame's exponent is the least exponent of a component's last bit
-    at prec bits, a zero reading -prec, and at most 0 (`TierVector`).
+    Component i of a frame (ints, exp) is ints[i] * 2**exp.  The frame's
+    exponent is the least exponent of a component's last bit at prec bits,
+    a zero reading -prec, and at most 0: it follows the magnitudes, not the
+    trailing zeros, so the output frame depends only on the rounded values.
     """
     kept = []
     low = 0
@@ -169,13 +165,6 @@ def round_frame(accs, exp: int, prec: int) -> tuple[list[int], int]:
     return [a << (e - low) for a, e in kept], low
 
 
-def frame_of_parts(parts, prec: int) -> tuple[list[int], int]:
-    """The frame of finite raw tuples of at most prec bits."""
-    pairs = [signed(p) for p in parts]
-    low = min([e for _, e in pairs], default=0)
-    return round_frame([m << (e - low) for m, e in pairs], low, prec)
-
-
 def _part(a: int, exp: int) -> tuple:
     """a * 2**exp as a normalized `_mpf_` tuple."""
     if not a:
@@ -203,29 +192,10 @@ def frame_floats(frame) -> list[float]:
             for a in ints]
 
 
-class TierVector(NamedTuple):
-    """A frame of the extended tiers with the views that leave a step: integers over one power of two.
-
-    Component i is ints[i] * 2**exp, a value of the working precision.
-    `exp` is the least exponent of a component's last bit at the working
-    precision, a zero reading -prec, and at most 0: it follows the
-    magnitudes, not the trailing zeros.  The kernels and the integrators
-    read and return bare (ints, exp) tuples; `frame_floats` is the float
-    view of either.
-    """
-
-    ints: list
-    exp: int
-
-    @property
-    def parts(self) -> list:
-        """The components as normalized `_mpf_` tuples."""
-        exp = self.exp
-        return [_part(a, exp) for a in self.ints]
-
-    def to_array(self) -> np.ndarray:
-        """The components as an mpf object array."""
-        return np.array([_make_mpf(p) for p in self.parts], dtype=object)
+def frame_array(frame) -> np.ndarray:
+    """The components of a frame as an mpf object array, each a normalized `_mpf_` tuple."""
+    ints, exp = frame
+    return np.array([_make_mpf(_part(a, exp)) for a in ints], dtype=object)
 
 
 def signed(part) -> tuple[int, int]:
@@ -234,26 +204,19 @@ def signed(part) -> tuple[int, int]:
     return (-int(man) if sign else int(man)), exp
 
 
-def round_fixed(a: int, exp: int, prec: int) -> tuple:
-    """a * 2**exp rounded to prec bits, to nearest, ties to even: `from_man_exp`'s one normalized `_mpf_` tuple.
-
-    The scalar view of `round_frame`.
-    """
-    (a,), exp = round_frame([a], exp, prec)
-    return _part(a, exp)
-
-
 def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:
     """num * 2**exp / den rounded once to prec bits, to nearest with ties to even."""
     return mpf_div(from_man_exp(num, exp), from_int(den), prec, round_nearest)
 
 
-def round_rationals(nums, den: int, prec: int) -> list:
-    """The raw tuples of each num / den rounded once to prec bits: `round_fixed` for a power-of-two den."""
+def round_rationals(nums, den: int, prec: int) -> tuple[list[int], int]:
+    """The frame of each num / den rounded once to prec bits: `round_frame` for a power-of-two den."""
     if den & (den - 1):
-        return [round_ratio(v, 0, den, prec) for v in nums]
-    exp = 1 - den.bit_length()
-    return [round_fixed(v, exp, prec) for v in nums]
+        # each ratio rounded alone, then the values, of at most prec bits, put over one power of two
+        pairs = [signed(round_ratio(v, 0, den, prec)) for v in nums]
+        low = min([e for _, e in pairs], default=0)
+        return round_frame([m << (e - low) for m, e in pairs], low, prec)
+    return round_frame(nums, 1 - den.bit_length(), prec)
 
 
 def common_denominator(qs) -> tuple[list[int], int]:

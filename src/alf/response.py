@@ -9,11 +9,12 @@ Each function evaluates in one form (scale and roots when known, else
 Horner on the coefficients), whatever the numeric type of the argument:
 - floats (numpy floats and float arrays included) run the form's loop on
   constants converted to float once (`evaluator`, `float_constant`);
-- ints and Fractions run the same loop on the exact constants;
-- exact values and the extended tiers share one integer routine of the
-  form (`integer_evaluator`): integers over one denominator in and out, the
-  constants exact, or rounded once to a precision for the extended-tier
-  kernels and `eval` of an mpf, which round each value once.
+- everything else runs one integer routine of the form
+  (`integer_evaluator`): integers over one denominator in and out, the
+  constants exact for ints and Fractions, whose value is exact, or rounded
+  once to a precision for the extended-tier kernels and `eval` of a finite
+  mpf, which round each value once.  An mpf NaN or infinity runs the
+  form's loop in mpf arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import mpmath
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedStructureError
-from .precision import common_denominator, dyadic, exact, round_rationals, rounded
+from .precision import common_denominator, dyadic, exact, frame_array, round_rationals, rounded
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -120,7 +121,9 @@ class ResponseFunction:
             return np.broadcast_to(self.evaluator(x), x.shape)
         if isinstance(x, mpmath.mpf):
             return self._eval_mpf(x)
-        return self._exact_evaluator(x)
+        q = Fraction(x)
+        (value,), den = self.integer_evaluator()([q.numerator], q.denominator)
+        return Fraction(value, den)
 
     def _eval_mpf(self, x):
         """The exact value at mpf x, with the constants rounded to the current precision, rounded once.
@@ -132,22 +135,18 @@ class ResponseFunction:
             return self._routine(lambda c: mpmath.mpf(c.numerator) / c.denominator)(x)
         prec, q = mpmath.mp.prec, dyadic(x._mpf_)
         values, den = self.integer_evaluator(prec)([q.numerator], q.denominator)
-        return mpmath.mp.make_mpf(round_rationals(values, den, prec)[0])
+        return frame_array(round_rationals(values, den, prec))[0]
 
     @cached_property
     def evaluator(self):
         """`eval` for Python floats and float arrays: the form's loop on float constants.
 
-        The constants are converted once, and the loop is the one `eval`
-        runs on exact constants for ints and Fractions, so the float
-        operations and their order are those of the form.  The root scans
-        reach it through `eval`, the plane's float right-hand side directly.
+        The constants are converted once, and the loop is the form's, so
+        the float operations and their order are those of the form.  The
+        root scans reach it through `eval`, the plane's float right-hand side
+        directly.
         """
         return self._routine(float_constant)
-
-    @cached_property
-    def _exact_evaluator(self):
-        return self._routine(lambda c: c)
 
     def _routine(self, convert):
         """The evaluation loop of this function's form, its constants converted by `convert`."""

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
-from .dynamics import PerturbedSystem
+from .dynamics import PerturbedSystem, check_float_forcing
 from .errors import (
     ContinuationFailedError,
     InvariantViolationError,
@@ -22,7 +23,7 @@ from .errors import (
     SymmetryViolationError,
     UnsupportedStructureError,
 )
-from .precision import ScalarContext, exact, round_frame, signed
+from .precision import ScalarContext, common_denominator, exact, round_frame, rounded
 from .response import ResponseFunction
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 SINGULAR_TOL = 1e-10
 BISECT_HALVINGS = 200  # halvings of a root bracket before the scan gives up on it
 TANGENT_STEP = 1e-5  # the offset h from the singular point in the tangent secant
+SIMPSON_ROUNDOFF = 2.0**-49  # a few ulps: the roundoff floor of a Simpson difference, relative to its sums
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
@@ -106,6 +108,7 @@ class PlaneSystem:
             g = ctx.scalar(self.g)
             eps_g = eps * g
             slow = eps * ((n - 1) * g + ctx.scalar(self.g_tilde))
+            check_float_forcing([eps_g, slow])
 
             def rhs(y):
                 x, k = y[0], y[1]
@@ -116,9 +119,10 @@ class PlaneSystem:
 
         prec = ctx.working_prec
         values = self.f.integer_evaluator(prec)
-        g, g_exp = signed(ctx.raw(self.epsilon * self.g))
-        s, s_exp = signed(ctx.raw(self.epsilon * self.slow_rhs_factor()))
-        c_exp = min(g_exp, s_exp)
+        # both constants rounded to the tier, over one power of two 2**-c_exp
+        (g, s), c_den = common_denominator([rounded(self.epsilon * self.g, prec),
+                                            rounded(self.epsilon * self.slow_rhs_factor(), prec)])
+        c_exp = 1 - c_den.bit_length()
 
         def fixed_rhs(frame):
             (x, k), exp = frame
@@ -126,8 +130,8 @@ class PlaneSystem:
             # the constants are dyadic, so den is a power of two: den == 2**-f_exp
             f_exp = 1 - den.bit_length()
             low = min(f_exp, c_exp)
-            fast = ((fm - fx) << (f_exp - low)) + (g << (g_exp - low))
-            return round_frame([fast, s << (s_exp - low)], low, prec)
+            fast = ((fm - fx) << (f_exp - low)) + (g << (c_exp - low))
+            return round_frame([fast, s << (c_exp - low)], low, prec)
 
         return fixed_rhs
 
@@ -589,6 +593,14 @@ def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport) -> float:
 # slow-divergence integral
 
 def _adaptive_simpson(func, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson quadrature of func over [a, b] to the absolute tolerance tol.
+
+    A subinterval is accepted once its halves' estimate differs from its
+    own by at most 15 times its share of tol, or by no more than the
+    roundoff of the sums, SIMPSON_ROUNDOFF of |left| + |right|, which no
+    halving can go below.  A non-finite difference (an integrand value or a
+    sum outside float range) raises PreconditionError.
+    """
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
@@ -600,8 +612,11 @@ def _adaptive_simpson(func, a: float, b: float, tol: float) -> float:
         frmid = func(rmid)
         left = simpson(lo, mid, flo, flmid, fmid)
         right = simpson(mid, hi, fmid, frmid, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol_local:
-            return left + right + (left + right - whole) / 15.0
+        delta = left + right - whole
+        if not isfinite(delta):
+            raise PreconditionError(f"the integrand or its Simpson sums on [{lo}, {hi}] leave the float range")
+        if depth <= 0 or abs(delta) <= max(15.0 * tol_local, SIMPSON_ROUNDOFF * (abs(left) + abs(right))):
+            return left + right + delta / 15.0
         return recurse(lo, mid, flo, flmid, fmid, left, tol_local / 2.0, depth - 1) + recurse(
             mid, hi, fmid, frmid, fhi, right, tol_local / 2.0, depth - 1
         )

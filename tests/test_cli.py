@@ -18,6 +18,14 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+def _run_cli(*args):
+    """`python -m alf.cli` with the given arguments in a fresh interpreter, warnings as the environment sets them."""
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "alf.cli", *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -411,6 +419,26 @@ def test_response_constant_outside_float_range_prints_one_error_line(tmp_path, c
     }
 
 
+def test_overflowing_float_forcing_prints_one_error_line(tmp_path):
+    # eps * h is 1e310 on two nodes: the float tier refuses it before a step can read it as a divergence
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"roots": [[1.0, 2], [-1.0, 2]]},
+        "perturbation": {"constant": {"values": [1e300, 1e300, -1e300]}},
+        "epsilon": 1e10,
+        "initial": {"explicit": [0.1, 0.2, 0.3]},
+        "tspan": [0, 1],
+        "integrator": {"method": "rk4", "dt": 0.01, "digits": 16},
+    }
+    proc = _run_cli("simulate", "--config", _write(tmp_path, "forcing.json", cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "PreconditionError", "details": ["epsilon times the forcing is outside the float tier's range"],
+    }
+
+
 def test_noncritical_canard_advisory_exit(tmp_path):
     override = {
         "perturbation": {"constant": {"values": [-1, -1, 0]}},
@@ -459,6 +487,29 @@ def test_divergence_command_reports_exact_value(tmp_path):
     payload = json.load(open(out / "divergence.json"))
     assert payload["exact"] == 9.0
     assert abs(payload["integral"] - 9.0) <= 1e-8
+
+
+def test_wide_divergence_window_meets_the_exact_value(tmp_path):
+    # the integral is about -1.2e7, whose roundoff is far above the absolute quadrature tolerance of 1e-10
+    override = _write(tmp_path, "wide.json", {"analysis": {"k_range": [-300, 301]}})
+    proc = _run_cli("divergence", "--preset", "ex1", "--config", override, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.load(open(tmp_path / "out" / "divergence.json"))
+    assert payload["exact"] == -12058931.444444444
+    assert abs(payload["integral"] - payload["exact"]) <= 1e-9 * abs(payload["exact"])
+
+
+@pytest.mark.parametrize("k_range", [[-1e100, 2e100], [-1e200, 2e200]])
+def test_overflowing_divergence_window_prints_one_error_line(tmp_path, k_range):
+    # the Simpson sums (at 1e100) or the integrand itself (at 1e200) pass float64's range
+    override = _write(tmp_path, "huge.json", {"analysis": {"k_range": k_range}})
+    proc = _run_cli("divergence", "--preset", "ex1", "--config", override, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "PreconditionError" and "leave the float range" in report["details"][0]
+    assert not (tmp_path / "out" / "divergence.json").exists()
 
 
 def test_descending_divergence_window_is_config_error(tmp_path, capsys):

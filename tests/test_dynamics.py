@@ -1,4 +1,5 @@
 import io
+import warnings
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -20,13 +21,14 @@ from alf import (
     gauge_shift,
     integrate,
     is_regular_perturbation,
+    plane_reduce,
     to_standard_form,
     vector_field,
 )
 from alf import dynamics
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
 from alf.errors import DimensionMismatchError, PreconditionError
-from alf.precision import ScalarContext, TierVector
+from alf.precision import ScalarContext, frame_array
 from alf.prng import SplitMix64
 
 from conftest import dense_laplacian, rational_state
@@ -218,10 +220,25 @@ def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
         for _ in range(10):
             # irrational scaling fills every mantissa bit, so each rounding shows
             x = [ctx.scalar(v) * mpmath.sqrt(2) for v in rational_state(rng, n)]
-            assert list(TierVector(*rhs(ctx.vector(x))).to_array()) == rounded(dense([value(v) for v in x]))
+            assert list(frame_array(rhs(ctx.vector(x)))) == rounded(dense([value(v) for v in x]))
             fast, k = std.project(x)
             y = fast + [k]
-            assert list(TierVector(*std_rhs(ctx.vector(y))).to_array()) == rounded(std_dense([value(v) for v in y]))
+            assert list(frame_array(std_rhs(ctx.vector(y)))) == rounded(std_dense([value(v) for v in y]))
+
+
+def test_float_tier_refuses_forcing_terms_outside_float_range(ex1_response):
+    # every forcing value is finite, but eps * h_i (1e310), the standard form's drift eps * sum(h) (3e308),
+    # or the plane's eps * g (1e310) and eps ((n - 1) g + g~) (3e308) is not: refused, without a numpy warning
+    products = _system(3, ex1_response, Perturbation.constant([1e300, 1e300, -1e300]), 1e10)
+    sums = _system(3, ex1_response, Perturbation.constant([1e308, 1e308, 1e308]), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for system in (products, to_standard_form(products, 2), to_standard_form(sums, 2),
+                       plane_reduce(products, 3), plane_reduce(sums, 3)):
+            with pytest.raises(PreconditionError, match="epsilon times the forcing"):
+                system.rhs_function(ScalarContext(16))
+        # its full flow's eps * h_i == 1e308 is finite
+        sums.rhs_function(ScalarContext(16))
 
 
 def test_is_regular_perturbation(ex1_response):
@@ -317,7 +334,7 @@ def test_extended_divergence_test_reads_each_component_as_a_float(digits):
               Fraction(2**20) - Fraction(1, 2**60), 0, Fraction(1, 3), 10**300]
     ctx = ScalarContext(digits)
     with ctx.workprec():
-        # a TierVector holds finite values only; integrate tests a non-finite initial state itself
+        # a frame holds finite values only; integrate tests a non-finite initial state itself
         for v in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(PreconditionError):
                 ctx.vector([v, Fraction(1, 2)])
@@ -325,7 +342,7 @@ def test_extended_divergence_test_reads_each_component_as_a_float(digits):
             for sign in (1, -1):
                 for state in ([sign * v, Fraction(1, 2)], [Fraction(1, 2), sign * v]):
                     y = ctx.vector(state)
-                    expected = any(not abs(float(c)) <= DIVERGENCE_CUTOFF for c in y.to_array())
+                    expected = any(not abs(float(c)) <= DIVERGENCE_CUTOFF for c in frame_array(y))
                     assert _diverged_fixed(y) == expected, (v, sign, state)
         # a tie rounds to the even 1e6, three quarters of an ulp to the next double
         assert not _diverged_fixed(ctx.vector([cutoff + ulp / 2]))
@@ -344,7 +361,7 @@ def test_extended_divergence_verdict_at_the_cutoff(digits):
     with ctx.workprec():
         for state, diverged in cases:
             y = ctx.vector(state)
-            assert _diverged_fixed(y) == any(not abs(float(v)) <= DIVERGENCE_CUTOFF for v in y.to_array())
+            assert _diverged_fixed(y) == any(not abs(float(v)) <= DIVERGENCE_CUTOFF for v in frame_array(y))
             assert _diverged_fixed(y) == diverged, state
 
 

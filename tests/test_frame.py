@@ -3,7 +3,9 @@
 `round_frame` must give each component what mpmath's `from_man_exp` gives
 at the working precision, to nearest with ties to even, and put the frame
 at the frame rule's exponent: the least exponent of a component's last bit
-at that precision, a zero reading -prec, at most 0.  `frame_floats`, the
+at that precision, a zero reading -prec, at most 0.  `round_rationals`, the
+one rounding of a kernel's rational result, must give what `from_rational`
+gives, in the same frame.  `frame_floats`, the
 state a stop condition sees, must equal `float()` of each component's mpf
 bit for bit, subnormals included, where mpmath rounds twice.
 """
@@ -13,11 +15,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from alf import Graph, IntegratorConfig, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import integrate, plane_reduce
-from alf.precision import ScalarContext, TierVector, dyadic, frame_floats, round_frame
+from alf.precision import ScalarContext, dyadic, frame_array, frame_floats, round_frame, round_rationals
 
 PRECS = tuple(ScalarContext(digits).working_prec for digits in (32, 64))
 
@@ -59,6 +61,11 @@ def _frames(draw):
     return accs, exp, prec
 
 
+def _parts(frame) -> list[tuple]:
+    """The components of a frame as `_mpf_` tuples."""
+    return [v._mpf_ for v in frame_array(frame)]
+
+
 def _last_bit(part, prec: int) -> int:
     """The exponent of a rounded component's last bit at prec bits; a zero reads -prec."""
     sign, man, exp, bc = part
@@ -71,7 +78,7 @@ def test_round_frame_rounds_each_component_as_from_man_exp(frame):
     accs, exp, prec = frame
     ints, out_exp = round_frame(accs, exp, prec)
     expected = [from_man_exp(a, exp, prec, round_nearest) for a in accs]
-    assert TierVector(ints, out_exp).parts == expected
+    assert _parts((ints, out_exp)) == expected
     assert out_exp == min([0] + [_last_bit(p, prec) for p in expected])
     assert all(Fraction(a) * Fraction(2) ** out_exp == dyadic(p) for a, p in zip(ints, expected))
 
@@ -80,12 +87,27 @@ def test_round_frame_edge_cases():
     prec = PRECS[0]
     # a carry to 2**prec renormalizes, and the frame follows the carried value's last bit
     ints, exp = round_frame([(1 << (prec + 1)) - 1], -prec - 1, prec)
-    assert TierVector(ints, exp).parts == [from_man_exp(1, 0, prec, round_nearest)] and exp == 1 - prec
+    assert _parts((ints, exp)) == [from_man_exp(1, 0, prec, round_nearest)] and exp == 1 - prec
     # 3 * 2**-600 beside 1: the frame reaches the tiny one's last bit
     ints, exp = round_frame([3 << 100, 1 << 700], -700, prec)
     assert exp == -598 - prec and ints == [3 << (prec - 2), 1 << (598 + prec)]
     # only zeros: each reads -prec
     assert round_frame([0, 0], -5, prec) == ([0, 0], -prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nums=st.lists(st.one_of(st.just(0), st.integers(-2**400, 2**400)), min_size=1, max_size=5),
+       den=st.one_of(st.integers(0, 1200).map(lambda k: 2**k), st.integers(3, 2**300).filter(lambda d: d & (d - 1))),
+       prec=st.sampled_from(PRECS))
+def test_round_rationals_rounds_each_ratio_once_into_one_frame(nums, den, prec):
+    # a power-of-two den is a frame to round; any other den rounds each ratio alone, as `round_ratio` and
+    # mpmath's from_rational do, and the frame follows the rounded values
+    frame = round_rationals(nums, den, prec)
+    if not den & (den - 1):
+        assert frame == round_frame(nums, 1 - den.bit_length(), prec)
+    expected = [from_rational(v, den, prec, round_nearest) for v in nums]
+    assert _parts(frame) == expected
+    assert frame[1] == min([0] + [_last_bit(p, prec) for p in expected])
 
 
 def _float_view_values():

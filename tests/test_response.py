@@ -315,6 +315,15 @@ def test_integer_evaluator_equals_fraction_arithmetic(f, xs, d, prec):
 
 
 @settings(max_examples=150, deadline=None)
+@given(f=_FORMS, x=st.one_of(st.integers(-10**12, 10**12), _RATIONALS, st.fractions(max_denominator=10**15)))
+def test_eval_of_ints_and_fractions_is_fraction_arithmetic(f, x):
+    # exact values take the integer routine on exact constants: the Fraction value of the form, as a Fraction
+    for form in (f, ResponseFunction(f.coeffs)):
+        got = form.eval(x)
+        assert type(got) is Fraction and got == _reference(form, lambda q: q)(Fraction(x))
+
+
+@settings(max_examples=150, deadline=None)
 @given(f=_FORMS, m=st.integers(-2**80, 2**80), e=st.integers(-120, 120), prec=st.sampled_from((53, 113, 226)))
 def test_eval_of_an_mpf_is_the_exact_value_rounded_once(f, m, e, prec):
     # states with a positive exponent included: the mpf is read exactly, the constants rounded to the precision

@@ -10,9 +10,9 @@ not sum to zero, with and without mean gauges), its standard forms and two
 plane reductions; the rk4 checks take one fused stage input and the final
 update of a step, the dp45 checks every stage input, the fifth-order
 solution and the error estimate, also on states that mix an exact zero,
-components near 2**-600 and O(1) ones.  `round_fixed`, the scalar view of
-the one rounding of every kernel, is checked against mpmath's
-`from_man_exp` directly.
+components near 2**-600 and O(1) ones.  `round_frame`, the one rounding of
+every kernel, is checked on one component against mpmath's `from_man_exp`
+directly.
 """
 
 from fractions import Fraction
@@ -23,7 +23,7 @@ from mpmath.libmp import MPZ, from_man_exp, round_nearest
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import gauge_shift, plane_reduce, to_standard_form
 from alf.dynamics import _dp45_fixed_stages, _fixed_rk4_dt, _rk4_step
-from alf.precision import TierVector, round_fixed
+from alf.precision import frame_array, round_frame
 from alf.slowfast import PlaneSystem
 
 from conftest import dense_laplacian
@@ -76,14 +76,19 @@ def _mixed_states(draw, n: int) -> list:
     return draw(st.permutations(y))[:n]
 
 
+def _parts(frame) -> list[tuple]:
+    """The components of a frame as `_mpf_` tuples."""
+    return [v._mpf_ for v in frame_array(frame)]
+
+
 def rhs_pairs(system, digits: int, y) -> list[tuple]:
     """(alf's component, the correctly rounded reference) for each component of the RHS at y."""
     tier = TIERS[digits]
     ctx = tier.ctx
     with ctx.workprec():
         state = ctx.vector(y)
-        got = TierVector(*system.rhs_function(ctx)(state)).parts
-    expected = tier.rhs(system)([value(p) for p in state.parts])
+        got = _parts(system.rhs_function(ctx)(state))
+    expected = tier.rhs(system)([value(p) for p in _parts(state)])
     return list(zip(got, (tier.raw(q) for q in expected)))
 
 
@@ -103,13 +108,13 @@ def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
         state = ctx.vector(y)
         h = ctx.scalar(dt)
         new = _rk4_step(recording, state, ctx.scalar(0), _fixed_rk4_dt(h))
-    y0 = [value(p) for p in state.parts]
-    k1, k2, k3, k4 = ([value(p) for p in TierVector(*out).parts] for out in outputs)
+    y0 = [value(p) for p in _parts(state)]
+    k1, k2, k3, k4 = ([value(p) for p in _parts(out)] for out in outputs)
     h = value(h)
     half, sixth = tier.round(h / 2), tier.round(h / 6)
     stage = [a + b * half for a, b in zip(y0, k1)]
     update = [a + (b1 + 2 * b2 + 2 * b3 + b4) * sixth for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
-    return list(zip(TierVector(*seen[1]).parts + TierVector(*new).parts, [tier.raw(q) for q in stage + update]))
+    return list(zip(_parts(seen[1]) + _parts(new), [tier.raw(q) for q in stage + update]))
 
 
 def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
@@ -131,8 +136,8 @@ def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
         state = ctx.vector(y)
         h = ctx.scalar(dt)
         ks, y5, delta = _dp45_fixed_stages(recording, state, rhs(state), h)
-    y0 = [value(p) for p in state.parts]
-    k = [[value(p) for p in TierVector(*v).parts] for v in ks]
+    y0 = [value(p) for p in _parts(state)]
+    k = [[value(p) for p in _parts(v)] for v in ks]
     h = value(h)
 
     def summed(base, weights):
@@ -141,9 +146,9 @@ def dp45_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
 
     pairs = []
     for stage, row in zip(seen, _A[1:]):
-        pairs += zip(TierVector(*stage).parts, summed(y0, row))
-    pairs += zip(TierVector(*y5).parts, summed(y0, _B5))
-    pairs += zip(TierVector(*delta).parts, summed([0] * len(y0), [b5 - b4 for b5, b4 in zip(_B5, _B4)]))
+        pairs += zip(_parts(stage), summed(y0, row))
+    pairs += zip(_parts(y5), summed(y0, _B5))
+    pairs += zip(_parts(delta), summed([0] * len(y0), [b5 - b4 for b5, b4 in zip(_B5, _B4)]))
     return pairs
 
 
@@ -212,20 +217,20 @@ def test_dp45_stages_solution_and_error_are_correctly_rounded(kind, digits, mixe
     _assert_all_equal(dp45_pairs(system, digits, y, dt))
 
 
-# --- round_fixed against mpmath's from_man_exp ----------------------------------
+# --- one-component round_frame against mpmath's from_man_exp ----------------------
 
 PRECS = sorted({tier.ctx.working_prec for tier in TIERS.values()})
 
 
 def _assert_rounds_as_mpmath(a: int, exp: int, prec: int) -> None:
-    got = round_fixed(a, exp, prec)
+    (got,) = _parts(round_frame([a], exp, prec))
     assert got == from_man_exp(a, exp, prec, round_nearest), (a, exp, prec)
     assert type(got[1]) is MPZ
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), prec=st.sampled_from(PRECS), exp=st.integers(-600, 50))
-def test_round_fixed_equals_from_man_exp(data, prec, exp):
+def test_one_component_round_frame_equals_from_man_exp(data, prec, exp):
     # a of every length up to 4 prec bits: shorter than prec, exactly prec, and with up to 3 prec bits to round
     # off; below its top bit, hypothesis's integers (mostly small) or uniformly random bits
     bits = data.draw(st.integers(1, 4 * prec))
@@ -238,7 +243,7 @@ def test_round_fixed_equals_from_man_exp(data, prec, exp):
     _assert_rounds_as_mpmath(data.draw(st.sampled_from((1, -1))) * a, exp, prec)
 
 
-def test_round_fixed_edge_cases():
+def test_one_component_round_frame_edge_cases():
     for prec in PRECS:
         odd = (1 << prec) - 1  # prec ones
         even = (1 << prec) - 2

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import plane_reduce, to_standard_form, vector_field
-from alf.precision import ScalarContext, TierVector
+from alf.precision import ScalarContext, frame_array
 
 TIERS = (16, 32, 64)
 TOL = {digits: Fraction(1, 10 ** (digits - 5)) for digits in TIERS}
@@ -52,7 +52,7 @@ def _tier_rhs(system, digits: int, y) -> list[Fraction]:
     ctx = ScalarContext(digits)
     with ctx.workprec():
         out = system.rhs_function(ctx)(ctx.vector(y))
-    return [_exact(v) for v in (out if ctx.is_float else TierVector(*out).to_array())]
+    return [_exact(v) for v in (out if ctx.is_float else frame_array(out))]
 
 
 def _assert_close(system, y, expected) -> None:
@@ -92,8 +92,8 @@ def test_plane_tiers_match_exact_reduced_flow(x, mirror):
 
 @pytest.mark.parametrize("digits", TIERS)
 def test_each_tier_has_one_vector_type(digits):
-    # float arrays in and out of every kernel on the 16-digit tier; on the extended tiers a TierVector
-    # is a frame (ints, exp), and every kernel takes a frame and returns a bare one
+    # float arrays in and out of every kernel on the 16-digit tier; on the extended tiers a bare frame
+    # (ints, exp), a plain tuple, in and out of every kernel
     ctx = ScalarContext(digits)
     with ctx.workprec():
         for system in (_FULL, to_standard_form(_FULL, 2), _PLANE):
@@ -103,7 +103,7 @@ def test_each_tier_has_one_vector_type(digits):
                 assert type(y) is np.ndarray and type(out) is np.ndarray
                 assert len(out) == len(y) == system.ode_dimension
                 continue
-            assert type(y) is TierVector and type(out) is tuple
+            assert type(y) is tuple and type(out) is tuple
             (ints, exp), (out_ints, out_exp) = y, out
             assert type(exp) is int and type(out_exp) is int and exp <= 0 and out_exp <= 0
             assert all(type(a) is int for a in ints + out_ints)
