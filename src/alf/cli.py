@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     build_graph,
     build_initial,
@@ -164,7 +166,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     traj, code = _integrate_to_csv(sys_, x0, cfg["tspan"], icfg, out / "trajectory.csv")
     if args.svg:
-        series = [[state[i] for state in traj.states] for i in range(sys_.n)]
+        series = np.array(traj.states, dtype=float).T
         svg = timeseries_svg(traj.times, series, traj.labels, log_time=args.log_time,
                              title=cfg.get("name", "trajectory"))
         svg_path = out / "trajectory.svg"

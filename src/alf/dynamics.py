@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import isfinite, lcm
 from numbers import Integral
 from operator import add, sub
@@ -35,6 +35,7 @@ from .prng import SplitMix64
 from .response import ResponseField, float_constant
 
 DIVERGENCE_CUTOFF = 1e6
+_CUTOFF_SQUARED = DIVERGENCE_CUTOFF ** 2  # 1e12, exact
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +442,19 @@ class Trajectory:
         return self.states[-1]
 
     def write_csv(self, stream) -> None:
-        """One row per sample, each number printed at the run's precision tier."""
+        """One row per sample, each number printed at the run's precision tier.
+
+        A float-tier row is `repr` over the Python floats of t, the state's
+        `tolist()` and k: the strings `ScalarContext(16).format` gives.
+        """
         ctx = ScalarContext(self.metadata["digits"])
         fast_slice = slice(None, -1) if self.k_in_state else slice(None)
         stream.write("t," + ",".join(self.labels) + ",k\n")
         for t, state, k in zip(self.times, self.states, self.k_series):
-            cells = [ctx.format(t)]
-            cells.extend(ctx.format(v) for v in state[fast_slice])
-            cells.append(ctx.format(k))
+            if ctx.is_float:
+                cells = map(repr, [float(t), *state[fast_slice].tolist(), float(k)])
+            else:
+                cells = map(ctx.format, [t, *state[fast_slice], k])
             stream.write(",".join(cells) + "\n")
 
 
@@ -482,8 +488,16 @@ def _floats(y) -> np.ndarray:
 
 
 def _diverged(y: np.ndarray) -> bool:
-    """Whether a float state has a NaN or a component above DIVERGENCE_CUTOFF in absolute value (max propagates NaN)."""
-    return not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_CUTOFF
+    """Whether a float state has a NaN or a component above DIVERGENCE_CUTOFF in absolute value (max propagates NaN).
+
+    One dot product settles the common case: a rounded sum of non-negative
+    terms is at least its largest rounded term, so y . y < cutoff**2 fails on
+    any NaN, infinity, overflowing square or |y_i| above the cutoff.  Only
+    when it fails does the elementwise test run.  `np.vdot` is the BLAS dot
+    that does not report an overflowing square as a RuntimeWarning, as
+    `ndarray.dot` does.
+    """
+    return not (np.vdot(y, y) < _CUTOFF_SQUARED or np.maximum.reduce(np.abs(y)) <= DIVERGENCE_CUTOFF)
 
 
 def _diverged_fixed(y) -> bool:
@@ -688,34 +702,60 @@ def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
             break
 
 
-def _dp45_float_stages(rhs, y, fsal, dt):
-    """The six new stages, the fifth-order solution and its error estimate, in float arithmetic."""
+# The float tier's dp45 constants: the nonzero entries of the stage rows (each
+# row's first entry always), then 1.0 for dt itself, and the nonzero weights of
+# each solution as (stage, 0-d float64 array) pairs.
+_DP_ROWS = tuple(tuple(idx for idx, a in enumerate(row) if idx == 0 or a != 0.0) for row in _DP_A[1:])
+_DP_TABLE = np.array([_DP_A[stage][idx] for stage, row in enumerate(_DP_ROWS, start=1) for idx in row] + [1.0])
+_DP_B5_TERMS = tuple((idx, np.array(b)) for idx, b in enumerate(_DP_B5) if b != 0.0)
+_DP_B4_TERMS = tuple((idx, np.array(b)) for idx, b in enumerate(_DP_B4) if b != 0.0)
+_ZERO = np.array(0.0)
+
+
+def _dp45_float_dt() -> tuple:
+    """The per-run buffer of the float dp45 step: (buffer, stage rows of (index, 0-d view), 0-d view of dt).
+
+    `_dp45_float_stages` fills the buffer with dt times `_DP_TABLE` at each
+    attempt, so each view holds dt times its tableau entry, and the last dt.
+    """
+    buf = np.empty_like(_DP_TABLE)
+    views = iter([buf[i, ...] for i in range(len(buf))])
+    rows = tuple(tuple((idx, next(views)) for idx in row) for row in _DP_ROWS)
+    return buf, rows, next(views)
+
+
+def _dp45_float_stages(rhs, y, fsal, dt, consts):
+    """The six new stages, the fifth-order solution and its error estimate, in float arithmetic.
+
+    `consts` is `_dp45_float_dt()`, built once per run; one multiply fills
+    its buffer from the float dt.
+    """
+    buf, rows, whole = consts
+    np.multiply(_DP_TABLE, dt, buf)
     ks = [fsal]
     term = np.empty_like(y)
-    for stage in range(1, 7):
-        acc = ks[0] * (dt * _DP_A[stage][0])
+    for (_, first), *rest in rows:
+        acc = ks[0] * first
         acc += y
-        for idx in range(1, stage):
-            coeff = _DP_A[stage][idx]
-            if coeff != 0.0:
-                acc += np.multiply(ks[idx], dt * coeff, term)
+        for idx, c in rest:
+            acc += np.multiply(ks[idx], c, term)
         ks.append(rhs(acc))
-    y5 = _dp45_float_solution(y, _DP_B5, ks, dt, term)
-    y4 = _dp45_float_solution(y, _DP_B4, ks, dt, term)
+    y5 = _dp45_float_solution(y, _DP_B5_TERMS, ks, whole, term)
+    y4 = _dp45_float_solution(y, _DP_B4_TERMS, ks, whole, term)
     return ks, y5, np.subtract(y5, y4, y4)
 
 
-def _dp45_float_solution(y, weights, ks, dt, term):
-    """y + sum(b * k for the nonzero b) * dt in a new array, with `term` as scratch.
+def _dp45_float_solution(y, terms, ks, dt, term):
+    """y + sum(b * k for the (stage, b) terms) * dt in a new array, with `term` as scratch.
 
     Python's sum() starts from the int 0, so the first term gets a + 0.0,
     which turns a -0.0 into +0.0.
     """
-    (b, k), *rest = [(b, k) for b, k in zip(weights, ks) if b != 0.0]
-    acc = k * b
-    acc += 0.0
-    for b, k in rest:
-        acc += np.multiply(k, b, term)
+    (idx, b), *rest = terms
+    acc = ks[idx] * b
+    acc += _ZERO
+    for idx, b in rest:
+        acc += np.multiply(ks[idx], b, term)
     acc *= dt
     acc += y
     return acc
@@ -762,7 +802,7 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
     t_end = ctx.scalar(t1)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
     tol = cfg.tol
-    stages = _dp45_float_stages if ctx.is_float else _dp45_fixed_stages
+    stages = partial(_dp45_float_stages, consts=_dp45_float_dt()) if ctx.is_float else _dp45_fixed_stages
     accepted = 0
     before = y
     fsal = rhs(y)
@@ -786,7 +826,8 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         factor = min(5.0, max(0.2, factor))
         dt = dt * ctx.scalar(factor)
-        if float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
+        # a step the controller grows is not a stall, however small it still is
+        if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
             record(t, y)
             if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):
                 metadata["stop_reason"] = "divergence"

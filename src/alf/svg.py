@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#393b79", "#ad494a",
@@ -30,23 +32,26 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "") -> str:
     """Polyline plot of several series against time.
 
-    With `log_time` the horizontal axis is log10(t); non-positive times are
-    dropped from the plot in that mode.
+    `series` holds one row of values per label, one value per time, in
+    any form `np.asarray(series, dtype=float)` reads.  With `log_time` the
+    horizontal axis is log10(t); non-positive times are dropped from the
+    plot in that mode.
     """
     ts = [float(t) for t in times]
-    cols = [[float(v) for v in col] for col in series]
+    cols = np.asarray(series, dtype=float)
     if log_time:
         keep = [i for i, t in enumerate(ts) if t > 0.0]
         ts = [math.log10(ts[i]) for i in keep]
-        cols = [[col[i] for i in keep] for col in cols]
+        cols = cols[:, keep]
     if not ts:
         ts = [0.0, 1.0]
-        cols = [[0.0, 0.0] for _ in cols]
+        cols = np.zeros((len(cols), 2))
 
     x_lo, x_hi = min(ts), max(ts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    flat = [v for col in cols for v in col] or [0.0]
+    # Python's min and max, in this order: where a NaN sits changes their result
+    flat = cols.ravel().tolist() or [0.0]
     y_lo, y_hi = min(flat), max(flat)
     if y_hi == y_lo:
         y_hi, y_lo = y_lo + 0.5, y_lo - 0.5
@@ -88,9 +93,15 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
         parts.append(f'<text x="{_MARGIN - 8}" y="{y + 3:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(vv)}</text>')
 
-    for idx, (col, label) in enumerate(zip(cols, labels)):
+    # py of every value at once, its operations in the same order; the ticks above would have
+    # raised ZeroDivisionError first, so a non-finite value is all that errstate lets pass
+    with np.errstate(all="ignore"):
+        ys = (_HEIGHT - _MARGIN) - (cols - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
+    # one format string per plot: each time's "x," once, then a %.2f for its y
+    points = " ".join([f"{px(t):.2f},%.2f" for t in ts])
+    for idx, (row, label) in enumerate(zip(ys.tolist(), labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(ts, col))
+        pts = points % tuple(row)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         ly = _MARGIN + 14 + 13 * idx
         parts.append(f'<line x1="{_WIDTH - _MARGIN - 70}" y1="{ly - 4}" '

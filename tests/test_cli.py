@@ -115,6 +115,28 @@ def test_simulate_svg_output(tmp_path):
     assert body.startswith("<svg") and "<polyline" in body
 
 
+def test_dp45_grows_a_tiny_first_step_instead_of_stalling(tmp_path):
+    # the schema accepts any dt > 0; dt = 1e-15 is accepted and grown 5x, which is no stall
+    # although 5e-15 is still under the 1e-14 floor
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"roots": [[1.0, 2], [-1.0, 2]], "scale": 1.0},
+        "perturbation": {"constant": {"value": -1.0}},
+        "epsilon": 0.1,
+        "initial": {"explicit": [0.5, -0.25, 1.5]},
+        "tspan": [0.0, 1.0],
+        "integrator": {"method": "dp45", "dt": 1e-15, "stride": 5000},
+    }
+    out = tmp_path / "tiny"
+    assert main(["simulate", "--config", _write(tmp_path, "tiny.json", cfg), "--out", str(out)]) == 0
+    rows = _read_csv(out / "trajectory.csv")
+    assert [float(r["t"]) for r in rows] == [0.0, 1.0]
+    cfg["integrator"]["dt"] = 1e-13
+    again = tmp_path / "larger"
+    assert main(["simulate", "--config", _write(tmp_path, "larger.json", cfg), "--out", str(again)]) == 0
+    assert abs(float(rows[-1]["x1"]) - float(_read_csv(again / "trajectory.csv")[-1]["x1"])) < 1e-6
+
+
 def test_config_error_exit_code(tmp_path):
     bad = _write(tmp_path, "bad.json", {"graph": {"type": "complete", "n": 3, "oops": 1}})
     assert main(["manifold", "--config", bad, "--out", str(tmp_path / "x")]) == 2

@@ -23,6 +23,7 @@ from alf import dynamics
 from alf.dynamics import (
     DIVERGENCE_CUTOFF,
     _diverged,
+    _dp45_float_dt,
     _dp45_float_stages,
     _field_values_float,
     _float_rk4_dt,
@@ -270,7 +271,7 @@ def test_dp45_stages_equal_reference_and_write_nothing_they_read(case):
         y_before = y.copy()
         fsal = rhs(y)
         recorder = Recorder(rhs)
-        ks, y5, delta = _dp45_float_stages(recorder, y, fsal, 2.3e-4)
+        ks, y5, delta = _dp45_float_stages(recorder, y, fsal, 2.3e-4, _dp45_float_dt())
         ref_ks, ref_y5, ref_delta = _ref_dp45(ref, y, ref(y), 2.3e-4)
         for k, ref_k in zip(ks, ref_ks, strict=True):
             assert_same_bits(k, ref_k)
@@ -278,6 +279,23 @@ def test_dp45_stages_equal_reference_and_write_nothing_they_read(case):
         assert_same_bits(delta, ref_delta)
         assert_same_bits(y, y_before)
         recorder.assert_untouched()
+
+
+def test_dp45_stages_read_no_constant_of_an_earlier_attempt():
+    # one buffer for the run, as `_run_dp45` holds it: a grown step, a shrunk one, a tiny clipped last step
+    rhs, ref, n = STEP_CASES["full-weighted-10"]
+    consts = _dp45_float_dt()
+    rng = SplitMix64(6)
+    y = np.array([rng.uniform(1.05, 1.5) for _ in range(n)])  # where f is increasing: the flow is diffusive
+    fsal = rhs(y)
+    for dt in (1e-3, 2.3e-4, 5e-3, 1e-3, 0.6 - np.nextafter(0.6, 0.0), 2.3e-4):
+        ks, y5, delta = _dp45_float_stages(rhs, y, fsal, dt, consts)
+        ref_ks, ref_y5, ref_delta = _ref_dp45(ref, y, fsal, dt)
+        for k, ref_k in zip(ks, ref_ks, strict=True):
+            assert_same_bits(k, ref_k)
+        assert_same_bits(y5, ref_y5)
+        assert_same_bits(delta, ref_delta)
+        y, fsal = y5, ks[6]
 
 
 def test_dp45_first_term_turns_negative_zero_positive():
@@ -290,7 +308,7 @@ def test_dp45_first_term_turns_negative_zero_positive():
         return np.full(2, 0.0 if len(calls) == 4 else -0.0)
 
     y = np.array([-0.0, -0.0])
-    _, y5, delta = _dp45_float_stages(rhs, y, np.full(2, -0.0), 1e-3)
+    _, y5, delta = _dp45_float_stages(rhs, y, np.full(2, -0.0), 1e-3, _dp45_float_dt())
     calls.clear()
     _, ref_y5, ref_delta = _ref_dp45(rhs, y, np.full(2, -0.0), 1e-3)
     assert_same_bits(y5, ref_y5)
@@ -380,16 +398,43 @@ def test_integrate_equals_reference_run(case):
     assert_same_bits(traj.k_series, ks)
 
 
+_ABOVE = np.nextafter(DIVERGENCE_CUTOFF, np.inf)
+_BELOW = np.nextafter(DIVERGENCE_CUTOFF, 0.0)
+
+
 def test_diverged_equals_elementwise_test():
     cases = [np.array(v) for v in (
         [0.0, 1.0], [DIVERGENCE_CUTOFF, -DIVERGENCE_CUTOFF], [np.nextafter(DIVERGENCE_CUTOFF, np.inf), 0.0],
         [np.nan, 0.0], [0.0, -np.inf], [np.inf, np.nan], [-0.0], [1e300, 1.0],
+        # squares that overflow to inf
+        [1e200, 0.0], [-1e200, 1e200], [1e200, np.nan],
+        # y . y = 4e12 is above cutoff**2, every component at or below the cutoff: the elementwise test decides
+        [2e5] * 100, [-2e5] * 99 + [DIVERGENCE_CUTOFF],
+        # at the cutoff, one ulp above and one below
+        [DIVERGENCE_CUTOFF], [-DIVERGENCE_CUTOFF], [_ABOVE], [-_ABOVE], [_BELOW, -_BELOW], [0.0, -_ABOVE],
+        [5e-324, -2.5e-310], [np.inf, -np.inf],
     )]
     for y in cases:
-        assert _diverged(y) == (not (np.abs(y) <= DIVERGENCE_CUTOFF).all())
+        assert _diverged(y) == (not (np.abs(y) <= DIVERGENCE_CUTOFF).all()), y
+    assert not _diverged(np.full(100, 2e5)) and _diverged(np.array([_ABOVE])) and not _diverged(np.array([-1e6]))
     # the extended tiers' vector holds no NaN: it is refused where it would enter
     with pytest.raises(PreconditionError):
         ScalarContext(32).vector([1, float("nan")])
+
+
+_DIVERGENCE_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 2e5, -2e5, 7.5e5, DIVERGENCE_CUTOFF, -DIVERGENCE_CUTOFF,
+                     _ABOVE, -_ABOVE, _BELOW, 1.5e154, 1e200, -1e300, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2e6, 2e6),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(y=st.lists(_DIVERGENCE_VALUE, min_size=1, max_size=120))
+def test_diverged_equals_elementwise_test_on_drawn_states(y):
+    y = np.array(y)
+    assert _diverged(y) == (not (np.abs(y) <= DIVERGENCE_CUTOFF).all())
 
 
 # --- determinism across processes -------------------------------------------------

@@ -88,6 +88,9 @@ RUNS = {
                                      {"analysis": {"x_range": [-2.0, 1.0], "scan_points": 4}}, 0),
     "simulate-dp45-32": (["simulate"], _DP45_32, 0),
     "simulate-rk4-64": (["simulate"], _RK4_64, 0),
+    # the SVG writer's bytes; the log-time plot drops the sample at t = 0
+    "simulate-rk4-64-svg": (["simulate", "--svg"], _RK4_64, 0),
+    "simulate-rk4-64-svg-log-time": (["simulate", "--svg", "--log-time"], _RK4_64, 0),
 }
 
 GOLDEN = {
@@ -115,6 +118,14 @@ GOLDEN = {
     },
     "simulate-rk4-64": {
         "trajectory.csv": "5bd0d28fdcde82d77713cfe4c3034e9e54b3794ce6b1594abf628ee92ae95f1c",
+    },
+    "simulate-rk4-64-svg": {
+        "trajectory.csv": "5bd0d28fdcde82d77713cfe4c3034e9e54b3794ce6b1594abf628ee92ae95f1c",
+        "trajectory.svg": "50262d72c2cd9d6222650870f3bf6650f417ff2987f39bef0ec9725658079101",
+    },
+    "simulate-rk4-64-svg-log-time": {
+        "trajectory.csv": "5bd0d28fdcde82d77713cfe4c3034e9e54b3794ce6b1594abf628ee92ae95f1c",
+        "trajectory.svg": "4f2a3d08e7e202d4fef29d018cbb1121d26ad0c4891de96017e4ed8213ecb6a9",
     },
     "singularities-ex1": {
         "singularities.json": "c3900e09907c7720e183f3e62067534efb8da51d75c388b9b9b364228b42cd43",
