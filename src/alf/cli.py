@@ -1,10 +1,17 @@
 """Command-line front end: scenario presets, batch analysis, CSV/JSON/SVG output.
 
+`main` loads the scenario once and hands it to the command; every output
+file goes through `_write`, which makes `--out` at the first file written,
+so a run refused before it writes leaves no directory.
+
 Exit codes: 0 success, 1 any other package error such as a failed invariant
-check (InvariantViolationError), 2 configuration error, 3 divergence (partial
-CSV is flushed), 4 unsupported graph structure, 5 canard run whose tracked
-type-1 point has lambda != 1, the `canard` field of `singularities` being
-false there (advisory; outputs are still written).
+check (InvariantViolationError) or a stalled step size
+(IntegrationStalledError), 2 configuration error, 3 divergence, 4 unsupported
+graph structure, 5 canard run whose tracked type-1 point has lambda != 1, the
+`canard` field of `singularities` being false there (advisory; outputs are
+still written).  Every integrator stop, a divergence or a stall, writes its
+partial trajectory CSV before the command exits; an error other than a
+divergence prints one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .errors import (
     AlfError,
     ConfigError,
     DivergenceError,
+    IntegrationError,
     PreconditionError,
     SymmetryViolationError,
     UnsupportedStructureError,
@@ -120,58 +128,64 @@ def _eliminated_index(cfg: dict, n: int) -> int:
     return l
 
 
-def _out_dir(args) -> Path:
+def _write(args, name: str, write) -> None:
+    """Write the output file `name` into --out (made here, at the first file) by write(stream); print its path."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    path = out / name
+    with open(path, "w", encoding="utf-8") as fh:
+        write(fh)
+    print(path)
 
 
-def _integrate_to_csv(system, x0, tspan, icfg, path: Path, stop_condition=None) -> tuple[Trajectory, int]:
-    """Integrate over tspan and write the trajectory CSV; (trajectory, exit code).
+def _json(payload):
+    """A writer of payload as indented JSON with sorted keys and a final newline."""
+    return lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    A divergence flushes the partial trajectory and gives EXIT_DIVERGENCE.
+
+def _points_csv(columns: str, samples):
+    """A writer of critical-set points: the header `columns` + k,x,branch_id,stability, then a row
+    per point of each (prefix, ManifoldSample) pair, the prefix holding the values of `columns`."""
+    def write(fh):
+        fh.write(columns + "k,x,branch_id,stability\n")
+        for prefix, sample in samples:
+            for p in sample.points:
+                fh.write(f"{prefix}{p.k!r},{p.x!r},{p.branch},{p.stability}\n")
+    return write
+
+
+def _integrate_to_csv(args, name: str, system, x0, tspan, icfg, stop_condition=None) -> tuple[Trajectory, int]:
+    """Integrate over tspan and write the trajectory CSV `name`; (trajectory, exit code).
+
+    Every integrator stop writes its partial trajectory: a divergence then
+    gives EXIT_DIVERGENCE, and any other IntegrationError is raised again.
     """
-    code = EXIT_OK
     try:
         traj = integrate(system, x0, tuple(tspan), icfg, stop_condition=stop_condition)
-    except DivergenceError as err:
-        traj = err.trajectory
-        code = EXIT_DIVERGENCE
+    except IntegrationError as err:
+        _write(args, name, err.trajectory.write_csv)
+        if not isinstance(err, DivergenceError):
+            raise
         print(f"divergence at t={err.last_time}; partial trajectory flushed", file=sys.stderr)
-    with open(path, "w", encoding="utf-8") as fh:
-        traj.write_csv(fh)
-    _emit(path)
-    return traj, code
-
-
-def _write_json(payload, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(path: Path) -> None:
-    print(path)
+        return err.trajectory, EXIT_DIVERGENCE
+    _write(args, name, traj.write_csv)
+    return traj, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(args) -> int:
-    cfg = load_scenario(args.preset, args.config)
+def cmd_simulate(cfg: dict, args) -> int:
     require(cfg, "initial", "tspan")
     sys_ = build_system(cfg)
     icfg = build_integrator(cfg.get("integrator"))
     x0 = build_initial(cfg["initial"], sys_.n)
-    out = _out_dir(args)
-    traj, code = _integrate_to_csv(sys_, x0, cfg["tspan"], icfg, out / "trajectory.csv")
+    traj, code = _integrate_to_csv(args, "trajectory.csv", sys_, x0, cfg["tspan"], icfg)
     if args.svg:
         series = np.array(traj.states, dtype=float).T
         svg = timeseries_svg(traj.times, series, traj.labels, log_time=args.log_time,
                              title=cfg.get("name", "trajectory"))
-        svg_path = out / "trajectory.svg"
-        svg_path.write_text(svg, encoding="utf-8")
-        _emit(svg_path)
+        _write(args, "trajectory.svg", lambda fh: fh.write(svg))
     return code
 
 
@@ -181,22 +195,11 @@ def _plane_from_config(cfg: dict):
     return sys_, plane_reduce(sys_, l)
 
 
-def _write_manifold_csv(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,x,branch_id,stability\n")
-        for p in rows:
-            fh.write(f"{p.k!r},{p.x!r},{p.branch},{p.stability}\n")
-
-
-def cmd_manifold(args) -> int:
-    cfg = load_scenario(args.preset, args.config)
+def cmd_manifold(cfg: dict, args) -> int:
     _, ps = _plane_from_config(cfg)
     k_range, x_range, grid, residual_tol = _analysis(cfg, "k_range", "x_range", "grid", "residual_tol")
     sample = sample_manifold(ps, k_range, x_range, tuple(grid), residual_tol)
-    out = _out_dir(args)
-    path = out / "manifold.csv"
-    _write_manifold_csv(path, sample.points)
-    _emit(path)
+    _write(args, "manifold.csv", _points_csv("", [("", sample)]))
     return EXIT_OK
 
 
@@ -207,15 +210,11 @@ def _singular_points(cfg: dict, ps: PlaneSystem) -> list[float]:
     return find_singular_points(ps.f, float(x_range[0]), float(x_range[1]), samples=scan_points)
 
 
-def cmd_singularities(args) -> int:
-    cfg = load_scenario(args.preset, args.config)
+def cmd_singularities(cfg: dict, args) -> int:
     _, ps = _plane_from_config(cfg)
     xs = _singular_points(cfg, ps)
     reports = sorted((analyze_singularity(ps, x) for x in xs), key=lambda r: float(r.k_s))
-    out = _out_dir(args)
-    path = out / "singularities.json"
-    _write_json([r.to_json() for r in reports], path)
-    _emit(path)
+    _write(args, "singularities.json", _json([r.to_json() for r in reports]))
     return EXIT_OK
 
 
@@ -264,8 +263,7 @@ def canard_metrics(traj: Trajectory, n: int, k_star: float, epsilon: float) -> d
     return metrics
 
 
-def cmd_canard(args) -> int:
-    cfg = load_scenario(args.preset, args.config)
+def cmd_canard(cfg: dict, args) -> int:
     require(cfg, "initial", "tspan")
     if "plane" not in cfg["initial"]:
         raise ConfigError(["initial: canard runs need the plane form {\"plane\": {...}}"])
@@ -301,8 +299,7 @@ def cmd_canard(args) -> int:
         x, k = float(y[0]), float(y[1])
         return abs(x - k / n) > 3.0 * tube or abs(x) > 100.0
 
-    out = _out_dir(args)
-    traj, code = _integrate_to_csv(ps, [x0, k0], cfg["tspan"], icfg, out / "canard_trajectory.csv", stop)
+    traj, code = _integrate_to_csv(args, "canard_trajectory.csv", ps, [x0, k0], cfg["tspan"], icfg, stop)
 
     metrics = canard_metrics(traj, n, k_star, epsilon)
     metrics.update({
@@ -311,9 +308,7 @@ def cmd_canard(args) -> int:
         "type": report.sing_type,
         "digits": icfg.digits,
     })
-    metrics_path = out / "canard_metrics.json"
-    _write_json(metrics, metrics_path)
-    _emit(metrics_path)
+    _write(args, "canard_metrics.json", _json(metrics))
 
     if code == EXIT_OK and not critical:
         print("advisory: perturbation is not critical at the singular point; no canard expected",
@@ -322,8 +317,7 @@ def cmd_canard(args) -> int:
     return code
 
 
-def cmd_bifurcation(args) -> int:
-    cfg = load_scenario(args.preset, args.config)
+def cmd_bifurcation(cfg: dict, args) -> int:
     require(cfg, "graph", "response")
     family = cfg["response"].get("family")
     if family is None:
@@ -338,23 +332,15 @@ def cmd_bifurcation(args) -> int:
     (lambda_values,) = _analysis(cfg, "lambda_values")
     # every sample passes its residual gate before the file is opened
     samples = [
-        (lam, sample_manifold(PlaneSystem(n=n, f=ResponseFunction.family(family, lam)),
-                              k_range, x_range, tuple(grid), residual_tol))
+        (f"{family},{float(lam)!r},", sample_manifold(PlaneSystem(n=n, f=ResponseFunction.family(family, lam)),
+                                                       k_range, x_range, tuple(grid), residual_tol))
         for lam in lambda_values
     ]
-    out = _out_dir(args)
-    path = out / "bifurcation.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("family,lambda,k,x,branch_id,stability\n")
-        for lam, sample in samples:
-            for p in sample.points:
-                fh.write(f"{family},{float(lam)!r},{p.k!r},{p.x!r},{p.branch},{p.stability}\n")
-    _emit(path)
+    _write(args, "bifurcation.csv", _points_csv("family,lambda,", samples))
     return EXIT_OK
 
 
-def cmd_divergence(args) -> int:
-    cfg = load_scenario(args.preset, args.config)
+def cmd_divergence(cfg: dict, args) -> int:
     _, ps = _plane_from_config(cfg)
     (k_range,) = _analysis(cfg, "k_range")
     k1, k2 = float(k_range[0]), float(k_range[1])
@@ -365,10 +351,7 @@ def cmd_divergence(args) -> int:
         exact_val = float(slow_divergence_exact(ps, k1, k2))
     except OverflowError:
         raise PreconditionError(f"the exact slow-divergence integral over {k_range} is outside the float range") from None
-    out = _out_dir(args)
-    path = out / "divergence.json"
-    _write_json({"integral": quad, "exact": exact_val}, path)
-    _emit(path)
+    _write(args, "divergence.json", _json({"integral": quad, "exact": exact_val}))
     return EXIT_OK
 
 
@@ -414,9 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    command = _COMMANDS[args.command]
     try:
-        return command(args)
+        return _COMMANDS[args.command](load_scenario(args.preset, args.config), args)
     except ConfigError as err:
         print(json.dumps({"error": "config", "details": err.details}, sort_keys=True), file=sys.stderr)
         return EXIT_CONFIG
@@ -424,9 +406,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "unsupported-structure", "details": [str(err)]}, sort_keys=True),
               file=sys.stderr)
         return EXIT_STRUCTURE
-    except DivergenceError as err:
-        print(json.dumps({"error": "divergence", "details": [str(err)]}, sort_keys=True), file=sys.stderr)
-        return EXIT_DIVERGENCE
     except AlfError as err:
         print(json.dumps({"error": type(err).__name__, "details": [str(err)]}, sort_keys=True),
               file=sys.stderr)

@@ -828,7 +828,8 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
         dt = dt * ctx.scalar(factor)
         # a step the controller grows is not a stall, however small it still is
         if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
-            record(t, y)
+            if traj.times[-1] != t:  # t only grows: an equal time is this state, already recorded
+                record(t, y)
             if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):
                 metadata["stop_reason"] = "divergence"
                 raise DivergenceError(

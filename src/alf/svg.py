@@ -50,11 +50,15 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
     x_lo, x_hi = min(ts), max(ts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+        if x_hi == x_lo:  # +1 rounds away at a magnitude of 2**53 or more: widen by the magnitude
+            x_hi = x_lo + abs(x_lo)
     # Python's min and max, in this order: where a NaN sits changes their result
     flat = cols.ravel().tolist() or [0.0]
     y_lo, y_hi = min(flat), max(flat)
     if y_hi == y_lo:
         y_hi, y_lo = y_lo + 0.5, y_lo - 0.5
+        if y_hi == y_lo:  # so does +-0.5: widen by half the magnitude
+            y_hi, y_lo = y_hi + 0.5 * abs(y_hi), y_lo - 0.5 * abs(y_lo)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -93,8 +97,8 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
         parts.append(f'<text x="{_MARGIN - 8}" y="{y + 3:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(vv)}</text>')
 
-    # py of every value at once, its operations in the same order; the ticks above would have
-    # raised ZeroDivisionError first, so a non-finite value is all that errstate lets pass
+    # py of every value at once, its operations in the same order; the widening above leaves no
+    # empty range, so a non-finite value is all that errstate lets pass
     with np.errstate(all="ignore"):
         ys = (_HEIGHT - _MARGIN) - (cols - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
     # one format string per plot: each time's "x," once, then a %.2f for its y

@@ -391,6 +391,52 @@ def test_divergence_exit_code_flushes_partial(tmp_path):
     assert rows  # partial trajectory was written
 
 
+def test_a_stall_writes_its_partial_trajectory(tmp_path):
+    # tol 1e-300 rejects every step until dp45's step size underflows at t = 0: exit 1 with one JSON
+    # line, and the CSV holds the initial state once
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"coeffs": [0.1, -1, 0, 1]},
+        "perturbation": {"constant": {"value": -1}},
+        "epsilon": 0.1,
+        "initial": {"explicit": [-0.9, 0.4, 0.7]},
+        "tspan": [0, 1],
+        "integrator": {"method": "dp45", "dt": 0.01, "tol": 1e-300, "digits": 32},
+    }
+    out = tmp_path / "stall"
+    proc = _run_cli("simulate", "--config", _write(tmp_path, "stall.json", cfg), "--out", str(out), "--svg")
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "IntegrationStalledError", "details": ["step size underflow at t=0.0"]}
+    assert proc.stdout == f"{out / 'trajectory.csv'}\n"
+    rows = _read_csv(out / "trajectory.csv")
+    assert [(float(r["t"]), float(r["x1"])) for r in rows] == [(0.0, -0.9)]
+    assert not (out / "trajectory.svg").exists()
+
+
+@pytest.mark.parametrize("initial, tspan, dt", [
+    # every plotted value is 1e20, where +-0.5 leaves the value range empty
+    ([1e20, 1e20, 1e20], [0, 0.01], 0.01),
+    # one sample at t0 = 1e16, where +1 leaves the time range empty
+    ([1e7, 0.2, 0.3], [1e16, 2e16], 1e15),
+])
+def test_svg_of_a_run_diverging_at_a_huge_value_is_plotted(tmp_path, initial, tspan, dt):
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"coeffs": [0, 1]},
+        "initial": {"explicit": initial},
+        "tspan": tspan,
+        "integrator": {"dt": dt},
+    }
+    out = tmp_path / "huge"
+    proc = _run_cli("simulate", "--config", _write(tmp_path, "huge.json", cfg), "--out", str(out), "--svg")
+    assert proc.returncode == 3
+    assert proc.stderr == f"divergence at t={float(tspan[0])}; partial trajectory flushed\n"
+    assert len(_read_csv(out / "trajectory.csv")) == 1
+    body = (out / "trajectory.svg").read_text()
+    assert body.startswith("<svg") and body.count("<polyline") == 3 and "nan" not in body
+
+
 @pytest.mark.parametrize("method", ["rk4", "dp45"])
 def test_diverging_float_run_prints_only_the_divergence_line(tmp_path, method):
     # the state overflows to inf and NaN on its way out; numpy must not warn about it

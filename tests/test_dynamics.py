@@ -475,6 +475,9 @@ def test_dp45_reports_finite_time_blow_up_as_divergence(digits):
     assert 0.008 < err.value.last_time < 0.0085
     last = err.value.trajectory.states[-1]
     assert 1e5 < max(abs(float(v)) for v in last) < 1e6
+    # the last accepted state was recorded when it was accepted; the stop adds no second row of it
+    times = err.value.trajectory.times
+    assert times[-2] < times[-1]
 
 
 @pytest.mark.parametrize("method,digits", [("rk4", 16), ("rk4", 32), ("dp45", 16), ("dp45", 32)])

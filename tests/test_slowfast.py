@@ -555,6 +555,20 @@ def test_slow_divergence_linear_response():
     assert slow_divergence_integral(ps, 0, 1) == pytest.approx(-3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k1, k2, exact_value", [(-3, 3, -1152), (-1, 2, Fraction(-20672, 81))])
+def test_slow_divergence_of_a_degree_7_response_recurses_to_the_exact_value(monkeypatch, k1, k2, exact_value):
+    # f' has degree 6, where Simpson's rule is no longer exact: the quadrature halves its window
+    # (one level takes 5 integrand calls) and meets the antiderivative's value to the last bit
+    f = ResponseFunction.from_roots([(Fraction(1, 3), 3), (-2, 2), (5, 2)])
+    ps = PlaneSystem(n=3, f=f)
+    assert slow_divergence_exact(ps, k1, k2) == exact_value
+    calls = []
+    evaluate = ResponseFunction.eval
+    monkeypatch.setattr(ResponseFunction, "eval", lambda self, x: calls.append(x) or evaluate(self, x))
+    assert slow_divergence_integral(ps, k1, k2) == float(exact_value)
+    assert len(calls) > 5
+
+
 def test_slow_divergence_requires_ordered_window():
     with pytest.raises(PreconditionError):
         slow_divergence_integral(_ex1_plane(), 1, 0)

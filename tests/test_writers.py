@@ -3,11 +3,11 @@
 `_ref_write_csv`, `_ref_timeseries_svg` and `_ref_series` are the writers
 as they were: a `ScalarContext.format` call per CSV cell, Python float
 arithmetic and one f-string per SVG point, and a series built by indexing
-each recorded state.  The writers must give their bytes exactly, on
-non-finite, subnormal and huge states, on the partial trajectory of a
-DivergenceError and in log-time mode with non-positive times, and raise
-where they raise.  Run with ``-W error::RuntimeWarning``: no numpy warning
-may escape the whole-array arithmetic.
+each recorded state; the SVG reference widens an empty range as `svg.py`
+does.  The writers must give their bytes exactly, on non-finite, subnormal
+and huge states, on the partial trajectory of a DivergenceError and in
+log-time mode with non-positive times.  Run with ``-W error::RuntimeWarning``:
+no numpy warning may escape the whole-array arithmetic.
 """
 
 from __future__ import annotations
@@ -67,10 +67,14 @@ def _ref_timeseries_svg(times, series, labels, log_time: bool = False, title: st
     x_lo, x_hi = min(ts), max(ts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+        if x_hi == x_lo:  # +1 rounds away at a magnitude of 2**53 or more: widen by the magnitude
+            x_hi = x_lo + abs(x_lo)
     flat = [v for col in cols for v in col] or [0.0]
     y_lo, y_hi = min(flat), max(flat)
     if y_hi == y_lo:
         y_hi, y_lo = y_lo + 0.5, y_lo - 0.5
+        if y_hi == y_lo:  # so does +-0.5: widen by half the magnitude
+            y_hi, y_lo = y_hi + 0.5 * abs(y_hi), y_lo - 0.5 * abs(y_lo)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -203,13 +207,6 @@ def test_write_csv_equals_the_per_cell_format_loop(name):
 
 # --- SVG ----------------------------------------------------------------------------
 
-def _svg_or_error(render, *args, **kwargs):
-    try:
-        return render(*args, **kwargs)
-    except ZeroDivisionError as err:
-        return type(err)
-
-
 @pytest.mark.parametrize("log_time", (False, True))
 @pytest.mark.parametrize("name", sorted(TRAJECTORIES))
 def test_simulate_svg_equals_the_per_point_code(name, log_time):
@@ -235,13 +232,19 @@ def test_svg_edge_cases_equal_the_per_point_code():
         ([2.0], [[1.0], [-1.0]], True),
         # the padded range overflows
         ([0.0, 1.0], [[-1e308, 1e308], [1.0, 2.0]], False),
-        # every value 1e20: y_hi == y_lo after the +-0.5, and the ticks divide by zero
+        # every value 1e20 and one time 1e16: +-0.5 and +1 round away, and the widening is relative
         ([0.0, 1.0], [[1e20, 1e20], [1e20, 1e20]], False),
+        ([1e16], [[1e20], [-1e20]], False),
+        ([-2.0 ** 60], [[2.0 ** 53], [2.0 ** 53]], False),
+        # one value 2**52: +-0.5 leaves a range, so the widening stays fixed
+        ([0.0, 1.0], [[2.0 ** 52, 2.0 ** 52], [2.0 ** 52, 2.0 ** 52]], False),
     ]
     for times, series, log_time in cases:
-        got = _svg_or_error(timeseries_svg, times, np.array(series), labels, log_time=log_time)
-        assert got == _svg_or_error(_ref_timeseries_svg, times, series, labels, log_time=log_time), (times, series)
-    assert _svg_or_error(timeseries_svg, [0.0, 1.0], [[1e20, 1e20]], ["a"]) is ZeroDivisionError
+        got = timeseries_svg(times, np.array(series), labels, log_time=log_time)
+        assert got == _ref_timeseries_svg(times, series, labels, log_time=log_time), (times, series)
+    # the all-1e20 plot is drawn: its line at mid-height on an axis of 1e20 +- 5e19, padded by 5%
+    svg = timeseries_svg([0.0, 1.0], [[1e20, 1e20]], ["a"])
+    assert '<polyline points="56.00,260.00 784.00,260.00"' in svg and ">4.5e+19<" in svg and ">1.55e+20<" in svg
 
 
 _VALUE = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
@@ -254,5 +257,5 @@ def test_svg_of_drawn_values_equals_the_per_point_code(data, rows, m, log_time):
     times = data.draw(st.lists(st.floats(-2.0, 1e3), min_size=m, max_size=m))
     series = data.draw(st.lists(st.lists(_VALUE, min_size=m, max_size=m), min_size=rows, max_size=rows))
     labels = [f"x{i}" for i in range(rows)]
-    got = _svg_or_error(timeseries_svg, times, np.array(series), labels, log_time=log_time)
-    assert got == _svg_or_error(_ref_timeseries_svg, times, series, labels, log_time=log_time)
+    got = timeseries_svg(times, np.array(series), labels, log_time=log_time)
+    assert got == _ref_timeseries_svg(times, series, labels, log_time=log_time)
