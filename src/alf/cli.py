@@ -189,14 +189,13 @@ def cmd_simulate(cfg: dict, args) -> int:
     return code
 
 
-def _plane_from_config(cfg: dict):
+def _plane_from_config(cfg: dict) -> PlaneSystem:
     sys_ = build_system(cfg)
-    l = _eliminated_index(cfg, sys_.n)
-    return sys_, plane_reduce(sys_, l)
+    return plane_reduce(sys_, _eliminated_index(cfg, sys_.n))
 
 
 def cmd_manifold(cfg: dict, args) -> int:
-    _, ps = _plane_from_config(cfg)
+    ps = _plane_from_config(cfg)
     k_range, x_range, grid, residual_tol = _analysis(cfg, "k_range", "x_range", "grid", "residual_tol")
     sample = sample_manifold(ps, k_range, x_range, tuple(grid), residual_tol)
     _write(args, "manifold.csv", _points_csv("", [("", sample)]))
@@ -211,7 +210,7 @@ def _singular_points(cfg: dict, ps: PlaneSystem) -> list[float]:
 
 
 def cmd_singularities(cfg: dict, args) -> int:
-    _, ps = _plane_from_config(cfg)
+    ps = _plane_from_config(cfg)
     xs = _singular_points(cfg, ps)
     reports = sorted((analyze_singularity(ps, x) for x in xs), key=lambda r: float(r.k_s))
     _write(args, "singularities.json", _json([r.to_json() for r in reports]))
@@ -267,9 +266,9 @@ def cmd_canard(cfg: dict, args) -> int:
     require(cfg, "initial", "tspan")
     if "plane" not in cfg["initial"]:
         raise ConfigError(["initial: canard runs need the plane form {\"plane\": {...}}"])
-    sys_, ps = _plane_from_config(cfg)
-    n = sys_.n
-    epsilon = float(sys_.epsilon)
+    ps = _plane_from_config(cfg)
+    n = ps.n
+    epsilon = float(ps.epsilon)
     if epsilon <= 0:
         raise ConfigError(["epsilon: canard tracking needs epsilon > 0"])
     xs = _singular_points(cfg, ps)
@@ -289,7 +288,7 @@ def cmd_canard(cfg: dict, args) -> int:
             report = candidate
             break
     if report is None:
-        raise ConfigError(["no type-1 singular point lies ahead of the initial condition in the scan range"])
+        raise ConfigError(["initial/plane/k0: no type-1 singular point lies ahead of it in the scan range"])
 
     k_star = report.k_s
     critical = report.canard
@@ -341,7 +340,7 @@ def cmd_bifurcation(cfg: dict, args) -> int:
 
 
 def cmd_divergence(cfg: dict, args) -> int:
-    _, ps = _plane_from_config(cfg)
+    ps = _plane_from_config(cfg)
     (k_range,) = _analysis(cfg, "k_range")
     k1, k2 = float(k_range[0]), float(k_range[1])
     if not k1 < k2:

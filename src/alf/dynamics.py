@@ -224,6 +224,10 @@ def _horner_plan(fld: ResponseField):
     zero (or make it NaN), and a later add gives both signs the same value.
     The coefficients are `float_constant`s held as 0-d float64 arrays: the
     same values, and a ufunc dispatches on them faster than on Python floats.
+
+    The plan reads the expanded coefficients whatever the response's form,
+    so the float flow of the full system evaluates a factored response by
+    Horner too, not by the factored loop that `ResponseFunction.eval` runs.
     """
     top, *rest = [np.array(float_constant(c)) for c in reversed(fld.function.coeffs)]
     steps = [] if top == 1.0 or not rest else [(np.multiply, top)]
@@ -434,9 +438,6 @@ class Trajectory:
     k_in_state: bool
     metadata: dict
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     @property
     def final_state(self):
         return self.states[-1]
@@ -479,12 +480,13 @@ _DP_B4 = tuple(float(b) for b in _DP_B4_EXACT)
 _DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 
 
-def _floats(y) -> np.ndarray:
-    """The float values of y's components: y itself on the float tier, a frame's `frame_floats` otherwise.
+def _floats(y):
+    """The float values of y's components: y itself on the float tier, a frame's `frame_floats` list otherwise.
 
-    The escape test and the dp45 error norm read nothing else of a state.
+    The stop condition, the escape test and the dp45 error norm read nothing
+    else of a state.
     """
-    return y if type(y) is np.ndarray else np.array(frame_floats(y))
+    return y if type(y) is np.ndarray else frame_floats(y)
 
 
 def _diverged(y: np.ndarray) -> bool:
@@ -517,8 +519,8 @@ def _escapes(before, y, dy, span: float) -> bool:
     A step size that underflows on such a state marks a finite-time blow-up,
     not a right-hand side that the error control cannot resolve.
     """
-    now = _floats(y)
-    rate = _floats(dy)
+    now = np.asarray(_floats(y))
+    rate = np.asarray(_floats(dy))
     if not np.abs(now).max() > np.abs(_floats(before)).max():
         return False
     outward = now * rate > 0
@@ -530,9 +532,9 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 
     `stop_condition(t, y)`, when given, ends the run early after recording
     the state that triggered it (used to bound open-ended tracking runs).
-    t is the tier scalar; y is the float array of the state on the 16-digit
-    tier, and on the extended tiers the list of its components' float
-    values, each `float()` of the component's mpf.
+    t is the tier scalar; y is `_floats` of the state: the float array on
+    the 16-digit tier, and on the extended tiers the list of its components'
+    float values, each `float()` of the component's mpf.
     Raises DivergenceError when a component passes the cutoff, or when the
     adaptive step underflows on a state that would pass it before t1, and
     IntegrationStalledError when the adaptive step underflows otherwise;
@@ -545,8 +547,12 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     test, a NaN or an infinity included, is recorded and raises
     DivergenceError at t0.
 
-    The metadata counts the accepted steps and dp45's rejected ones, and
-    names the stop reason: "end", "stop_condition", "divergence" or "stall".
+    Every early ending (a divergence, the stop condition, dp45's stall) goes
+    through one `stop`: it records the stopping state unless that state, the
+    count-th accepted one, was the last recorded, names the stop reason and
+    raises the error, or returns True for the stop condition.  The metadata
+    counts the accepted steps and dp45's rejected ones, and names the stop
+    reason: "end", "stop_condition", "divergence" or "stall".
     """
     t0, t1 = tspan
     if not t1 > t0:
@@ -566,54 +572,55 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             "stride": cfg.stride,
             "dt": cfg.dt,
             "tol": cfg.tol,
-            "labels": list(system.state_labels()),
             "accepted_steps": 0,
             "rejected_steps": 0,
         }
-        traj = Trajectory(
-            times=[],
-            states=[],
-            k_series=[],
-            labels=list(system.state_labels()),
-            k_in_state=system.k_in_state,
-            metadata=metadata,
-        )
-        view = (lambda y: y) if ctx.is_float else frame_floats
+        traj = Trajectory(times=[], states=[], k_series=[], labels=list(system.state_labels()),
+                          k_in_state=system.k_in_state, metadata=metadata)
         diverged = _diverged if ctx.is_float else _diverged_fixed
+        last_recorded = 0
 
-        def record(t, y):
+        def record(count: int, t, y):
+            nonlocal last_recorded
+            last_recorded = count
             state = y.copy() if type(y) is np.ndarray else frame_array(y)
             traj.times.append(t)
             traj.states.append(state)
             traj.k_series.append(system.slow_value(state))
 
+        def stop(reason: str, t, y, count: int, message: str = "") -> bool:
+            """End the run at the state y at t after the count-th accepted step, recorded once.
+
+            True for the stop condition; a divergence or a stall raises its
+            error with the partial trajectory.
+            """
+            if count != last_recorded:
+                record(count, t, y)
+            metadata["stop_reason"] = reason
+            if reason == "stop_condition":
+                return True
+            if reason == "divergence":
+                raise DivergenceError(message, float(t), traj)
+            raise IntegrationStalledError(message, float(t), traj)
+
         def accept(count: int, t, y, last: bool) -> bool:
             """Check and record the state y at t after the count-th accepted step; True when the run stops here.
 
-            A diverged state is recorded and raises DivergenceError.  Every
-            stride-th state and the last one are recorded, and so is the state
-            that meets the stop condition.
+            Every stride-th state and the last one are recorded.
             """
             metadata["accepted_steps"] = count
             if diverged(y):
-                record(t, y)
-                metadata["stop_reason"] = "divergence"
-                raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
-            recorded = count % cfg.stride == 0 or last
-            if recorded:
-                record(t, y)
-            if stop_condition is not None and stop_condition(t, view(y)):
-                if not recorded:
-                    record(t, y)
-                metadata["stop_reason"] = "stop_condition"
-                return True
+                stop("divergence", t, y, count, f"state exceeded divergence cutoff at t={float(t)}")
+            if count % cfg.stride == 0 or last:
+                record(count, t, y)
+            if stop_condition is not None and stop_condition(t, _floats(y)):
+                return stop("stop_condition", t, y, count)
             return False
 
         t = ctx.scalar(t0)
-        record(t, y)
+        record(0, t, y)
         if _diverged(np.array(y, dtype=float)):
-            metadata["stop_reason"] = "divergence"
-            raise DivergenceError(f"state exceeded divergence cutoff at t={float(t)}", float(t), traj)
+            stop("divergence", t, y, 0, f"state exceeded divergence cutoff at t={float(t)}")
         if not ctx.is_float:
             y = ctx.vector(y)
         # an overflowing state turns into inf and NaN, which the divergence tests catch
@@ -621,7 +628,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             if cfg.method == "rk4":
                 _run_rk4(rhs, y, ctx, t0, t1, cfg, accept)
             else:
-                _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj)
+                _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata)
         metadata.setdefault("stop_reason", "end")
         return traj
 
@@ -797,7 +804,7 @@ def _error_norm(y, y5, delta, tol: float) -> float:
     return float(np.fmax.reduce(np.abs(_floats(delta)) / scale, initial=0.0))
 
 
-def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
+def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
     t = ctx.scalar(t0)
     t_end = ctx.scalar(t1)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
@@ -806,7 +813,6 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
     accepted = 0
     before = y
     fsal = rhs(y)
-    metadata = traj.metadata
     while float(t) < float(t_end):
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
         clipped = float(t) + float(dt) > float(t_end)
@@ -828,15 +834,8 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, record, accept, traj):
         dt = dt * ctx.scalar(factor)
         # a step the controller grows is not a stall, however small it still is
         if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
-            if traj.times[-1] != t:  # t only grows: an equal time is this state, already recorded
-                record(t, y)
             if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):
-                metadata["stop_reason"] = "divergence"
-                raise DivergenceError(
-                    f"state diverges at t={float(t)}: the step size underflowed while it grows "
-                    f"fast enough to pass the divergence cutoff before t={float(t_end)}", float(t), traj
-                )
-            metadata["stop_reason"] = "stall"
-            raise IntegrationStalledError(
-                f"step size underflow at t={float(t)}", float(t), traj
-            )
+                stop("divergence", t, y, accepted,
+                     f"state diverges at t={float(t)}: the step size underflowed while it grows "
+                     f"fast enough to pass the divergence cutoff before t={float(t_end)}")
+            stop("stall", t, y, accepted, f"step size underflow at t={float(t)}")

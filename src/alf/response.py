@@ -8,7 +8,9 @@ known, to avoid cancellation near the roots.
 Each function evaluates in one form (scale and roots when known, else
 Horner on the coefficients), whatever the numeric type of the argument:
 - floats (numpy floats and float arrays included) run the form's loop on
-  constants converted to float once (`evaluator`, `float_constant`);
+  constants converted to float once (`evaluator`, `float_constant`).  The
+  float flow of the full system is the one exception: `dynamics._horner_plan`
+  runs Horner on the expanded coefficients, a factored response's included;
 - everything else runs one integer routine of the form
   (`integer_evaluator`): integers over one denominator in and out, the
   constants exact for ints and Fractions, whose value is exact, or rounded
@@ -109,9 +111,6 @@ class ResponseFunction:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         """Evaluate at x (a float ndarray elementwise, to its shape) in this function's form."""

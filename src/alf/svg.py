@@ -7,6 +7,7 @@ identical inputs produce identical bytes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -17,16 +18,26 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 840, 520
 _MARGIN = 56
+_MAX = sys.float_info.max
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _scale(lo: float, hi: float) -> float:
+    """The scale s of an axis from lo to hi: 1, or 1/8 where 4 (hi - lo), the largest product a tick forms, overflows.
+
+    The axis maps v to (v s - lo s) / (hi s - lo s), finite for every v in
+    [lo, hi], and `_ticks` forms its values at the same scale.  A product
+    by 1 changes no bit, so an axis whose ticks fit in float64 keeps its bytes.
+    """
+    return 1.0 if math.isfinite((hi - lo) * 4) else 0.125
+
+
+def _ticks(lo: float, hi: float, s: float) -> list[float]:
+    # at scale 1/8 a sum may round past MAX s, which would overflow when divided by s; at scale 1 none does
+    return [min(lo * s + (hi * s - lo * s) * i / 4, _MAX * s) / s for i in range(5)]
 
 
 def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "") -> str:
@@ -35,7 +46,9 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
     `series` holds one row of values per label, one value per time, in
     any form `np.asarray(series, dtype=float)` reads.  With `log_time` the
     horizontal axis is log10(t); non-positive times are dropped from the
-    plot in that mode.
+    plot in that mode.  Each axis spans the finite values it shows, or the
+    empty plot's range where there are none, clamped to float64's range,
+    so every finite value gets a finite coordinate.
     """
     ts = [float(t) for t in times]
     cols = np.asarray(series, dtype=float)
@@ -47,26 +60,29 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
         ts = [0.0, 1.0]
         cols = np.zeros((len(cols), 2))
 
-    x_lo, x_hi = min(ts), max(ts)
+    finite_ts = [t for t in ts if math.isfinite(t)] or [0.0, 1.0]
+    x_lo, x_hi = min(finite_ts), max(finite_ts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-        if x_hi == x_lo:  # +1 rounds away at a magnitude of 2**53 or more: widen by the magnitude
-            x_hi = x_lo + abs(x_lo)
-    # Python's min and max, in this order: where a NaN sits changes their result
-    flat = cols.ravel().tolist() or [0.0]
+        if x_hi == x_lo:  # +1 rounds away at a magnitude of 2**53 or more: widen by the magnitude, toward 0 past MAX/2
+            x_lo, x_hi = (x_lo, x_lo + abs(x_lo)) if x_lo <= _MAX / 2 else (0.0, x_lo)
+    # Python's min and max over the finite values in row order: which of 0.0 and -0.0 comes first decides
+    finite = np.isfinite(cols)
+    flat = (cols.ravel() if finite.all() else cols[finite]).tolist() or [0.0]
     y_lo, y_hi = min(flat), max(flat)
     if y_hi == y_lo:
         y_hi, y_lo = y_lo + 0.5, y_lo - 0.5
         if y_hi == y_lo:  # so does +-0.5: widen by half the magnitude
-            y_hi, y_lo = y_hi + 0.5 * abs(y_hi), y_lo - 0.5 * abs(y_lo)
+            y_hi, y_lo = min(y_hi + 0.5 * abs(y_hi), _MAX), max(y_lo - 0.5 * abs(y_lo), -_MAX)
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = max(y_lo - pad, -_MAX), min(y_hi + pad, _MAX)
+    sx, sy = _scale(x_lo, x_hi), _scale(y_lo, y_hi)
 
     def px(t: float) -> float:
-        return _MARGIN + (t - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
+        return _MARGIN + (t * sx - x_lo * sx) / (x_hi * sx - x_lo * sx) * (_WIDTH - 2 * _MARGIN)
 
     def py(v: float) -> float:
-        return _HEIGHT - _MARGIN - (v - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
+        return _HEIGHT - _MARGIN - (v * sy - y_lo * sy) / (y_hi * sy - y_lo * sy) * (_HEIGHT - 2 * _MARGIN)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -85,13 +101,13 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{axis_label}</text>'
     )
-    for tv in _ticks(x_lo, x_hi):
+    for tv in _ticks(x_lo, x_hi, sx):
         x = px(tv)
         parts.append(f'<line x1="{x:.2f}" y1="{_HEIGHT - _MARGIN}" x2="{x:.2f}" '
                      f'y2="{_HEIGHT - _MARGIN + 5}" stroke="#333"/>')
         parts.append(f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{_fmt(tv)}</text>')
-    for vv in _ticks(y_lo, y_hi):
+    for vv in _ticks(y_lo, y_hi, sy):
         y = py(vv)
         parts.append(f'<line x1="{_MARGIN - 5}" y1="{y:.2f}" x2="{_MARGIN}" y2="{y:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{_MARGIN - 8}" y="{y + 3:.2f}" text-anchor="end" '
@@ -100,7 +116,7 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
     # py of every value at once, its operations in the same order; the widening above leaves no
     # empty range, so a non-finite value is all that errstate lets pass
     with np.errstate(all="ignore"):
-        ys = (_HEIGHT - _MARGIN) - (cols - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
+        ys = (_HEIGHT - _MARGIN) - (cols * sy - y_lo * sy) / (y_hi * sy - y_lo * sy) * (_HEIGHT - 2 * _MARGIN)
     # one format string per plot: each time's "x," once, then a %.2f for its y
     points = " ".join([f"{px(t):.2f},%.2f" for t in ts])
     for idx, (row, label) in enumerate(zip(ys.tolist(), labels)):

@@ -206,6 +206,41 @@ def test_unreadable_values_are_config_errors(tmp_path, capsys, monkeypatch, comm
     assert not out.exists()
 
 
+# scenarios the schema admits but a command or a builder refuses: each names its path, before any
+# output is written
+_K3 = {"graph": {"type": "complete", "n": 3}, "response": {"coeffs": [0, 1]}}
+_REFUSED = [
+    ("analysis-without-k-range", "manifold", None,
+     {**_K3, "analysis": {"x_range": [-1, 1], "grid": [11, 11], "residual_tol": 1e-8}}, "analysis/k_range:"),
+    ("eliminate-past-n", "singularities", "ex1", {"analysis": {"eliminate": 4}}, "analysis/eliminate:"),
+    ("canard-without-plane-initial", "canard", "ex1-canard", {"initial": {"consensus": {"c": 0.5}}}, "initial:"),
+    ("canard-epsilon-zero", "canard", "ex1-canard", {"epsilon": 0}, "epsilon:"),
+    ("canard-no-type-1-ahead", "canard", "ex1-canard", {"initial": {"plane": {"k0": -100}}}, "initial/plane/k0:"),
+    ("bifurcation-without-family", "bifurcation", "ex1", {}, "response:"),
+    ("custom-graph-without-edges", "simulate", "ex1",
+     {"graph": {"type": "custom", "n": 3}, "initial": {"consensus": {"c": 0.5}}}, "graph:"),
+    ("family-without-lambda", "singularities", "ex1", {"response": {"family": "ex3a"}}, "response:"),
+    ("response-scale-only", "singularities", "ex1", {"response": {"scale": 2}}, "response:"),
+    ("perturbation-length", "singularities", "ex1", {"perturbation": {"constant": {"values": [1, 2]}}},
+     "perturbation:"),
+    ("explicit-initial-length", "simulate", "ex1", {"initial": {"explicit": [1, 2]}}, "initial:"),
+    ("simulate-plane-initial", "simulate", "ex1", {}, "initial:"),
+]
+
+
+@pytest.mark.parametrize("command, preset, payload, where",
+                         [pytest.param(*case[1:], id=case[0]) for case in _REFUSED])
+def test_refused_scenarios_are_config_errors_naming_their_path(tmp_path, capsys, command, preset, payload, where):
+    out = tmp_path / "out"
+    argv = [command, "--config", _write(tmp_path, "c.json", payload), "--out", str(out)]
+    assert main(argv + (["--preset", preset] if preset else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "config" and report["details"][0].startswith(where)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("graph, where", [
     ({"type": "custom", "n": 3, "edges": [[1, 5]]}, "graph/edges:"),
     ({"type": "custom", "n": 3, "edges": [[1, 1]]}, "graph/edges:"),
@@ -435,6 +470,26 @@ def test_svg_of_a_run_diverging_at_a_huge_value_is_plotted(tmp_path, initial, ts
     assert len(_read_csv(out / "trajectory.csv")) == 1
     body = (out / "trajectory.svg").read_text()
     assert body.startswith("<svg") and body.count("<polyline") == 3 and "nan" not in body
+
+
+def test_svg_of_a_run_diverging_to_infinity_plots_its_finite_values(tmp_path):
+    # the last row is [inf, -inf, nan]: the ranges are taken over the finite t = 0 row alone
+    cfg = {
+        "graph": {"type": "complete", "n": 3},
+        "response": {"coeffs": [0, 0, 0, 1]},
+        "initial": {"explicit": [3e5, -3e5, 0.5]},
+        "tspan": [0, 1],
+        "integrator": {"dt": 0.01},
+    }
+    out = tmp_path / "inf"
+    assert main(["simulate", "--config", _write(tmp_path, "inf.json", cfg), "--out", str(out), "--svg"]) == 3
+    last = _read_csv(out / "trajectory.csv")[-1]
+    assert (last["x1"], last["x2"], last["x3"]) == ("inf", "-inf", "nan")
+    lines = (out / "trajectory.svg").read_text().splitlines()
+    starts = [line.split('"')[1].split()[0].split(",") for line in lines if line.startswith("<polyline")]
+    assert len(starts) == 3 and all(float(x) == 56.0 and abs(float(y)) < 520 for x, y in starts)
+    ticks = [line.split(">")[1].split("<")[0] for line in lines if 'font-size="10">' in line][:10]
+    assert all(float(tick) == float(tick) and abs(float(tick)) < 1e6 for tick in ticks)
 
 
 @pytest.mark.parametrize("method", ["rk4", "dp45"])

@@ -117,18 +117,36 @@ def test_a_divergence_names_itself_in_the_run_and_at_t0(digits):
     assert (meta["stop_reason"], meta["accepted_steps"]) == ("divergence", 0)
 
 
-@pytest.mark.parametrize("digits", (16, 32))
-def test_a_dp45_blow_up_names_divergence(digits):
-    # the step underflows while the state grows fast enough to pass the cutoff before t1
+def _blow_up(digits: int, stride: int = 1) -> DivergenceError:
+    """The DivergenceError of dp45 on f = -x^3, whose step underflows while the state grows fast enough
+    to pass the cutoff before t1."""
     g = Graph.from_edge_list(5, [(1, 2, 1.5), (2, 3, 2.0), (3, 4, 0.5), (4, 5, 3.0), (1, 5, 1.0), (2, 4, 2.5)])
     sys_ = PerturbedSystem(g, ResponseField(ResponseFunction.from_coeffs([0, 0, 0, -1])),
                            Perturbation.constant([0.3, -0.2, 0.1, -0.4, 0.25]), 0.1)
+    cfg = IntegratorConfig(method="dp45", dt=0.05, tol=1e-12, digits=digits, stride=stride)
     with pytest.raises(DivergenceError) as err:
-        integrate(sys_, [-3, 3, 0, 2, -2], (0.0, 1.0), IntegratorConfig(method="dp45", dt=0.05, tol=1e-12,
-                                                                        digits=digits))
-    meta = err.value.trajectory.metadata
+        integrate(sys_, [-3, 3, 0, 2, -2], (0.0, 1.0), cfg)
+    return err.value
+
+
+@pytest.mark.parametrize("digits", (16, 32))
+def test_a_dp45_blow_up_names_divergence(digits):
+    meta = _blow_up(digits).trajectory.metadata
     assert meta["stop_reason"] == "divergence"
     assert meta["rejected_steps"] > 0
+
+
+@pytest.mark.parametrize("stride, rows", [(7, 255), (1000, 3)])
+@pytest.mark.parametrize("digits", (16, 32))
+def test_a_stop_records_its_unrecorded_state_once(digits, stride, rows):
+    # 1774 accepted steps: the rows are t0, every stride-th state and the stopping state, which the
+    # stride left unrecorded; the stop records it, once
+    err = _blow_up(digits, stride)
+    traj = err.trajectory
+    assert traj.metadata["accepted_steps"] == 1774
+    assert len(traj.times) == len(traj.states) == len(traj.k_series) == rows
+    assert float(traj.times[-1]) == err.last_time
+    assert float(traj.times[-2]) < err.last_time
 
 
 def test_a_stall_names_itself():

@@ -3,7 +3,8 @@
 `_ref_write_csv`, `_ref_timeseries_svg` and `_ref_series` are the writers
 as they were: a `ScalarContext.format` call per CSV cell, Python float
 arithmetic and one f-string per SVG point, and a series built by indexing
-each recorded state; the SVG reference widens an empty range as `svg.py`
+each recorded state; the SVG reference takes its ranges over the finite
+values, widens an empty range and scales an overflowing span as `svg.py`
 does.  The writers must give their bytes exactly, on non-finite, subnormal
 and huge states, on the partial trajectory of a DivergenceError and in
 log-time mode with non-positive times.  Run with ``-W error::RuntimeWarning``:
@@ -33,7 +34,7 @@ from alf import (
 )
 from alf.dynamics import Trajectory
 from alf.precision import ScalarContext
-from alf.svg import _HEIGHT, _MARGIN, _PALETTE, _WIDTH, _fmt, _ticks, timeseries_svg
+from alf.svg import _HEIGHT, _MARGIN, _MAX, _PALETTE, _WIDTH, _fmt, _scale, _ticks, timeseries_svg
 
 
 # --- the replaced writers, verbatim ----------------------------------------------
@@ -64,25 +65,27 @@ def _ref_timeseries_svg(times, series, labels, log_time: bool = False, title: st
         ts = [0.0, 1.0]
         cols = [[0.0, 0.0] for _ in cols]
 
-    x_lo, x_hi = min(ts), max(ts)
+    finite_ts = [t for t in ts if math.isfinite(t)] or [0.0, 1.0]
+    x_lo, x_hi = min(finite_ts), max(finite_ts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
         if x_hi == x_lo:  # +1 rounds away at a magnitude of 2**53 or more: widen by the magnitude
-            x_hi = x_lo + abs(x_lo)
-    flat = [v for col in cols for v in col] or [0.0]
+            x_lo, x_hi = (x_lo, x_lo + abs(x_lo)) if x_lo <= _MAX / 2 else (0.0, x_lo)
+    flat = [v for col in cols for v in col if math.isfinite(v)] or [0.0]
     y_lo, y_hi = min(flat), max(flat)
     if y_hi == y_lo:
         y_hi, y_lo = y_lo + 0.5, y_lo - 0.5
         if y_hi == y_lo:  # so does +-0.5: widen by half the magnitude
-            y_hi, y_lo = y_hi + 0.5 * abs(y_hi), y_lo - 0.5 * abs(y_lo)
+            y_hi, y_lo = min(y_hi + 0.5 * abs(y_hi), _MAX), max(y_lo - 0.5 * abs(y_lo), -_MAX)
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = max(y_lo - pad, -_MAX), min(y_hi + pad, _MAX)
+    sx, sy = _scale(x_lo, x_hi), _scale(y_lo, y_hi)
 
     def px(t: float) -> float:
-        return _MARGIN + (t - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
+        return _MARGIN + (t * sx - x_lo * sx) / (x_hi * sx - x_lo * sx) * (_WIDTH - 2 * _MARGIN)
 
     def py(v: float) -> float:
-        return _HEIGHT - _MARGIN - (v - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
+        return _HEIGHT - _MARGIN - (v * sy - y_lo * sy) / (y_hi * sy - y_lo * sy) * (_HEIGHT - 2 * _MARGIN)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -101,13 +104,13 @@ def _ref_timeseries_svg(times, series, labels, log_time: bool = False, title: st
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{axis_label}</text>'
     )
-    for tv in _ticks(x_lo, x_hi):
+    for tv in _ticks(x_lo, x_hi, sx):
         x = px(tv)
         parts.append(f'<line x1="{x:.2f}" y1="{_HEIGHT - _MARGIN}" x2="{x:.2f}" '
                      f'y2="{_HEIGHT - _MARGIN + 5}" stroke="#333"/>')
         parts.append(f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{_fmt(tv)}</text>')
-    for vv in _ticks(y_lo, y_hi):
+    for vv in _ticks(y_lo, y_hi, sy):
         y = py(vv)
         parts.append(f'<line x1="{_MARGIN - 5}" y1="{y:.2f}" x2="{_MARGIN}" y2="{y:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{_MARGIN - 8}" y="{y + 3:.2f}" text-anchor="end" '
@@ -247,6 +250,35 @@ def test_svg_edge_cases_equal_the_per_point_code():
     assert '<polyline points="56.00,260.00 784.00,260.00"' in svg and ">4.5e+19<" in svg and ">1.55e+20<" in svg
 
 
+@pytest.mark.parametrize("times, series", [
+    # values spanning float64's range, a value near its top and one at it, as the repro's last row
+    ([0.0, 1.0], [[-1e308, 1e308], [1.0, 2.0]]),
+    ([0.0, 1.0], [[1.7e308, 1.7e308], [1.0, 2.0]]),
+    ([0.0], [[np.finfo(float).max], [-np.finfo(float).max]]),
+    # the top tick's scaled sum rounds past MAX / 8
+    ([0.0, 0.0], [[1.7976931348623155e308, 1e300], [1.0, 2.0]]),
+    ([0.0, 0.01], [[3e5, np.inf], [-3e5, -np.inf]]),
+    # times at the top of float64's range, one or spanning it
+    ([1.7e308], [[1.0], [2.0]]),
+    ([np.finfo(float).max], [[1.0], [2.0]]),
+    ([-1e308, 1e308], [[1.0, 2.0], [3.0, 4.0]]),
+    # no finite value at all: the empty plot's range
+    ([0.0, 1.0], [[np.nan, np.inf], [-np.inf, np.nan]]),
+], ids=["span-overflows", "value-1.7e308", "value-max", "tick-rounds-past-max", "diverged-row", "time-1.7e308", "time-max",
+        "time-span-overflows", "no-finite-value"])
+def test_every_finite_value_gets_a_finite_coordinate(times, series):
+    labels = ["a", "b"]
+    got = timeseries_svg(times, np.array(series), labels)
+    assert got == _ref_timeseries_svg(times, series, labels)
+    polylines = [line for line in got.splitlines() if line.startswith("<polyline")]
+    for line, row in zip(polylines, series):
+        points = line.split('"')[1].split()
+        for (x, y), v in zip((p.split(",") for p in points), row):
+            assert math.isfinite(float(x)) and math.isfinite(float(y)) == math.isfinite(v)
+    rest = "".join(line for line in got.splitlines() if not line.startswith("<polyline"))
+    assert "nan" not in rest and "inf" not in rest
+
+
 _VALUE = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
                    st.floats(-10.0, 10.0))
 
@@ -259,3 +291,6 @@ def test_svg_of_drawn_values_equals_the_per_point_code(data, rows, m, log_time):
     labels = [f"x{i}" for i in range(rows)]
     got = timeseries_svg(times, np.array(series), labels, log_time=log_time)
     assert got == _ref_timeseries_svg(times, series, labels, log_time=log_time)
+    # the ticks are numbers whatever the values
+    rest = "".join(line for line in got.splitlines() if not line.startswith("<polyline"))
+    assert "nan" not in rest and "inf" not in rest
