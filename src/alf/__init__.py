@@ -47,10 +47,8 @@ from .slowfast import (
     analyze_singularity,
     consensus_stability,
     find_singular_points,
-    flow_stability_probe,
     plane_reduce,
     sample_manifold,
-    slow_divergence_exact,
     slow_divergence_integral,
     tangent_slope_estimate,
 )

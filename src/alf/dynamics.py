@@ -62,7 +62,7 @@ class Perturbation:
     def constant(cls, values, n: int | None = None) -> "Perturbation":
         if not hasattr(values, "__len__"):
             if n is None:
-                raise ValueError("scalar constant perturbation needs n")
+                raise PreconditionError("scalar constant perturbation needs n")
             values = [values] * n
         return cls(tuple(values))
 
@@ -91,7 +91,7 @@ class PerturbedSystem:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", exact(self.epsilon))
         if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise PreconditionError("epsilon must be >= 0")
         if self.perturbation.n != self.graph.n:
             raise DimensionMismatchError(
                 f"perturbation has {self.perturbation.n} components, graph has {self.graph.n} nodes"
@@ -418,13 +418,13 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in ("rk4", "dp45"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
+            raise PreconditionError(f"unknown integrator method {self.method!r}")
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise PreconditionError("dt must be positive")
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise PreconditionError("tol must be positive")
         if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+            raise PreconditionError("stride must be >= 1")
 
 
 @dataclass
@@ -556,7 +556,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     """
     t0, t1 = tspan
     if not t1 > t0:
-        raise ValueError("tspan must satisfy t1 > t0")
+        raise PreconditionError("tspan must satisfy t1 > t0")
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)

@@ -52,7 +52,7 @@ class ScalarContext:
 
     def __post_init__(self):
         if self.digits not in PRECISION_TIERS:
-            raise ValueError(f"digits must be one of {PRECISION_TIERS}, got {self.digits}")
+            raise PreconditionError(f"digits must be one of {PRECISION_TIERS}, got {self.digits}")
 
     @property
     def is_float(self) -> bool:

@@ -106,7 +106,7 @@ class ResponseFunction:
             return cls.from_roots(((lam, 1), (-lam, 2)))
         if tag == "ex3b":
             return cls.from_roots(((lam, 2), (-lam, 2)))
-        raise ValueError(f"unknown response family {tag!r}; expected one of {RESPONSE_FAMILIES}")
+        raise PreconditionError(f"unknown response family {tag!r}; expected one of {RESPONSE_FAMILIES}")
 
     @property
     def degree(self) -> int:
@@ -232,7 +232,7 @@ class ResponseFunction:
         the same object together with its cached float evaluator.
         """
         if order < 1:
-            raise ValueError("derivative order must be >= 1")
+            raise PreconditionError("derivative order must be >= 1")
         result = self._first_derivative
         for _ in range(order - 1):
             result = result._first_derivative

@@ -7,13 +7,14 @@ Singular consensus points (where f' vanishes) are classified by the sign
 ratio of the response curvature against the perturbation sum, which decides
 between the two transcritical types, and by the scalar deciding whether the
 trajectory can continue along the repelling stretch (canard threshold 1).
+The slow-divergence integral along the consensus line is exact: the
+response is a polynomial, so it is the closed form of its antiderivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
 
 from .dynamics import PerturbedSystem, check_float_forcing
 from .errors import (
@@ -31,7 +32,6 @@ import numpy as np
 SINGULAR_TOL = 1e-10
 BISECT_HALVINGS = 200  # halvings of a root bracket before the scan gives up on it
 TANGENT_STEP = 1e-5  # the offset h from the singular point in the tangent secant
-SIMPSON_ROUNDOFF = 2.0**-49  # a few ulps: the roundoff floor of a Simpson difference, relative to its sums
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
@@ -193,22 +193,6 @@ def _stability(rate, curvature) -> str:
     return ATTRACTING if rate > 0 else REPELLING
 
 
-def flow_stability_probe(ps: PlaneSystem, k: float, offset: float = 1e-6) -> str:
-    """Brute-force stability of the consensus point at a given k.
-
-    Looks only at the signs of the layer flow on both sides of x* = k/n,
-    independent of any derivative formula.
-    """
-    x_star = k / ps.n
-    above = -ps.layer_value(x_star + offset, k)
-    below = -ps.layer_value(x_star - offset, k)
-    if above < 0 < below:
-        return ATTRACTING
-    if below < 0 < above:
-        return REPELLING
-    return SINGULAR
-
-
 # ---------------------------------------------------------------------------
 # critical-set sampling
 
@@ -344,7 +328,7 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
     """
     nk, nx = grid
     if nk < 2 or nx < 2:
-        raise ValueError("grid must have at least 2 points per axis")
+        raise PreconditionError("grid must have at least 2 points per axis")
     k_lo, k_hi = map(float, k_range)
     x_lo, x_hi = map(float, x_range)
     link_tol = 5.0 * ((x_hi - x_lo) / (nx - 1))
@@ -546,7 +530,7 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
 def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int = 2001) -> list[float]:
     """Real zeros of f' in [lo, hi] by one sign-change scan of `samples` points plus polish."""
     if samples < 2:
-        raise ValueError("samples must be at least 2")
+        raise PreconditionError("samples must be at least 2")
     fp = f.derivative()
     fpp = f.derivative(2)
     (roots,) = _scan_roots(lambda x, _: fp.eval(x), lambda x, _: fpp.eval(x), lo, hi, samples, [0.0])
@@ -590,68 +574,18 @@ def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport) -> float:
 
 
 # ---------------------------------------------------------------------------
-# slow-divergence integral
+# slow-divergence integral, in closed form
 
-def _adaptive_simpson(func, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature of func over [a, b] to the absolute tolerance tol.
+def slow_divergence_integral(ps: PlaneSystem, k1, k2) -> Fraction:
+    """The slow-divergence integral -n * int_{k1}^{k2} f'(k/n) dk, exact.
 
-    A subinterval is accepted once its halves' estimate differs from its
-    own by at most 15 times its share of tol, or by no more than the
-    roundoff of the sums, SIMPSON_ROUNDOFF of |left| + |right|, which no
-    halving can go below.  A non-finite difference (an integrand value or a
-    sum outside float range) raises PreconditionError.
-    """
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol_local, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = func(lmid)
-        frmid = func(rmid)
-        left = simpson(lo, mid, flo, flmid, fmid)
-        right = simpson(mid, hi, fmid, frmid, fhi)
-        delta = left + right - whole
-        if not isfinite(delta):
-            raise PreconditionError(f"the integrand or its Simpson sums on [{lo}, {hi}] leave the float range")
-        if depth <= 0 or abs(delta) <= max(15.0 * tol_local, SIMPSON_ROUNDOFF * (abs(left) + abs(right))):
-            return left + right + delta / 15.0
-        return recurse(lo, mid, flo, flmid, fmid, left, tol_local / 2.0, depth - 1) + recurse(
-            mid, hi, fmid, frmid, fhi, right, tol_local / 2.0, depth - 1
-        )
-
-    fa, fb = func(a), func(b)
-    mid = 0.5 * (a + b)
-    fmid = func(mid)
-    whole = simpson(a, b, fa, fmid, fb)
-    return recurse(a, b, fa, fmid, fb, whole, tol, 50)
-
-
-def slow_divergence_integral(ps: PlaneSystem, k1, k2, quad_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of -n f'(k/n) over [k1, k2].
-
-    Measures the accumulated attraction/repulsion along the consensus line;
+    Measures the accumulated attraction/repulsion along the consensus line
+    (the entry-exit function: Benoit 1981; De Maesschalck and Schecter 2016);
     a vanishing value means the two effects compensate over the window.
+    The response is a polynomial, so substituting u = k/n gives the closed
+    form -n^2 [f(k2/n) - f(k1/n)], evaluated in rational arithmetic.
     """
     if not k2 > k1:
         raise PreconditionError("need k1 < k2")
     n = ps.n
-    fp = ps.f.derivative()
-
-    def integrand(k: float) -> float:
-        return -n * float(fp.eval(k / n))
-
-    return _adaptive_simpson(integrand, float(k1), float(k2), quad_tol)
-
-
-def slow_divergence_exact(ps: PlaneSystem, k1, k2) -> Fraction:
-    """Closed form of the same integral via the antiderivative.
-
-    Substituting u = k/n gives -n^2 [f(k2/n) - f(k1/n)]; exact in rational
-    arithmetic, used as the independent cross-check of the quadrature.
-    """
-    n = ps.n
-    a = exact(k1) / n
-    b = exact(k2) / n
-    return -Fraction(n * n) * (ps.f.eval(b) - ps.f.eval(a))
+    return -Fraction(n * n) * (ps.f.eval(exact(k2) / n) - ps.f.eval(exact(k1) / n))

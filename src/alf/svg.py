@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,7 +49,10 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
     horizontal axis is log10(t); non-positive times are dropped from the
     plot in that mode.  Each axis spans the finite values it shows, or the
     empty plot's range where there are none, clamped to float64's range,
-    so every finite value gets a finite coordinate.
+    so every finite value gets a finite coordinate.  A non-finite value
+    ends its series' line: each maximal run of finite points is one
+    polyline, a run of one point a dot, and a series with no finite point
+    draws neither.
     """
     ts = [float(t) for t in times]
     cols = np.asarray(series, dtype=float)
@@ -114,15 +118,27 @@ def timeseries_svg(times, series, labels, log_time: bool = False, title: str = "
                      f'font-family="sans-serif" font-size="10">{_fmt(vv)}</text>')
 
     # py of every value at once, its operations in the same order; the widening above leaves no
-    # empty range, so a non-finite value is all that errstate lets pass
+    # empty range, so a non-finite value is all that errstate lets pass, and it draws no point
     with np.errstate(all="ignore"):
         ys = (_HEIGHT - _MARGIN) - (cols * sy - y_lo * sy) / (y_hi * sy - y_lo * sy) * (_HEIGHT - 2 * _MARGIN)
-    # one format string per plot: each time's "x," once, then a %.2f for its y
-    points = " ".join([f"{px(t):.2f},%.2f" for t in ts])
-    for idx, (row, label) in enumerate(zip(ys.tolist(), labels)):
+    # one format string per plot: each time's "x," once, then a %.2f for its y; point j starts at offs[j]
+    xs = [f"{px(t):.2f}" for t in ts]
+    points = "".join([x + ",%.2f " for x in xs])
+    offs = [0, *accumulate(len(x) + 6 for x in xs)]
+    # a non-finite point ends the line: the maximal runs [a, b) of finite points, of every row at once
+    rows = ys.tolist()
+    runs = [[] for _ in rows]
+    r, c = np.nonzero(np.diff(np.isfinite(ys) & np.isfinite(ts), axis=1, prepend=False, append=False))
+    for i, a, b in zip(r[::2].tolist(), c[::2].tolist(), c[1::2].tolist()):
+        runs[i].append((a, b))
+    for idx, (row, row_runs, label) in enumerate(zip(rows, runs, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = points % tuple(row)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
+        for a, b in row_runs:  # each run is its own polyline, and a run of one point, which a polyline does not show, a dot
+            if b - a > 1:
+                pts = points[offs[a]:offs[b] - 1] % tuple(row[a:b])
+                parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
+            else:
+                parts.append(f'<circle cx="{xs[a]}" cy="{row[a]:.2f}" r="1.5" fill="{color}"/>')
         ly = _MARGIN + 14 + 13 * idx
         parts.append(f'<line x1="{_WIDTH - _MARGIN - 70}" y1="{ly - 4}" '
                      f'x2="{_WIDTH - _MARGIN - 50}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -469,7 +470,8 @@ def test_svg_of_a_run_diverging_at_a_huge_value_is_plotted(tmp_path, initial, ts
     assert proc.stderr == f"divergence at t={float(tspan[0])}; partial trajectory flushed\n"
     assert len(_read_csv(out / "trajectory.csv")) == 1
     body = (out / "trajectory.svg").read_text()
-    assert body.startswith("<svg") and body.count("<polyline") == 3 and "nan" not in body
+    # each series' one row is a run of one point, drawn as a dot
+    assert body.startswith("<svg") and body.count("<circle") == 3 and "<polyline" not in body and "nan" not in body
 
 
 def test_svg_of_a_run_diverging_to_infinity_plots_its_finite_values(tmp_path):
@@ -486,8 +488,10 @@ def test_svg_of_a_run_diverging_to_infinity_plots_its_finite_values(tmp_path):
     last = _read_csv(out / "trajectory.csv")[-1]
     assert (last["x1"], last["x2"], last["x3"]) == ("inf", "-inf", "nan")
     lines = (out / "trajectory.svg").read_text().splitlines()
-    starts = [line.split('"')[1].split()[0].split(",") for line in lines if line.startswith("<polyline")]
-    assert len(starts) == 3 and all(float(x) == 56.0 and abs(float(y)) < 520 for x, y in starts)
+    # each series' finite t = 0 point, followed by a non-finite one, is a dot
+    dots = [line.split('"')[1:4:2] for line in lines if line.startswith("<circle")]
+    assert not any(line.startswith("<polyline") for line in lines)
+    assert len(dots) == 3 and all(float(x) == 56.0 and abs(float(y)) < 520 for x, y in dots)
     ticks = [line.split(">")[1].split("<")[0] for line in lines if 'font-size="10">' in line][:10]
     assert all(float(tick) == float(tick) and abs(float(tick)) < 1e6 for tick in ticks)
 
@@ -612,26 +616,45 @@ def test_divergence_command_reports_exact_value(tmp_path):
     assert abs(payload["integral"] - 9.0) <= 1e-8
 
 
+def _fraction_divergence(n, roots, k1, k2) -> Fraction:
+    """-n^2 [f(k2/n) - f(k1/n)] for f = prod (x - r)^m, each root the exact value of its float."""
+    def f(u):
+        out = Fraction(1)
+        for r, m in roots:
+            out *= (u - Fraction(r)) ** m
+        return out
+
+    return -n * n * (f(Fraction(k2) / n) - f(Fraction(k1) / n))
+
+
 def test_wide_divergence_window_meets_the_exact_value(tmp_path):
-    # the integral is about -1.2e7, whose roundoff is far above the absolute quadrature tolerance of 1e-10
-    override = _write(tmp_path, "wide.json", {"analysis": {"k_range": [-300, 301]}})
-    proc = _run_cli("divergence", "--preset", "ex1", "--config", override, "--out", str(tmp_path / "out"))
-    assert proc.returncode == 0 and proc.stderr == ""
-    payload = json.load(open(tmp_path / "out" / "divergence.json"))
-    assert payload["exact"] == -12058931.444444444
-    assert abs(payload["integral"] - payload["exact"]) <= 1e-9 * abs(payload["exact"])
+    # ex1's integral is about -1.2e7 and the degree-7 response's about -2.2e13: each is the exact value, rounded
+    # once, at the cost of two response evaluations whatever the window's width
+    ex1_roots = [[1.0, 2], [-1.0, 2]]
+    degree_7_roots = [[1 / 3, 3], [-2, 2], [5, 2]]
+    cases = [(ex1_roots, [-300, 301]), (degree_7_roots, [-160, 161])]
+    for case, (roots, k_range) in enumerate(cases):
+        override = _write(tmp_path, f"wide{case}.json",
+                          {"response": {"roots": roots, "scale": 1}, "analysis": {"k_range": k_range}})
+        out = tmp_path / f"out{case}"
+        proc = _run_cli("divergence", "--preset", "ex1", "--config", override, "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.load(open(out / "divergence.json"))
+        assert payload["exact"] == float(_fraction_divergence(3, roots, *k_range))
+        assert payload["integral"] == payload["exact"]
+    assert float(_fraction_divergence(3, ex1_roots, -300, 301)) == -12058931.444444444
 
 
 @pytest.mark.parametrize("k_range", [[-1e100, 2e100], [-1e200, 2e200]])
 def test_overflowing_divergence_window_prints_one_error_line(tmp_path, k_range):
-    # the Simpson sums (at 1e100) or the integrand itself (at 1e200) pass float64's range
+    # the exact value (about -1.7e400 or -1.7e800) has no float
     override = _write(tmp_path, "huge.json", {"analysis": {"k_range": k_range}})
     proc = _run_cli("divergence", "--preset", "ex1", "--config", override, "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     report = json.loads(line)
-    assert report["error"] == "PreconditionError" and "leave the float range" in report["details"][0]
+    assert report["error"] == "PreconditionError" and "outside the float range" in report["details"][0]
     assert not (tmp_path / "out" / "divergence.json").exists()
 
 

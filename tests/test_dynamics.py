@@ -16,6 +16,7 @@ from alf import (
     Permutation,
     Perturbation,
     PerturbedSystem,
+    PreconditionError,
     ResponseField,
     ResponseFunction,
     gauge_shift,
@@ -457,7 +458,7 @@ def test_adaptive_step_underflow_raises_stalled():
 def test_integrator_tolerance_must_be_positive():
     # the dp45 error norm divides by tol + tol * max(|y|, |y5|)
     for tol in (0.0, -1e-8, float("nan")):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             IntegratorConfig(method="dp45", tol=tol)
 
 
@@ -599,7 +600,7 @@ def test_integrator_step_must_be_positive():
     # a NaN dt would reach rk4's step count or dp45's divergence test
     for method in ("rk4", "dp45"):
         for dt in (0.0, -1e-3, float("nan")):
-            with pytest.raises(ValueError, match="dt must be positive"):
+            with pytest.raises(PreconditionError, match="dt must be positive"):
                 IntegratorConfig(method=method, dt=dt)
 
 

@@ -9,6 +9,7 @@ from alf import (
     Graph,
     Perturbation,
     PerturbedSystem,
+    PreconditionError,
     ResponseField,
     ResponseFunction,
     gauge_shift,
@@ -111,7 +112,7 @@ def test_family_forms():
     assert a.eval(1) == Fraction(9, 8)
     b = ResponseFunction.family("ex3b", 1)
     assert b.coeffs == ResponseFunction.from_roots([(1, 2), (-1, 2)]).coeffs
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         ResponseFunction.family("nope", 1)
 
 

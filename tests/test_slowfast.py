@@ -20,14 +20,14 @@ from alf import (
     analyze_singularity,
     consensus_stability,
     find_singular_points,
-    flow_stability_probe,
     plane_reduce,
     sample_manifold,
-    slow_divergence_exact,
     slow_divergence_integral,
     tangent_slope_estimate,
 )
 from alf.prng import SplitMix64
+
+from float_oracles import flow_stability_probe, gauss_legendre_divergence
 
 
 def _ex1_plane(eps=Fraction(1, 10), values=(-1, -1, -1), n=3):
@@ -357,7 +357,7 @@ def test_tangent_slope_equals_scalar_continuation():
 def test_find_singular_points_needs_two_samples():
     f = ResponseFunction.from_roots([(1, 2), (-1, 2)])
     for samples in (1, 0, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             find_singular_points(f, -2.0, 2.0, samples)
 
 
@@ -538,40 +538,36 @@ def test_tangent_continuation_fails_without_crossing_branch():
 
 def test_slow_divergence_even_window_vanishes():
     ps = _ex1_plane()
-    assert abs(slow_divergence_integral(ps, -3, 3, quad_tol=1e-12)) <= 1e-12
-    assert slow_divergence_exact(ps, -3, 3) == 0
+    value = slow_divergence_integral(ps, -3, 3)
+    assert type(value) is Fraction and value == 0
 
 
 def test_slow_divergence_half_window():
     # antiderivative: -n^2 [f(k/n)] over [0,3] with f(1)=0, f(0)=1 gives 9
     ps = _ex1_plane()
-    assert slow_divergence_exact(ps, 0, 3) == 9
-    assert slow_divergence_integral(ps, 0, 3, quad_tol=1e-12) == pytest.approx(9.0, abs=1e-10)
+    assert slow_divergence_integral(ps, 0, 3) == 9
 
 
 def test_slow_divergence_linear_response():
     ps = PlaneSystem(n=3, f=ResponseFunction.linear())
-    assert slow_divergence_exact(ps, 0, 1) == -3
-    assert slow_divergence_integral(ps, 0, 1) == pytest.approx(-3.0, abs=1e-12)
+    assert slow_divergence_integral(ps, 0, 1) == -3
 
 
 @pytest.mark.parametrize("k1, k2, exact_value", [(-3, 3, -1152), (-1, 2, Fraction(-20672, 81))])
-def test_slow_divergence_of_a_degree_7_response_recurses_to_the_exact_value(monkeypatch, k1, k2, exact_value):
-    # f' has degree 6, where Simpson's rule is no longer exact: the quadrature halves its window
-    # (one level takes 5 integrand calls) and meets the antiderivative's value to the last bit
+def test_slow_divergence_of_a_degree_7_response_meets_gauss_legendre(k1, k2, exact_value):
+    # f' has degree 6: four Gauss-Legendre nodes integrate it exactly, up to the oracle's rounding bound
     f = ResponseFunction.from_roots([(Fraction(1, 3), 3), (-2, 2), (5, 2)])
     ps = PlaneSystem(n=3, f=f)
-    assert slow_divergence_exact(ps, k1, k2) == exact_value
-    calls = []
-    evaluate = ResponseFunction.eval
-    monkeypatch.setattr(ResponseFunction, "eval", lambda self, x: calls.append(x) or evaluate(self, x))
-    assert slow_divergence_integral(ps, k1, k2) == float(exact_value)
-    assert len(calls) > 5
+    assert slow_divergence_integral(ps, k1, k2) == exact_value
+    oracle, bound = gauss_legendre_divergence(ps, k1, k2)
+    assert abs(oracle - exact_value) <= bound
 
 
 def test_slow_divergence_requires_ordered_window():
     with pytest.raises(PreconditionError):
         slow_divergence_integral(_ex1_plane(), 1, 0)
+    with pytest.raises(PreconditionError):
+        slow_divergence_integral(_ex1_plane(), 1, 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -586,8 +582,9 @@ def test_slow_divergence_odd_integrand_vanishes(even_coeffs, half_width):
         coeffs.extend([c, 0])
     f = ResponseFunction.from_coeffs(coeffs[:-1] or [1])
     ps = PlaneSystem(n=4, f=f)
-    assert slow_divergence_exact(ps, -half_width, half_width) == 0
-    assert abs(slow_divergence_integral(ps, -half_width, half_width, 1e-11)) <= 1e-9
+    assert slow_divergence_integral(ps, -half_width, half_width) == 0
+    oracle, bound = gauss_legendre_divergence(ps, -half_width, half_width)
+    assert abs(oracle) <= bound
 
 
 @pytest.mark.parametrize("tag,lam", [("ex3a", Fraction(1, 2)), ("ex3b", Fraction(1, 2))])

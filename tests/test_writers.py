@@ -4,8 +4,8 @@
 as they were: a `ScalarContext.format` call per CSV cell, Python float
 arithmetic and one f-string per SVG point, and a series built by indexing
 each recorded state; the SVG reference takes its ranges over the finite
-values, widens an empty range and scales an overflowing span as `svg.py`
-does.  The writers must give their bytes exactly, on non-finite, subnormal
+values, widens an empty range, scales an overflowing span, ends a line
+at a non-finite point and draws a run of one point as a dot as `svg.py` does.  The writers must give their bytes exactly, on non-finite, subnormal
 and huge states, on the partial trajectory of a DivergenceError and in
 log-time mode with non-positive times.  Run with ``-W error::RuntimeWarning``:
 no numpy warning may escape the whole-array arithmetic.
@@ -118,8 +118,20 @@ def _ref_timeseries_svg(times, series, labels, log_time: bool = False, title: st
 
     for idx, (col, label) in enumerate(zip(cols, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(ts, col))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
+        # a non-finite point ends the line; each run of finite points is drawn as its own polyline
+        runs = [[]]
+        for t, v in zip(ts, col):
+            x, y = px(t), py(v)
+            if math.isfinite(x) and math.isfinite(y):
+                runs[-1].append(f"{x:.2f},{y:.2f}")
+            elif runs[-1]:
+                runs.append([])
+        for run in runs:
+            if len(run) > 1:
+                parts.append(f'<polyline points="{" ".join(run)}" fill="none" stroke="{color}" stroke-width="1.3"/>')
+            elif run:  # one point, which a polyline does not show: a dot
+                cx, cy = run[0].split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}"/>')
         ly = _MARGIN + 14 + 13 * idx
         parts.append(f'<line x1="{_WIDTH - _MARGIN - 70}" y1="{ly - 4}" '
                      f'x2="{_WIDTH - _MARGIN - 50}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
@@ -264,18 +276,27 @@ def test_svg_edge_cases_equal_the_per_point_code():
     ([-1e308, 1e308], [[1.0, 2.0], [3.0, 4.0]]),
     # no finite value at all: the empty plot's range
     ([0.0, 1.0], [[np.nan, np.inf], [-np.inf, np.nan]]),
+    # a lone finite value after non-finite ones, and one between them
+    ([0.0, 1.0, 2.0], [[np.nan, np.inf, 1.0]]),
+    ([0.0, 1.0, 2.0], [[np.nan, np.inf, 1.0], [np.nan, 2.0, -np.inf]]),
 ], ids=["span-overflows", "value-1.7e308", "value-max", "tick-rounds-past-max", "diverged-row", "time-1.7e308", "time-max",
-        "time-span-overflows", "no-finite-value"])
+        "time-span-overflows", "no-finite-value", "lone-last-value", "lone-values"])
 def test_every_finite_value_gets_a_finite_coordinate(times, series):
     labels = ["a", "b"]
     got = timeseries_svg(times, np.array(series), labels)
     assert got == _ref_timeseries_svg(times, series, labels)
-    polylines = [line for line in got.splitlines() if line.startswith("<polyline")]
-    for line, row in zip(polylines, series):
-        points = line.split('"')[1].split()
-        for (x, y), v in zip((p.split(",") for p in points), row):
-            assert math.isfinite(float(x)) and math.isfinite(float(y)) == math.isfinite(v)
-    rest = "".join(line for line in got.splitlines() if not line.startswith("<polyline"))
+    shapes = [line for line in got.splitlines() if line.startswith(("<polyline", "<circle"))]
+    for idx, row in enumerate(series):
+        # one polyline per maximal run of finite values, a dot for a run of one, every coordinate a finite number
+        lines = [line for line in shapes if f'="{_PALETTE[idx]}"' in line]
+        runs = [j for j, v in enumerate(row) if math.isfinite(v) and (j == 0 or not math.isfinite(row[j - 1]))]
+        lone = [j for j in runs if j + 1 == len(row) or not math.isfinite(row[j + 1])]
+        dots = [line.split('"')[1:4:2] for line in lines if line.startswith("<circle")]
+        points = [p.split(",") for line in lines if line.startswith("<polyline") for p in line.split('"')[1].split()]
+        assert len(lines) == len(runs) and len(dots) == len(lone)
+        assert len(points) + len(dots) == sum(math.isfinite(v) for v in row)
+        assert all(math.isfinite(float(x)) and math.isfinite(float(y)) for x, y in points + dots)
+    rest = "".join(line for line in got.splitlines() if not line.startswith(("<polyline", "<circle")))
     assert "nan" not in rest and "inf" not in rest
 
 
