@@ -50,7 +50,6 @@ from .slowfast import (
     plane_reduce,
     sample_manifold,
     slow_divergence_integral,
-    tangent_slope_estimate,
 )
 from .symmetry import (
     CanardCertificate,

@@ -17,7 +17,6 @@ from math import isfinite, lcm
 from numbers import Integral
 from operator import add, sub
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -28,8 +27,8 @@ from .errors import (
 )
 from .graph import Graph
 from .precision import (
-    ScalarContext, common_denominator, dyadic, exact, frame_array, frame_floats, round_frame, round_ratio,
-    round_rationals, rounded, signed,
+    ScalarContext, common_denominator, dyadic, exact, frame_array, frame_floats, is_mpf, lazy_mpmath, round_frame,
+    round_ratio, round_rationals, rounded, signed,
 )
 from .prng import SplitMix64
 from .response import ResponseField, float_constant
@@ -280,10 +279,10 @@ def vector_field(sys: PerturbedSystem, x):
             return out if isinstance(x, np.ndarray) else list(out)
         rationals = []
         for v in x:
-            if isinstance(v, mpmath.mpf):
-                if not mpmath.isfinite(v):
-                    return [mpmath.mpf("nan") for _ in x]
-                prec, v = mpmath.mp.prec, dyadic(v._mpf_)
+            if is_mpf(v):
+                if not lazy_mpmath.isfinite(v):
+                    return [lazy_mpmath.mpf("nan") for _ in x]
+                prec, v = lazy_mpmath.mp.prec, dyadic(v._mpf_)
             elif not isinstance(v, (int, Fraction)):
                 if not isinstance(v, Integral):
                     raise TypeError(f"vector_field reads floats, ints, Fractions and mpfs, not {type(v).__name__}")
@@ -692,7 +691,19 @@ def _fixed_rk4_dt(dt) -> tuple:
 
     dt/2, dt and dt/6 are rounded to the current precision, prec.
     """
-    return (*(signed(v._mpf_) for v in (dt / 2, dt, dt / 6)), mpmath.mp.prec)
+    return (*(signed(v._mpf_) for v in (dt / 2, dt, dt / 6)), lazy_mpmath.mp.prec)
+
+
+def _fixed_rk4_time(t_start, dt):
+    """The extended-tier time after `step` steps, t_start + step * dt, as the mpf operators compute it.
+
+    libmp's `mpf_mul_int` then `mpf_add`, at the current precision and to
+    nearest, give the operators' `_mpf_` tuples without their dispatch.
+    """
+    lib = lazy_mpmath
+    make, mul_int, add, prec, rnd = lib.make_mpf, lib.mpf_mul_int, lib.mpf_add, lib.mp.prec, lib.round_nearest
+    start, step_dt = t_start._mpf_, dt._mpf_
+    return lambda step: make(add(start, mul_int(step_dt, step, prec, rnd), prec, rnd))
 
 
 def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
@@ -701,10 +712,13 @@ def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
     dt = ctx.scalar(exact(t1) - exact(t0)) / nsteps
     t_start = ctx.scalar(t0)
     t = t_start
-    step_dt = _float_rk4_dt(dt) if ctx.is_float else _fixed_rk4_dt(dt)
+    if ctx.is_float:
+        step_dt, time = _float_rk4_dt(dt), lambda step: t_start + step * dt
+    else:
+        step_dt, time = _fixed_rk4_dt(dt), _fixed_rk4_time(t_start, dt)
     for step in range(1, nsteps + 1):
         y = _rk4_step(rhs, y, t, step_dt)
-        t = t_start + step * dt
+        t = time(step)
         if accept(step, t, y, step == nsteps):
             break
 
@@ -776,7 +790,7 @@ def _dp45_fixed_stages(rhs, y, fsal, dt):
     row of the tableau is b5, so the last stage input is the fifth-order
     solution; the error estimate sums the k_j with dt (b5_j - b4_j).
     """
-    prec = mpmath.mp.prec
+    prec = lazy_mpmath.mp.prec
     m, e = signed(dt._mpf_)
 
     def stage(base, row, ks):

@@ -4,6 +4,11 @@ Three tiers are exposed: 16 digits (native float64) and two extended tiers
 of 32 and 64 decimal digits backed by mpmath.  Extended tiers carry a few
 guard digits internally so that roundoff stays below the advertised level.
 
+mpmath is imported on first use, not with alf: the 16-digit tier and the
+exact analyses never meet an mpf.  Every mpmath name alf calls is an
+attribute of `lazy_mpmath`, bound on the first read of any of them, and
+`is_mpf` tests a value's type without importing anything.
+
 Each tier has one vector type: a float ndarray on the 16-digit tier, and an
 integer frame on the extended tiers, `(ints, exp)`: Python integers over one
 power of two, each component ints_i * 2**exp a value of the working
@@ -26,13 +31,12 @@ stop condition or an error norm reads it.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import mpmath
 import numpy as np
-from mpmath.libmp import MPZ, dps_to_prec, from_int, from_man_exp, fzero, mpf_div, round_nearest, to_float
 
 from .errors import PreconditionError
 
@@ -41,7 +45,35 @@ PRECISION_TIERS = (16, 32, 64)
 # guard digits keep accumulated roundoff under the advertised tier
 _GUARD_DIGITS = 3
 
-_make_mpf = mpmath.mp.make_mpf
+
+class _LazyMpmath:
+    """The mpmath and libmp names alf calls, imported and bound on the first read of any of them.
+
+    Later reads are plain attribute lookups: no import runs on a per-step
+    path.  mpmath picks its backend when it is imported, here as anywhere.
+    """
+
+    def __getattr__(self, name: str):
+        import mpmath
+        from mpmath import libmp
+
+        vars(self).update(
+            mp=mpmath.mp, mpf=mpmath.mpf, make_mpf=mpmath.mp.make_mpf, isfinite=mpmath.isfinite,
+            nstr=mpmath.nstr, workdps=mpmath.workdps, MPZ=libmp.MPZ, fzero=libmp.fzero,
+            dps_to_prec=libmp.dps_to_prec, from_int=libmp.from_int, from_man_exp=libmp.from_man_exp,
+            mpf_add=libmp.mpf_add, mpf_div=libmp.mpf_div, mpf_mul_int=libmp.mpf_mul_int,
+            round_nearest=libmp.round_nearest, to_float=libmp.to_float,
+        )
+        return object.__getattribute__(self, name)
+
+
+lazy_mpmath = _LazyMpmath()
+
+
+def is_mpf(value) -> bool:
+    """True for an mpmath mpf; no value is one before mpmath is loaded, so this loads nothing."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(value, mpmath.mpf)
 
 
 @dataclass(frozen=True)
@@ -65,22 +97,22 @@ class ScalarContext:
     @property
     def working_prec(self) -> int:
         """Working precision in bits, as `workprec` sets it."""
-        return dps_to_prec(self.working_dps)
+        return lazy_mpmath.dps_to_prec(self.working_dps)
 
     def workprec(self):
         """Context manager pinning the mpmath working precision (no-op for float)."""
         if self.is_float:
             return contextlib.nullcontext()
-        return mpmath.workdps(self.working_dps)
+        return lazy_mpmath.workdps(self.working_dps)
 
     def scalar(self, value):
         """Coerce ints, floats, Fractions, strings and mpf to the tier scalar."""
         if self.is_float:
             return float(value)
         if isinstance(value, Fraction):
-            return _make_mpf(round_ratio(value.numerator, 0, value.denominator, self.working_prec))
-        with mpmath.workdps(self.working_dps):
-            return mpmath.mpf(value)
+            return lazy_mpmath.make_mpf(round_ratio(value.numerator, 0, value.denominator, self.working_prec))
+        with lazy_mpmath.workdps(self.working_dps):
+            return lazy_mpmath.mpf(value)
 
     def vector(self, values):
         """The tier's vector of `values`: a float ndarray, or a frame (ints, exp) on the extended tiers.
@@ -92,7 +124,7 @@ class ScalarContext:
             return np.array([self.scalar(v) for v in values], dtype=float)
         scalars = [self.scalar(v) for v in values]
         for v in scalars:
-            if not mpmath.isfinite(v):
+            if not lazy_mpmath.isfinite(v):
                 raise PreconditionError(f"the {self.digits}-digit tier holds finite values only, not {v}")
         return round_rationals(*common_denominator([dyadic(v._mpf_) for v in scalars]), self.working_prec)
 
@@ -118,9 +150,9 @@ class ScalarContext:
         """Deterministic decimal string at working precision."""
         if self.is_float:
             return repr(float(value))
-        with mpmath.workdps(self.working_dps):
-            return mpmath.nstr(
-                mpmath.mpf(value),
+        with lazy_mpmath.workdps(self.working_dps):
+            return lazy_mpmath.nstr(
+                lazy_mpmath.mpf(value),
                 self.digits,
                 min_fixed=-(10**9),
                 max_fixed=10**9,
@@ -168,13 +200,13 @@ def round_frame(accs, exp: int, prec: int) -> tuple[list[int], int]:
 def _part(a: int, exp: int) -> tuple:
     """a * 2**exp as a normalized `_mpf_` tuple."""
     if not a:
-        return fzero
+        return lazy_mpmath.fzero
     sign = 0
     if a < 0:
         sign, a = 1, -a
     zeros = (a & -a).bit_length() - 1
     a >>= zeros
-    return sign, MPZ(a), exp + zeros, a.bit_length()
+    return sign, lazy_mpmath.MPZ(a), exp + zeros, a.bit_length()
 
 
 def frame_floats(frame) -> list[float]:
@@ -188,14 +220,15 @@ def frame_floats(frame) -> list[float]:
     """
     ints, exp = frame
     d = 1 << -exp
-    return [a / d if -1021 <= a.bit_length() + exp <= 1023 else to_float(_part(a, exp), rnd=round_nearest)
-            for a in ints]
+    return [a / d if -1021 <= a.bit_length() + exp <= 1023
+            else lazy_mpmath.to_float(_part(a, exp), rnd=lazy_mpmath.round_nearest) for a in ints]
 
 
 def frame_array(frame) -> np.ndarray:
     """The components of a frame as an mpf object array, each a normalized `_mpf_` tuple."""
     ints, exp = frame
-    return np.array([_make_mpf(_part(a, exp)) for a in ints], dtype=object)
+    make = lazy_mpmath.make_mpf
+    return np.array([make(_part(a, exp)) for a in ints], dtype=object)
 
 
 def signed(part) -> tuple[int, int]:
@@ -206,7 +239,8 @@ def signed(part) -> tuple[int, int]:
 
 def round_ratio(num: int, exp: int, den: int, prec: int) -> tuple:
     """num * 2**exp / den rounded once to prec bits, to nearest with ties to even."""
-    return mpf_div(from_man_exp(num, exp), from_int(den), prec, round_nearest)
+    lib = lazy_mpmath
+    return lib.mpf_div(lib.from_man_exp(num, exp), lib.from_int(den), prec, lib.round_nearest)
 
 
 def round_rationals(nums, den: int, prec: int) -> tuple[list[int], int]:

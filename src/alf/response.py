@@ -26,11 +26,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-import mpmath
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedStructureError
-from .precision import common_denominator, dyadic, exact, frame_array, round_rationals, rounded
+from .precision import common_denominator, dyadic, exact, frame_array, is_mpf, lazy_mpmath, round_rationals, rounded
 
 RESPONSE_FAMILIES = ("ex3a", "ex3b")
 
@@ -46,7 +45,7 @@ def float_constant(c: Fraction) -> float:
         return float(c)
     except OverflowError:
         raise PreconditionError(
-            f"response constant {mpmath.nstr(mpmath.mpf(c.numerator) / c.denominator, 6)} "
+            f"response constant {lazy_mpmath.nstr(lazy_mpmath.mpf(c.numerator) / c.denominator, 6)} "
             "is outside the float tier's range"
         ) from None
 
@@ -118,7 +117,7 @@ class ResponseFunction:
             return self.evaluator(x)
         if isinstance(x, np.ndarray) and x.dtype == float:
             return np.broadcast_to(self.evaluator(x), x.shape)
-        if isinstance(x, mpmath.mpf):
+        if is_mpf(x):
             return self._eval_mpf(x)
         q = Fraction(x)
         (value,), den = self.integer_evaluator()([q.numerator], q.denominator)
@@ -129,10 +128,10 @@ class ResponseFunction:
 
         A NaN or infinite x gets what mpf arithmetic on the form's loop gives.
         """
-        if not mpmath.isfinite(x):
+        if not lazy_mpmath.isfinite(x):
             # NaN and the infinities: the form's loop in mpf arithmetic
-            return self._routine(lambda c: mpmath.mpf(c.numerator) / c.denominator)(x)
-        prec, q = mpmath.mp.prec, dyadic(x._mpf_)
+            return self._routine(lambda c: lazy_mpmath.mpf(c.numerator) / c.denominator)(x)
+        prec, q = lazy_mpmath.mp.prec, dyadic(x._mpf_)
         values, den = self.integer_evaluator(prec)([q.numerator], q.denominator)
         return frame_array(round_rationals(values, den, prec))[0]
 

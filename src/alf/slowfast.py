@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .dynamics import PerturbedSystem, check_float_forcing
 from .errors import (
-    ContinuationFailedError,
     InvariantViolationError,
     PreconditionError,
     SymmetryViolationError,
@@ -31,7 +30,6 @@ import numpy as np
 
 SINGULAR_TOL = 1e-10
 BISECT_HALVINGS = 200  # halvings of a root bracket before the scan gives up on it
-TANGENT_STEP = 1e-5  # the offset h from the singular point in the tangent secant
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
@@ -539,38 +537,6 @@ def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int
         if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
             merged.append(r)
     return merged
-
-
-@np.errstate(all="ignore")
-def tangent_slope_estimate(ps: PlaneSystem, report: SingularityReport) -> float:
-    """Secant slope dk/dx of the crossing branch through the singular point.
-
-    Continues the non-consensus root of the layer equation from both sides
-    of the singular point: at x = x_s +/- h, h = TANGENT_STEP, the partner
-    coordinate r with f(r) = f(x) is found by Newton (both sides at once, 80
-    steps at most) from the mirrored guess 2 x_s - x, and k(x) = (n-1) x + r.
-    At this step the result should sit within 1e-3 of n - 2 for polynomial
-    responses.
-    """
-    if report.sing_type not in ("type-1", "type-2"):
-        raise PreconditionError("tangent continuation needs a transcritical report")
-    x_s = float(report.x_s)
-    f = ps.f
-    fp = f.derivative()
-    h = TANGENT_STEP
-    xs = np.array([x_s + h, x_s - h])
-    targets = f.eval(xs)
-    partners = _newton(lambda v, target: f.eval(v) - target, lambda v, _: fp.eval(v),
-                       2 * x_s - xs, targets, 80)
-    ks = []
-    for x, r, target in zip(xs.tolist(), partners.tolist(), targets.tolist()):
-        if abs(float(f.eval(r)) - target) > 1e-8 * (1.0 + abs(target)):
-            raise ContinuationFailedError(f"no partner root found near x={x}")
-        if abs(r - x) < abs(x - x_s) / 2:
-            raise ContinuationFailedError(f"continuation collapsed onto the consensus root at x={x}")
-        ks.append((ps.n - 1) * x + r)
-    k_plus, k_minus = ks
-    return (k_plus - k_minus) / (2 * h)
 
 
 # ---------------------------------------------------------------------------

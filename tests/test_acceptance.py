@@ -26,7 +26,6 @@ from alf import (
     plane_reduce,
     sample_manifold,
     slow_divergence_integral,
-    tangent_slope_estimate,
     to_standard_form,
     vector_field,
 )
@@ -35,7 +34,7 @@ from alf.precision import ScalarContext
 from alf.prng import SplitMix64
 
 from conftest import random_permutation, rational_state
-from float_oracles import flow_stability_probe, gauss_legendre_divergence
+from float_oracles import flow_stability_probe, gauss_legendre_divergence, tangent_slope_estimate
 
 EX1_RESPONSE = ResponseFunction.from_roots([(1, 2), (-1, 2)])
 

@@ -27,6 +27,26 @@ def _run_cli(*args):
                           timeout=60)
 
 
+def test_float_and_analysis_commands_load_no_mpmath(tmp_path):
+    # mpmath is imported on the first 32/64-digit run or mpf value: the 16-digit simulate and the analysis
+    # commands run without it, in one interpreter one after another, and the 32-digit canard loads it
+    commands = [["simulate", "--preset", "ex2-unweighted", "--svg"], ["manifold", "--preset", "ex1-manifold"],
+                ["singularities", "--preset", "ex1"], ["divergence", "--preset", "ex1"],
+                ["bifurcation", "--preset", "ex3a"], ["canard", "--preset", "ex1-canard"]]
+    script = ("import json, sys\n"
+              "from alf.cli import main\n"
+              "runs = [(main([*args, '--out', sys.argv[2]]), 'mpmath' in sys.modules)\n"
+              "        for args in json.loads(sys.argv[1])]\n"
+              "print(json.dumps(runs))\n")
+    env = {k: v for k, v in os.environ.items() if k != "ALF_DIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    assert runs == [[0, False]] * 5 + [[0, True]]
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))

@@ -228,5 +228,6 @@ def test_cli_import_loads_no_jsonschema():
     proc = subprocess.run([sys.executable, "-c", "import sys, alf.cli; print(*sys.modules)"],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     loaded = {name.split(".")[0] for name in proc.stdout.split()}
-    assert {"alf", "numpy", "mpmath"} <= loaded
+    # mpmath is imported on the first 32/64-digit run or mpf value, not with alf
+    assert {"alf", "numpy"} <= loaded and "mpmath" not in loaded
     assert loaded.isdisjoint({"jsonschema", "referencing", "rpds", "attrs", "attr", "jsonschema_specifications"})

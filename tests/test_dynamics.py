@@ -29,7 +29,7 @@ from alf import (
 from alf import dynamics
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
 from alf.errors import DimensionMismatchError, PreconditionError
-from alf.precision import ScalarContext, frame_array
+from alf.precision import ScalarContext, exact, frame_array
 from alf.prng import SplitMix64
 
 from conftest import dense_laplacian, rational_state
@@ -494,6 +494,19 @@ def test_conservation_across_integrator_precision_combinations(method, digits, e
     assert drift <= 1e-9 * abs(float(k0))
     assert float(traj.times[0]) == 0.5
     assert abs(float(traj.times[-1]) - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+def test_extended_rk4_times_are_start_plus_step_times_dt_in_mpf(digits):
+    # each recorded time is t_start + step * dt as the mpf operators round it at the run's precision
+    sys_ = _system(3, ResponseFunction.from_coeffs([0, 1]))
+    traj = integrate(sys_, [0.1, 0.2, 0.3], (0.3, 1.7), IntegratorConfig(method="rk4", dt=0.01, digits=digits))
+    ctx = ScalarContext(digits)
+    with ctx.workprec():
+        t_start = ctx.scalar(0.3)
+        dt = ctx.scalar(exact(1.7) - exact(0.3)) / 140
+        expected = [t_start + step * dt for step in range(141)]
+    assert [t._mpf_ for t in traj.times] == [t._mpf_ for t in expected]
 
 
 def test_dp45_clipped_last_step_lands_on_the_end_time():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +22,10 @@ from alf import (
     plane_reduce,
     sample_manifold,
     slow_divergence_integral,
-    tangent_slope_estimate,
 )
 from alf.prng import SplitMix64
 
-from float_oracles import flow_stability_probe, gauss_legendre_divergence
+from float_oracles import flow_stability_probe, gauss_legendre_divergence, newton_polish, tangent_slope_estimate
 
 
 def _ex1_plane(eps=Fraction(1, 10), values=(-1, -1, -1), n=3):
@@ -232,23 +230,6 @@ def _bisect_root(func, lo, hi, iterations=200):
     return 0.5 * (lo + hi)
 
 
-def _newton_polish(func, deriv, x0, iterations=30):
-    x = x0
-    for _ in range(iterations):
-        fx = func(x)
-        dx = deriv(x)
-        if dx == 0.0 or not math.isfinite(dx):
-            break
-        step = fx / dx
-        x_new = x - step
-        if not math.isfinite(x_new):
-            break
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    return x
-
-
 def _scalar_scan_roots(func, deriv, lo, hi, count, seen):
     """The scalar scan; `seen` counts grid zeros, end-point zeros and rejected polishes."""
     step = (hi - lo) / (count - 1)
@@ -263,7 +244,7 @@ def _scalar_scan_roots(func, deriv, lo, hi, count, seen):
             continue
         if (a < 0) != (b < 0):
             root = _bisect_root(func, x_a, x_a + step)
-            polished = _newton_polish(func, deriv, root)
+            polished = newton_polish(func, deriv, root)
             if abs(polished - root) <= step and abs(func(polished)) <= abs(func(root)):
                 root = polished
             else:
@@ -327,31 +308,6 @@ def test_array_scan_roots_equal_scalar_scan():
             found = find_singular_points(f, lo, hi, count)
             assert [repr(r) for r in found] == [repr(r) for r in merged]
     assert all(seen.values()), seen  # every branch of the scan was exercised
-
-
-def _scalar_tangent_slope(ps, report, h_step=1e-5):
-    x_s = float(report.x_s)
-    f, fp = ps.f, ps.f.derivative()
-
-    def partner(x):
-        target = float(f.eval(x))
-        return _newton_polish(lambda v: float(f.eval(v)) - target, lambda v: float(fp.eval(v)),
-                              2 * x_s - x, iterations=80)
-
-    h = float(h_step)
-    k_plus = (ps.n - 1) * (x_s + h) + partner(x_s + h)
-    k_minus = (ps.n - 1) * (x_s - h) + partner(x_s - h)
-    return (k_plus - k_minus) / (2 * h)
-
-
-def test_tangent_slope_equals_scalar_continuation():
-    for n in (3, 5, 10):
-        ps = _ex1_plane(values=(-1,) * n, n=n)
-        for x_s in (1, 0, -1):
-            report = analyze_singularity(ps, x_s)
-            slope = tangent_slope_estimate(ps, report)
-            assert type(slope) is float
-            assert repr(slope) == repr(_scalar_tangent_slope(ps, report, h_step=1e-5))
 
 
 def test_find_singular_points_needs_two_samples():

@@ -6,13 +6,19 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alf"
 
 
-def _nodes():
-    """(file name, node) for every AST node of every package module."""
+def _modules():
+    """(file name, AST) for every package module."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            yield path.name, node
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _nodes():
+    """(file name, node) for every AST node of every package module."""
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_no_assert_statements_in_package():
@@ -33,4 +39,28 @@ def test_no_bare_value_error_raised_in_package():
         for name, node in _nodes()
         if isinstance(node, ast.Raise) and node.exc is not None and raised_name(node) == "ValueError"
     ]
+    assert found == []
+
+
+def test_no_module_imports_mpmath_at_import_time():
+    # `import alf` loads no mpmath: only the extended tiers and mpf values need it, and they import it inside
+    # a function, on first use (`precision.lazy_mpmath`)
+    def import_time_nodes(node):
+        # a function body runs when the function is called, not when its module is imported
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from import_time_nodes(child)
+
+    def imports_mpmath(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            return False
+        return any(name == "mpmath" or name.startswith("mpmath.") for name in names)
+
+    found = [f"{name}:{node.lineno}" for name, tree in _modules() for node in import_time_nodes(tree)
+             if imports_mpmath(node)]
     assert found == []
