@@ -20,7 +20,6 @@ from .dynamics import (
 from .errors import (
     AlfError,
     ConfigError,
-    ContinuationFailedError,
     DimensionMismatchError,
     DivergenceError,
     IntegrationStalledError,
@@ -49,6 +48,7 @@ from .slowfast import (
     find_singular_points,
     plane_reduce,
     sample_manifold,
+    sample_manifolds,
     slow_divergence_integral,
 )
 from .symmetry import (

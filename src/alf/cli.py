@@ -52,6 +52,7 @@ from .slowfast import (
     find_singular_points,
     plane_reduce,
     sample_manifold,
+    sample_manifolds,
     slow_divergence_integral,
 )
 from .svg import timeseries_svg
@@ -328,13 +329,11 @@ def cmd_bifurcation(cfg: dict, args) -> int:
     n = graph.n
     k_range, x_range, grid, residual_tol = _analysis(cfg, "k_range", "x_range", "grid", "residual_tol")
     (lambda_values,) = _analysis(cfg, "lambda_values")
-    # every sample passes its residual gate before the file is opened
-    samples = [
-        (f"{family},{float(lam)!r},", sample_manifold(PlaneSystem(n=n, f=ResponseFunction.family(family, lam)),
-                                                       k_range, x_range, tuple(grid), residual_tol))
-        for lam in lambda_values
-    ]
-    _write(args, "bifurcation.csv", _points_csv("family,lambda,", samples))
+    # one scan pass for the sweep; every sample passes its residual gate before the file is opened
+    systems = [PlaneSystem(n=n, f=ResponseFunction.family(family, lam)) for lam in lambda_values]
+    samples = sample_manifolds(systems, k_range, x_range, tuple(grid), residual_tol)
+    prefixes = [f"{family},{float(lam)!r}," for lam in lambda_values]
+    _write(args, "bifurcation.csv", _points_csv("family,lambda,", list(zip(prefixes, samples))))
     return EXIT_OK
 
 

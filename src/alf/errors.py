@@ -33,10 +33,6 @@ class InvariantViolationError(AlfError):
     """A computed result failed a check it must pass (residual gate, cross-check)."""
 
 
-class ContinuationFailedError(AlfError):
-    """Branch continuation could not locate the non-consensus root."""
-
-
 class ConfigError(AlfError):
     """Scenario configuration failed schema validation."""
 

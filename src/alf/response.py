@@ -116,7 +116,9 @@ class ResponseFunction:
         if isinstance(x, float):
             return self.evaluator(x)
         if isinstance(x, np.ndarray) and x.dtype == float:
-            return np.broadcast_to(self.evaluator(x), x.shape)
+            value = self.evaluator(x)
+            # a float for a constant, a numpy scalar for a 0-d x, else already an array of x's shape
+            return value if type(value) is np.ndarray else np.full(x.shape, value)
         if is_mpf(x):
             return self._eval_mpf(x)
         q = Fraction(x)

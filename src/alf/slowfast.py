@@ -216,25 +216,28 @@ def _bisect(func, lo, hi, flo, p, where: str):
 
     Each element stops at mid = 0.5 (lo + hi) once func(mid) is exactly 0 or
     the bracket is narrower than 1e-15 max(1, |mid|).  (np.fmax, like
-    Python's max(1.0, v), gives 1.0 for a NaN.)  A bracket still wider after
-    BISECT_HALVINGS halvings raises InvariantViolationError, its message led by
-    `where`: its midpoint need not be near a root.
+    Python's max(1.0, v), gives 1.0 for a NaN.)  lo and hi are halved in
+    place; the arrays are compacted, in order, only on a halving where some
+    element stopped.  A bracket still wider after BISECT_HALVINGS halvings
+    raises InvariantViolationError, its message led by `where`: its midpoint
+    need not be near a root.
     """
     out = np.empty_like(lo)
     active = np.arange(len(lo))
+    negative = flo < 0  # only the sign of func(lo) is read, and moving lo to mid keeps it
     for _ in range(BISECT_HALVINGS):
         if not len(active):
             break
         mid = 0.5 * (lo + hi)
         fmid = func(mid, p)
         done = (fmid == 0.0) | (hi - lo < 1e-15 * np.fmax(np.abs(mid), 1.0))
-        out[active[done]] = mid[done]
-        go = ~done
-        active, lo, hi, flo, p, mid, fmid = (a[go] for a in (active, lo, hi, flo, p, mid, fmid))
-        left = (flo < 0) != (fmid < 0)
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fmid)
+        if done.any():
+            out[active[done]] = mid[done]
+            go = ~done
+            active, lo, hi, negative, p, mid, fmid = (a[go] for a in (active, lo, hi, negative, p, mid, fmid))
+        right = negative == (fmid < 0)
+        np.copyto(hi, mid, where=~right)
+        np.copyto(lo, mid, where=right)
     if len(active):
         widest = int(np.argmax(hi - lo))
         raise InvariantViolationError(
@@ -249,11 +252,17 @@ def _newton(func, deriv, x, p, iterations: int):
 
     An element keeps its current point where the derivative is 0 or not
     finite, or where the step leaves the finite floats; it takes the new
-    point once the step is at most 1e-16 max(1, |x|).
+    point once the step is at most 1e-16 max(1, |x|).  An element back at a
+    point it held before repeats that cycle, which never stopped it, to the
+    last iteration, so it ends once the iterations left are whole cycles
+    (Brent's detection: the point held at the last power-of-two step is the
+    mark).  The arrays are compacted, in order, only on an iteration where
+    some element finished.
     """
     out = np.array(x, dtype=float)
     active = np.arange(len(out))
-    for _ in range(iterations):
+    mark, mark_at, last = x, 0, np.full(len(out), iterations)  # every element ends by the last iteration
+    for i in range(1, iterations + 1):
         if not len(active):
             break
         fx = func(x, p)
@@ -262,30 +271,39 @@ def _newton(func, deriv, x, p, iterations: int):
         x_new = x - step
         stop = (dx == 0.0) | ~np.isfinite(dx) | ~np.isfinite(x_new)
         converged = ~stop & (np.abs(step) <= 1e-16 * np.fmax(np.abs(x), 1.0))
-        out[active[stop]] = x[stop]
-        out[active[converged]] = x_new[converged]
-        go = ~(stop | converged)
-        active, x, p = active[go], x_new[go], p[go]
-    out[active] = x
+        # a cycle of i - mark_at steps: the point at step `last` is the point at the last iteration
+        np.copyto(last, i + (iterations - i) % (i - mark_at), where=x_new == mark)
+        finished = converged | (~stop & (last == i))
+        done = stop | finished
+        if done.any():
+            out[active[stop]] = x[stop]
+            out[active[finished]] = x_new[finished]
+            go = ~done
+            active, x_new, p, mark, last = (a[go] for a in (active, x_new, p, mark, last))
+        if i & (i - 1) == 0:
+            mark, mark_at = x_new, i
+        x = x_new
     return out
 
 
 @np.errstate(all="ignore")
 def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[list[float]]:
-    """Zeros of func(., p) over `count` evenly spaced points of [lo, hi], per p of params.
+    """Zeros of func(., p) over `count` evenly spaced points of [lo, hi], per row p of params.
 
-    func and deriv work elementwise on float arrays x and p, so one array
-    pass scans every gridline.  A grid point where func is exactly 0 is a
-    root itself (the end point included).  Each sign change between
-    neighbours is bisected; the Newton polish of that root is kept only when
-    it moves the root by at most one grid step and does not raise the
-    residual.  Each root has the bits of a scan of one point at a time; the
-    roots of each p come back as Python floats, in scan order.
+    A row is a float or a 1-D row such as (k, system index).  func and deriv
+    work elementwise on a float array x and the rows p of its elements, so
+    one array pass scans every gridline; compaction keeps the row order.  A
+    grid point where func is exactly 0 is a root itself (the end point
+    included).  Each sign change between neighbours is bisected; its Newton
+    polish is kept only when it moves the root by at most one grid step and
+    does not raise the residual.  Each root has the bits of a scan of one
+    point at a time; the roots of each row come back as Python floats, in
+    scan order.
     """
     params = np.asarray(params, dtype=float)
     step = (hi - lo) / (count - 1)
     grid = lo + np.arange(count) * step
-    values = np.broadcast_to(func(grid, params[:, None]), (len(params), count))
+    values = func(np.tile(grid, len(params)), np.repeat(params, count, axis=0)).reshape(len(params), count)
     left, right = values[:, :-1], values[:, 1:]
     zero = left == 0.0
     bracket = ~zero & ((left < 0) != (right < 0))
@@ -313,16 +331,40 @@ def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[l
     return out
 
 
-@np.errstate(all="ignore")
+def _by_system(systems, fn):
+    """fn(ps, x, k) over scan rows (k, system index) grouped by system, one call per system's slice."""
+    if len(systems) == 1:
+        (ps,) = systems
+        return lambda x, rows: fn(ps, x, rows[:, 0])
+    index = np.arange(len(systems) + 1)
+
+    def apply(x, rows):
+        cuts = np.searchsorted(rows[:, 1], index).tolist()
+        parts = [fn(ps, x[a:b], rows[a:b, 0]) for ps, a, b in zip(systems, cuts, cuts[1:]) if a < b]
+        return np.concatenate(parts) if parts else x
+
+    return apply
+
+
 def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float = 1e-10) -> ManifoldSample:
-    """Root scan of the layer equation over a (k, x) window on an (nk, nx) `grid`.
+    """The critical set of ps over a (k, x) window: `sample_manifolds` of one system."""
+    (sample,) = sample_manifolds([ps], k_range, x_range, grid, residual_tol)
+    return sample
+
+
+@np.errstate(all="ignore")
+def sample_manifolds(systems, k_range, x_range, grid, residual_tol: float = 1e-10) -> list[ManifoldSample]:
+    """Root scan of each system's layer equation over one (k, x) window on an (nk, nx) `grid`.
 
     One `_scan_roots` pass finds the roots of f(x) - f(k - (n-1)x) on every
-    k gridline; the consensus root k/n is always included.  Branch ids connect
-    nearest roots across consecutive gridlines (threshold five x-grid
-    spacings); the consensus chain keeps a stable id.  Residuals, curvatures
-    and rates are computed for all points at once; the first point whose
-    residual exceeds `residual_tol` raises InvariantViolationError.
+    k gridline of every system: its rows are (k, system index), grouped by
+    system, and each system evaluates its own rows, so each root has the bits
+    of a scan of that system alone; a bracket it cannot resolve is refused
+    first.  Then, system by system: the consensus root k/n is always
+    included; branch ids connect nearest roots across consecutive gridlines
+    (threshold five x-grid spacings), the consensus chain keeping a stable
+    id; the first point whose residual exceeds `residual_tol` raises
+    InvariantViolationError; curvatures and rates tag every point.
     """
     nk, nx = grid
     if nk < 2 or nx < 2:
@@ -331,8 +373,15 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
     x_lo, x_hi = map(float, x_range)
     link_tol = 5.0 * ((x_hi - x_lo) / (nx - 1))
     ks = [k_lo + (k_hi - k_lo) * ik / (nk - 1) for ik in range(nk)]
-    scans = _scan_roots(ps.layer_value, lambda x, k: -ps.layer_jacobian(x, k), x_lo, x_hi, nx, ks)
+    rows = np.array([(k, s) for s in range(len(systems)) for k in ks], dtype=float).reshape(-1, 2)
+    scans = _scan_roots(_by_system(systems, lambda ps, x, k: ps.layer_value(x, k)),
+                        _by_system(systems, lambda ps, x, k: -ps.layer_jacobian(x, k)), x_lo, x_hi, nx, rows)
+    return [_manifold_sample(ps, ks, scans[s * nk:(s + 1) * nk], x_lo, x_hi, link_tol, residual_tol)
+            for s, ps in enumerate(systems)]
 
+
+def _manifold_sample(ps: PlaneSystem, ks, scans, x_lo, x_hi, link_tol, residual_tol) -> ManifoldSample:
+    """Branches, residual gate and tags of one system's scanned gridlines (`sample_manifold`)."""
     entries: list[tuple[float, float, int, bool]] = []  # (k, x, branch, consensus)
     next_branch = 1
     prev: list[tuple[float, int]] = []  # (x, branch) on the previous gridline

@@ -27,10 +27,14 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from alf.errors import ContinuationFailedError, PreconditionError
+from alf.errors import AlfError, PreconditionError
 from alf.slowfast import ATTRACTING, REPELLING, SINGULAR, PlaneSystem, SingularityReport
 
 TANGENT_STEP = 1e-5  # the offset h from the singular point in the tangent secant
+
+
+class ContinuationFailedError(AlfError):
+    """Branch continuation could not locate the non-consensus root."""
 
 
 def flow_stability_probe(ps: PlaneSystem, k: float, offset: float = 1e-6) -> str:

@@ -392,6 +392,28 @@ def test_manifold_residual_gate_exit_code(tmp_path, capsys):
     assert not (out / "bifurcation.csv").exists()
 
 
+def test_bifurcation_sweep_refuses_with_the_first_failing_lambda(tmp_path, capsys):
+    # the sweep scans every lambda in one pass, then gates them in order: its error is the first failing
+    # lambda's own, and no CSV is written
+    from alf import InvariantViolationError, PlaneSystem, ResponseFunction, sample_manifold
+
+    lams = [0.0, 0.75, -0.5, 0.75]
+    window = get_preset("ex3b")["analysis"]
+    first = None
+    for lam in lams:
+        try:
+            sample_manifold(PlaneSystem(n=3, f=ResponseFunction.family("ex3b", lam)), window["k_range"],
+                            window["x_range"], tuple(window["grid"]), 1e-30)
+        except InvariantViolationError as err:
+            first = str(err)
+            break
+    override = _write(tmp_path, "sweep.json", {"analysis": {"residual_tol": 1e-30, "lambda_values": lams}})
+    out = tmp_path / "sweep"
+    assert main(["bifurcation", "--preset", "ex3b", "--config", override, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "InvariantViolationError", "details": [first]}
+    assert not (out / "bifurcation.csv").exists()
+
+
 def test_manifold_residual_gate_survives_optimised_python(tmp_path):
     # python -O strips assert statements; the gate must not depend on them
     override = _write(tmp_path, "tight.json", {"analysis": {"residual_tol": 1e-30}})

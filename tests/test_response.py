@@ -186,6 +186,20 @@ def _float_reference(f: ResponseFunction, x: float) -> float:
     return acc
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_eval_of_a_float_array_is_an_array_of_its_shape(shape):
+    # a constant, a root-form and a coefficient-form response; each element has the evaluator's bits
+    rng = SplitMix64(len(shape) + 90)
+    x = np.array([rng.uniform(-3, 3) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    for f in (ResponseFunction.from_coeffs([Fraction(-5, 2)]), ResponseFunction.from_roots([(1, 2), (Fraction(-1, 3), 1)]),
+              ResponseFunction.from_coeffs([1, Fraction(-3, 4), 0, 2])):
+        got = f.eval(x)
+        assert type(got) is np.ndarray and got.dtype == float and got.shape == shape
+        assert [repr(v) for v in got.ravel().tolist()] == [repr(float(f.evaluator(v))) for v in x.ravel().tolist()]
+        if f.degree == 0:
+            assert (got == -2.5).all()
+
+
 @pytest.mark.parametrize("digits", (16, 32, 64))
 @pytest.mark.parametrize("case", sorted(_EVALUATOR_CASES))
 def test_evaluator_equals_eval_bit_for_bit(case, digits):

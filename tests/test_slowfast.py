@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alf import (
-    ContinuationFailedError,
     Graph,
     InvariantViolationError,
     Perturbation,
@@ -21,11 +21,18 @@ from alf import (
     find_singular_points,
     plane_reduce,
     sample_manifold,
+    sample_manifolds,
     slow_divergence_integral,
 )
 from alf.prng import SplitMix64
 
-from float_oracles import flow_stability_probe, gauss_legendre_divergence, newton_polish, tangent_slope_estimate
+from float_oracles import (
+    ContinuationFailedError,
+    flow_stability_probe,
+    gauss_legendre_divergence,
+    newton_polish,
+    tangent_slope_estimate,
+)
 
 
 def _ex1_plane(eps=Fraction(1, 10), values=(-1, -1, -1), n=3):
@@ -308,6 +315,97 @@ def test_array_scan_roots_equal_scalar_scan():
             found = find_singular_points(f, lo, hi, count)
             assert [repr(r) for r in found] == [repr(r) for r in merged]
     assert all(seen.values()), seen  # every branch of the scan was exercised
+
+
+def test_lock_step_scan_compacts_as_elements_finish():
+    from alf.slowfast import _bisect, _by_system, _newton, _scan_roots
+
+    def counted(fn, lengths):
+        def func(x, p):
+            lengths.append(len(x))
+            return fn(x, p)
+        return func
+
+    # brackets of x - r: [-1, 1] stops on an exact zero at its first midpoint and [0, 1] at its second; the
+    # others run to the stop rule's width, after 41, 53 and 56 halvings
+    brackets = [(-1.0, 1.0, 0.0), (-1.0, 3.0, 1 / 3), (0.0, 1.0, 0.75), (-2.0, 70.0, math.pi), (1e3, 1e3 + 1, 1e3 + 0.1)]
+    lo, hi, r = (np.array(column) for column in zip(*brackets))
+    lengths = []
+    got = _bisect(counted(lambda x, p: x - p, lengths), lo.copy(), hi.copy(), lo - r, r, "test")
+    for (a, b, root), x in zip(brackets, got.tolist()):
+        assert repr(x) == repr(_bisect_root(lambda v: v - root, a, b))
+    assert lengths[:3] == [5, 4, 3] and len(lengths) > 45
+    assert sorted(set(lengths)) == [1, 2, 3, 4, 5]
+
+    # Newton on x^2 - p: a zero derivative stops at once, an overflowing step leaves the finite floats and an
+    # exact root converges at once; 1 -> 2 converges after 7 steps, and from 1.5 and 100 Newton ends in a
+    # 2-cycle around sqrt(2), which it would repeat to the 30th step
+    starts = [(0.0, 2.0), (1.0, 4.0), (1.5, 2.0), (1e200, 1.0), (3.0, 9.0), (100.0, 2.0)]
+    x0, p = (np.array(column) for column in zip(*starts))
+    lengths = []
+    with np.errstate(all="ignore"):
+        got = _newton(counted(lambda x, p: x * x - p, lengths), lambda x, p: 2.0 * x, x0, p, 30)
+    for (start, target), x in zip(starts, got.tolist()):
+        assert repr(x) == repr(newton_polish(lambda v: v * v - target, lambda v: 2.0 * v, start))
+    assert lengths[:2] == [6, 3] and len(set(lengths)) >= 3 and len(lengths) < 30
+    # starts met in manifold scans: Newton ends in a cycle of 3 points (two of them) or at a point that its
+    # nonzero step no longer moves
+    for ps, k, start in ((PlaneSystem(n=5, f=ResponseFunction.from_roots([(1, 2), (-1, 2)])), 0.5, 0.09999999999999992),
+                         (PlaneSystem(n=4, f=ResponseFunction.family("ex3a", 1.3)), 2.8000000000000007, 1.100000000000001),
+                         (PlaneSystem(n=8, f=ResponseFunction.family("ex3b", 1.3)), -5.6, -1.0186401500169997)):
+        lengths = []
+        got = _newton(counted(lambda x, k: ps.layer_value(x, k), lengths), lambda x, k: -ps.layer_jacobian(x, k),
+                      np.array([start]), np.array([k]), 30)
+        want = newton_polish(lambda x: float(ps.layer_value(x, k)), lambda x: -ps.layer_jacobian(x, k), start)
+        assert repr(float(got[0])) == repr(want) and len(lengths) < 30
+
+    # one pass over the rows (k, system index) of every scan response equals the scalar scan of each row
+    rng = SplitMix64(4343)
+    systems = [PlaneSystem(n=2 + idx % 8, f=f) for idx, f in enumerate(_scan_responses(rng))]
+    seen = {"grid zero": 0, "end zero": 0, "rejected polish": 0}
+    for ks, lo, hi, count in (([-3.0, 0.0, 0.75, 2.5], -2.5, 2.5, 201), ([1.5, -1.0], -2.2, 1.9, 64)):
+        rows = [(k, s) for s in range(len(systems)) for k in ks]
+        got = _scan_roots(_by_system(systems, lambda ps, x, k: ps.layer_value(x, k)),
+                          _by_system(systems, lambda ps, x, k: -ps.layer_jacobian(x, k)), lo, hi, count, rows)
+        assert len(got) == len(rows)
+        for (k, s), roots in zip(rows, got):
+            ps = systems[s]
+            ref = _scalar_scan_roots(lambda x: float(ps.layer_value(x, k)), lambda x: -ps.layer_jacobian(x, k),
+                                     lo, hi, count, seen)
+            assert [repr(x) for x in roots] == [repr(x) for x in ref], (s, k, lo, hi, count)
+
+
+def _point_bits(sample):
+    return [(repr(p.k), repr(p.x), p.branch, p.stability, p.consensus) for p in sample.points]
+
+
+def test_manifold_sweep_equals_its_parts():
+    rng = SplitMix64(2828)
+    window = {"k_range": (-4.5, 4.5), "x_range": (-2.5, 2.5), "grid": (31, 81), "residual_tol": 1e-9}
+    for family in ("ex3a", "ex3b"):
+        # 0, then seeded values, one of them repeated and one negated
+        lams = [0.0] + [rng.uniform(0.1, 1.5) for _ in range(3)]
+        lams += [lams[1], -lams[2]]
+        systems = [PlaneSystem(n=3, f=ResponseFunction.family(family, lam)) for lam in lams]
+        swept = sample_manifolds(systems, **window)
+        assert len(swept) == len(systems)
+        for ps, sample in zip(systems, swept):
+            assert _point_bits(sample) == _point_bits(sample_manifold(ps, **window))
+        assert _point_bits(swept[1]) == _point_bits(swept[4])
+
+        # the sweep refuses with the message of the first system whose own call fails its residual gate
+        tight = dict(window, residual_tol=1e-30)
+        first = None
+        for ps in systems:
+            try:
+                sample_manifold(ps, **tight)
+            except InvariantViolationError as err:
+                first = str(err)
+                break
+        assert first is not None
+        with pytest.raises(InvariantViolationError) as caught:
+            sample_manifolds(systems, **tight)
+        assert str(caught.value) == first
 
 
 def test_find_singular_points_needs_two_samples():
