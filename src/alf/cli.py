@@ -145,12 +145,12 @@ def _json(payload):
 
 def _points_csv(columns: str, samples):
     """A writer of critical-set points: the header `columns` + k,x,branch_id,stability, then a row
-    per point of each (prefix, ManifoldSample) pair, the prefix holding the values of `columns`."""
+    per point of each (prefix, ManifoldSample) pair from its columns, the prefix holding the values of `columns`."""
     def write(fh):
         fh.write(columns + "k,x,branch_id,stability\n")
         for prefix, sample in samples:
-            for p in sample.points:
-                fh.write(f"{prefix}{p.k!r},{p.x!r},{p.branch},{p.stability}\n")
+            fh.writelines(f"{prefix}{k!r},{x!r},{branch},{tag}\n"
+                          for k, x, branch, tag in zip(sample.k, sample.x, sample.branch, sample.stability))
     return write
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from math import isfinite, lcm
 from numbers import Integral
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -192,7 +192,8 @@ class PerturbedSystem:
         return False
 
     def slow_value(self, y):
-        return reduce(add, y)
+        """The node sum, one left fold; an array's `tolist()` folds Python floats (the same doubles) or its mpfs."""
+        return reduce(add, y.tolist() if type(y) is np.ndarray else y)
 
     def rhs_function(self, ctx: ScalarContext):
         if ctx.is_float:
@@ -818,12 +819,31 @@ def _error_norm(y, y5, delta, tol: float) -> float:
     return float(np.fmax.reduce(np.abs(_floats(delta)) / scale, initial=0.0))
 
 
+def _dp45_time_ops(ctx) -> tuple:
+    """The dp45 loop's a + b, a - b and dt * factor (a float) for the tier's scalars.
+
+    The float tier takes the float operators.  On the extended tiers libmp's
+    `mpf_add`, `mpf_sub` and `mpf_mul` at the current precision, to nearest,
+    with the factor converted exactly by `from_float`, give the mpf
+    operators' `_mpf_` tuples without their dispatch.
+    """
+    if ctx.is_float:
+        return add, sub, mul
+    lib = lazy_mpmath
+    make, prec, rnd, from_float = lib.make_mpf, lib.mp.prec, lib.round_nearest, lib.from_float
+    mpf_add, mpf_sub, mpf_mul = lib.mpf_add, lib.mpf_sub, lib.mpf_mul
+    return (lambda a, b: make(mpf_add(a._mpf_, b._mpf_, prec, rnd)),
+            lambda a, b: make(mpf_sub(a._mpf_, b._mpf_, prec, rnd)),
+            lambda dt, factor: make(mpf_mul(dt._mpf_, from_float(factor), prec, rnd)))
+
+
 def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
     t = ctx.scalar(t0)
     t_end = ctx.scalar(t1)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
     tol = cfg.tol
     stages = partial(_dp45_float_stages, consts=_dp45_float_dt()) if ctx.is_float else _dp45_fixed_stages
+    plus, minus, times = _dp45_time_ops(ctx)
     accepted = 0
     before = y
     fsal = rhs(y)
@@ -831,11 +851,11 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
         clipped = float(t) + float(dt) > float(t_end)
         if clipped:
-            dt = t_end - t
+            dt = minus(t_end, t)
         ks, y5, delta = stages(rhs, y, fsal, dt)
         err = _error_norm(y, y5, delta, tol)
         if err <= 1.0:
-            t = t_end if clipped else t + dt
+            t = t_end if clipped else plus(t, dt)
             before, y = y, y5
             fsal = ks[6]  # first-same-as-last
             accepted += 1
@@ -845,7 +865,7 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
             metadata["rejected_steps"] += 1
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         factor = min(5.0, max(0.2, factor))
-        dt = dt * ctx.scalar(factor)
+        dt = times(dt, factor)
         # a step the controller grows is not a stall, however small it still is
         if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
             if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):

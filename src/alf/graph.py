@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import index
 
@@ -171,6 +172,11 @@ class Graph:
         """Complete with every edge weight 1, so any two nodes are exchangeable."""
         return self.is_complete() and all(w == 1 for _, _, w in self.edges)
 
+    @cached_property
+    def weight_pairs(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(i, j) -> (numerator, denominator) of each edge's weight, i < j; equal pairs are equal weights."""
+        return {(i, j): (w.numerator, w.denominator) for i, j, w in self.edges}
+
     def laplacian(self) -> list[list[tuple[int, Fraction]]]:
         """L = D - A as sparse exact rows: row i holds the nonzero (j, L_ij) in ascending j, 0-based.
 
@@ -220,13 +226,15 @@ def commutes_with_laplacian(g: Graph, p: Permutation) -> bool:
     diagonal that is the edge-map test.  sigma permutes the node pairs, so
     when the edges land on edges they fill them, non-edges land on
     non-edges, and each node's weighted degree is its image's: the
-    diagonal follows.  One pass over the edges, O(|E| + n), no matrix.
+    diagonal follows.  One pass over the edges, O(|E| + n), no matrix; the
+    weights are compared as the graph's integer (numerator, denominator)
+    pairs (`Graph.weight_pairs`, built once per graph).
     """
     if p.n != g.n:
         raise DimensionMismatchError(f"permutation on {p.n} symbols, graph has {g.n} nodes")
-    weight = {(i, j): w for i, j, w in g.edges}
+    weight = g.weight_pairs
     sigma = (0,) + p.image
-    for i, j, w in g.edges:
+    for (i, j), w in weight.items():
         a, b = sigma[i], sigma[j]
         if weight.get((a, b) if a < b else (b, a)) != w:
             return False

@@ -61,8 +61,9 @@ class _LazyMpmath:
             mp=mpmath.mp, mpf=mpmath.mpf, make_mpf=mpmath.mp.make_mpf, isfinite=mpmath.isfinite,
             nstr=mpmath.nstr, workdps=mpmath.workdps, MPZ=libmp.MPZ, fzero=libmp.fzero,
             dps_to_prec=libmp.dps_to_prec, from_int=libmp.from_int, from_man_exp=libmp.from_man_exp,
-            mpf_add=libmp.mpf_add, mpf_div=libmp.mpf_div, mpf_mul_int=libmp.mpf_mul_int,
-            round_nearest=libmp.round_nearest, to_float=libmp.to_float,
+            from_float=libmp.from_float, mpf_add=libmp.mpf_add, mpf_sub=libmp.mpf_sub, mpf_mul=libmp.mpf_mul,
+            mpf_div=libmp.mpf_div, mpf_mul_int=libmp.mpf_mul_int, round_nearest=libmp.round_nearest,
+            to_float=libmp.to_float,
         )
         return object.__getattribute__(self, name)
 

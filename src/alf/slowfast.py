@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+import math
 
 from .dynamics import PerturbedSystem, check_float_forcing
 from .errors import (
@@ -205,10 +207,23 @@ class ManifoldPoint:
 
 @dataclass(frozen=True)
 class ManifoldSample:
-    points: tuple[ManifoldPoint, ...]
+    """Critical-set points as columns: entry i of each column belongs to point i.
+
+    `points` builds the `ManifoldPoint`s on its first read.
+    """
+
+    k: tuple[float, ...]
+    x: tuple[float, ...]
+    branch: tuple[int, ...]
+    stability: tuple[str, ...]
+    consensus: tuple[bool, ...]
+
+    @cached_property
+    def points(self) -> tuple[ManifoldPoint, ...]:
+        return tuple(map(ManifoldPoint, self.k, self.x, self.branch, self.stability, self.consensus))
 
     def branch_count(self) -> int:
-        return len({p.branch for p in self.points})
+        return len(set(self.branch))
 
 
 def _bisect(func, lo, hi, flo, p, where: str):
@@ -221,16 +236,32 @@ def _bisect(func, lo, hi, flo, p, where: str):
     element stopped.  A bracket still wider after BISECT_HALVINGS halvings
     raises InvariantViolationError, its message led by `where`: its midpoint
     need not be near a root.
+
+    The width rule is tested only on halvings where it can hold.  With
+    M = max(|lo|, |hi|) and w the width of a starting bracket, every later
+    midpoint lies in [lo, hi] and, while 2M is finite (lo + hi cannot
+    overflow), is within 2**-53 M of the exact one (a subnormal one within
+    2**-1075 more).  So after j halvings the bracket is at least
+    w 2**-j - 2**-52 M wide, and the rule cannot hold while
+    w 2**-j >= 4e-15 max(M, 1); the factor 4 leaves room for the rounding
+    of the rule's own terms.  The skipped halvings are counted once, from
+    the smallest such ratio over the brackets; none is skipped when some 2M
+    overflows (so does a width that overflows) or some ratio is NaN.
     """
     out = np.empty_like(lo)
     active = np.arange(len(lo))
     negative = flo < 0  # only the sign of func(lo) is read, and moving lo to mid keeps it
-    for _ in range(BISECT_HALVINGS):
+    scale = np.fmax(np.fmax(np.abs(lo), np.abs(hi)), 1.0)
+    ratio = float(np.min((hi - lo) / (4e-15 * scale)))
+    skip = math.frexp(ratio)[1] if ratio >= 1.0 and 2.0 * float(scale.max()) < math.inf else 0  # 2**(skip-1) <= ratio
+    for halving in range(BISECT_HALVINGS):
         if not len(active):
             break
         mid = 0.5 * (lo + hi)
         fmid = func(mid, p)
-        done = (fmid == 0.0) | (hi - lo < 1e-15 * np.fmax(np.abs(mid), 1.0))
+        done = fmid == 0.0
+        if halving >= skip:
+            done |= hi - lo < 1e-15 * np.fmax(np.abs(mid), 1.0)
         if done.any():
             out[active[done]] = mid[done]
             go = ~done
@@ -381,69 +412,83 @@ def sample_manifolds(systems, k_range, x_range, grid, residual_tol: float = 1e-1
 
 
 def _manifold_sample(ps: PlaneSystem, ks, scans, x_lo, x_hi, link_tol, residual_tol) -> ManifoldSample:
-    """Branches, residual gate and tags of one system's scanned gridlines (`sample_manifold`)."""
-    entries: list[tuple[float, float, int, bool]] = []  # (k, x, branch, consensus)
+    """Branches, residual gate and tags of one system's scanned gridlines (`sample_manifold`).
+
+    On each gridline the roots within 1e-9 of the consensus root k/n come
+    first, then the others, each group ascending; a root within
+    max(1e-9, 1e-9 |x|) of one kept before it is dropped.  The first root is
+    the consensus point when k/n lies in the window.  The kept roots, in
+    ascending order, each take the branch of the nearest root of the previous
+    gridline within `link_tol` that no root took before (the first such one
+    on a tie), except that the consensus point keeps the consensus branch.
+    """
+    k_col, x_col, branch_col, consensus_col = [], [], [], []
     next_branch = 1
-    prev: list[tuple[float, int]] = []  # (x, branch) on the previous gridline
-    prev_consensus_branch = None
+    prev_x, prev_branch = [], []  # the previous gridline's roots and their branches
+    consensus_branch = None
 
     for k, scanned in zip(ks, scans):
         consensus_x = k / ps.n
-        roots = [consensus_x] if x_lo <= consensus_x <= x_hi else []
-        roots += scanned
-
-        # dedupe (consensus root may also arise from the scan)
-        merged: list[tuple[float, bool]] = []
-        for j, x in enumerate(sorted(roots, key=lambda v: (abs(v - consensus_x) > 1e-9, v))):
-            is_consensus = j == 0 and x_lo <= consensus_x <= x_hi and abs(x - consensus_x) <= 1e-9
-            if any(abs(x - other) <= max(1e-9, 1e-9 * abs(x)) for other, _ in merged):
-                continue
-            merged.append((x, is_consensus))
-        merged.sort()
-
-        # branch continuation against the previous gridline
-        line_entries = []
-        available = list(prev)
-        for x, is_consensus in merged:
-            branch = None
-            if is_consensus and prev_consensus_branch is not None:
-                branch = prev_consensus_branch
+        inside = x_lo <= consensus_x <= x_hi
+        roots = sorted(scanned + [consensus_x] if inside else scanned)
+        order = [x for x in roots if not abs(x - consensus_x) > 1e-9]
+        if len(order) < len(roots):
+            order += [x for x in roots if abs(x - consensus_x) > 1e-9]
+        consensus = order[0] if inside else None
+        kept = []  # dedupe: the consensus root may also arise from the scan
+        for x in order:
+            tol = max(1e-9, 1e-9 * abs(x))
+            for other in kept:
+                if abs(x - other) <= tol:
+                    break
             else:
-                best = None
-                for idx, (px, pb) in enumerate(available):
-                    d = abs(px - x)
-                    if d <= link_tol and (best is None or d < best[0]):
-                        best = (d, idx, pb)
-                if best is not None:
-                    branch = best[2]
-                    available.pop(best[1])
-            if branch is None:
-                branch = 0 if is_consensus and prev_consensus_branch is None and not entries else next_branch
-                if branch == next_branch:
-                    next_branch += 1
-            line_entries.append((k, x, branch, is_consensus))
-            if is_consensus:
-                prev_consensus_branch = branch
-        prev = [(x, b) for _, x, b, _ in line_entries]
-        entries += line_entries
+                kept.append(x)
+        kept.sort()
 
-    k_arr = np.array([e[0] for e in entries], dtype=float)
-    x_arr = np.array([e[1] for e in entries], dtype=float)
+        # branch continuation against the previous gridline; x_col holds the earlier gridlines' points
+        free_x, free_branch = list(prev_x), list(prev_branch)
+        line_branch = []
+        for x in kept:
+            is_consensus = x == consensus
+            if is_consensus and consensus_branch is not None:
+                branch = consensus_branch
+            else:
+                branch = None
+                if free_x:
+                    gaps = [abs(px - x) for px in free_x]
+                    gap = min(gaps)
+                    if gap <= link_tol:
+                        at = gaps.index(gap)
+                        del free_x[at]
+                        branch = free_branch.pop(at)
+                if branch is None:
+                    if is_consensus and not x_col:
+                        branch = 0
+                    else:
+                        branch, next_branch = next_branch, next_branch + 1
+                if is_consensus:
+                    consensus_branch = branch
+            line_branch.append(branch)
+            consensus_col.append(is_consensus)
+        prev_x, prev_branch = kept, line_branch
+        k_col += [k] * len(kept)
+        x_col += kept
+        branch_col += line_branch
+
+    k_arr = np.array(k_col, dtype=float)
+    x_arr = np.array(x_col, dtype=float)
     residuals = np.abs(ps.layer_value(x_arr, k_arr))
     failed = np.flatnonzero(~(residuals <= residual_tol))
     if failed.size:
-        k, x, _, _ = entries[failed[0]]
+        at = failed[0]
         raise InvariantViolationError(
-            f"manifold point (k={k}, x={x}) has residual {float(residuals[failed[0]])} > {residual_tol}"
+            f"manifold point (k={k_col[at]}, x={x_col[at]}) has residual {float(residuals[at])} > {residual_tol}"
         )
     fpp = ps.f.derivative(2)
     curvatures = fpp.eval(x_arr) - (ps.n - 1) ** 2 * fpp.eval(ps.mirror(x_arr, k_arr))
     rates = -ps.layer_jacobian(x_arr, k_arr)
-    return ManifoldSample(tuple(
-        ManifoldPoint(k=k, x=x, branch=branch, stability=_stability(rate, curvature),
-                      consensus=is_consensus)
-        for (k, x, branch, is_consensus), rate, curvature in zip(entries, rates.tolist(), curvatures.tolist())
-    ))
+    return ManifoldSample(tuple(k_col), tuple(x_col), tuple(branch_col),
+                          tuple(map(_stability, rates.tolist(), curvatures.tolist())), tuple(consensus_col))
 
 
 # ---------------------------------------------------------------------------

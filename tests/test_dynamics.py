@@ -509,6 +509,70 @@ def test_extended_rk4_times_are_start_plus_step_times_dt_in_mpf(digits):
     assert [t._mpf_ for t in traj.times] == [t._mpf_ for t in expected]
 
 
+@pytest.mark.parametrize("digits", (32, 64))
+def test_extended_dp45_times_and_steps_equal_an_mpf_operator_replay(digits, monkeypatch):
+    # every attempt's step size and error norm is recorded, then the step-size control is replayed with the
+    # mpf operators at the run's precision: each attempted step and each accepted time has the same bits
+    attempts = []
+    stages, norm = dynamics._dp45_fixed_stages, dynamics._error_norm
+
+    def recorded_stages(rhs, y, fsal, dt):
+        attempts.append([dt])
+        return stages(rhs, y, fsal, dt)
+
+    def recorded_norm(*args):
+        attempts[-1].append(norm(*args))
+        return attempts[-1][-1]
+
+    monkeypatch.setattr(dynamics, "_dp45_fixed_stages", recorded_stages)
+    monkeypatch.setattr(dynamics, "_error_norm", recorded_norm)
+    sys_ = _system(3, ResponseFunction.from_roots([(1, 2), (-1, 2)]))
+    cfg = IntegratorConfig(method="dp45", dt=0.4, tol=1e-9, digits=digits)
+    traj = integrate(sys_, [0.1, 0.6, -0.3], (0.3, 1.7), cfg)
+    ctx = ScalarContext(digits)
+    with ctx.workprec():
+        t, t_end = ctx.scalar(0.3), ctx.scalar(1.7)
+        dt = ctx.scalar(0.4)
+        steps, times = [], [t]
+        for _, err in attempts:
+            clipped = float(t) + float(dt) > float(t_end)
+            if clipped:
+                dt = t_end - t
+            steps.append(dt)
+            if err <= 1.0:
+                t = t_end if clipped else t + dt
+                times.append(t)
+            factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+            dt = dt * ctx.scalar(min(5.0, max(0.2, factor)))
+    assert [dt._mpf_ for dt, _ in attempts] == [dt._mpf_ for dt in steps]
+    assert [t._mpf_ for t in traj.times] == [t._mpf_ for t in times]
+    assert traj.metadata["rejected_steps"] > 0 and traj.times[-1] == t_end and len(times) > 5
+
+
+@pytest.mark.parametrize("n", (1, 10, 100))
+def test_slow_value_folds_as_numpy_scalars_do(n):
+    # k is the left fold of the state's numpy scalars, bit for bit: signed zeros, overflow to inf and NaN included
+    rng = SplitMix64(50 + n)
+    sys_ = _system(n, ResponseFunction.from_coeffs([0, 1]))
+    for trial in range(300):
+        y = np.array([rng.uniform(-1, 1) * 10.0 ** (rng.next_u64() % 601 - 300) for _ in range(n)])
+        if trial % 5 == 0:
+            y[: n // 2 + 1] = -0.0
+        if trial % 7 == 0:
+            y[::2] = 1.7e308  # partial sums overflow to inf
+        if trial % 7 == 1:
+            y[:2], y[2:] = 1.7e308, -np.inf  # and then meet -inf: NaN
+        with np.errstate(all="ignore"):
+            want = reduce(add, list(y))
+        got = sys_.slow_value(y)
+        assert np.isnan(want) == np.isnan(got)
+        assert np.isnan(want) or np.float64(got).view(np.int64) == want.view(np.int64)
+    # the extended tiers' recorded states are object arrays of mpf
+    with ScalarContext(32).workprec():
+        state = np.array([mpmath.mpf(v) / 3 for v in range(1, n + 1)], dtype=object)
+        assert sys_.slow_value(state) == reduce(add, list(state))
+
+
 def test_dp45_clipped_last_step_lands_on_the_end_time():
     # t_end - t = 2.61 - 0.5706 rounds so that t + (t_end - t) falls one ulp
     # short of 2.61; a further ~1e-16 step would trip the underflow check

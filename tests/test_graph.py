@@ -247,6 +247,36 @@ def test_identity_always_commutes():
         assert commutes_with_laplacian(g, Permutation.identity(g.n))
 
 
+def test_commutes_compares_weights_as_normalised_pairs():
+    # weights equal as rationals though given as ints, floats and unreduced Fractions, and unequal weights
+    # that share a numerator or a denominator
+    weights = (1, 1.0, Fraction(2, 2), Fraction(1, 2), 0.5, Fraction(1, 3), Fraction(2, 3), Fraction(2, 5),
+               2, Fraction(4, 2), 0.1)
+    rng = SplitMix64(47)
+    seen = set()
+    for _ in range(200):
+        n = 2 + rng.next_u64() % 6
+        p = random_permutation(rng, n)
+        if rng.uniform() < 0.3:
+            g = graph_with_automorphism(rng, p)
+        else:
+            g = Graph(n, tuple((i, j, weights[rng.next_u64() % len(weights)])
+                               for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.uniform() < 0.7))
+        verdict = commutes_with_laplacian(g, p)
+        assert verdict == (_commutator_norm(g, p) == 0)
+        assert commutes_with_laplacian(g, p) == verdict and g.weight_pairs is g.weight_pairs
+        assert g.weight_pairs == {(i, j): (w.numerator, w.denominator) for i, j, w in g.edges}
+        seen.add(verdict)
+    assert seen == {True, False}
+    # swapping the leaves of a star maps each spoke onto the other: equal weights commute, unequal ones do not
+    swap = Permutation.transposition(3, 2, 3)
+    for w2, w3, verdict in ((Fraction(1, 2), 0.5, True), (Fraction(2, 4), Fraction(1, 2), True), (1, 1.0, True),
+                            (Fraction(1, 2), Fraction(1, 3), False), (Fraction(2, 3), Fraction(2, 5), False),
+                            (Fraction(1, 3), Fraction(2, 3), False), (0.1, Fraction(1, 10), False)):
+        g = Graph(3, ((1, 2, w2), (1, 3, w3)))
+        assert commutes_with_laplacian(g, swap) is verdict is (_commutator_norm(g, swap) == 0)
+
+
 def test_commutes_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         commutes_with_laplacian(Graph.complete(3), Permutation.identity(4))

@@ -408,6 +408,196 @@ def test_manifold_sweep_equals_its_parts():
         assert str(caught.value) == first
 
 
+def _bisect_every_halving(func, lo, hi, flo, p, where):
+    """The lock-step bisection testing its width rule on every halving, as `_bisect` did before it skipped it."""
+    from alf.slowfast import BISECT_HALVINGS
+
+    out = np.empty_like(lo)
+    active = np.arange(len(lo))
+    negative = flo < 0
+    for _ in range(BISECT_HALVINGS):
+        if not len(active):
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = func(mid, p)
+        done = (fmid == 0.0) | (hi - lo < 1e-15 * np.fmax(np.abs(mid), 1.0))
+        if done.any():
+            out[active[done]] = mid[done]
+            go = ~done
+            active, lo, hi, negative, p, mid, fmid = (a[go] for a in (active, lo, hi, negative, p, mid, fmid))
+        right = negative == (fmid < 0)
+        np.copyto(hi, mid, where=~right)
+        np.copyto(lo, mid, where=right)
+    if len(active):
+        widest = int(np.argmax(hi - lo))
+        raise InvariantViolationError(
+            f"{where}: {BISECT_HALVINGS} halvings left the root bracket [{float(lo[widest])!r}, {float(hi[widest])!r}] "
+            f"{hi[widest] - lo[widest]:.3g} wide"
+        )
+    return out
+
+
+class _CountedWidths(np.ndarray):
+    """A float array counting its `-` operations: `_bisect` subtracts its brackets once for the skip count,
+    then once on each halving that tests the width rule, and once for a refusal's message."""
+
+    subtractions = 0
+
+    def __sub__(self, other):
+        _CountedWidths.subtractions += 1
+        return super().__sub__(other)
+
+
+def _bisection(bisect, brackets):
+    """bisect over the brackets (lo, hi, root) of x - root: (the roots' reprs or the refusal, halvings, width tests)."""
+    lo, hi, r = (np.array(column, dtype=float).view(_CountedWidths) for column in zip(*brackets))
+    _CountedWidths.subtractions = 0
+    halvings = []
+
+    def func(x, root):
+        halvings.append(len(x))
+        return np.subtract(x, root)  # no `-`, which would count as a width test
+
+    try:
+        with np.errstate(all="ignore"):  # as in `_scan_roots`
+            found = [repr(x) for x in bisect(func, lo, hi, np.subtract(lo, r), r, "test").tolist()]
+    except InvariantViolationError as err:
+        found = str(err)
+    return found, len(halvings), _CountedWidths.subtractions
+
+
+def test_bisect_equals_the_loop_that_tests_the_width_rule_on_every_halving(monkeypatch):
+    from alf import slowfast
+    from alf.slowfast import _bisect
+
+    rng = SplitMix64(2929)
+    seeded = []
+    for _ in range(40):
+        scale = 10.0 ** (rng.next_u64() % 13 - 6)
+        a, w = rng.uniform(-10, 10) * scale, rng.uniform(0.001, 5) * scale
+        seeded.append((a, a + w, a + rng.uniform() * w))
+    resolved = [
+        (1e300, 1.5e300, 1.2e300), (-1e80, -0.5e80, -0.7e80),
+        (-1.7e308, 1.7e308, 1e308),  # hi - lo overflows to inf
+        (1e308, 1.5e308, 1.2e308), (-1.5e308, -1e308, -1.2e308),  # lo + hi overflows: the first midpoint is inf
+        (-1.0, 2.0, 0.0), (-3.0, 1.0, 1e-20), (-0.5, 0.25, -1e-300),  # straddling 0
+        (1e-300, 2e-300, 1.5e-300), (-1e-300, 0.0, -5e-301),  # about 1e-300 wide
+        (-1.0, 1.0, 0.0),  # an exact zero at the first midpoint
+    ]
+    refused = [(-1e80, 1e80, 0.5), (-1e300, 1e300, 1.0), (-5e79, 0.0, -1.0)]
+    for batch in [seeded, resolved, seeded + resolved] + [[b] for b in seeded[:5] + resolved + refused] + [refused]:
+        got, halvings, tests = _bisection(_bisect, batch)
+        want, ref_halvings, ref_tests = _bisection(_bisect_every_halving, batch)
+        assert got == want, batch
+        # a refusal subtracts once more, for its message
+        refusal = isinstance(want, str)
+        assert halvings == ref_halvings and ref_tests == halvings + refusal
+        skipped = halvings + refusal + 1 - tests
+        assert 0 <= skipped <= halvings
+        if batch in ([(-1.7e308, 1.7e308, 1e308)], [(1e308, 1.5e308, 1.2e308)], [(-1e300, 1e300, 1.0)]):
+            assert skipped == (49 if batch[0][1] == 1e300 else 0)
+        if batch == [(-1.0, 2.0, 0.0)]:
+            assert (halvings, skipped) == (53, 49)  # the width rule is tested on the last 4 halvings only
+    assert _bisection(_bisect, refused[2:])[0].startswith("test: 200 halvings left the root bracket [")
+
+    # the scans of the wide windows, with either loop
+    f = ResponseFunction.from_roots([(1, 2), (-1, 2)])
+    windows = ((-1e80, 1e80, 2001), (-1e300, 1e300, 301), (-1.7e308, 1.7e308, 2), (-3.0, 3.0, 2001), (-1e80, 0.0, 3))
+    outcomes = {}
+    for bisect in (_bisect, _bisect_every_halving):
+        monkeypatch.setattr(slowfast, "_bisect", bisect)
+        for window in windows:
+            try:
+                found = [repr(x) for x in find_singular_points(f, *window)]
+            except InvariantViolationError as err:
+                found = str(err)
+            outcomes.setdefault(window, []).append(found)
+    assert all(got == want for got, want in outcomes.values())
+    assert [isinstance(got, list) for got, _ in outcomes.values()] == [False, False, True, True, False]
+
+
+def _branch_reference(ps, ks, scans, x_lo, x_hi, link_tol):
+    """(k, x, branch, consensus) per point: the per-point dedupe and branch linking `_manifold_sample` replaced."""
+    entries = []
+    next_branch = 1
+    prev = []
+    prev_consensus_branch = None
+    for k, scanned in zip(ks, scans):
+        consensus_x = k / ps.n
+        roots = [consensus_x] if x_lo <= consensus_x <= x_hi else []
+        roots += scanned
+        merged = []
+        for j, x in enumerate(sorted(roots, key=lambda v: (abs(v - consensus_x) > 1e-9, v))):
+            is_consensus = j == 0 and x_lo <= consensus_x <= x_hi and abs(x - consensus_x) <= 1e-9
+            if any(abs(x - other) <= max(1e-9, 1e-9 * abs(x)) for other, _ in merged):
+                continue
+            merged.append((x, is_consensus))
+        merged.sort()
+        line_entries = []
+        available = list(prev)
+        for x, is_consensus in merged:
+            branch = None
+            if is_consensus and prev_consensus_branch is not None:
+                branch = prev_consensus_branch
+            else:
+                best = None
+                for idx, (px, pb) in enumerate(available):
+                    d = abs(px - x)
+                    if d <= link_tol and (best is None or d < best[0]):
+                        best = (d, idx, pb)
+                if best is not None:
+                    branch = best[2]
+                    available.pop(best[1])
+            if branch is None:
+                branch = 0 if is_consensus and prev_consensus_branch is None and not entries else next_branch
+                if branch == next_branch:
+                    next_branch += 1
+            line_entries.append((k, x, branch, is_consensus))
+            if is_consensus:
+                prev_consensus_branch = branch
+        prev = [(x, b) for _, x, b, _ in line_entries]
+        entries += line_entries
+    return [(repr(k), repr(x), b, c) for k, x, b, c in entries]
+
+
+def test_manifold_sample_columns_are_its_points(monkeypatch):
+    from alf import slowfast
+
+    samples = []
+    build = slowfast._manifold_sample
+
+    def spy(*args):
+        samples.append((args, build(*args)))
+        return samples[-1][1]
+
+    monkeypatch.setattr(slowfast, "_manifold_sample", spy)
+    rng = SplitMix64(3030)
+    responses = [ResponseFunction.from_roots([(1, 2), (-1, 2)])]
+    responses += [ResponseFunction.family(family, lam) for family in ("ex3a", "ex3b") for lam in (0.5, 1.0, 1.3)]
+    responses += [ResponseFunction.from_roots([(Fraction(rng.next_u64() % 17 - 8, 4), 1 + rng.next_u64() % 3)
+                                               for _ in range(3)]) for _ in range(4)]
+    windows = [((-4.5, 4.5), (-2.5, 2.5), (31, 81)),
+               ((4.5, -4.5), (-2.5, 2.5), (40, 101)),  # descending k_range
+               ((-9.0, 9.0), (-1.0, 1.5), (25, 60))]  # k/n leaves [-1, 1.5] for |k| >= 3 or so
+    for idx, f in enumerate(responses):
+        for window in windows:
+            sample = sample_manifold(PlaneSystem(n=2 + idx % 5, f=f), *window, residual_tol=1e-6)
+            points = sample.points
+            assert points is sample.points
+            assert [(p.k, p.x, p.branch, p.stability, p.consensus) for p in points] == list(
+                zip(sample.k, sample.x, sample.branch, sample.stability, sample.consensus))
+            assert [(repr(p.k), repr(p.x)) for p in points] == [(repr(k), repr(x)) for k, x in zip(sample.k, sample.x)]
+            assert all(type(p.k) is float and type(p.x) is float and type(p.branch) is int
+                       and type(p.consensus) is bool for p in points)
+            assert sample.branch_count() == len({p.branch for p in points})
+    consensus_lines = set()
+    for (ps, ks, scans, x_lo, x_hi, link_tol, _), sample in samples:
+        got = [(repr(k), repr(x), b, c) for k, x, b, c in zip(sample.k, sample.x, sample.branch, sample.consensus)]
+        assert got == _branch_reference(ps, ks, scans, x_lo, x_hi, link_tol)
+        consensus_lines.add(sum(sample.consensus) < len(ks))
+    assert consensus_lines == {True, False}  # windows with and without gridlines the consensus line leaves
+
+
 def test_find_singular_points_needs_two_samples():
     f = ResponseFunction.from_roots([(1, 2), (-1, 2)])
     for samples in (1, 0, -3):
