@@ -66,22 +66,17 @@ EXIT_NONCRITICAL = 5
 CANARD_TUBE_FACTOR = 10.0  # tube half-width in plane coordinates is 10*epsilon
 
 
-# choice-style sections are replaced wholesale when overridden; merging two
-# alternatives of a union would yield an invalid hybrid
-_REPLACE_SECTIONS = frozenset({"graph", "response", "perturbation", "initial", "tspan"})
+# a config file overrides a preset section by section: the flat option sets
+# are merged key by key, and every other section is replaced whole (merging two
+# alternatives of a choice-style section would yield an invalid hybrid)
+_MERGED_SECTIONS = ("integrator", "analysis")
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if (
-            key not in _REPLACE_SECTIONS
-            and isinstance(value, dict)
-            and isinstance(out.get(key), dict)
-        ):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
+def _merge(base: dict, override: dict) -> dict:
+    out = {**base, **override}
+    for key in _MERGED_SECTIONS:
+        if isinstance(base.get(key), dict) and isinstance(override.get(key), dict):
+            out[key] = {**base[key], **override[key]}
     return out
 
 
@@ -98,7 +93,7 @@ def load_scenario(preset: str | None, config_path: str | None) -> dict:
             raise ConfigError([f"cannot read config {config_path}: {err}"])
         if not isinstance(file_cfg, dict):
             raise ConfigError([f"<root>: config {config_path} holds {type(file_cfg).__name__}, not a JSON object"])
-        cfg = _deep_merge(cfg, file_cfg)
+        cfg = _merge(cfg, file_cfg)
     if not cfg:
         raise ConfigError(["provide --preset and/or --config"])
     env_digits = os.environ.get("ALF_DIGITS")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from math import isfinite, lcm
 from numbers import Integral
-from operator import add, mul, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -633,7 +633,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         return traj
 
 
-# Both tiers form each stage input, y + k (dt/2) or y + k3 dt, and the
+# The forcing is constant, so the flow is autonomous and the step reads no
+# time.  Both tiers form each stage input, y + k (dt/2) or y + k3 dt, and the
 # update y + (((k1 + 2 k2) + 2 k3) + k4) (dt/6).  The float tier takes these
 # numpy operations in this order, each rounded, in arrays the step allocates
 # itself (y + s is s + y in IEEE arithmetic); it writes into neither y nor an
@@ -643,7 +644,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
 # sum per component of the frames, rounded once (`round_frame`); there dt is
 # what `_fixed_rk4_dt` builds once per run: dt/2, dt and dt/6 as (m, e)
 # pairs, each m * 2**e, and the working precision.
-def _rk4_step(rhs, y, t, dt):
+def _rk4_step(rhs, y, dt):
     k1 = rhs(y)
     if type(y) is np.ndarray:
         half, whole, sixth, two = dt
@@ -712,13 +713,12 @@ def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
     nsteps = max(1, round(span / cfg.dt))
     dt = ctx.scalar(exact(t1) - exact(t0)) / nsteps
     t_start = ctx.scalar(t0)
-    t = t_start
     if ctx.is_float:
         step_dt, time = _float_rk4_dt(dt), lambda step: t_start + step * dt
     else:
         step_dt, time = _fixed_rk4_dt(dt), _fixed_rk4_time(t_start, dt)
     for step in range(1, nsteps + 1):
-        y = _rk4_step(rhs, y, t, step_dt)
+        y = _rk4_step(rhs, y, step_dt)
         t = time(step)
         if accept(step, t, y, step == nsteps):
             break
@@ -819,31 +819,19 @@ def _error_norm(y, y5, delta, tol: float) -> float:
     return float(np.fmax.reduce(np.abs(_floats(delta)) / scale, initial=0.0))
 
 
-def _dp45_time_ops(ctx) -> tuple:
-    """The dp45 loop's a + b, a - b and dt * factor (a float) for the tier's scalars.
-
-    The float tier takes the float operators.  On the extended tiers libmp's
-    `mpf_add`, `mpf_sub` and `mpf_mul` at the current precision, to nearest,
-    with the factor converted exactly by `from_float`, give the mpf
-    operators' `_mpf_` tuples without their dispatch.
-    """
-    if ctx.is_float:
-        return add, sub, mul
-    lib = lazy_mpmath
-    make, prec, rnd, from_float = lib.make_mpf, lib.mp.prec, lib.round_nearest, lib.from_float
-    mpf_add, mpf_sub, mpf_mul = lib.mpf_add, lib.mpf_sub, lib.mpf_mul
-    return (lambda a, b: make(mpf_add(a._mpf_, b._mpf_, prec, rnd)),
-            lambda a, b: make(mpf_sub(a._mpf_, b._mpf_, prec, rnd)),
-            lambda dt, factor: make(mpf_mul(dt._mpf_, from_float(factor), prec, rnd)))
-
-
 def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
+    """Dormand-Prince 4(5) with an error-controlled step, from t0 to t1.
+
+    The times and step sizes (t + dt, t_end - t, dt * factor) are the tier's
+    scalars under its own operators: floats, or on the extended tiers mpfs
+    at the precision `integrate` pins, each result rounded once to nearest
+    (an mpf times a float converts the float exactly).
+    """
     t = ctx.scalar(t0)
     t_end = ctx.scalar(t1)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
     tol = cfg.tol
     stages = partial(_dp45_float_stages, consts=_dp45_float_dt()) if ctx.is_float else _dp45_fixed_stages
-    plus, minus, times = _dp45_time_ops(ctx)
     accepted = 0
     before = y
     fsal = rhs(y)
@@ -851,11 +839,11 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
         clipped = float(t) + float(dt) > float(t_end)
         if clipped:
-            dt = minus(t_end, t)
+            dt = t_end - t
         ks, y5, delta = stages(rhs, y, fsal, dt)
         err = _error_norm(y, y5, delta, tol)
         if err <= 1.0:
-            t = t_end if clipped else plus(t, dt)
+            t = t_end if clipped else t + dt
             before, y = y, y5
             fsal = ks[6]  # first-same-as-last
             accepted += 1
@@ -865,7 +853,7 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
             metadata["rejected_steps"] += 1
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         factor = min(5.0, max(0.2, factor))
-        dt = times(dt, factor)
+        dt = dt * factor
         # a step the controller grows is not a stall, however small it still is
         if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
             if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):

@@ -247,17 +247,24 @@ def _bisect(func, lo, hi, flo, p, where: str):
     of the rule's own terms.  The skipped halvings are counted once, from
     the smallest such ratio over the brackets; none is skipped when some 2M
     overflows (so does a width that overflows) or some ratio is NaN.
+
+    Where 2M overflows, lo + hi can too; on those calls only, a midpoint
+    that comes out infinite is taken as 0.5 lo + 0.5 hi, which is finite.
+    Every finite midpoint keeps the bits of 0.5 (lo + hi).
     """
     out = np.empty_like(lo)
     active = np.arange(len(lo))
     negative = flo < 0  # only the sign of func(lo) is read, and moving lo to mid keeps it
     scale = np.fmax(np.fmax(np.abs(lo), np.abs(hi)), 1.0)
     ratio = float(np.min((hi - lo) / (4e-15 * scale)))
-    skip = math.frexp(ratio)[1] if ratio >= 1.0 and 2.0 * float(scale.max()) < math.inf else 0  # 2**(skip-1) <= ratio
+    overflows = not 2.0 * float(scale.max()) < math.inf
+    skip = math.frexp(ratio)[1] if ratio >= 1.0 and not overflows else 0  # 2**(skip-1) <= ratio
     for halving in range(BISECT_HALVINGS):
         if not len(active):
             break
         mid = 0.5 * (lo + hi)
+        if overflows:
+            np.copyto(mid, 0.5 * lo + 0.5 * hi, where=np.isinf(mid))
         fmid = func(mid, p)
         done = fmid == 0.0
         if halving >= skip:
@@ -586,17 +593,18 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
     `canard` is the exact test lambda == 1 at a type-1 point.  For n >= 3 it
     holds exactly when the forcing is critical: g_tilde == g, and nonzero
     since the point is not degenerate.
+
+    A consensus point is its own mirror, k_s - (n-1) x_s == x_s, so f'' is
+    evaluated once and is both curvatures of the lambda cross-check.
     """
     if consensus_stability(ps, x_s).tag != SINGULAR:
         raise PreconditionError(f"x = {x_s} is not a singular consensus point")
     n = ps.n
     k_s = n * x_s
     d2f = ps.f.derivative(2).eval(x_s)
-    mirror = ps.mirror(x_s, k_s)
-    d2f_mirror = ps.f.derivative(2).eval(mirror)
     h = ps.g
     h_tilde = ps.g_tilde
-    pert_sum = (n - 1) * h + h_tilde
+    pert_sum = ps.slow_rhs_factor()
 
     rho = lam = None
     canard = False
@@ -609,7 +617,7 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
         sing_type = "type-1" if rho == -1 else "type-2"
         # the forcing is exact, so lambda is too and the canard test is exact
         lam = -Fraction(rho) * Fraction(h + (n - 1) * h_tilde, h_tilde + (n - 1) * h)
-        _lambda_cross_check(n, d2f, d2f_mirror, h, h_tilde, lam)
+        _lambda_cross_check(n, d2f, d2f, h, h_tilde, lam)
         canard = sing_type == "type-1" and lam == 1
 
     return SingularityReport(

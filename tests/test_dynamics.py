@@ -27,7 +27,7 @@ from alf import (
     vector_field,
 )
 from alf import dynamics
-from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed
+from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed, _escapes
 from alf.errors import DimensionMismatchError, PreconditionError
 from alf.precision import ScalarContext, exact, frame_array
 from alf.prng import SplitMix64
@@ -227,6 +227,24 @@ def test_extended_rhs_equals_dense_reference_loop(graph, digits, ex1_response):
             assert list(frame_array(std_rhs(ctx.vector(y)))) == rounded(std_dense([value(v) for v in y]))
 
 
+@pytest.mark.parametrize("digits", (32, 64))
+def test_standard_form_drift_joins_a_denominator_the_flow_lacks(digits, ex1_response):
+    # eps * sum(h) = 2**-1000 / 10 rounds to a tier value over a power of two far beyond the flow's
+    # denominator, so the drift and the fast components are put over their product
+    from fraction_reference import Tier, value
+
+    pert = Perturbation.constant([1 + Fraction(1, 2**1000), -1, 0])
+    std = to_standard_form(PerturbedSystem(Graph.path(3), ResponseField(ex1_response), pert, Fraction(1, 10)), 1)
+    y0 = [Fraction(1, 2), Fraction(-3, 4), Fraction(1, 3)]
+    cfg = IntegratorConfig(method="rk4", dt=0.02, digits=digits)
+    traj = integrate(std, y0, (0.0, 0.1), cfg)
+    tier = Tier(digits)
+    assert tier.const(std.base.epsilon * sum(pert.values)).denominator > 2**1000
+    ref = tier.rk4_run(tier.rhs(std), [tier.const(v) for v in y0], 0.0, 0.1, cfg.dt, len(traj.states) - 1)
+    assert len(ref) == 6
+    assert [[value(v) for v in state] for state in traj.states] == ref
+
+
 def test_float_tier_refuses_forcing_terms_outside_float_range(ex1_response):
     # every forcing value is finite, but eps * h_i (1e310), the standard form's drift eps * sum(h) (3e308),
     # or the plane's eps * g (1e310) and eps ((n - 1) g + g~) (3e308) is not: refused, without a numpy warning
@@ -364,6 +382,22 @@ def test_extended_divergence_verdict_at_the_cutoff(digits):
             y = ctx.vector(state)
             assert _diverged_fixed(y) == any(not abs(float(v)) <= DIVERGENCE_CUTOFF for v in frame_array(y))
             assert _diverged_fixed(y) == diverged, state
+
+
+@pytest.mark.parametrize("digits", (16, 32))
+def test_escape_test_needs_growth_and_a_rate_that_reaches_the_cutoff(digits):
+    # dp45's underflow verdict: a blow-up (exit 3) only where the state outgrew the last accepted one and its
+    # outward rate passes the cutoff within the time left; a stall (exit 1) otherwise
+    ctx = ScalarContext(digits)
+    cases = [
+        ([1, 2], [1, -2], [1e9, 1e9], False),  # no growth: the rate is not read
+        ([1, 2], [1, 3], [0, 1], False),  # grew, but 3 + 1 * span stays under the cutoff
+        ([1, 2], [1, 3], [0, -1e7], False),  # grew, at a rate pointing inward
+        ([1, 2], [1, 3], [0, 1e7], True),  # grew, and passes the cutoff within span
+    ]
+    with ctx.workprec():
+        for before, y, dy, escapes in cases:
+            assert _escapes(*(ctx.vector(v) for v in (before, y, dy)), 1.0) is escapes, (before, y, dy)
 
 
 def test_gauge_invariance_along_trajectories(ex1_response):

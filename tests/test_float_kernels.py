@@ -256,7 +256,7 @@ def test_rk4_step_equals_reference_and_writes_nothing_it_reads(case):
         y = np.where(np.isnan(y), 0.5, np.clip(y, -3.0, 3.0))  # finite: a NaN stage would hide the others' bits
         y_before = y.copy()
         recorder = Recorder(rhs)
-        got = _rk4_step(recorder, y, 0.0, _float_rk4_dt(1e-3 * 1.1))
+        got = _rk4_step(recorder, y, _float_rk4_dt(1e-3 * 1.1))
         assert_same_bits(got, _ref_rk4(ref, y, 1e-3 * 1.1))
         assert_same_bits(y, y_before)
         recorder.assert_untouched()

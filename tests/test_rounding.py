@@ -107,7 +107,7 @@ def rk4_pairs(system, digits: int, y, dt: Fraction) -> list[tuple]:
 
         state = ctx.vector(y)
         h = ctx.scalar(dt)
-        new = _rk4_step(recording, state, ctx.scalar(0), _fixed_rk4_dt(h))
+        new = _rk4_step(recording, state, _fixed_rk4_dt(h))
     y0 = [value(p) for p in _parts(state)]
     k1, k2, k3, k4 = ([value(p) for p in _parts(out)] for out in outputs)
     h = value(h)

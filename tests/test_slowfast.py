@@ -409,7 +409,10 @@ def test_manifold_sweep_equals_its_parts():
 
 
 def _bisect_every_halving(func, lo, hi, flo, p, where):
-    """The lock-step bisection testing its width rule on every halving, as `_bisect` did before it skipped it."""
+    """The lock-step bisection testing its width rule on every halving, as `_bisect` did before it skipped it.
+
+    A midpoint whose lo + hi overflows is 0.5 lo + 0.5 hi.
+    """
     from alf.slowfast import BISECT_HALVINGS
 
     out = np.empty_like(lo)
@@ -419,6 +422,7 @@ def _bisect_every_halving(func, lo, hi, flo, p, where):
         if not len(active):
             break
         mid = 0.5 * (lo + hi)
+        mid = np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
         fmid = func(mid, p)
         done = (fmid == 0.0) | (hi - lo < 1e-15 * np.fmax(np.abs(mid), 1.0))
         if done.any():
@@ -514,6 +518,13 @@ def test_bisect_equals_the_loop_that_tests_the_width_rule_on_every_halving(monke
             outcomes.setdefault(window, []).append(found)
     assert all(got == want for got, want in outcomes.values())
     assert [isinstance(got, list) for got, _ in outcomes.values()] == [False, False, True, True, False]
+
+
+def test_root_scan_of_a_bracket_whose_end_points_sum_past_the_float_range():
+    # f' = x - 1.2e308; the cell [1e308, 1.35e308] has lo + hi = 2.35e308, so its first midpoint
+    # 0.5 (lo + hi) is inf, which the width rule would accept; 0.5 lo + 0.5 hi is finite
+    f = ResponseFunction.from_coeffs([0, -Fraction(1.2e308), Fraction(1, 2)])
+    assert find_singular_points(f, 1e308, 1.7e308, 3) == [1.2e308]
 
 
 def _branch_reference(ps, ks, scans, x_lo, x_hi, link_tol):

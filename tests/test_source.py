@@ -64,3 +64,22 @@ def test_no_module_imports_mpmath_at_import_time():
     found = [f"{name}:{node.lineno}" for name, tree in _modules() for node in import_time_nodes(tree)
              if imports_mpmath(node)]
     assert found == []
+
+
+def test_every_lazy_mpmath_binding_is_read():
+    # `_LazyMpmath.__getattr__` binds the mpmath names alf calls; a name no module reads, as
+    # `lazy_mpmath.<name>` or through an alias such as `lib = lazy_mpmath`, is dead code
+    (lazy,) = [node for _, node in _nodes() if isinstance(node, ast.ClassDef) and node.name == "_LazyMpmath"]
+    (update,) = [node for node in ast.walk(lazy)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "update"]
+    bound = {keyword.arg for keyword in update.keywords}
+    assert bound
+
+    aliases = {"lazy_mpmath"} | {
+        target.id for _, node in _nodes() if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Name) and node.value.id == "lazy_mpmath"
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    read = {node.attr for _, node in _nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    assert sorted(bound - read) == []
