@@ -10,6 +10,7 @@ only as long as the available digits allow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
@@ -142,21 +143,32 @@ class PerturbedSystem:
 
         The constants are exact (prec None) or each rounded once to prec
         bits: -L_ij and eps * h_i over one denominator each, and the
-        response's.  Per call: one integer sum per row over its nonzero
-        entries, O(|E|).  A mean gauge adds g(mean) to every response value,
-        so g(mean) times the sum of the row's converted weights to a row.
-        Those sums are zero for exact and for rounded dyadic weights, and the
-        gauges are then skipped; otherwise they are evaluated exactly.
+        response's.  The rows' off-diagonal W_ij split as c (J - I) + S, c
+        their most common entry (an absent one reads 0), so row i is
+        c sum(F) + (W_ii - c) F_i + sum_j S_ij F_j: O(n + nnz(S)) per call,
+        the dense row sum's integers for any c.  On unit K_n S is empty; on
+        a sparse graph c is 0 and S the edges.  A mean gauge adds g(mean) to
+        every response value, so g(mean) times the sum of the row's converted
+        weights to a row.  Those sums are zero for exact and for rounded
+        dyadic weights, and the gauges are then skipped; otherwise they are
+        evaluated exactly.
         """
         values = self.field.function.integer_evaluator(prec)
         laplacian = self.graph.laplacian()
         # -L_ij == W_ij / lap_den; rounding to nearest, ties to even, commutes with the sign
         lap = [[(j, rounded(w, prec)) for j, w in laplacian[i]] for i in rows]
         lap_den = lcm(*(w.denominator for row in lap for _, w in row))
-        lap = [[(j, -w.numerator * (lap_den // w.denominator)) for j, w in row] for row in lap]
+        lap = [{j: -w.numerator * (lap_den // w.denominator) for j, w in row} for row in lap]
         forcing, h_den = common_denominator([rounded(self.epsilon * self.perturbation.values[i], prec) for i in rows])
-        row_sums = [sum(w for _, w in row) for row in lap]
+        row_sums = [sum(row.values()) for row in lap]
         gauges = self.field.mean_gauges if any(row_sums) else ()
+        off = [w for i, row in zip(rows, lap) for j, w in row.items() if j != i]
+        # the absent entries are counted first, so 0 wins a tie
+        counts = Counter({0: len(lap) * (self.n - 1) - len(off)})
+        counts.update(off)
+        c = counts.most_common(1)[0][0]
+        # row i's (W_ii - c) and S's entries, each (j, W_ij - c) where W_ij != c; with c 0, the row itself
+        split = [[(j, w - c) for j in (range(self.n) if c else row) if (w := row.get(j, 0)) != c] for row in lap]
 
         @lru_cache(maxsize=1)
         def terms(den):
@@ -169,13 +181,14 @@ class PerturbedSystem:
         def flow(xs, d):
             fv, den = values(xs, d)
             a, hs, out_den = terms(den)
-            sums = [sum([w * fv[j] for j, w in row]) * a + h for row, h in zip(lap, hs)]
+            total = c * sum(fv) if c else 0
+            sums = [sum([w * fv[j] for j, w in row], total) * a + h for row, h in zip(split, hs)]
             if not gauges:
                 return sums, out_den
             # row i gains row_sums[i] / lap_den times the shift
             shift = sum(g.eval(Fraction(sum(xs), len(xs) * d)) for g in gauges)
-            c = out_den // lap_den * shift.numerator
-            return [v * shift.denominator + r * c for v, r in zip(sums, row_sums)], out_den * shift.denominator
+            b = out_den // lap_den * shift.numerator
+            return [v * shift.denominator + r * b for v, r in zip(sums, row_sums)], out_den * shift.denominator
 
         return flow
 
@@ -483,8 +496,8 @@ _DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 def _floats(y):
     """The float values of y's components: y itself on the float tier, a frame's `frame_floats` list otherwise.
 
-    The stop condition, the escape test and the dp45 error norm read nothing
-    else of a state.
+    The divergence test, the stop condition, the escape test and the dp45
+    error norm read nothing else of a state.
     """
     return y if type(y) is np.ndarray else frame_floats(y)
 
@@ -502,15 +515,9 @@ def _diverged(y: np.ndarray) -> bool:
     return not (np.vdot(y, y) < _CUTOFF_SQUARED or np.maximum.reduce(np.abs(y)) <= DIVERGENCE_CUTOFF)
 
 
-def _diverged_fixed(y) -> bool:
-    """`_diverged` of a frame (ints, exp), on its integers.
-
-    Components under 2**19 pass and those from 2**20 up fail; the rest are
-    read as `float(v)` reads them, correctly rounded (int / int is).
-    """
-    ints, exp = y
-    return any([a.bit_length() + exp > 19
-                and (a.bit_length() + exp > 20 or not abs(a) / (1 << -exp) <= DIVERGENCE_CUTOFF) for a in ints])
+def _diverged_floats(view) -> bool:
+    """`_diverged` of an extended-tier state, read on its float view (`_floats`): each float(v) past the cutoff."""
+    return not all([abs(v) <= DIVERGENCE_CUTOFF for v in view])
 
 
 def _escapes(before, y, dy, span: float) -> bool:
@@ -534,7 +541,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     the state that triggered it (used to bound open-ended tracking runs).
     t is the tier scalar; y is `_floats` of the state: the float array on
     the 16-digit tier, and on the extended tiers the list of its components'
-    float values, each `float()` of the component's mpf.
+    float values, each `float()` of the component's mpf, built once per
+    accepted step and read by the divergence test first.
     Raises DivergenceError when a component passes the cutoff, or when the
     adaptive step underflows on a state that would pass it before t1, and
     IntegrationStalledError when the adaptive step underflows otherwise;
@@ -577,7 +585,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         }
         traj = Trajectory(times=[], states=[], k_series=[], labels=list(system.state_labels()),
                           k_in_state=system.k_in_state, metadata=metadata)
-        diverged = _diverged if ctx.is_float else _diverged_fixed
+        diverged = _diverged if ctx.is_float else _diverged_floats
         last_recorded = 0
 
         def record(count: int, t, y):
@@ -606,14 +614,16 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         def accept(count: int, t, y, last: bool) -> bool:
             """Check and record the state y at t after the count-th accepted step; True when the run stops here.
 
-            Every stride-th state and the last one are recorded.
+            Every stride-th state and the last one are recorded; the divergence
+            test and the stop condition read one float view of it, `_floats(y)`.
             """
             metadata["accepted_steps"] = count
-            if diverged(y):
+            view = _floats(y)
+            if diverged(view):
                 stop("divergence", t, y, count, f"state exceeded divergence cutoff at t={float(t)}")
             if count % cfg.stride == 0 or last:
                 record(count, t, y)
-            if stop_condition is not None and stop_condition(t, _floats(y)):
+            if stop_condition is not None and stop_condition(t, view):
                 return stop("stop_condition", t, y, count)
             return False
 

@@ -24,8 +24,8 @@ integrators' stage sums stay on the frame too, one exact sum per component,
 rounded once.  Only the exact constants (weights, roots, epsilon times the
 forcing, step fractions) are rounded to the tier before, once per build, per
 run (rk4's) or per step (dp45's).  A state leaves a step as an mpf array
-(`frame_array`) where it is recorded, and as floats (`frame_floats`) where a
-stop condition or an error norm reads it.
+(`frame_array`) where it is recorded, and as floats (`frame_floats`) where the
+divergence test, a stop condition or an error norm reads it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class _LazyMpmath:
             nstr=mpmath.nstr, workdps=mpmath.workdps, MPZ=libmp.MPZ, fzero=libmp.fzero,
             dps_to_prec=libmp.dps_to_prec, from_int=libmp.from_int, from_man_exp=libmp.from_man_exp,
             mpf_add=libmp.mpf_add, mpf_div=libmp.mpf_div, mpf_mul_int=libmp.mpf_mul_int,
-            round_nearest=libmp.round_nearest, to_float=libmp.to_float,
+            round_nearest=libmp.round_nearest, to_float=libmp.to_float, to_str=libmp.to_str,
         )
         return object.__getattribute__(self, name)
 
@@ -147,17 +147,17 @@ class ScalarContext:
         return apply
 
     def format(self, value) -> str:
-        """Deterministic decimal string at working precision."""
+        """Deterministic decimal string at working precision: `nstr`'s, by `to_str`, the call `nstr` ends in.
+
+        An mpf of at most `working_prec` bits is printed from its tuple; any
+        other value is first made an mpf at the working precision.
+        """
         if self.is_float:
             return repr(float(value))
-        with lazy_mpmath.workdps(self.working_dps):
-            return lazy_mpmath.nstr(
-                lazy_mpmath.mpf(value),
-                self.digits,
-                min_fixed=-(10**9),
-                max_fixed=10**9,
-                strip_zeros=True,
-            )
+        if not (is_mpf(value) and value._mpf_[3] <= self.working_prec):
+            with lazy_mpmath.workdps(self.working_dps):
+                value = lazy_mpmath.mpf(value)
+        return lazy_mpmath.to_str(value._mpf_, self.digits, min_fixed=-(10**9), max_fixed=10**9, strip_zeros=True)
 
 
 def round_frame(accs, exp: int, prec: int) -> tuple[list[int], int]:

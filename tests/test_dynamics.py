@@ -27,9 +27,9 @@ from alf import (
     vector_field,
 )
 from alf import dynamics
-from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_fixed, _escapes
+from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_floats, _escapes, _floats
 from alf.errors import DimensionMismatchError, PreconditionError
-from alf.precision import ScalarContext, exact, frame_array
+from alf.precision import ScalarContext, common_denominator, exact, frame_array, rounded
 from alf.prng import SplitMix64
 
 from conftest import dense_laplacian, rational_state
@@ -66,6 +66,41 @@ def test_vector_field_sums_to_zero_unperturbed(ex1_response):
 def test_vector_field_dimension_mismatch(ex1_response):
     with pytest.raises(DimensionMismatchError):
         vector_field(_system(3, ex1_response), [1.0, 2.0])
+
+
+# repeated weights make a dense graph's most common entry nonzero; None is a missing edge
+_SPLIT_WEIGHTS = (None, 1, 1, 1, Fraction(1, 3), Fraction(1, 3), Fraction(2, 7), 2.5)
+_SPLIT_FIELDS = (
+    ResponseField(ResponseFunction.from_roots([(1, 2), (-1, 2)])),
+    ResponseField(ResponseFunction.from_coeffs([Fraction(1, 10), -1, 0, Fraction(5, 3)])),
+    gauge_shift(ResponseField(ResponseFunction.from_roots([(Fraction(1, 3), 2)], scale=Fraction(3, 7))),
+                ResponseFunction.from_coeffs([Fraction(1, 3), 2, -1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), prec=st.sampled_from((None, 32, 64)),
+       fld=st.sampled_from(_SPLIT_FIELDS))
+def test_split_apply_equals_the_dense_row_sums(data, n, prec, fld):
+    # integer_flow applies W = c (J - I) + S; each row's integers must be the dense sum of the same rounded entries
+    weights = data.draw(st.lists(st.sampled_from(_SPLIT_WEIGHTS), min_size=n * (n - 1) // 2,
+                                 max_size=n * (n - 1) // 2))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    graph = Graph.from_edge_list(n, [(i, j, w) for (i, j), w in zip(pairs, weights) if w is not None])
+    forcing = data.draw(st.lists(st.fractions(-2, 2, max_denominator=9), min_size=n, max_size=n))
+    sys_ = PerturbedSystem(graph, fld, Perturbation.constant(forcing), Fraction(1, 7))
+    # the standard form's rows are every node but one; any subset, in any order, is a valid request
+    rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    state = data.draw(st.lists(st.fractions(-3, 3, max_denominator=2**12), min_size=n, max_size=n))
+    xs, d = common_denominator(state)
+    bits = None if prec is None else ScalarContext(prec).working_prec
+    nums, den = sys_.integer_flow(bits, rows)(xs, d)
+    fv, fden = fld.function.integer_evaluator(bits)(xs, d)
+    shift = sum(g.eval(Fraction(sum(xs), n * d)) for g in fld.mean_gauges)
+    lap = dense_laplacian(graph)
+    expected = [sum(rounded(-lap[i][j], bits) * (Fraction(fv[j], fden) + shift) for j in range(n))
+                + rounded(sys_.epsilon * sys_.perturbation.values[i], bits) for i in rows]
+    assert nums == [q * den for q in expected]
 
 
 def test_random_constant_perturbation_reproducible():
@@ -344,8 +379,8 @@ def test_non_finite_initial_state_diverges_at_t0(digits, bad, method, ex1_respon
 
 @pytest.mark.parametrize("digits", (32, 64))
 def test_extended_divergence_test_reads_each_component_as_a_float(digits):
-    # around the cutoff a component's float value decides, as float(v) rounds it;
-    # around 2**19 and 2**20 the exponent shortcut must agree with it
+    # the verdict on a frame's float view (`_floats`): around the cutoff a component's float value decides, as
+    # float(v) rounds it; so it does around 2**19 and 2**20, where the cutoff's binade starts and ends
     cutoff = Fraction(DIVERGENCE_CUTOFF)
     ulp = Fraction(np.nextafter(DIVERGENCE_CUTOFF, np.inf)) - cutoff
     values = [cutoff, cutoff + ulp / 2, cutoff + ulp / 4, cutoff + 3 * ulp / 4, cutoff + ulp,
@@ -362,10 +397,10 @@ def test_extended_divergence_test_reads_each_component_as_a_float(digits):
                 for state in ([sign * v, Fraction(1, 2)], [Fraction(1, 2), sign * v]):
                     y = ctx.vector(state)
                     expected = any(not abs(float(c)) <= DIVERGENCE_CUTOFF for c in frame_array(y))
-                    assert _diverged_fixed(y) == expected, (v, sign, state)
+                    assert _diverged_floats(_floats(y)) == expected, (v, sign, state)
         # a tie rounds to the even 1e6, three quarters of an ulp to the next double
-        assert not _diverged_fixed(ctx.vector([cutoff + ulp / 2]))
-        assert _diverged_fixed(ctx.vector([-(cutoff + 3 * ulp / 4)]))
+        assert not _diverged_floats(_floats(ctx.vector([cutoff + ulp / 2])))
+        assert _diverged_floats(_floats(ctx.vector([-(cutoff + 3 * ulp / 4)])))
 
 
 @pytest.mark.parametrize("digits", (32, 64))
@@ -380,8 +415,9 @@ def test_extended_divergence_verdict_at_the_cutoff(digits):
     with ctx.workprec():
         for state, diverged in cases:
             y = ctx.vector(state)
-            assert _diverged_fixed(y) == any(not abs(float(v)) <= DIVERGENCE_CUTOFF for v in frame_array(y))
-            assert _diverged_fixed(y) == diverged, state
+            view = _floats(y)
+            assert _diverged_floats(view) == any(not abs(float(v)) <= DIVERGENCE_CUTOFF for v in frame_array(y))
+            assert _diverged_floats(view) == diverged, state
 
 
 @pytest.mark.parametrize("digits", (16, 32))

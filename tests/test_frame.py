@@ -6,8 +6,9 @@ at the frame rule's exponent: the least exponent of a component's last bit
 at that precision, a zero reading -prec, at most 0.  `round_rationals`, the
 one rounding of a kernel's rational result, must give what `from_rational`
 gives, in the same frame.  `frame_floats`, the
-state a stop condition sees, must equal `float()` of each component's mpf
-bit for bit, subnormals included, where mpmath rounds twice.
+state the divergence test and a stop condition see, must equal `float()` of
+each component's mpf bit for bit, subnormals included, where mpmath rounds
+twice.  `ScalarContext.format` must print every value as `nstr` does.
 """
 
 from fractions import Fraction
@@ -161,3 +162,26 @@ def test_a_canard_stop_condition_sees_the_floats_of_each_state():
     for y, state in zip(seen, traj.states[1:]):
         assert type(y) is list and all(type(v) is float for v in y)
         assert [v.hex() for v in y] == [float(v).hex() for v in state]
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+def test_format_prints_a_tier_mpf_from_its_tuple_as_nstr_does(digits):
+    # an mpf of at most working_prec bits skips nstr's copy at the working precision; a wider mpf, a float and a
+    # str still take it, and every string equals nstr's of the value at the working precision
+    ctx = ScalarContext(digits)
+
+    def nstr(value):
+        with mpmath.workdps(ctx.working_dps):
+            return mpmath.nstr(mpmath.mpf(value), digits, min_fixed=-(10**9), max_fixed=10**9, strip_zeros=True)
+
+    with ctx.workprec():
+        tier = [ctx.scalar(v) for v in _float_view_values()]
+        tier += [mpmath.sqrt(2), -mpmath.pi / 7, mpmath.e * 10**5, mpmath.mpf(0), mpmath.mpf(10)**40,
+                 -mpmath.mpf(2)**-600, mpmath.mpf("inf"), mpmath.mpf("nan")]
+    assert all(v._mpf_[3] <= ctx.working_prec for v in tier)
+    with mpmath.workprec(4 * ctx.working_prec):
+        wider = [mpmath.sqrt(3), mpmath.mpf(1) / 3 + mpmath.mpf(2)**-200]
+    assert all(v._mpf_[3] > ctx.working_prec for v in wider)
+    others = [1 / 3, 1e-300, -2.5, "0.1", "-1.2345678901234567890123456789012345678901234567890e-30"]
+    for value in tier + wider + others:
+        assert ctx.format(value) == nstr(value), value
