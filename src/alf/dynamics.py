@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from math import isfinite, lcm
+from math import isfinite
 from numbers import Integral
 from operator import add, sub
 
@@ -155,10 +155,12 @@ class PerturbedSystem:
         """
         values = self.field.function.integer_evaluator(prec)
         laplacian = self.graph.laplacian()
-        # -L_ij == W_ij / lap_den; rounding to nearest, ties to even, commutes with the sign
-        lap = [[(j, rounded(w, prec)) for j, w in laplacian[i]] for i in rows]
-        lap_den = lcm(*(w.denominator for row in lap for _, w in row))
-        lap = [{j: -w.numerator * (lap_den // w.denominator) for j, w in row} for row in lap]
+        # -L_ij == W_ij / lap_den, rounding (to nearest, ties to even) commuting with the sign; each distinct
+        # entry is rounded once, keyed by its integers, since a Fraction's hash costs a modular inverse
+        distinct = {(w.numerator, w.denominator): w for i in rows for _, w in laplacian[i]}
+        nums, lap_den = common_denominator([rounded(w, prec) for w in distinct.values()])
+        entries = dict(zip(distinct, nums))
+        lap = [{j: -entries[w.numerator, w.denominator] for j, w in laplacian[i]} for i in rows]
         forcing, h_den = common_denominator([rounded(self.epsilon * self.perturbation.values[i], prec) for i in rows])
         row_sums = [sum(row.values()) for row in lap]
         gauges = self.field.mean_gauges if any(row_sums) else ()
@@ -542,7 +544,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     t is the tier scalar; y is `_floats` of the state: the float array on
     the 16-digit tier, and on the extended tiers the list of its components'
     float values, each `float()` of the component's mpf, built once per
-    accepted step and read by the divergence test first.
+    state and read by the divergence test first.
     Raises DivergenceError when a component passes the cutoff, or when the
     adaptive step underflows on a state that would pass it before t1, and
     IntegrationStalledError when the adaptive step underflows otherwise;
@@ -611,14 +613,13 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
                 raise DivergenceError(message, float(t), traj)
             raise IntegrationStalledError(message, float(t), traj)
 
-        def accept(count: int, t, y, last: bool) -> bool:
+        def accept(count: int, t, y, view, last: bool) -> bool:
             """Check and record the state y at t after the count-th accepted step; True when the run stops here.
 
             Every stride-th state and the last one are recorded; the divergence
-            test and the stop condition read one float view of it, `_floats(y)`.
+            test and the stop condition read its float view, `view` == `_floats(y)`.
             """
             metadata["accepted_steps"] = count
-            view = _floats(y)
             if diverged(view):
                 stop("divergence", t, y, count, f"state exceeded divergence cutoff at t={float(t)}")
             if count % cfg.stride == 0 or last:
@@ -730,7 +731,7 @@ def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
     for step in range(1, nsteps + 1):
         y = _rk4_step(rhs, y, step_dt)
         t = time(step)
-        if accept(step, t, y, step == nsteps):
+        if accept(step, t, y, _floats(y), step == nsteps):
             break
 
 
@@ -822,11 +823,11 @@ def _dp45_fixed_stages(rhs, y, fsal, dt):
 
 
 def _error_norm(y, y5, delta, tol: float) -> float:
-    """max_i |delta_i| / (tol + tol max(|y_i|, |y5_i|)) over the float values, and at least 0; NaNs are skipped."""
-    now = np.abs(_floats(y))
-    new = np.abs(_floats(y5))
+    """max_i |delta_i| / (tol + tol max(|y_i|, |y5_i|)) over `_floats` views, and at least 0; NaNs are skipped."""
+    now = np.abs(y)
+    new = np.abs(y5)
     scale = tol + tol * np.where(new > now, new, now)
-    return float(np.fmax.reduce(np.abs(_floats(delta)) / scale, initial=0.0))
+    return float(np.fmax.reduce(np.abs(delta) / scale, initial=0.0))
 
 
 def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
@@ -844,6 +845,7 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
     stages = partial(_dp45_float_stages, consts=_dp45_float_dt()) if ctx.is_float else _dp45_fixed_stages
     accepted = 0
     before = y
+    view = _floats(y)
     fsal = rhs(y)
     while float(t) < float(t_end):
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
@@ -851,13 +853,14 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
         if clipped:
             dt = t_end - t
         ks, y5, delta = stages(rhs, y, fsal, dt)
-        err = _error_norm(y, y5, delta, tol)
+        view5 = _floats(y5)
+        err = _error_norm(view, view5, _floats(delta), tol)
         if err <= 1.0:
             t = t_end if clipped else t + dt
-            before, y = y, y5
+            before, y, view = y, y5, view5  # one view per state: `accept` and the next error norm read it
             fsal = ks[6]  # first-same-as-last
             accepted += 1
-            if accept(accepted, t, y, float(t) >= float(t_end)):
+            if accept(accepted, t, y, view, float(t) >= float(t_end)):
                 return
         else:
             metadata["rejected_steps"] += 1

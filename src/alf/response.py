@@ -5,18 +5,19 @@ differentiation, evenness checks and the extended tiers' single rounding
 are exact; `ResponseField` refuses anything else.  A factored form (roots
 with multiplicities) is kept alongside the expanded coefficients when
 known, to avoid cancellation near the roots.
-Each function evaluates in one form (scale and roots when known, else
-Horner on the coefficients), whatever the numeric type of the argument:
+Floats evaluate in the function's form (scale and roots when known, else
+Horner on the coefficients); exact values are form-free:
 - floats (numpy floats and float arrays included) run the form's loop on
   constants converted to float once (`evaluator`, `float_constant`).  The
   float flow of the full system is the one exception: `dynamics._horner_plan`
   runs Horner on the expanded coefficients, a factored response's included;
-- everything else runs one integer routine of the form
-  (`integer_evaluator`): integers over one denominator in and out, the
-  constants exact for ints and Fractions, whose value is exact, or rounded
-  once to a precision for the extended-tier kernels and `eval` of a finite
-  mpf, which round each value once.  An mpf NaN or infinity runs the
-  form's loop in mpf arithmetic.
+- everything else runs one integer routine (`integer_evaluator`), Horner
+  on integers over one denominator in and out, on the exact coefficients
+  of the form's constants: exact for ints and Fractions, whose value is
+  exact, or rounded once to a precision (a factored form's scale and roots)
+  for the extended-tier kernels and `eval` of a finite mpf, which round
+  each value once.  An mpf NaN or infinity runs the form's loop in mpf
+  arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -178,50 +178,36 @@ class ResponseFunction:
 
         The returned `values(xs, d)` takes integers X_i and d > 0 and returns
         integers V_i and one denominator den > 0 with f(X_i / d) == V_i / den
-        exactly.  f is taken in the form `eval` uses, each constant exact
-        (prec None) or rounded once to prec bits (`rounded`), so the
-        extended tiers, with d a power of two, get a power of two for den.
+        exactly, by Horner on the exact coefficients of the form `eval` uses,
+        its constants exact (prec None) or each rounded once to prec bits
+        (`rounded`): a factored form's scale and roots, expanded exactly
+        after the rounding, else the coefficients.  An exact value is the
+        form's loop's on the same constants.  The extended tiers, with d a
+        power of two, get a power of two for den.
         """
         if prec in self._integer_routines:
             return self._integer_routines[prec]
-        if self.roots is not None:
-            scale = rounded(self.scale, prec)
-            s_num, s_den = scale.numerator, scale.denominator
-            nums, root_den = common_denominator([rounded(r, prec) for r, _ in self.roots])
-            roots = [(r, mult) for r, (_, mult) in zip(nums, self.roots)]
-            degree = sum(mult for _, mult in roots)
-
-            # kept for the last d: the states of an extended-tier run mostly share one (`vector_function`)
-            @lru_cache(maxsize=1)
-            def terms(d):
-                # x - r == (X a - R b) / den with den the lcm of d and root_den, a = den / d and b = den / root_den
-                den = lcm(d, root_den)
-                return den // d, [(r * (den // root_den), mult) for r, mult in roots], s_den * den ** degree
-
-            def values(xs, d):
-                a, shifted, den = terms(d)
-                if a != 1:
-                    xs = [x * a for x in xs]
-                out = []
-                for x in xs:
-                    acc = s_num
-                    for r, mult in shifted:
-                        acc *= (x - r) ** mult
-                    out.append(acc)
-                return out, den
+        if prec is None or self.roots is None:
+            coeffs = [rounded(c, prec) for c in self.coeffs]
         else:
-            (top, *rest), den = common_denominator([rounded(c, prec) for c in reversed(self.coeffs)])
+            coeffs = self.from_roots([(rounded(r, prec), m) for r, m in self.roots], rounded(self.scale, prec)).coeffs
+        (top, *rest), den = common_denominator(coeffs[::-1])
 
-            def values(xs, d):
-                # Horner: the coefficient k places below the top carries d**k
-                consts = [c * d**k for k, c in enumerate(rest, start=1)]
-                out = []
-                for x in xs:
-                    acc = top
-                    for c in consts:
-                        acc = acc * x + c
-                    out.append(acc)
-                return out, den * d ** len(rest)
+        # kept for the last d: the states of an extended-tier run mostly share one (`vector_function`)
+        @lru_cache(maxsize=1)
+        def terms(d):
+            # Horner: the coefficient k places below the top carries d**k
+            return [c * d**k for k, c in enumerate(rest, start=1)], den * d ** len(rest)
+
+        def values(xs, d):
+            consts, out_den = terms(d)
+            out = []
+            for x in xs:
+                acc = top
+                for c in consts:
+                    acc = acc * x + c
+                out.append(acc)
+            return out, out_den
 
         self._integer_routines[prec] = values
         return values

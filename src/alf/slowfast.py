@@ -594,14 +594,15 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
     holds exactly when the forcing is critical: g_tilde == g, and nonzero
     since the point is not degenerate.
 
-    A consensus point is its own mirror, k_s - (n-1) x_s == x_s, so f'' is
-    evaluated once and is both curvatures of the lambda cross-check.
+    f' and f'' are evaluated once: they tag the point as `consensus_stability`
+    does, and a consensus point is its own mirror, k_s - (n-1) x_s == x_s,
+    so f'' is both curvatures of the lambda cross-check.
     """
-    if consensus_stability(ps, x_s).tag != SINGULAR:
+    d2f = ps.f.derivative(2).eval(x_s)
+    if _stability(ps.f.derivative().eval(x_s), d2f) != SINGULAR:
         raise PreconditionError(f"x = {x_s} is not a singular consensus point")
     n = ps.n
     k_s = n * x_s
-    d2f = ps.f.derivative(2).eval(x_s)
     h = ps.g
     h_tilde = ps.g_tilde
     pert_sum = ps.slow_rhs_factor()

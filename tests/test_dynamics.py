@@ -29,7 +29,7 @@ from alf import (
 from alf import dynamics
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_floats, _escapes, _floats
 from alf.errors import DimensionMismatchError, PreconditionError
-from alf.precision import ScalarContext, common_denominator, exact, frame_array, rounded
+from alf.precision import ScalarContext, common_denominator, exact, frame_array, frame_floats, rounded
 from alf.prng import SplitMix64
 
 from conftest import dense_laplacian, rational_state
@@ -101,6 +101,21 @@ def test_split_apply_equals_the_dense_row_sums(data, n, prec, fld):
     expected = [sum(rounded(-lap[i][j], bits) * (Fraction(fv[j], fden) + shift) for j in range(n))
                 + rounded(sys_.epsilon * sys_.perturbation.values[i], bits) for i in rows]
     assert nums == [q * den for q in expected]
+
+
+@pytest.mark.parametrize("n", (3, 25))
+def test_unit_complete_flow_rounds_each_distinct_entry_once(n, ex1_response, monkeypatch):
+    # unit K_n has two distinct Laplacian values, n - 1 and -1, among its n**2 entries; the forcing adds n roundings
+    calls = []
+
+    def counted(q, prec):
+        calls.append(q)
+        return rounded(q, prec)
+
+    monkeypatch.setattr(dynamics, "rounded", counted)
+    sys_ = _system(n, ex1_response, Perturbation.constant([Fraction(i, 7) for i in range(n)]), Fraction(1, 10))
+    sys_.integer_flow(ScalarContext(32).working_prec, range(n))
+    assert len(calls) <= 2 + n
 
 
 def test_random_constant_perturbation_reproducible():
@@ -617,6 +632,24 @@ def test_extended_dp45_times_and_steps_equal_an_mpf_operator_replay(digits, monk
     assert [dt._mpf_ for dt, _ in attempts] == [dt._mpf_ for dt in steps]
     assert [t._mpf_ for t in traj.times] == [t._mpf_ for t in times]
     assert traj.metadata["rejected_steps"] > 0 and traj.times[-1] == t_end and len(times) > 5
+
+
+@pytest.mark.parametrize("digits", (32, 64))
+def test_extended_dp45_views_each_state_once(digits, monkeypatch):
+    # the start state, then each attempt's y5 and error estimate; the accepted y5's view is the next y's and accept's
+    calls = []
+
+    def counted(frame):
+        calls.append(frame)
+        return frame_floats(frame)
+
+    monkeypatch.setattr(dynamics, "frame_floats", counted)
+    sys_ = _system(4, ResponseFunction.from_roots([(1, 2), (-1, 2)]), Perturbation.constant(-1, 4), Fraction(1, 10))
+    traj = integrate(sys_, [0.1, 0.6, -0.3, 0.2], (0.0, 2.0), IntegratorConfig(method="dp45", dt=0.4, tol=1e-9,
+                                                                                  digits=digits))
+    meta = traj.metadata
+    assert meta["rejected_steps"] > 0 and meta["accepted_steps"] > 5
+    assert len(calls) == 1 + 2 * (meta["accepted_steps"] + meta["rejected_steps"])
 
 
 @pytest.mark.parametrize("n", (1, 10, 100))

@@ -329,6 +329,22 @@ def test_integer_evaluator_equals_fraction_arithmetic(f, xs, d, prec):
             assert den & (den - 1) == 0
 
 
+@pytest.mark.parametrize("prec", (53, 113))
+def test_integer_evaluator_of_a_factored_form_expands_its_rounded_constants(prec):
+    # scale and roots that round at the tier: the routine's values are the factored loop on the rounded constants,
+    # and at some point they are not Horner on the rounded expanded coefficients
+    f = ResponseFunction.from_roots([(Fraction(1, 3), 2), (Fraction(-1, 7), 1)], scale=Fraction(1, 5))
+    factored = _reference(f, _rounded_to(prec))
+    expanded = _reference(ResponseFunction(f.coeffs), _rounded_to(prec))
+    rng = SplitMix64(prec)
+    for d in (2**30, 3 * 2**10):
+        xs = [int(rng.uniform(-2, 2) * d) for _ in range(20)]
+        values, den = f.integer_evaluator(prec)(xs, d)
+        got = [Fraction(v, den) for v in values]
+        assert got == [factored(Fraction(x, d)) for x in xs]
+        assert got != [expanded(Fraction(x, d)) for x in xs]
+
+
 @settings(max_examples=150, deadline=None)
 @given(f=_FORMS, x=st.one_of(st.integers(-10**12, 10**12), _RATIONALS, st.fractions(max_denominator=10**15)))
 def test_eval_of_ints_and_fractions_is_fraction_arithmetic(f, x):
