@@ -6,12 +6,13 @@ so a run refused before it writes leaves no directory.
 
 Exit codes: 0 success, 1 any other package error such as a failed invariant
 check (InvariantViolationError) or a stalled step size
-(IntegrationStalledError), 2 configuration error, 3 divergence, 4 unsupported
-graph structure, 5 canard run whose tracked type-1 point has lambda != 1, the
-`canard` field of `singularities` being false there (advisory; outputs are
-still written).  Every integrator stop, a divergence or a stall, writes its
-partial trajectory CSV before the command exits; an error other than a
-divergence prints one JSON line on stderr.
+(IntegrationStalledError), 2 configuration error (an --out that cannot be
+written among them), 3 divergence, 4 unsupported graph structure, 5 canard
+run whose tracked type-1 point has lambda != 1, the `canard` field of
+`singularities` being false there (advisory; outputs are still written).
+Every integrator stop, a divergence or a stall, writes its partial
+trajectory CSV before the command exits; an error other than a divergence
+prints one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -124,11 +125,15 @@ def _eliminated_index(cfg: dict, n: int) -> int:
 
 
 def _write(args, name: str, write) -> None:
-    """Write the output file `name` into --out (made here, at the first file) by write(stream); print its path."""
+    """Write `name` into --out (made at the first file) by write(stream), print its path; OSError raises ConfigError."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError([f"--out: cannot write {path}: {err.strerror or err}"]) from None
+    with fh:
         write(fh)
     print(path)
 

@@ -102,18 +102,14 @@ class PerturbedSystem:
         return self.graph.n
 
     @cached_property
-    def _neg_laplacian_float(self) -> np.ndarray:
-        return -self.graph.laplacian_array()
-
-    @cached_property
     def _flows(self) -> dict:
         return {}
 
     def _full_flow(self, prec):
-        """`integer_flow(prec, every row)`, built once per precision (prec None: exact)."""
+        """`integer_flow(prec)`, built once per precision (prec None: exact)."""
         flows = self._flows
         if prec not in flows:
-            flows[prec] = self.integer_flow(prec, range(self.n))
+            flows[prec] = self.integer_flow(prec)
         return flows[prec]
 
     @cached_property
@@ -124,7 +120,7 @@ class PerturbedSystem:
         less dispatch per call.  A term eps * h_i outside float64's range is
         refused (`check_float_forcing`).
         """
-        neg_l = self._neg_laplacian_float
+        neg_l = -self.graph.laplacian_array()
         fld = self.field
         plan = _horner_plan(fld)
         eps = float(self.epsilon)
@@ -138,13 +134,13 @@ class PerturbedSystem:
 
         return flow
 
-    def integer_flow(self, prec, rows):
-        """(X, d) -> (V, den): the components `rows` of -L F(x) + eps H at x_j = X_j / d are V_i / den.
+    def integer_flow(self, prec):
+        """(X, d) -> (V, den): -L F(x) + eps H at x_j = X_j / d is V_i / den, a new list V.
 
         The constants are exact (prec None) or each rounded once to prec
         bits: -L_ij and eps * h_i over one denominator each, and the
-        response's.  The rows' off-diagonal W_ij split as c (J - I) + S, c
-        their most common entry (an absent one reads 0), so row i is
+        response's.  The off-diagonal W_ij split as c (J - I) + S, c their
+        most common entry (an absent one reads 0), so row i is
         c sum(F) + (W_ii - c) F_i + sum_j S_ij F_j: O(n + nnz(S)) per call,
         the dense row sum's integers for any c.  On unit K_n S is empty; on
         a sparse graph c is 0 and S the edges.  A mean gauge adds g(mean) to
@@ -157,16 +153,16 @@ class PerturbedSystem:
         laplacian = self.graph.laplacian()
         # -L_ij == W_ij / lap_den, rounding (to nearest, ties to even) commuting with the sign; each distinct
         # entry is rounded once, keyed by its integers, since a Fraction's hash costs a modular inverse
-        distinct = {(w.numerator, w.denominator): w for i in rows for _, w in laplacian[i]}
+        distinct = {(w.numerator, w.denominator): w for row in laplacian for _, w in row}
         nums, lap_den = common_denominator([rounded(w, prec) for w in distinct.values()])
         entries = dict(zip(distinct, nums))
-        lap = [{j: -entries[w.numerator, w.denominator] for j, w in laplacian[i]} for i in rows]
-        forcing, h_den = common_denominator([rounded(self.epsilon * self.perturbation.values[i], prec) for i in rows])
+        lap = [{j: -entries[w.numerator, w.denominator] for j, w in row} for row in laplacian]
+        forcing, h_den = common_denominator([rounded(self.epsilon * h, prec) for h in self.perturbation.values])
         row_sums = [sum(row.values()) for row in lap]
         gauges = self.field.mean_gauges if any(row_sums) else ()
-        off = [w for i, row in zip(rows, lap) for j, w in row.items() if j != i]
+        off = [w for i, row in enumerate(lap) for j, w in row.items() if j != i]
         # the absent entries are counted first, so 0 wins a tie
-        counts = Counter({0: len(lap) * (self.n - 1) - len(off)})
+        counts = Counter({0: self.n * (self.n - 1) - len(off)})
         counts.update(off)
         c = counts.most_common(1)[0][0]
         # row i's (W_ii - c) and S's entries, each (j, W_ij - c) where W_ij != c; with c 0, the row itself
@@ -211,9 +207,17 @@ class PerturbedSystem:
         return reduce(add, y.tolist() if type(y) is np.ndarray else y)
 
     def rhs_function(self, ctx: ScalarContext):
+        """The float flow, or on the extended tiers frame -> frame: the exact flow, each component rounded once."""
         if ctx.is_float:
             return self._float_flow
-        return ctx.vector_function(self._full_flow(ctx.working_prec))
+        prec = ctx.working_prec
+        flow = self._full_flow(prec)
+
+        def rhs(frame):
+            xs, exp = frame
+            return round_rationals(*flow(xs, 1 << -exp), prec)
+
+        return rhs
 
 
 def check_float_forcing(values) -> None:
@@ -360,11 +364,9 @@ class StandardFormSystem:
         return y[-1]
 
     def rhs_function(self, ctx: ScalarContext):
-        """Lift to the full state, apply the full system's flow, project."""
+        """Lift to the full state, apply the system's one flow, drop row l, add the slow drift (and round once)."""
         sys = self.base
-        n = sys.n
         l = self.l
-        keep = [j - 1 for j in self.kept]
         if ctx.is_float:
             flow = sys._float_flow
             with np.errstate(over="ignore", invalid="ignore"):
@@ -373,8 +375,8 @@ class StandardFormSystem:
             check_float_forcing([slow])
             # lift: y's entry for each node of the full state, k standing in for x_l until it is set;
             # project: the retained nodes' entries of the full derivative, then x_l's, replaced by the drift
-            lift = np.array([*range(l - 1), n - 1, *range(l - 1, n - 1)])
-            project = np.array([*keep, l - 1])
+            lift = np.array([*range(l - 1), sys.n - 1, *range(l - 1, sys.n - 1)])
+            project = np.array([j - 1 for j in self.kept] + [l - 1])
             total = np.add.reduce
 
             def rhs(y: np.ndarray) -> np.ndarray:
@@ -387,22 +389,24 @@ class StandardFormSystem:
             return rhs
 
         prec = ctx.working_prec
-        flow = sys.integer_flow(prec, keep)
+        flow = sys._full_flow(prec)
         slow = rounded(sys.epsilon * sum(sys.perturbation.values), prec)
         s_num, s_den = slow.numerator, slow.denominator
 
-        def fixed_rhs(xs, d):
-            full = xs[:-1]
+        def fixed_rhs(frame):
+            xs, exp = frame
             # lift, exactly: x_l = k - sum of the retained coordinates
+            full = xs[:-1]
             full.insert(l - 1, xs[-1] - sum(full))
-            nums, den = flow(full, d)
+            nums, den = flow(full, 1 << -exp)
+            del nums[l - 1]
             # the slow drift, a tier value, joins exactly over a common denominator
             if den % s_den:
                 nums, den = [v * s_den for v in nums], den * s_den
             nums.append(s_num * (den // s_den))
-            return nums, den
+            return round_rationals(nums, den, prec)
 
-        return ctx.vector_function(fixed_rhs)
+        return fixed_rhs
 
 
 def to_standard_form(sys: PerturbedSystem, l: int) -> StandardFormSystem:
@@ -545,6 +549,8 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     the 16-digit tier, and on the extended tiers the list of its components'
     float values, each `float()` of the component's mpf, built once per
     state and read by the divergence test first.
+    A span whose float length t1 - t0, or rk4's span / dt, is not finite
+    raises PreconditionError before the first step.
     Raises DivergenceError when a component passes the cutoff, or when the
     adaptive step underflows on a state that would pass it before t1, and
     IntegrationStalledError when the adaptive step underflows otherwise;
@@ -567,6 +573,9 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     t0, t1 = tspan
     if not t1 > t0:
         raise PreconditionError("tspan must satisfy t1 > t0")
+    span = float(t1) - float(t0)
+    if not isfinite(span) or cfg.method == "rk4" and not isfinite(span / cfg.dt):
+        raise PreconditionError(f"tspan {list(tspan)} with dt={cfg.dt}: the span or rk4's step count is not finite")
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)

@@ -16,10 +16,10 @@ precision.  Exact values and the extended tiers share one integer kernel per
 idea (a response, a flow): integers over one denominator in and out, every
 constant exact or rounded once (`rounded`).  On the extended tiers a
 right-hand side is a frame function, frame in and frame out: the exact
-kernel, then `round_rationals`, the one rounding of a rational result, which
-rounds each component once, to nearest with ties to even, back into a frame
-(`round_frame` over a power of two), so each is the correctly rounded value
-of its exact formula in the tier's inputs (`vector_function`).  The
+kernel, then inside the same function `round_rationals`, the one rounding of
+a rational result, which rounds each component once, to nearest with ties to
+even, back into a frame (`round_frame` over a power of two), so each is the
+correctly rounded value of its exact formula in the tier's inputs.  The
 integrators' stage sums stay on the frame too, one exact sum per component,
 rounded once.  Only the exact constants (weights, roots, epsilon times the
 forcing, step fractions) are rounded to the tier before, once per build, per
@@ -127,24 +127,6 @@ class ScalarContext:
             if not lazy_mpmath.isfinite(v):
                 raise PreconditionError(f"the {self.digits}-digit tier holds finite values only, not {v}")
         return round_rationals(*common_denominator([dyadic(v._mpf_) for v in scalars]), self.working_prec)
-
-    def vector_function(self, kernel):
-        """The extended tiers' frame function (ints, exp) -> (ints, exp) of an exact integer kernel.
-
-        `kernel(xs, d)` reads the state's frame, x_i == xs_i / d with
-        d == 2**-exp (`round_frame`), and returns integers and one
-        denominator, the exact components nums_i / den; each is rounded once
-        into the returned frame (`round_rationals`).  d follows the state's
-        magnitudes, not its trailing zeros, so consecutive states of a run
-        mostly share it.
-        """
-        prec = self.working_prec
-
-        def apply(frame):
-            xs, exp = frame
-            return round_rationals(*kernel(xs, 1 << -exp), prec)
-
-        return apply
 
     def format(self, value) -> str:
         """Deterministic decimal string at working precision: `nstr`'s, by `to_str`, the call `nstr` ends in.

@@ -193,7 +193,7 @@ class ResponseFunction:
             coeffs = self.from_roots([(rounded(r, prec), m) for r, m in self.roots], rounded(self.scale, prec)).coeffs
         (top, *rest), den = common_denominator(coeffs[::-1])
 
-        # kept for the last d: the states of an extended-tier run mostly share one (`vector_function`)
+        # kept for the last d: the states of an extended-tier run mostly share one (`round_frame`)
         @lru_cache(maxsize=1)
         def terms(d):
             # Horner: the coefficient k places below the top carries d**k

@@ -96,10 +96,10 @@ class PlaneSystem:
 
         `eps * g` and the slow drift are computed once per build.  The extended
         tiers compute in integers (`ResponseFunction.integer_evaluator`), frame
-        in and frame out as `ScalarContext.vector_function` is: the mirror and
-        the layer are exact, and the fast component is rounded once, in the
-        same call; `eps * g` and the slow drift are exact constants rounded to
-        the tier.
+        in and frame out as the full system's right-hand side is: the mirror
+        and the layer are exact, and the fast component is rounded once, in the
+        same call (`round_frame`); `eps * g` and the slow drift are exact
+        constants rounded to the tier.
         """
         n = self.n
         if ctx.is_float:
@@ -546,42 +546,6 @@ def _sign(v) -> int:
     return 0
 
 
-def _lambda_cross_check(n, d2f_center, d2f_mirror, h, h_tilde, lam) -> None:
-    """Verify the simplified threshold scalar against the generic one.
-
-    The generic route assembles the half second partials of the fast
-    equation in (x, k) plus the forcing terms and evaluates
-    (delta*alpha + g0*beta) / (|g0| sqrt(beta^2 - gamma*alpha)); it must
-    reproduce `lam`.  Both sides are squared to avoid the square root; the
-    squares must agree exactly when every input is rational, and otherwise
-    to a relative tolerance of 1e-12.
-    """
-    alpha = Fraction(-exact(d2f_center) + (n - 1) ** 2 * exact(d2f_mirror), 2)
-    beta = Fraction(-(n - 1) * exact(d2f_mirror), 2)
-    gamma = Fraction(exact(d2f_mirror), 2)
-    delta = exact(h)
-    g0 = (n - 1) * exact(h) + exact(h_tilde)
-    disc = beta * beta - gamma * alpha
-    if disc <= 0 or g0 == 0:
-        raise PreconditionError("generic transcritical conditions fail at this point")
-    numer = delta * alpha + g0 * beta
-    target = exact(lam) * abs(g0)
-    # compare numer / sqrt(disc) with target by squaring (avoids irrational sqrt)
-    lhs = numer * numer
-    rhs = target * target * disc
-    if _sign(numer) != _sign(target):
-        raise InvariantViolationError("threshold scalar sign mismatch between the two routes")
-    all_exact = all(
-        isinstance(v, (int, Fraction)) for v in (d2f_center, d2f_mirror, h, h_tilde, lam)
-    )
-    tol = Fraction(0) if all_exact else Fraction(1, 10**12)
-    scale = max(abs(lhs), abs(rhs), Fraction(1))
-    if abs(lhs - rhs) > tol * scale:
-        raise InvariantViolationError(
-            f"threshold scalar mismatch: squared values {float(lhs)} vs {float(rhs)}"
-        )
-
-
 def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
     """Classify a singular consensus point of the plane system.
 
@@ -595,8 +559,7 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
     since the point is not degenerate.
 
     f' and f'' are evaluated once: they tag the point as `consensus_stability`
-    does, and a consensus point is its own mirror, k_s - (n-1) x_s == x_s,
-    so f'' is both curvatures of the lambda cross-check.
+    does.
     """
     d2f = ps.f.derivative(2).eval(x_s)
     if _stability(ps.f.derivative().eval(x_s), d2f) != SINGULAR:
@@ -618,7 +581,6 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
         sing_type = "type-1" if rho == -1 else "type-2"
         # the forcing is exact, so lambda is too and the canard test is exact
         lam = -Fraction(rho) * Fraction(h + (n - 1) * h_tilde, h_tilde + (n - 1) * h)
-        _lambda_cross_check(n, d2f, d2f, h, h_tilde, lam)
         canard = sing_type == "type-1" and lam == 1
 
     return SingularityReport(

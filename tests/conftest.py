@@ -69,6 +69,29 @@ def dense_laplacian(g: Graph) -> list[list[Fraction]]:
     return lap
 
 
+def assert_generic_transcritical_threshold(n, d2f_center, d2f_mirror, h, h_tilde, lam) -> None:
+    """The canard threshold `lam` equals the generic transcritical route's, all inputs exact.
+
+    The generic route (Krupa and Szmolyan 2001) reads the half second
+    partials alpha, beta, gamma of the fast equation in (x, k), its forcing
+    delta and the slow drift g0, and gives
+    lam == (delta alpha + g0 beta) / (|g0| sqrt(beta^2 - gamma alpha)).
+    Both sides are compared squared, so exactly, and their signs must agree.
+    The curvatures at the point and at its mirror are passed apart, so a
+    plane whose two node classes differ reads the same route.
+    """
+    alpha = Fraction(-d2f_center + (n - 1) ** 2 * d2f_mirror) / 2
+    beta = Fraction(-(n - 1) * d2f_mirror) / 2
+    gamma = Fraction(d2f_mirror) / 2
+    g0 = (n - 1) * h + h_tilde
+    disc = beta * beta - gamma * alpha
+    assert disc > 0 and g0 != 0
+    numer = h * alpha + g0 * beta
+    target = lam * abs(g0)
+    assert numer * numer == target * target * disc
+    assert (numer > 0) - (numer < 0) == (target > 0) - (target < 0)
+
+
 def permutation_matrix(p: Permutation) -> list[list[int]]:
     """The 0/1 matrix P with P e_j = e_sigma(j)."""
     m = [[0] * p.n for _ in range(p.n)]

@@ -608,6 +608,40 @@ def test_overflowing_float_forcing_prints_one_error_line(tmp_path):
     }
 
 
+@pytest.mark.parametrize("command, preset, override", [
+    ("simulate", "ex2-unweighted", {"tspan": [0.0, 1e300], "integrator": {"dt": 1e-10}}),
+    ("simulate", "ex2-unweighted", {"tspan": [-1e308, 1e308]}),
+    ("canard", "ex1-canard", {"tspan": [0.0, 1e300], "integrator": {"dt": 1e-10}}),
+])
+def test_overflowing_span_prints_one_error_line(tmp_path, command, preset, override):
+    # rk4's span / dt, or the span t1 - t0 itself, is infinite: refused before the first step, and no file is written
+    out = tmp_path / "out"
+    proc = _run_cli(command, "--preset", preset, "--config", _write(tmp_path, "span.json", override), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "PreconditionError" and "not finite" in report["details"][0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_unusable_out_prints_one_config_error_line(tmp_path, below):
+    # --out names an existing regular file, or a path below one: a configuration error, not a traceback
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out = blocker.joinpath(*below)
+    proc = _run_cli("divergence", "--preset", "ex1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    report = json.loads(line)
+    assert report["error"] == "config"
+    (detail,) = report["details"]
+    assert detail.startswith(f"--out: cannot write {out / 'divergence.json'}: ")
+    assert blocker.read_text() == ""
+
+
 def test_noncritical_canard_advisory_exit(tmp_path):
     override = {
         "perturbation": {"constant": {"values": [-1, -1, 0]}},

@@ -29,7 +29,9 @@ from alf import (
 from alf import dynamics
 from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_floats, _escapes, _floats
 from alf.errors import DimensionMismatchError, PreconditionError
-from alf.precision import ScalarContext, common_denominator, exact, frame_array, frame_floats, rounded
+from alf.precision import (
+    ScalarContext, common_denominator, exact, frame_array, frame_floats, round_rationals, rounded,
+)
 from alf.prng import SplitMix64
 
 from conftest import dense_laplacian, rational_state
@@ -82,25 +84,35 @@ _SPLIT_FIELDS = (
 @given(data=st.data(), n=st.integers(1, 7), prec=st.sampled_from((None, 32, 64)),
        fld=st.sampled_from(_SPLIT_FIELDS))
 def test_split_apply_equals_the_dense_row_sums(data, n, prec, fld):
-    # integer_flow applies W = c (J - I) + S; each row's integers must be the dense sum of the same rounded entries
+    # integer_flow applies W = c (J - I) + S; each row's integers must be the dense sum of the same rounded entries,
+    # and the standard form's extended rhs, which lifts into that flow, every row but l's, each rounded once
     weights = data.draw(st.lists(st.sampled_from(_SPLIT_WEIGHTS), min_size=n * (n - 1) // 2,
                                  max_size=n * (n - 1) // 2))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     graph = Graph.from_edge_list(n, [(i, j, w) for (i, j), w in zip(pairs, weights) if w is not None])
     forcing = data.draw(st.lists(st.fractions(-2, 2, max_denominator=9), min_size=n, max_size=n))
     sys_ = PerturbedSystem(graph, fld, Perturbation.constant(forcing), Fraction(1, 7))
-    # the standard form's rows are every node but one; any subset, in any order, is a valid request
-    rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
     state = data.draw(st.lists(st.fractions(-3, 3, max_denominator=2**12), min_size=n, max_size=n))
-    xs, d = common_denominator(state)
     bits = None if prec is None else ScalarContext(prec).working_prec
-    nums, den = sys_.integer_flow(bits, rows)(xs, d)
+    if prec is not None:
+        # the standard form's state (fast, k) on the tier, and the full state it lifts to exactly
+        std = to_standard_form(sys_, data.draw(st.integers(1, n)))
+        frame = ScalarContext(prec).vector([*std.project(state)[0], sum(state)])
+        ints, exp = frame
+        *fast, k = [Fraction(a, 1 << -exp) for a in ints]
+        state = std.lift(fast, k)
+    xs, d = common_denominator(state)
+    nums, den = sys_.integer_flow(bits)(xs, d)
     fv, fden = fld.function.integer_evaluator(bits)(xs, d)
     shift = sum(g.eval(Fraction(sum(xs), n * d)) for g in fld.mean_gauges)
     lap = dense_laplacian(graph)
     expected = [sum(rounded(-lap[i][j], bits) * (Fraction(fv[j], fden) + shift) for j in range(n))
-                + rounded(sys_.epsilon * sys_.perturbation.values[i], bits) for i in rows]
+                + rounded(sys_.epsilon * sys_.perturbation.values[i], bits) for i in range(n)]
     assert nums == [q * den for q in expected]
+    if prec is not None:
+        drift = rounded(sys_.epsilon * sum(forcing), bits)
+        rows = [q for i, q in enumerate(expected, start=1) if i != std.l] + [drift]
+        assert std.rhs_function(ScalarContext(prec))(frame) == round_rationals(*common_denominator(rows), bits)
 
 
 @pytest.mark.parametrize("n", (3, 25))
@@ -114,8 +126,23 @@ def test_unit_complete_flow_rounds_each_distinct_entry_once(n, ex1_response, mon
 
     monkeypatch.setattr(dynamics, "rounded", counted)
     sys_ = _system(n, ex1_response, Perturbation.constant([Fraction(i, 7) for i in range(n)]), Fraction(1, 10))
-    sys_.integer_flow(ScalarContext(32).working_prec, range(n))
+    sys_.integer_flow(ScalarContext(32).working_prec)
     assert len(calls) <= 2 + n
+
+
+@pytest.mark.parametrize("digits", (16, 32))
+@pytest.mark.parametrize("tspan, options", [((0.0, 1e300), {"dt": 1e-10}), ((-1e308, 1e308), {}),
+                                            ((-1e308, 1e308), {"method": "dp45"})])
+def test_a_span_or_rk4_step_count_that_overflows_is_refused_before_stepping(ex1_response, monkeypatch, digits,
+                                                                            tspan, options):
+    # the float span t1 - t0, or rk4's span / dt, is infinite
+    def stepped(*args):
+        raise AssertionError("the run stepped")
+
+    monkeypatch.setattr(dynamics, "_run_rk4", stepped)
+    monkeypatch.setattr(dynamics, "_run_dp45", stepped)
+    with pytest.raises(PreconditionError, match="not finite"):
+        integrate(_system(3, ex1_response), [0, 0, 0], tspan, IntegratorConfig(digits=digits, **options))
 
 
 def test_random_constant_perturbation_reproducible():
@@ -859,8 +886,7 @@ def test_vector_field_builds_one_flow_per_precision(ex1_response, monkeypatch):
     sys_ = _system(10, ex1_response, Perturbation.constant(Fraction(-1, 3), 10), Fraction(1, 10))
     builds = []
     build = PerturbedSystem.integer_flow
-    monkeypatch.setattr(PerturbedSystem, "integer_flow", lambda self, prec, rows: builds.append(prec) or build(
-        self, prec, rows))
+    monkeypatch.setattr(PerturbedSystem, "integer_flow", lambda self, prec: builds.append(prec) or build(self, prec))
     # the float tier's flow, its Horner plan and eps H included, is built once per system
     plan = dynamics._horner_plan
     monkeypatch.setattr(dynamics, "_horner_plan", lambda fld: builds.append("float") or plan(fld))

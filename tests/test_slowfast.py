@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from alf import (
     Graph,
@@ -26,6 +26,7 @@ from alf import (
 )
 from alf.prng import SplitMix64
 
+from conftest import assert_generic_transcritical_threshold
 from float_oracles import (
     ContinuationFailedError,
     flow_stability_probe,
@@ -103,15 +104,19 @@ def test_plane_reduce_rejects_weighted_complete_graph():
         plane_reduce(PerturbedSystem(uniform, ResponseField(f), Perturbation.zero(3), 0), 3)
 
 
-def test_lambda_cross_check_mismatch_raises_invariant_error():
-    from alf.slowfast import _lambda_cross_check
+_NONZERO = st.fractions(-5, 5, max_denominator=12).filter(bool)
 
-    # ex1 at x_s = 1: f'' = 8 at the point and its mirror, uniform forcing -1, lambda 1
-    _lambda_cross_check(3, 8, 8, -1, -1, 1)
-    with pytest.raises(InvariantViolationError):
-        _lambda_cross_check(3, 8, 8, -1, -1, 2)
-    with pytest.raises(InvariantViolationError):
-        _lambda_cross_check(3, 8, 8, -1, -1, -1)
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 12), c=_NONZERO, x_s=st.fractions(-3, 3, max_denominator=8),
+       h=st.fractions(-2, 2, max_denominator=9), h_tilde=st.fractions(-2, 2, max_denominator=9))
+def test_threshold_agrees_with_the_generic_transcritical_route(n, c, x_s, h, h_tilde):
+    # f = (c/2)(x - x_s)^2 is singular at x_s with f'' == c there and at its mirror, a consensus point's own
+    assume((n - 1) * h + h_tilde != 0)
+    f = ResponseFunction.from_roots([(x_s, 2)], scale=c / 2)
+    report = analyze_singularity(PlaneSystem(n=n, f=f, g=h, g_tilde=h_tilde, epsilon=Fraction(1, 10)), x_s)
+    assert report.sing_type in ("type-1", "type-2")
+    assert_generic_transcritical_threshold(n, c, c, h, h_tilde, report.lam)
 
 
 # --- consensus stability ------------------------------------------------------
