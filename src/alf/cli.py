@@ -48,6 +48,7 @@ from .precision import exact
 from .presets import PRESET_NAMES, get_preset
 from .response import ResponseFunction
 from .slowfast import (
+    SCAN_POINTS,
     PlaneSystem,
     analyze_singularity,
     find_singular_points,
@@ -205,7 +206,7 @@ def cmd_manifold(cfg: dict, args) -> int:
 def _singular_points(cfg: dict, ps: PlaneSystem) -> list[float]:
     """Zeros of f' over analysis/x_range, scanned at analysis/scan_points."""
     (x_range,) = _analysis(cfg, "x_range")
-    scan_points = cfg["analysis"].get("scan_points", 2001)
+    scan_points = cfg["analysis"].get("scan_points", SCAN_POINTS)
     return find_singular_points(ps.f, float(x_range[0]), float(x_range[1]), samples=scan_points)
 
 

@@ -36,6 +36,7 @@ from .response import ResponseField, float_constant
 
 DIVERGENCE_CUTOFF = 1e6
 _CUTOFF_SQUARED = DIVERGENCE_CUTOFF ** 2  # 1e12, exact
+MAX_RK4_STEPS = 2 ** 32  # rk4's largest step count, far above any preset's
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +192,12 @@ class PerturbedSystem:
         return flow
 
     # --- ODE-system protocol -------------------------------------------------
-    @property
-    def ode_dimension(self) -> int:
-        return self.n
-
     def state_labels(self) -> list[str]:
         return [f"x{i}" for i in range(1, self.n + 1)]
 
     @property
     def k_in_state(self) -> bool:
         return False
-
-    def slow_value(self, y):
-        """The node sum, one left fold; an array's `tolist()` folds Python floats (the same doubles) or its mpfs."""
-        return reduce(add, y.tolist() if type(y) is np.ndarray else y)
 
     def rhs_function(self, ctx: ScalarContext):
         """The float flow, or on the extended tiers frame -> frame: the exact flow, each component rounded once."""
@@ -218,6 +211,11 @@ class PerturbedSystem:
             return round_rationals(*flow(xs, 1 << -exp), prec)
 
         return rhs
+
+
+def node_sum(y):
+    """The node sum, one left fold; an array's `tolist()` folds Python floats (the same doubles) or its mpfs."""
+    return reduce(add, y.tolist() if type(y) is np.ndarray else y)
 
 
 def check_float_forcing(values) -> None:
@@ -346,22 +344,15 @@ class StandardFormSystem:
     def project(self, x):
         """(fast coordinates, k) from a full state."""
         fast = [v for j, v in enumerate(x, start=1) if j != self.l]
-        return fast, self.base.slow_value(x)
+        return fast, node_sum(x)
 
     # --- ODE-system protocol -------------------------------------------------
-    @property
-    def ode_dimension(self) -> int:
-        return self.n
-
     def state_labels(self) -> list[str]:
         return [f"x{j}" for j in self.kept]
 
     @property
     def k_in_state(self) -> bool:
         return True
-
-    def slow_value(self, y):
-        return y[-1]
 
     def rhs_function(self, ctx: ScalarContext):
         """Lift to the full state, apply the system's one flow, drop row l, add the slow drift (and round once)."""
@@ -540,17 +531,25 @@ def _escapes(before, y, dy, span: float) -> bool:
     return bool((outward & (np.abs(rate) * span > DIVERGENCE_CUTOFF - np.abs(now))).any())
 
 
-def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> Trajectory:
-    """Integrate any system exposing the small ODE protocol.
+def state_size(system) -> int:
+    """One component per label, and k when it is in the state."""
+    return len(system.state_labels()) + system.k_in_state
 
+
+def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> Trajectory:
+    """Integrate a system of the three-member ODE protocol: `state_labels()`, `k_in_state`, `rhs_function(ctx)`.
+
+    The state size is `state_size(system)`, and the recorded k the state's
+    last component when k is in it, otherwise its `node_sum`.
     `stop_condition(t, y)`, when given, ends the run early after recording
     the state that triggered it (used to bound open-ended tracking runs).
     t is the tier scalar; y is `_floats` of the state: the float array on
     the 16-digit tier, and on the extended tiers the list of its components'
     float values, each `float()` of the component's mpf, built once per
     state and read by the divergence test first.
-    A span whose float length t1 - t0, or rk4's span / dt, is not finite
-    raises PreconditionError before the first step.
+    A span whose float length t1 - t0, or rk4's span / dt, is not finite, or
+    rk4's step count above MAX_RK4_STEPS, raises PreconditionError before
+    the first step; dp45's count is not known in advance and has no cap.
     Raises DivergenceError when a component passes the cutoff, or when the
     adaptive step underflows on a state that would pass it before t1, and
     IntegrationStalledError when the adaptive step underflows otherwise;
@@ -574,17 +573,18 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
     if not t1 > t0:
         raise PreconditionError("tspan must satisfy t1 > t0")
     span = float(t1) - float(t0)
-    if not isfinite(span) or cfg.method == "rk4" and not isfinite(span / cfg.dt):
-        raise PreconditionError(f"tspan {list(tspan)} with dt={cfg.dt}: the span or rk4's step count is not finite")
+    steps = span / cfg.dt
+    if not isfinite(span) or cfg.method == "rk4" and not (isfinite(steps) and round(steps) <= MAX_RK4_STEPS):
+        raise PreconditionError(f"tspan {list(tspan)} with dt={cfg.dt}: the span or rk4's step count is not finite, "
+                                f"or the step count is above {MAX_RK4_STEPS}")
     ctx = ScalarContext(cfg.digits)
     with ctx.workprec():
         rhs = system.rhs_function(ctx)
         # the tier's scalars: a frame holds finite values only, so the test at t0 reads these
         y = np.array([ctx.scalar(v) for v in x0], dtype=float if ctx.is_float else object)
-        if len(y) != system.ode_dimension:
-            raise DimensionMismatchError(
-                f"initial state has {len(y)} components, system has {system.ode_dimension}"
-            )
+        size = state_size(system)
+        if len(y) != size:
+            raise DimensionMismatchError(f"initial state has {len(y)} components, system has {size}")
         metadata = {
             "method": cfg.method,
             "digits": cfg.digits,
@@ -597,6 +597,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
         traj = Trajectory(times=[], states=[], k_series=[], labels=list(system.state_labels()),
                           k_in_state=system.k_in_state, metadata=metadata)
         diverged = _diverged if ctx.is_float else _diverged_floats
+        k_value = (lambda state: state[-1]) if system.k_in_state else node_sum
         last_recorded = 0
 
         def record(count: int, t, y):
@@ -605,7 +606,7 @@ def integrate(system, x0, tspan, cfg: IntegratorConfig, stop_condition=None) -> 
             state = y.copy() if type(y) is np.ndarray else frame_array(y)
             traj.times.append(t)
             traj.states.append(state)
-            traj.k_series.append(system.slow_value(state))
+            traj.k_series.append(k_value(state))
 
         def stop(reason: str, t, y, count: int, message: str = "") -> bool:
             """End the run at the state y at t after the count-th accepted step, recorded once.

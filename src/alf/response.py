@@ -143,8 +143,8 @@ class ResponseFunction:
 
         The constants are converted once, and the loop is the form's, so
         the float operations and their order are those of the form.  The
-        root scans reach it through `eval`, the plane's float right-hand side
-        directly.
+        root scans and the plane's float right-hand side (through
+        `PlaneSystem.layer_value`) reach it through `eval`.
         """
         return self._routine(float_constant)
 

@@ -32,6 +32,7 @@ import numpy as np
 
 SINGULAR_TOL = 1e-10
 BISECT_HALVINGS = 200  # halvings of a root bracket before the scan gives up on it
+SCAN_POINTS = 2001  # the singular-point scan's default number of points
 
 ATTRACTING = "attracting"
 REPELLING = "repelling"
@@ -77,10 +78,6 @@ class PlaneSystem:
         return (self.n - 1) * self.g + self.g_tilde
 
     # --- ODE-system protocol -------------------------------------------------
-    @property
-    def ode_dimension(self) -> int:
-        return 2
-
     def state_labels(self) -> list[str]:
         return ["x"]
 
@@ -88,32 +85,29 @@ class PlaneSystem:
     def k_in_state(self) -> bool:
         return True
 
-    def slow_value(self, y):
-        return y[1]
-
     def rhs_function(self, ctx: ScalarContext):
         """(x, k) -> (-(f(x) - f(k - (n-1) x)) + eps g, eps ((n-1) g + g_tilde)).
 
-        `eps * g` and the slow drift are computed once per build.  The extended
-        tiers compute in integers (`ResponseFunction.integer_evaluator`), frame
-        in and frame out as the full system's right-hand side is: the mirror
-        and the layer are exact, and the fast component is rounded once, in the
-        same call (`round_frame`); `eps * g` and the slow drift are exact
-        constants rounded to the tier.
+        `eps * g` and the slow drift are computed once per build.  The float
+        tier's fast component is -`layer_value(x, k)` + eps g, in that order.
+        The extended tiers compute in integers
+        (`ResponseFunction.integer_evaluator`), frame in and frame out as the
+        full system's right-hand side is: the mirror and the layer are exact,
+        and the fast component is rounded once, in the same call
+        (`round_frame`); `eps * g` and the slow drift are exact constants
+        rounded to the tier.
         """
         n = self.n
         if ctx.is_float:
-            f = self.f.evaluator
             eps = ctx.scalar(self.epsilon)
             g = ctx.scalar(self.g)
             eps_g = eps * g
             slow = eps * ((n - 1) * g + ctx.scalar(self.g_tilde))
             check_float_forcing([eps_g, slow])
+            layer = self.layer_value
 
             def rhs(y):
-                x, k = y[0], y[1]
-                fast = -(f(x) - f(k - (n - 1) * x)) + eps_g
-                return np.array([fast, slow], dtype=float)
+                return np.array([-layer(y[0], y[1]) + eps_g, slow], dtype=float)
 
             return rhs
 
@@ -590,7 +584,7 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
     )
 
 
-def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int = 2001) -> list[float]:
+def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int = SCAN_POINTS) -> list[float]:
     """Real zeros of f' in [lo, hi] by one sign-change scan of `samples` points plus polish."""
     if samples < 2:
         raise PreconditionError("samples must be at least 2")

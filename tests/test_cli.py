@@ -612,9 +612,11 @@ def test_overflowing_float_forcing_prints_one_error_line(tmp_path):
     ("simulate", "ex2-unweighted", {"tspan": [0.0, 1e300], "integrator": {"dt": 1e-10}}),
     ("simulate", "ex2-unweighted", {"tspan": [-1e308, 1e308]}),
     ("canard", "ex1-canard", {"tspan": [0.0, 1e300], "integrator": {"dt": 1e-10}}),
+    ("simulate", "ex2-unweighted", {"tspan": [0.0, 1e12], "epsilon": 0, "integrator": {"stride": 1000000}}),
 ])
 def test_overflowing_span_prints_one_error_line(tmp_path, command, preset, override):
-    # rk4's span / dt, or the span t1 - t0 itself, is infinite: refused before the first step, and no file is written
+    # rk4's span / dt, or the span t1 - t0 itself, is infinite, or rk4's 1e15 steps pass MAX_RK4_STEPS: refused
+    # before the first step, and no file is written
     out = tmp_path / "out"
     proc = _run_cli(command, "--preset", preset, "--config", _write(tmp_path, "span.json", override), "--out", str(out))
     assert proc.returncode == 1

@@ -27,7 +27,7 @@ from alf import (
     vector_field,
 )
 from alf import dynamics
-from alf.dynamics import DIVERGENCE_CUTOFF, _diverged_floats, _escapes, _floats
+from alf.dynamics import DIVERGENCE_CUTOFF, MAX_RK4_STEPS, _diverged_floats, _escapes, _floats, node_sum, state_size
 from alf.errors import DimensionMismatchError, PreconditionError
 from alf.precision import (
     ScalarContext, common_denominator, exact, frame_array, frame_floats, round_rationals, rounded,
@@ -143,6 +143,20 @@ def test_a_span_or_rk4_step_count_that_overflows_is_refused_before_stepping(ex1_
     monkeypatch.setattr(dynamics, "_run_dp45", stepped)
     with pytest.raises(PreconditionError, match="not finite"):
         integrate(_system(3, ex1_response), [0, 0, 0], tspan, IntegratorConfig(digits=digits, **options))
+
+
+def test_an_rk4_step_count_above_the_cap_is_refused_before_stepping(ex1_response, monkeypatch):
+    # round(span / dt) may reach MAX_RK4_STEPS and not pass it; dp45's step count is not known in advance, uncapped
+    runs = []
+    monkeypatch.setattr(dynamics, "_run_rk4", lambda *args: runs.append("rk4"))
+    monkeypatch.setattr(dynamics, "_run_dp45", lambda *args: runs.append("dp45"))
+    sys_ = _system(3, ex1_response)
+    integrate(sys_, [0, 0, 0], (0.0, 1.0), IntegratorConfig(dt=1 / MAX_RK4_STEPS))
+    for tspan, dt in (((0.0, 1.0), 1 / (MAX_RK4_STEPS + 1)), ((0.0, 1e12), 1e-3)):
+        with pytest.raises(PreconditionError, match=f"above {MAX_RK4_STEPS}"):
+            integrate(sys_, [0, 0, 0], tspan, IntegratorConfig(dt=dt))
+    integrate(sys_, [0, 0, 0], (0.0, 1e12), IntegratorConfig(method="dp45"))
+    assert runs == ["rk4", "dp45"]
 
 
 def test_random_constant_perturbation_reproducible():
@@ -541,14 +555,10 @@ def test_extended_precision_tiers_agree():
 class _RoughSystem:
     """Tiny ODE-protocol object whose right-hand side defeats error control."""
 
-    ode_dimension = 1
     k_in_state = False
 
     def state_labels(self):
         return ["x1"]
-
-    def slow_value(self, y):
-        return y[0]
 
     def rhs_function(self, ctx):
         import math
@@ -557,6 +567,38 @@ class _RoughSystem:
             return np.array([1e20 * math.sin(1e30 * float(y[0]) + 1.0)])
 
         return rhs
+
+
+class _ThreeMembers:
+    """A system of exactly the ODE protocol's three members, borrowed from a library system."""
+
+    def __init__(self, system):
+        self.state_labels = system.state_labels
+        self.k_in_state = system.k_in_state
+        self.rhs_function = system.rhs_function
+
+
+@pytest.mark.parametrize("digits", (16, 32))
+@pytest.mark.parametrize("method", ("rk4", "dp45"))
+@pytest.mark.parametrize("k_in_state", (False, True))
+def test_a_three_member_system_integrates_with_its_size_and_k_derived(ex1_response, k_in_state, method, digits):
+    # integrate works out the state size and k: the last component when k is in the state, else the node sum
+    full = _system(3, ex1_response, Perturbation.constant([-1, Fraction(1, 2), -1]), Fraction(1, 10))
+    system = to_standard_form(full, 2) if k_in_state else full
+    x0 = [0.5, -0.25, 0.75] if k_in_state else [0.5, 0.25, -0.5]
+    cfg = IntegratorConfig(method=method, dt=0.05, tol=1e-9, digits=digits, stride=3)
+    traj = integrate(_ThreeMembers(system), x0, (0.0, 1.0), cfg)
+    assert state_size(_ThreeMembers(system)) == 3
+    assert traj.metadata["stop_reason"] == "end" and len(traj.states) > 2
+    with ScalarContext(digits).workprec():  # the extended tiers' k is folded at the run's precision
+        for state, k in zip(traj.states, traj.k_series):
+            assert len(state) == 3
+            want = state[-1] if k_in_state else reduce(add, state.tolist())
+            assert type(k) is type(want) and k == want
+    same = integrate(system, x0, (0.0, 1.0), cfg)
+    assert [list(s) for s in same.states] == [list(s) for s in traj.states] and same.k_series == traj.k_series
+    with pytest.raises(DimensionMismatchError):
+        integrate(_ThreeMembers(system), x0[:2], (0.0, 1.0), cfg)
 
 
 def test_adaptive_step_underflow_raises_stalled():
@@ -683,7 +725,6 @@ def test_extended_dp45_views_each_state_once(digits, monkeypatch):
 def test_slow_value_folds_as_numpy_scalars_do(n):
     # k is the left fold of the state's numpy scalars, bit for bit: signed zeros, overflow to inf and NaN included
     rng = SplitMix64(50 + n)
-    sys_ = _system(n, ResponseFunction.from_coeffs([0, 1]))
     for trial in range(300):
         y = np.array([rng.uniform(-1, 1) * 10.0 ** (rng.next_u64() % 601 - 300) for _ in range(n)])
         if trial % 5 == 0:
@@ -694,13 +735,13 @@ def test_slow_value_folds_as_numpy_scalars_do(n):
             y[:2], y[2:] = 1.7e308, -np.inf  # and then meet -inf: NaN
         with np.errstate(all="ignore"):
             want = reduce(add, list(y))
-        got = sys_.slow_value(y)
+        got = node_sum(y)
         assert np.isnan(want) == np.isnan(got)
         assert np.isnan(want) or np.float64(got).view(np.int64) == want.view(np.int64)
     # the extended tiers' recorded states are object arrays of mpf
     with ScalarContext(32).workprec():
         state = np.array([mpmath.mpf(v) / 3 for v in range(1, n + 1)], dtype=object)
-        assert sys_.slow_value(state) == reduce(add, list(state))
+        assert node_sum(state) == reduce(add, list(state))
 
 
 def test_dp45_clipped_last_step_lands_on_the_end_time():

@@ -22,7 +22,7 @@ from mpmath.libmp import MPZ, from_man_exp, round_nearest
 
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import gauge_shift, plane_reduce, to_standard_form
-from alf.dynamics import _dp45_fixed_stages, _fixed_rk4_dt, _rk4_step
+from alf.dynamics import _dp45_fixed_stages, _fixed_rk4_dt, _rk4_step, state_size
 from alf.precision import frame_array, round_frame
 from alf.slowfast import PlaneSystem
 
@@ -192,7 +192,7 @@ def test_plane_components_are_correctly_rounded(plane, digits, x, k):
        dt=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 10), max_denominator=1000))
 def test_rk4_stage_and_update_are_correctly_rounded(kind, digits, data, dt):
     system = _GAUGED if kind == "full" else PLANES["rational"]
-    n = system.ode_dimension
+    n = state_size(system)
     y = data.draw(st.lists(_STATE, min_size=n, max_size=n))
     _assert_all_equal(rk4_pairs(system, digits, y, dt))
 
@@ -202,7 +202,7 @@ def test_rk4_stage_and_update_are_correctly_rounded(kind, digits, data, dt):
        dt=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 10), max_denominator=1000))
 def test_rk4_stage_and_update_are_correctly_rounded_on_mixed_magnitudes(kind, digits, data, dt):
     system = _GAUGED if kind == "full" else PLANES["rational"]
-    _assert_all_equal(rk4_pairs(system, digits, data.draw(_mixed_states(system.ode_dimension)), dt))
+    _assert_all_equal(rk4_pairs(system, digits, data.draw(_mixed_states(state_size(system))), dt))
 
 
 @settings(max_examples=20, deadline=None)
@@ -212,7 +212,7 @@ def test_rk4_stage_and_update_are_correctly_rounded_on_mixed_magnitudes(kind, di
 def test_dp45_stages_solution_and_error_are_correctly_rounded(kind, digits, mixed, data, dt):
     system = {"dyadic": _DYADIC, "gauged": _GAUGED, "standard": to_standard_form(_RATIONAL, 2),
               "plane": PLANES["ex1"]}[kind]
-    n = system.ode_dimension
+    n = state_size(system)
     y = data.draw(_mixed_states(n) if mixed else st.lists(_STATE, min_size=n, max_size=n))
     _assert_all_equal(dp45_pairs(system, digits, y, dt))
 

@@ -30,14 +30,10 @@ class _Counting:
     def __init__(self, system):
         self.system = system
         self.calls = 0
-        self.ode_dimension = system.ode_dimension
         self.k_in_state = system.k_in_state
 
     def state_labels(self):
         return self.system.state_labels()
-
-    def slow_value(self, y):
-        return self.system.slow_value(y)
 
     def rhs_function(self, ctx):
         rhs = self.system.rhs_function(ctx)
@@ -52,14 +48,10 @@ class _Counting:
 class _Rough:
     """A right-hand side that defeats error control."""
 
-    ode_dimension = 1
     k_in_state = False
 
     def state_labels(self):
         return ["x1"]
-
-    def slow_value(self, y):
-        return y[0]
 
     def rhs_function(self, ctx):
         def rhs(y):

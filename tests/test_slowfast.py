@@ -62,6 +62,37 @@ def test_plane_reduce_formula_oracle():
         assert slow == pytest.approx(0.1 * (-3.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("f", [ResponseFunction.from_roots([(1, 2), (-1, 2)]),
+                               ResponseFunction.from_coeffs([Fraction(1, 10), -1, 0, Fraction(3, 2)])],
+                         ids=["factored", "coeffs"])
+@pytest.mark.parametrize("epsilon", [Fraction(1, 10), Fraction(0)])
+def test_plane_float_fast_part_is_its_layer_bit_for_bit(f, epsilon):
+    # the fast component is eps g - layer_value(x, k) bit for bit, signed zeros included (with eps 0 and g < 0,
+    # eps g is -0.0, and on the consensus line the layer is 0.0); a NaN keeps the sign the formula
+    # -(f(x) - f(k - (n-1) x)) + eps g gives it, which eps g - layer may flip
+    from alf.precision import ScalarContext
+
+    ps = PlaneSystem(n=4, f=f, g=Fraction(-1), g_tilde=Fraction(1, 3), epsilon=epsilon)
+    rhs = ps.rhs_function(ScalarContext(16))
+    eps_g = float(epsilon) * -1.0
+    rng = SplitMix64(34)
+    points = [(rng.uniform(-3, 3), rng.uniform(-6, 6)) for _ in range(200)]
+    points += [(k / 4, k) for k in (rng.uniform(-6, 6) for _ in range(20))]
+    specials = (0.0, -0.0, math.nan, 1.5)
+    points += [(x, k) for x in specials for k in specials]
+
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    for x, k in points:
+        fast = rhs(np.array([x, k]))[0]
+        x, k = np.float64(x), np.float64(k)
+        assert bits(fast) == bits(-(f.eval(x) - f.eval(k - 3 * x)) + eps_g), (x, k)
+        layer = ps.layer_value(x, k)
+        assert math.isnan(fast) == math.isnan(eps_g - layer)
+        assert math.isnan(fast) or bits(fast) == bits(eps_g - layer), (x, k)
+
+
 def test_plane_fast_part_vanishes_on_consensus():
     ps = _ex1_plane()
     from alf.precision import ScalarContext

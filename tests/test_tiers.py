@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from alf import Graph, Perturbation, PerturbedSystem, ResponseField, ResponseFunction
 from alf import plane_reduce, to_standard_form, vector_field
+from alf.dynamics import state_size
 from alf.precision import ScalarContext, frame_array
 
 TIERS = (16, 32, 64)
@@ -97,14 +98,14 @@ def test_each_tier_has_one_vector_type(digits):
     ctx = ScalarContext(digits)
     with ctx.workprec():
         for system in (_FULL, to_standard_form(_FULL, 2), _PLANE):
-            y = ctx.vector([Fraction(i + 1, 4) for i in range(system.ode_dimension)])
+            y = ctx.vector([Fraction(i + 1, 4) for i in range(state_size(system))])
             out = system.rhs_function(ctx)(y)
             if ctx.is_float:
                 assert type(y) is np.ndarray and type(out) is np.ndarray
-                assert len(out) == len(y) == system.ode_dimension
+                assert len(out) == len(y) == state_size(system)
                 continue
             assert type(y) is tuple and type(out) is tuple
             (ints, exp), (out_ints, out_exp) = y, out
             assert type(exp) is int and type(out_exp) is int and exp <= 0 and out_exp <= 0
             assert all(type(a) is int for a in ints + out_ints)
-            assert len(out_ints) == len(ints) == system.ode_dimension
+            assert len(out_ints) == len(ints) == state_size(system)
