@@ -32,7 +32,7 @@ from .precision import (
     round_ratio, round_rationals, rounded, signed,
 )
 from .prng import SplitMix64
-from .response import ResponseField, float_constant
+from .response import ResponseField, float_constant, horner_steps
 
 DIVERGENCE_CUTOFF = 1e6
 _CUTOFF_SQUARED = DIVERGENCE_CUTOFF ** 2  # 1e12, exact
@@ -229,31 +229,21 @@ def check_float_forcing(values) -> None:
 
 
 def _horner_plan(fld: ResponseField):
-    """The float Horner loop of the response polynomial as in-place steps.
+    """The float Horner loop of the response polynomial as in-place steps (`horner_steps`).
 
-    The loop acc = c0; acc = acc * y + c over the later coefficients c
-    (highest degree first) becomes (c0, first, later): (ufunc, operand)
-    steps on acc = y, an operand None standing for y.  `first` allocates
-    the result, `later` works in place; a constant has no steps.  Left out,
-    with every bit kept: the product by a leading coefficient 1 (1.0 * y is
-    y), and the + 0.0 of a zero coefficient other than the last.  That add
-    changes only the sign of a zero; the products after it keep a zero a
-    zero (or make it NaN), and a later add gives both signs the same value.
-    The coefficients are `float_constant`s held as 0-d float64 arrays: the
-    same values, and a ufunc dispatches on them faster than on Python floats.
+    Returns (c0, first, later): (ufunc, operand) steps on acc = y, an
+    operand None standing for y.  `first` allocates the result, `later`
+    works in place; a constant has no steps.  The coefficients are
+    `float_constant`s held as 0-d float64 arrays: the same values, and a
+    ufunc dispatches on them faster than on Python floats.
 
     The plan reads the expanded coefficients whatever the response's form,
     so the float flow of the full system evaluates a factored response by
     Horner too, not by the factored loop that `ResponseFunction.eval` runs.
     """
-    top, *rest = [np.array(float_constant(c)) for c in reversed(fld.function.coeffs)]
-    steps = [] if top == 1.0 or not rest else [(np.multiply, top)]
-    for i, c in enumerate(rest, start=1):
-        if i > 1:
-            steps.append((np.multiply, None))
-        if c != 0.0 or i == len(rest):
-            steps.append((np.add, c))
-    return top, (steps[0] if steps else None), tuple(steps[1:])
+    consts = [np.array(float_constant(c)) for c in reversed(fld.function.coeffs)]
+    steps = [(op, None if i is None else consts[i]) for op, i in horner_steps([[c] for c in consts])]
+    return consts[0], (steps[0] if steps else None), tuple(steps[1:])
 
 
 def _field_values_float(fld: ResponseField, plan, y: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ Floats evaluate in the function's form (scale and roots when known, else
 Horner on the coefficients); exact values are form-free:
 - floats (numpy floats and float arrays included) run the form's loop on
   constants converted to float once (`evaluator`, `float_constant`).  The
-  float flow of the full system is the one exception: `dynamics._horner_plan`
-  runs Horner on the expanded coefficients, a factored response's included;
+  root scans and the plane's float layer on arrays run the same loop as
+  planned in-place ufunc steps (`float_plan`), on constants that may differ
+  per element.  The float flow of the full system is the one exception:
+  `dynamics._horner_plan` runs Horner on the expanded coefficients, a
+  factored response's included;
 - everything else runs one integer routine (`integer_evaluator`), Horner
   on integers over one denominator in and out, on the exact coefficients
   of the form's constants: exact for ints and Fractions, whose value is
@@ -77,18 +80,23 @@ class ResponseFunction:
 
     @classmethod
     def from_roots(cls, root_pairs, scale=1) -> "ResponseFunction":
-        """Build scale * prod (x - r)^m, expanding the coefficients exactly."""
-        coeffs = [exact(scale)]
+        """Build scale * prod (x - r)^m, expanding the coefficients exactly.
+
+        With r = p/q, prod (x - r)^m is prod (q x - p)^m / prod q^m: the
+        product expands in integers, and each coefficient becomes one
+        Fraction at the end.
+        """
+        scale = exact(scale)
         pairs = tuple((exact(r), int(m)) for r, m in root_pairs)
+        coeffs, den = [1], 1  # lowest degree first
         for r, mult in pairs:
+            p, q = r.numerator, r.denominator
             for _ in range(mult):
-                # multiply by (x - r)
-                new = [Fraction(0)] * (len(coeffs) + 1)
-                for k, c in enumerate(coeffs):
-                    new[k + 1] += c
-                    new[k] -= r * c
-                coeffs = new
-        return cls(tuple(coeffs), roots=pairs, scale=exact(scale))
+                # times (q x - p): coefficient k becomes q c_{k-1} - p c_k
+                coeffs = [q * a - p * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+            den *= q**mult
+        num, den = scale.numerator, scale.denominator * den
+        return cls(tuple(Fraction(c * num, den) for c in coeffs), roots=pairs, scale=scale)
 
     @classmethod
     def linear(cls) -> "ResponseFunction":
@@ -143,8 +151,8 @@ class ResponseFunction:
 
         The constants are converted once, and the loop is the form's, so
         the float operations and their order are those of the form.  The
-        root scans and the plane's float right-hand side (through
-        `PlaneSystem.layer_value`) reach it through `eval`.
+        plane's float right-hand side reaches it through
+        `PlaneSystem.layer_value` on its scalar state.
         """
         return self._routine(float_constant)
 
@@ -235,6 +243,84 @@ class ResponseFunction:
     def is_even(self) -> bool:
         """Exact invariance under x -> -x: all odd-degree coefficients vanish."""
         return all(c == 0 for c in self.coeffs[1::2])
+
+
+def form_shape(f: ResponseFunction) -> tuple:
+    """What fixes the steps of f's float loop: a factored form's multiplicities, else the degree."""
+    return ("roots", tuple(m for _, m in f.roots)) if f.roots is not None else ("coeffs", f.degree)
+
+
+def horner_steps(columns) -> list:
+    """Horner's loop acc = c0; acc = acc * y + c over the later coefficients c as (ufunc, operand) steps.
+
+    columns[i] holds coefficient i, highest degree first, of each response
+    evaluated together; an operand is the index of its column, or None for
+    y.  The steps run on acc = y: the first allocates the result, the later
+    ones work in place, and a constant has none.  Left out, with every bit
+    kept: the product by a leading coefficient that is 1 in every column
+    (1.0 * y is y), and the + 0.0 of a coefficient that is zero in every
+    column, other than the last.  That add changes only the sign of a zero;
+    the products after it keep a zero a zero (or make it NaN), and a later
+    add gives both signs the same value.
+    """
+    top, *rest = columns
+    steps = [] if all(c == 1.0 for c in top) or not rest else [(np.multiply, 0)]
+    for i, column in enumerate(rest, start=1):
+        if i > 1:
+            steps.append((np.multiply, None))
+        if any(c != 0.0 for c in column) or i == len(rest):
+            steps.append((np.add, i))
+    return steps
+
+
+def float_plan(responses) -> tuple:
+    """(evaluate, columns): the float loop that `eval` runs, for responses of one `form_shape`.
+
+    columns[j] holds constant j of each response as its `float_constant`: a
+    factored form's scale and then its roots, else the coefficients from the
+    highest degree down.  evaluate(y, cs) runs the form's loop on a float
+    array y, constant j read from cs[j] (a scalar, or a column broadcast
+    against y), as ufunc steps in the form's order of operations, in place
+    after the first, and returns a new array of y's shape.  Every element
+    has the bits of `eval` at it on that element's constants.  Left out,
+    with every bit kept: the coefficient form's no-op steps
+    (`horner_steps`) and a factored form's product by a scale that is 1 in
+    every column (1.0 * v is v).
+    """
+    first = responses[0]
+    if first.roots is None:
+        columns = [[float_constant(f.coeffs[i]) for f in responses] for i in range(first.degree, -1, -1)]
+        steps = horner_steps(columns)
+        if not steps:
+            return (lambda y, cs: np.full(y.shape, cs[0])), columns
+        (op, j), later = steps[0], steps[1:]
+
+        def evaluate_expanded(y, cs):
+            acc = op(y, y if j is None else cs[j])
+            for step, i in later:
+                step(acc, y if i is None else cs[i], acc)
+            return acc
+
+        return evaluate_expanded, columns
+    columns = [[float_constant(f.scale) for f in responses]]
+    columns += [[float_constant(f.roots[i][0]) for f in responses] for i in range(len(first.roots))]
+    factors = [(i, m) for i, (_, m) in enumerate(first.roots, start=1)]
+    unit_scale = all(c == 1.0 for c in columns[0])
+
+    def evaluate_factored(y, cs):
+        acc = None  # the scale, not multiplied yet
+        for i, mult in factors:
+            factor = np.subtract(y, cs[i])
+            for _ in range(mult):
+                if acc is None:
+                    acc = factor if unit_scale else np.multiply(cs[0], factor)
+                elif acc is factor:
+                    acc = np.multiply(acc, factor)
+                else:
+                    np.multiply(acc, factor, acc)
+        return np.full(y.shape, cs[0]) if acc is None else acc
+
+    return evaluate_factored, columns
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .precision import ScalarContext, common_denominator, exact, round_frame, rounded
-from .response import ResponseFunction
+from .response import ResponseFunction, float_plan, form_shape
 
 import numpy as np
 
@@ -65,13 +65,30 @@ class PlaneSystem:
         return k - (self.n - 1) * x
 
     def layer_value(self, x, k):
-        """f(x) - f(k - (n-1)x); zero on the critical set."""
+        """f(x) - f(k - (n-1)x); zero on the critical set.
+
+        On a float array x, with k a float or an array of x's shape, it runs
+        the planned layer kernel (`_layer_kernel`), with the same bits.
+        """
+        if _on_kernel(x, k):
+            return self._float_layer[0](x, k)
         return self.f.eval(x) - self.f.eval(self.mirror(x, k))
 
     def layer_jacobian(self, x, k):
-        """d/dx of the fast right-hand side: negative where attracting."""
+        """d/dx of the fast right-hand side: negative where attracting.
+
+        The planned layer kernel's rate, negated, where `layer_value` runs the kernel.
+        """
+        if _on_kernel(x, k):
+            return np.negative(self._float_layer[1](x, k))
         fp = self.f.derivative()
         return -(fp.eval(x) + (self.n - 1) * fp.eval(self.mirror(x, k)))
+
+    @cached_property
+    def _float_layer(self):
+        """(value, rate) of `_layer_kernel` for this system alone, built once."""
+        value, rate, _ = _layer_kernel([self])
+        return value, rate
 
     def slow_rhs_factor(self):
         """(n-1) g + g_tilde, the slow drift divided by epsilon."""
@@ -128,6 +145,71 @@ class PlaneSystem:
             return round_frame([fast, s << (c_exp - low)], low, prec)
 
         return fixed_rhs
+
+
+def _on_kernel(x, k) -> bool:
+    """Whether the layer at (x, k) runs the planned kernel: x a float array of at least one dimension, k a
+    float or a float array of x's shape."""
+    return type(x) is np.ndarray and x.dtype == float and x.ndim > 0 and (
+        isinstance(k, float) or type(k) is np.ndarray and k.dtype == float and k.shape == x.shape)
+
+
+def _layer_shape(ps: PlaneSystem) -> tuple:
+    """What fixes the steps of ps's planned layer kernel: the `form_shape`s of f and f'."""
+    return form_shape(ps.f), form_shape(ps.f.derivative())
+
+
+def _layer_kernel(systems):
+    """(value, rate, columns): the float layer of plane systems of one `_layer_shape`, planned once.
+
+    value(x, p) is f(x) - f(m) and rate(x, p) is f'(x) + (n-1) f'(m), the
+    negated `layer_jacobian`, at the mirror m = k - (n-1) x, for a float
+    array x.  The constants are n - 1 and the `float_plan` columns of f and
+    of f'; one that has the same bits in every system is a scalar.  columns
+    holds the others, one list per constant with an entry per system: p is
+    k (a float or an array of x's shape) when there are none, else one row
+    (k, *(c[s] for c in columns)) per element, s its system, so compaction
+    keeps the constants aligned.  x and m are stacked as the rows of one
+    array, so each step of the response's loop is one ufunc call for both.
+    Every element has the bits of `PlaneSystem.layer_value` and of
+    -`layer_jacobian` in the response's form: the same operations in the
+    same order.
+    """
+    f_eval, f_columns = float_plan([ps.f for ps in systems])
+    d_eval, d_columns = float_plan([ps.f.derivative() for ps in systems])
+    every = [[float(ps.n - 1) for ps in systems], *f_columns, *d_columns]
+    f_end = 1 + len(f_columns)
+    consts = [np.array(c[0]) for c in every]
+    varying = [j for j, c in enumerate(every) if len(set(map(float.hex, c))) > 1]
+
+    def split(p):
+        if not varying:
+            return p, consts
+        k, *cs = p.T
+        row = list(consts)
+        for j, c in zip(varying, cs):
+            row[j] = c
+        return k, row
+
+    def stacked(x, k, n1):
+        y = np.empty((2, *x.shape))
+        y[0] = x
+        np.multiply(x, n1, y[1])
+        np.subtract(k, y[1], y[1])
+        return y
+
+    def value(x, p):
+        k, cs = split(p)
+        v = f_eval(stacked(x, k, cs[0]), cs[1:f_end])
+        return np.subtract(v[0], v[1], v[0])
+
+    def rate(x, p):
+        k, cs = split(p)
+        d = d_eval(stacked(x, k, cs[0]), cs[f_end:])
+        np.multiply(d[1], cs[0], d[1])
+        return np.add(d[0], d[1], d[0])
+
+    return value, rate, [every[j] for j in varying]
 
 
 def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
@@ -322,9 +404,12 @@ def _newton(func, deriv, x, p, iterations: int):
 def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[list[float]]:
     """Zeros of func(., p) over `count` evenly spaced points of [lo, hi], per row p of params.
 
-    A row is a float or a 1-D row such as (k, system index).  func and deriv
+    A row is a float or a 1-D row such as (k, *constants).  func and deriv
     work elementwise on a float array x and the rows p of its elements, so
-    one array pass scans every gridline; compaction keeps the row order.  A
+    one array pass scans every gridline: x is the (count, rows) grid, read
+    only, with the rows broadcast along its last axis; then bisection and
+    Newton pass 1-D arrays, one row per element, and compaction keeps the
+    row order.  A
     grid point where func is exactly 0 is a root itself (the end point
     included).  Each sign change between neighbours is bisected; its Newton
     polish is kept only when it moves the root by at most one grid step and
@@ -335,7 +420,7 @@ def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[l
     params = np.asarray(params, dtype=float)
     step = (hi - lo) / (count - 1)
     grid = lo + np.arange(count) * step
-    values = func(np.tile(grid, len(params)), np.repeat(params, count, axis=0)).reshape(len(params), count)
+    values = func(np.broadcast_to(grid[:, None], (count, len(params))), params).T
     left, right = values[:, :-1], values[:, 1:]
     zero = left == 0.0
     bracket = ~zero & ((left < 0) != (right < 0))
@@ -363,19 +448,32 @@ def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[l
     return out
 
 
-def _by_system(systems, fn):
-    """fn(ps, x, k) over scan rows (k, system index) grouped by system, one call per system's slice."""
-    if len(systems) == 1:
-        (ps,) = systems
-        return lambda x, rows: fn(ps, x, rows[:, 0])
-    index = np.arange(len(systems) + 1)
+def _layer_roots(systems, ks, lo: float, hi: float, count: int) -> list[list[list[float]]]:
+    """`_scan_roots` of each system's layer on the gridlines ks: out[s][i] holds the roots at ks[i].
 
-    def apply(x, rows):
-        cuts = np.searchsorted(rows[:, 1], index).tolist()
-        parts = [fn(ps, x[a:b], rows[a:b, 0]) for ps, a, b in zip(systems, cuts, cuts[1:]) if a < b]
-        return np.concatenate(parts) if parts else x
-
-    return apply
+    The systems are grouped by `_layer_shape`, in order of first appearance,
+    and each group is one scan whose rows are (k, *constants) per system and
+    gridline, evaluated by the group's one `_layer_kernel`: one kernel call
+    per grid pass, halving and Newton iteration, and each root has the bits
+    of a scan of its system alone.  A constant with the same bits in every
+    system of a group is a scalar, and a group with no other has rows k.  A
+    bracket that a group cannot resolve is refused when that group is
+    scanned.
+    """
+    groups: dict = {}
+    for s, ps in enumerate(systems):
+        groups.setdefault(_layer_shape(ps), []).append(s)
+    out: list = [None] * len(systems)
+    nk = len(ks)
+    for members in groups.values():
+        value, rate, columns = _layer_kernel([systems[s] for s in members])
+        params = np.tile(np.asarray(ks, dtype=float), len(members))
+        if columns:
+            params = np.column_stack([params, np.repeat(np.array(columns).T, nk, axis=0)])
+        scans = _scan_roots(value, rate, lo, hi, count, params)
+        for i, s in enumerate(members):
+            out[s] = scans[i * nk:(i + 1) * nk]
+    return out
 
 
 def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float = 1e-10) -> ManifoldSample:
@@ -388,11 +486,10 @@ def sample_manifold(ps: PlaneSystem, k_range, x_range, grid, residual_tol: float
 def sample_manifolds(systems, k_range, x_range, grid, residual_tol: float = 1e-10) -> list[ManifoldSample]:
     """Root scan of each system's layer equation over one (k, x) window on an (nk, nx) `grid`.
 
-    One `_scan_roots` pass finds the roots of f(x) - f(k - (n-1)x) on every
-    k gridline of every system: its rows are (k, system index), grouped by
-    system, and each system evaluates its own rows, so each root has the bits
-    of a scan of that system alone; a bracket it cannot resolve is refused
-    first.  Then, system by system: the consensus root k/n is always
+    `_layer_roots` finds the roots of f(x) - f(k - (n-1)x) on every k
+    gridline of every system, one scan per form shape, so each root has the
+    bits of a scan of that system alone; a bracket it cannot resolve is
+    refused first.  Then, system by system: the consensus root k/n is always
     included; branch ids connect nearest roots across consecutive gridlines
     (threshold five x-grid spacings), the consensus chain keeping a stable
     id; the first point whose residual exceeds `residual_tol` raises
@@ -405,11 +502,9 @@ def sample_manifolds(systems, k_range, x_range, grid, residual_tol: float = 1e-1
     x_lo, x_hi = map(float, x_range)
     link_tol = 5.0 * ((x_hi - x_lo) / (nx - 1))
     ks = [k_lo + (k_hi - k_lo) * ik / (nk - 1) for ik in range(nk)]
-    rows = np.array([(k, s) for s in range(len(systems)) for k in ks], dtype=float).reshape(-1, 2)
-    scans = _scan_roots(_by_system(systems, lambda ps, x, k: ps.layer_value(x, k)),
-                        _by_system(systems, lambda ps, x, k: -ps.layer_jacobian(x, k)), x_lo, x_hi, nx, rows)
-    return [_manifold_sample(ps, ks, scans[s * nk:(s + 1) * nk], x_lo, x_hi, link_tol, residual_tol)
-            for s, ps in enumerate(systems)]
+    scans = _layer_roots(systems, ks, x_lo, x_hi, nx)
+    return [_manifold_sample(ps, ks, found, x_lo, x_hi, link_tol, residual_tol)
+            for ps, found in zip(systems, scans)]
 
 
 def _manifold_sample(ps: PlaneSystem, ks, scans, x_lo, x_hi, link_tol, residual_tol) -> ManifoldSample:
@@ -485,9 +580,11 @@ def _manifold_sample(ps: PlaneSystem, ks, scans, x_lo, x_hi, link_tol, residual_
         raise InvariantViolationError(
             f"manifold point (k={k_col[at]}, x={x_col[at]}) has residual {float(residuals[at])} > {residual_tol}"
         )
-    fpp = ps.f.derivative(2)
-    curvatures = fpp.eval(x_arr) - (ps.n - 1) ** 2 * fpp.eval(ps.mirror(x_arr, k_arr))
-    rates = -ps.layer_jacobian(x_arr, k_arr)
+    # the mirror once for the curvatures and the rates; the rates have the bits of -layer_jacobian
+    mirror = ps.mirror(x_arr, k_arr)
+    fp, fpp = ps.f.derivative(), ps.f.derivative(2)
+    curvatures = fpp.eval(x_arr) - (ps.n - 1) ** 2 * fpp.eval(mirror)
+    rates = fp.eval(x_arr) + (ps.n - 1) * fp.eval(mirror)
     return ManifoldSample(tuple(k_col), tuple(x_col), tuple(branch_col),
                           tuple(map(_stability, rates.tolist(), curvatures.tolist())), tuple(consensus_col))
 
@@ -585,12 +682,19 @@ def analyze_singularity(ps: PlaneSystem, x_s) -> SingularityReport:
 
 
 def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int = SCAN_POINTS) -> list[float]:
-    """Real zeros of f' in [lo, hi] by one sign-change scan of `samples` points plus polish."""
+    """Real zeros of f' in [lo, hi] by one sign-change scan of `samples` points plus polish.
+
+    The scan evaluates f' and f'' by their planned float loops (`float_plan`).
+    """
     if samples < 2:
         raise PreconditionError("samples must be at least 2")
-    fp = f.derivative()
-    fpp = f.derivative(2)
-    (roots,) = _scan_roots(lambda x, _: fp.eval(x), lambda x, _: fpp.eval(x), lo, hi, samples, [0.0])
+
+    def planned(g: ResponseFunction):
+        evaluate, columns = float_plan([g])
+        consts = [np.array(c) for (c,) in columns]
+        return lambda x, _: evaluate(x, consts)
+
+    (roots,) = _scan_roots(planned(f.derivative()), planned(f.derivative(2)), lo, hi, samples, [0.0])
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):

@@ -24,6 +24,20 @@ from alf.precision import ScalarContext
 from conftest import dense_laplacian
 
 
+def expand_roots(root_pairs, scale) -> tuple[Fraction, ...]:
+    """The coefficients of scale * prod (x - r)^m, lowest degree first, one Fraction product per term."""
+    coeffs = [Fraction(scale)]
+    for r, mult in root_pairs:
+        r = Fraction(r)
+        for _ in range(mult):
+            new = [Fraction(0)] * (len(coeffs) + 1)
+            for k, c in enumerate(coeffs):
+                new[k + 1] += c
+                new[k] -= r * c
+            coeffs = new
+    return tuple(coeffs)
+
+
 def value(v) -> Fraction:
     """The exact rational value of an mpf or of a raw `_mpf_` tuple."""
     sign, man, exp, _ = v._mpf_ if isinstance(v, mpmath.mpf) else v

@@ -18,6 +18,7 @@ from alf import (
 from alf.prng import SplitMix64
 
 from conftest import rational_state
+from fraction_reference import expand_roots
 
 
 def test_expansion_matches_direct_coefficients(ex1_response):
@@ -103,6 +104,19 @@ def test_is_even():
     assert ResponseFunction.from_roots([(1, 2), (-1, 2)]).is_even()
     assert not ResponseFunction.family("ex3a", Fraction(1, 2)).is_even()
     assert ResponseFunction.family("ex3b", Fraction(1, 2)).is_even()
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(7, 2), 2.0])
+def test_from_roots_equals_fraction_expansion(scale):
+    # roots with denominators and multiplicities 1-3, expanded in integers against a product of Fractions per term
+    rng = SplitMix64(91)
+    for _ in range(40):
+        pairs = [(Fraction(int(rng.next_u64() % 41) - 20, 1 + int(rng.next_u64() % 12)), 1 + int(rng.next_u64() % 3))
+                 for _ in range(int(rng.next_u64() % 4))]
+        f = ResponseFunction.from_roots(pairs, scale)
+        want = ResponseFunction(expand_roots(pairs, scale))
+        assert f.coeffs == want.coeffs and all(type(c) is Fraction for c in f.coeffs)
+        assert f.roots == tuple(pairs) and f.scale == Fraction(scale) and type(f.scale) is Fraction
 
 
 def test_family_forms():

@@ -354,7 +354,7 @@ def test_array_scan_roots_equal_scalar_scan():
 
 
 def test_lock_step_scan_compacts_as_elements_finish():
-    from alf.slowfast import _bisect, _by_system, _newton, _scan_roots
+    from alf.slowfast import _bisect, _layer_roots, _newton
 
     def counted(fn, lengths):
         def func(x, p):
@@ -395,20 +395,19 @@ def test_lock_step_scan_compacts_as_elements_finish():
         want = newton_polish(lambda x: float(ps.layer_value(x, k)), lambda x: -ps.layer_jacobian(x, k), start)
         assert repr(float(got[0])) == repr(want) and len(lengths) < 30
 
-    # one pass over the rows (k, system index) of every scan response equals the scalar scan of each row
+    # the layer scan of every scan response's system on the same gridlines, grouped by form shape, equals the
+    # scalar scan of each system and gridline
     rng = SplitMix64(4343)
     systems = [PlaneSystem(n=2 + idx % 8, f=f) for idx, f in enumerate(_scan_responses(rng))]
     seen = {"grid zero": 0, "end zero": 0, "rejected polish": 0}
     for ks, lo, hi, count in (([-3.0, 0.0, 0.75, 2.5], -2.5, 2.5, 201), ([1.5, -1.0], -2.2, 1.9, 64)):
-        rows = [(k, s) for s in range(len(systems)) for k in ks]
-        got = _scan_roots(_by_system(systems, lambda ps, x, k: ps.layer_value(x, k)),
-                          _by_system(systems, lambda ps, x, k: -ps.layer_jacobian(x, k)), lo, hi, count, rows)
-        assert len(got) == len(rows)
-        for (k, s), roots in zip(rows, got):
-            ps = systems[s]
-            ref = _scalar_scan_roots(lambda x: float(ps.layer_value(x, k)), lambda x: -ps.layer_jacobian(x, k),
-                                     lo, hi, count, seen)
-            assert [repr(x) for x in roots] == [repr(x) for x in ref], (s, k, lo, hi, count)
+        got = _layer_roots(systems, ks, lo, hi, count)
+        assert len(got) == len(systems) and all(len(found) == len(ks) for found in got)
+        for s, ps in enumerate(systems):
+            for k, roots in zip(ks, got[s]):
+                ref = _scalar_scan_roots(lambda x: float(ps.layer_value(x, k)), lambda x: -ps.layer_jacobian(x, k),
+                                         lo, hi, count, seen)
+                assert [repr(x) for x in roots] == [repr(x) for x in ref], (s, k, lo, hi, count)
 
 
 def _point_bits(sample):
@@ -442,6 +441,177 @@ def test_manifold_sweep_equals_its_parts():
         with pytest.raises(InvariantViolationError) as caught:
             sample_manifolds(systems, **tight)
         assert str(caught.value) == first
+
+
+# --- the planned layer kernel ---------------------------------------------------------
+
+_KERNEL_FORMS = {
+    "factored": ResponseFunction.from_roots([(1, 2), (-1, 2)]),
+    "factored-scaled": ResponseFunction.from_roots([(Fraction(1, 3), 1), (Fraction(-5, 2), 3), (2, 2)], Fraction(7, 2)),
+    "factored-half": ResponseFunction.from_roots([(Fraction(1, 3), 2), (-1, 2)], Fraction(1, 2)),
+    "ex3a-zero": ResponseFunction.family("ex3a", 0),
+    "ex3b-zero": ResponseFunction.family("ex3b", 0),
+    "ex3a": ResponseFunction.family("ex3a", Fraction(3, 4)),
+    "inner-zero": ResponseFunction.from_coeffs([Fraction(1, 10), -1, 0, Fraction(3, 2)]),
+    "last-zero": ResponseFunction.from_coeffs([0, Fraction(-7, 3), 2, Fraction(5, 4)]),
+    "leading-one": ResponseFunction.from_coeffs([3, 0, -2, 0, 1]),
+    "constant": ResponseFunction.from_coeffs([Fraction(-5, 2)]),
+    "linear": ResponseFunction.linear(),
+}
+_KERNEL_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,
+                    5e-324, -5e-324, 2.2e-310, -1.5e-315)
+
+
+def _kernel_points(rng, count):
+    """Seeded (x, k) pairs, every special value against every other and against seeded values."""
+    pairs = [(rng.uniform(-3, 3), rng.uniform(-8, 8)) for _ in range(count)]
+    pairs += [(a, b) for a in _KERNEL_SPECIALS for b in _KERNEL_SPECIALS]
+    pairs += [(a, rng.uniform(-8, 8)) for a in _KERNEL_SPECIALS] + [(rng.uniform(-3, 3), b) for b in _KERNEL_SPECIALS]
+    return (np.array(column) for column in zip(*pairs))
+
+
+def _form_layer(ps, x, k):
+    """The layer value and rate by each response's own loop (`ResponseFunction.eval`): the operations that
+    layer_value and -layer_jacobian must match bit for bit."""
+    fp, mirror = ps.f.derivative(), ps.mirror(x, k)
+    return ps.f.eval(x) - ps.f.eval(mirror), -(-(fp.eval(x) + (ps.n - 1) * fp.eval(mirror)))
+
+
+@pytest.mark.parametrize("form", sorted(_KERNEL_FORMS))
+def test_layer_kernel_equals_form_loop_bit_for_bit(form):
+    from alf.slowfast import _layer_kernel
+
+    f = _KERNEL_FORMS[form]
+    rng = SplitMix64(len(form))
+    x, k = _kernel_points(rng, 200)
+    with np.errstate(all="ignore"):
+        for n in (2, 3, 7):
+            ps = PlaneSystem(n=n, f=f)
+            want_value, want_rate = _form_layer(ps, x, k)
+            value, rate, columns = _layer_kernel([ps])
+            assert columns == []
+            for got, want in ((value(x, k), want_value), (rate(x, k), want_rate),
+                              (ps.layer_value(x, k), want_value), (-ps.layer_jacobian(x, k), want_rate)):
+                assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), (n, got, want)
+            # a float k is broadcast, as it was
+            assert np.array_equal(ps.layer_value(x, 1.5).view(np.int64), _form_layer(ps, x, 1.5)[0].view(np.int64))
+
+
+@pytest.mark.parametrize("forms", [("ex3a", "ex3a-zero"), ("factored", "factored"), ("factored", "factored-half"),
+                                   ("inner-zero", "last-zero"),
+                                   ("leading-one", "leading-one"), ("constant", "constant"), ("linear", "linear")])
+def test_sweep_layer_kernel_reads_its_constants_per_row(forms):
+    # systems of one form shape and different n (a scale 1 in some rows only, or, for the coefficient forms,
+    # different zero coefficients or none), each element evaluated with its own system's constants
+    from alf.slowfast import _layer_kernel, _layer_shape
+
+    rng = SplitMix64(sum(map(len, forms)))
+    families = {"ex3a": lambda: ResponseFunction.family("ex3a", Fraction(int(rng.next_u64() % 9) - 4, 4))}
+    systems = []
+    for i, n in enumerate((3, 2, 6, 4)):
+        form = forms[i % 2]
+        f = families[form]() if form in families else _KERNEL_FORMS[form]
+        if form in ("inner-zero", "last-zero"):
+            f = ResponseFunction.from_coeffs([c * (i + 1) for c in f.coeffs])
+        systems.append(PlaneSystem(n=n, f=f))
+    assert len({_layer_shape(ps) for ps in systems}) == 1
+    value, rate, columns = _layer_kernel(systems)
+    x, k = _kernel_points(rng, 100)
+    which = np.arange(len(x)) % len(systems)
+    p = np.column_stack([k, *(np.array(c)[which] for c in columns)]) if columns else k
+    with np.errstate(all="ignore"):
+        got_value, got_rate = value(x, p), rate(x, p)
+        for s, ps in enumerate(systems):
+            at = which == s
+            want_value, want_rate = _form_layer(ps, x[at], k[at])
+            assert np.array_equal(got_value[at].view(np.int64), want_value.view(np.int64)), (s, forms)
+            assert np.array_equal(got_rate[at].view(np.int64), want_rate.view(np.int64)), (s, forms)
+
+
+def _scan_systems():
+    """Interleaved systems of different n and form shape: ex3a and ex3b families, coefficient forms, a linear and a
+    constant response."""
+    families = [("ex3a", Fraction(3, 4), 3), ("ex3b", Fraction(1, 2), 5), ("ex3a", Fraction(0), 6),
+                ("ex3b", Fraction(6, 5), 3), ("ex3a", Fraction(-1, 2), 4)]
+    systems = [PlaneSystem(n=n, f=ResponseFunction.family(tag, lam)) for tag, lam, n in families]
+    systems.insert(1, PlaneSystem(n=4, f=_KERNEL_FORMS["inner-zero"]))
+    systems.insert(3, PlaneSystem(n=2, f=_KERNEL_FORMS["leading-one"]))
+    systems.insert(5, PlaneSystem(n=3, f=_KERNEL_FORMS["linear"]))
+    systems.append(PlaneSystem(n=7, f=_KERNEL_FORMS["factored"]))
+    systems.append(PlaneSystem(n=3, f=_KERNEL_FORMS["constant"]))
+    systems.append(PlaneSystem(n=5, f=ResponseFunction.from_coeffs([1, 2, 0, Fraction(3, 2)])))
+    return systems
+
+
+def _counted_scans(monkeypatch):
+    """Patch the layer kernel and the bisection to log kernel builds, value calls and halvings."""
+    from alf import slowfast
+
+    build, bisect = slowfast._layer_kernel, slowfast._bisect
+    log = {"builds": 0, "calls": 0, "bisections": []}
+
+    def layer_kernel(systems):
+        log["builds"] += 1
+        value, rate, columns = build(systems)
+
+        def counted(x, p):
+            log["calls"] += 1
+            return value(x, p)
+
+        return counted, rate, columns
+
+    def counted_bisect(func, lo, hi, flo, p, where):
+        lengths, before = [], log["calls"]
+
+        def each(x, q):
+            lengths.append(len(x))
+            return func(x, q)
+
+        out = bisect(each, lo, hi, flo, p, where)
+        log["bisections"].append((lengths, log["calls"] - before))
+        return out
+
+    monkeypatch.setattr(slowfast, "_layer_kernel", layer_kernel)
+    monkeypatch.setattr(slowfast, "_bisect", counted_bisect)
+    return log
+
+
+def test_layer_roots_of_mixed_shapes_equal_each_systems_own_scan(monkeypatch):
+    from alf.slowfast import _layer_roots, _layer_shape
+
+    systems = _scan_systems()
+    log = _counted_scans(monkeypatch)
+    for ks, lo, hi, count in (([-3.0, 0.0, 0.75, 2.5, -5.5], -2.5, 2.5, 201), ([1.5, -1.0, 4.0], -2.2, 1.9, 64)):
+        log.update(builds=0)
+        got = _layer_roots(systems, ks, lo, hi, count)
+        # one kernel per form shape
+        assert log["builds"] == len({_layer_shape(ps) for ps in systems}) < len(systems)
+        for ps, found in zip(systems, got):
+            (alone,) = _layer_roots([ps], ks, lo, hi, count)
+            assert [[repr(x) for x in roots] for roots in found] == [[repr(x) for x in roots] for roots in alone]
+
+
+def test_same_shape_sweep_makes_one_kernel_call_per_halving(monkeypatch):
+    from alf.slowfast import _layer_roots
+
+    ks, window = [-4.0, -1.3, 0.0, 0.6, 2.9], (-2.5, 2.5, 201)
+    log = _counted_scans(monkeypatch)
+    for tag in ("ex3a", "ex3b"):
+        systems = [PlaneSystem(n=n, f=ResponseFunction.family(tag, lam))
+                   for n, lam in ((3, Fraction(1, 2)), (5, Fraction(0)), (4, Fraction(9, 8)), (3, Fraction(-3, 4)))]
+        alone = []
+        for ps in systems:
+            log.update(bisections=[])
+            _layer_roots([ps], ks, *window)
+            ((lengths, calls),) = log["bisections"]
+            alone.append(lengths)
+        log.update(builds=0, calls=0, bisections=[])
+        _layer_roots(systems, ks, *window)
+        ((lengths, calls),) = log["bisections"]
+        # one kernel, called once per halving on the brackets of every system; the sweep halves as long as its
+        # slowest system
+        assert log["builds"] == 1 and calls == len(lengths) == max(map(len, alone))
+        assert lengths[0] == sum(own[0] for own in alone)
 
 
 def _bisect_every_halving(func, lo, hi, flo, p, where):
