@@ -459,9 +459,11 @@ class Trajectory:
             stream.write(",".join(cells) + "\n")
 
 
-# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated.  The
-# float tier steps with the float values of the coefficients, the extended
-# tiers with dt times the exact ones, rounded to the tier once per step.
+# Dormand-Prince 5(4) tableau, propagating the fifth-order solution.  Its last
+# row is b5, so the last stage input is that solution (first-same-as-last), and
+# the error estimate sums the stages with the weights e = b5 - b4.  The float
+# tier steps with dt times the coefficients' float values, the extended tiers
+# with dt times the exact ones, rounded to the tier once per step.
 _DP_A_EXACT = tuple(tuple(Fraction(a) for a in row) for row in (
     (),
     ("1/5",),
@@ -471,13 +473,10 @@ _DP_A_EXACT = tuple(tuple(Fraction(a) for a in row) for row in (
     ("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
     ("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84"),
 ))
-_DP_B5_EXACT = _DP_A_EXACT[6] + (Fraction(0),)
 _DP_B4_EXACT = tuple(Fraction(b) for b in (
     "5179/57600", "0", "7571/16695", "393/640", "-92097/339200", "187/2100", "1/40"))
+_DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_A_EXACT[6] + (Fraction(0),), _DP_B4_EXACT))
 _DP_A = tuple(tuple(float(a) for a in row) for row in _DP_A_EXACT)
-_DP_B5 = tuple(float(b) for b in _DP_B5_EXACT)
-_DP_B4 = tuple(float(b) for b in _DP_B4_EXACT)
-_DP_ERR_EXACT = tuple(b5 - b4 for b5, b4 in zip(_DP_B5_EXACT, _DP_B4_EXACT))
 
 
 def _floats(y):
@@ -736,62 +735,52 @@ def _run_rk4(rhs, y, ctx, t0, t1, cfg, accept):
 
 
 # The float tier's dp45 constants: the nonzero entries of the stage rows (each
-# row's first entry always), then 1.0 for dt itself, and the nonzero weights of
-# each solution as (stage, 0-d float64 array) pairs.
+# row's first entry always), then the nonzero error weights e_j.
 _DP_ROWS = tuple(tuple(idx for idx, a in enumerate(row) if idx == 0 or a != 0.0) for row in _DP_A[1:])
-_DP_TABLE = np.array([_DP_A[stage][idx] for stage, row in enumerate(_DP_ROWS, start=1) for idx in row] + [1.0])
-_DP_B5_TERMS = tuple((idx, np.array(b)) for idx, b in enumerate(_DP_B5) if b != 0.0)
-_DP_B4_TERMS = tuple((idx, np.array(b)) for idx, b in enumerate(_DP_B4) if b != 0.0)
-_ZERO = np.array(0.0)
+_DP_ERR = tuple(idx for idx, e in enumerate(_DP_ERR_EXACT) if e)
+_DP_TABLE = np.array([_DP_A[stage][idx] for stage, row in enumerate(_DP_ROWS, start=1) for idx in row]
+                     + [float(_DP_ERR_EXACT[idx]) for idx in _DP_ERR])
 
 
 def _dp45_float_dt() -> tuple:
-    """The per-run buffer of the float dp45 step: (buffer, stage rows of (index, 0-d view), 0-d view of dt).
+    """The per-run buffer of the float dp45 step: (buffer, stage rows, error terms), each term (index, 0-d view).
 
     `_dp45_float_stages` fills the buffer with dt times `_DP_TABLE` at each
-    attempt, so each view holds dt times its tableau entry, and the last dt.
+    attempt, so each view holds dt times its tableau entry or error weight.
     """
     buf = np.empty_like(_DP_TABLE)
     views = iter([buf[i, ...] for i in range(len(buf))])
     rows = tuple(tuple((idx, next(views)) for idx in row) for row in _DP_ROWS)
-    return buf, rows, next(views)
+    return buf, rows, tuple((idx, next(views)) for idx in _DP_ERR)
 
 
 def _dp45_float_stages(rhs, y, fsal, dt, consts):
     """The six new stages, the fifth-order solution and its error estimate, in float arithmetic.
 
     `consts` is `_dp45_float_dt()`, built once per run; one multiply fills
-    its buffer from the float dt.
+    its buffer from the float dt, so each c_j below is fl(dt a_j) or
+    fl(dt e_j).  Each stage input is (y + c_0 k_0) + c_j k_j + ..., over the
+    row's nonzero c_j in order, in an array the step allocates; the last
+    row is b5, so the last stage input is the fifth-order solution, the
+    array that rhs was given.  The error estimate is the one sum
+    c_0 k_0 + c_j k_j + ... over the nonzero e_j, in order.  The step
+    writes into neither y nor an array that rhs returned.
     """
-    buf, rows, whole = consts
+    buf, rows, err = consts
     np.multiply(_DP_TABLE, dt, buf)
     ks = [fsal]
     term = np.empty_like(y)
     for (_, first), *rest in rows:
-        acc = ks[0] * first
-        acc += y
+        s = ks[0] * first
+        s += y
         for idx, c in rest:
-            acc += np.multiply(ks[idx], c, term)
-        ks.append(rhs(acc))
-    y5 = _dp45_float_solution(y, _DP_B5_TERMS, ks, whole, term)
-    y4 = _dp45_float_solution(y, _DP_B4_TERMS, ks, whole, term)
-    return ks, y5, np.subtract(y5, y4, y4)
-
-
-def _dp45_float_solution(y, terms, ks, dt, term):
-    """y + sum(b * k for the (stage, b) terms) * dt in a new array, with `term` as scratch.
-
-    Python's sum() starts from the int 0, so the first term gets a + 0.0,
-    which turns a -0.0 into +0.0.
-    """
-    (idx, b), *rest = terms
-    acc = ks[idx] * b
-    acc += _ZERO
-    for idx, b in rest:
-        acc += np.multiply(ks[idx], b, term)
-    acc *= dt
-    acc += y
-    return acc
+            s += np.multiply(ks[idx], c, term)
+        ks.append(rhs(s))
+    (idx, c), *rest = err
+    delta = ks[idx] * c
+    for idx, c in rest:
+        delta += np.multiply(ks[idx], c, term)
+    return ks, s, delta
 
 
 def _dp45_fixed_stages(rhs, y, fsal, dt):
@@ -836,10 +825,12 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
     The times and step sizes (t + dt, t_end - t, dt * factor) are the tier's
     scalars under its own operators: floats, or on the extended tiers mpfs
     at the precision `integrate` pins, each result rounded once to nearest
-    (an mpf times a float converts the float exactly).
+    (an mpf times a float converts the float exactly).  The step control
+    reads their float values: t_end's once per run and t's once per time.
     """
     t = ctx.scalar(t0)
     t_end = ctx.scalar(t1)
+    now, end = float(t), float(t_end)
     dt = ctx.scalar(min(cfg.dt, float(t1) - float(t0)))
     tol = cfg.tol
     stages = partial(_dp45_float_stages, consts=_dp45_float_dt()) if ctx.is_float else _dp45_fixed_stages
@@ -847,9 +838,9 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
     before = y
     view = _floats(y)
     fsal = rhs(y)
-    while float(t) < float(t_end):
+    while now < end:
         # t + (t_end - t) may round short of t_end; a clipped step lands on it
-        clipped = float(t) + float(dt) > float(t_end)
+        clipped = now + float(dt) > end
         if clipped:
             dt = t_end - t
         ks, y5, delta = stages(rhs, y, fsal, dt)
@@ -857,10 +848,11 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
         err = _error_norm(view, view5, _floats(delta), tol)
         if err <= 1.0:
             t = t_end if clipped else t + dt
+            now = float(t)
             before, y, view = y, y5, view5  # one view per state: `accept` and the next error norm read it
-            fsal = ks[6]  # first-same-as-last
+            fsal = ks[6]  # first-same-as-last: ks[6] is f(y5)
             accepted += 1
-            if accept(accepted, t, y, view, float(t) >= float(t_end)):
+            if accept(accepted, t, y, view, now >= end):
                 return
         else:
             metadata["rejected_steps"] += 1
@@ -868,9 +860,9 @@ def _run_dp45(rhs, y, ctx, t0, t1, cfg, accept, stop, metadata):
         factor = min(5.0, max(0.2, factor))
         dt = dt * factor
         # a step the controller grows is not a stall, however small it still is
-        if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(float(t))) and float(t) < float(t_end):
-            if accepted and _escapes(before, y, fsal, float(t_end) - float(t)):
+        if factor < 1.0 and float(dt) < 1e-14 * max(1.0, abs(now)) and now < end:
+            if accepted and _escapes(before, y, fsal, end - now):
                 stop("divergence", t, y, accepted,
-                     f"state diverges at t={float(t)}: the step size underflowed while it grows "
-                     f"fast enough to pass the divergence cutoff before t={float(t_end)}")
-            stop("stall", t, y, accepted, f"step size underflow at t={float(t)}")
+                     f"state diverges at t={now}: the step size underflowed while it grows "
+                     f"fast enough to pass the divergence cutoff before t={end}")
+            stop("stall", t, y, accepted, f"step size underflow at t={now}")

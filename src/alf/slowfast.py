@@ -80,15 +80,15 @@ class PlaneSystem:
         The planned layer kernel's rate, negated, where `layer_value` runs the kernel.
         """
         if _on_kernel(x, k):
-            return np.negative(self._float_layer[1](x, k))
+            return np.negative(self._float_layer[1](x, k)[1])
         fp = self.f.derivative()
         return -(fp.eval(x) + (self.n - 1) * fp.eval(self.mirror(x, k)))
 
     @cached_property
     def _float_layer(self):
-        """(value, rate) of `_layer_kernel` for this system alone, built once."""
-        value, rate, _ = _layer_kernel([self])
-        return value, rate
+        """(value, value_and_rate) of `_layer_kernel` for this system alone, built once."""
+        value, value_and_rate, _ = _layer_kernel([self])
+        return value, value_and_rate
 
     def slow_rhs_factor(self):
         """(n-1) g + g_tilde, the slow drift divided by epsilon."""
@@ -160,12 +160,13 @@ def _layer_shape(ps: PlaneSystem) -> tuple:
 
 
 def _layer_kernel(systems):
-    """(value, rate, columns): the float layer of plane systems of one `_layer_shape`, planned once.
+    """(value, value_and_rate, columns): the float layer of plane systems of one `_layer_shape`, planned once.
 
-    value(x, p) is f(x) - f(m) and rate(x, p) is f'(x) + (n-1) f'(m), the
-    negated `layer_jacobian`, at the mirror m = k - (n-1) x, for a float
-    array x.  The constants are n - 1 and the `float_plan` columns of f and
-    of f'; one that has the same bits in every system is a scalar.  columns
+    value(x, p) is f(x) - f(m) at the mirror m = k - (n-1) x, for a float
+    array x, and value_and_rate(x, p) is that value and the rate
+    f'(x) + (n-1) f'(m), the negated `layer_jacobian`, from one build of m.
+    The constants are n - 1 and the `float_plan` columns of f and of f';
+    one that has the same bits in every system is a scalar.  columns
     holds the others, one list per constant with an entry per system: p is
     k (a float or an array of x's shape) when there are none, else one row
     (k, *(c[s] for c in columns)) per element, s its system, so compaction
@@ -198,18 +199,22 @@ def _layer_kernel(systems):
         np.subtract(k, y[1], y[1])
         return y
 
-    def value(x, p):
-        k, cs = split(p)
-        v = f_eval(stacked(x, k, cs[0]), cs[1:f_end])
+    def layer(y, cs):
+        v = f_eval(y, cs[1:f_end])
         return np.subtract(v[0], v[1], v[0])
 
-    def rate(x, p):
+    def value(x, p):
         k, cs = split(p)
-        d = d_eval(stacked(x, k, cs[0]), cs[f_end:])
-        np.multiply(d[1], cs[0], d[1])
-        return np.add(d[0], d[1], d[0])
+        return layer(stacked(x, k, cs[0]), cs)
 
-    return value, rate, [every[j] for j in varying]
+    def value_and_rate(x, p):
+        k, cs = split(p)
+        y = stacked(x, k, cs[0])
+        d = d_eval(y, cs[f_end:])
+        np.multiply(d[1], cs[0], d[1])
+        return layer(y, cs), np.add(d[0], d[1], d[0])
+
+    return value, value_and_rate, [every[j] for j in varying]
 
 
 def plane_reduce(sys: PerturbedSystem, l: int) -> PlaneSystem:
@@ -361,8 +366,8 @@ def _bisect(func, lo, hi, flo, p, where: str):
     return out
 
 
-def _newton(func, deriv, x, p, iterations: int):
-    """Newton's method on func(., p) from x, every element in lock-step.
+def _newton(func_and_deriv, x, p, iterations: int):
+    """Newton's method on func(., p) from x, every element in lock-step; func_and_deriv(x, p) gives both.
 
     An element keeps its current point where the derivative is 0 or not
     finite, or where the step leaves the finite floats; it takes the new
@@ -379,8 +384,7 @@ def _newton(func, deriv, x, p, iterations: int):
     for i in range(1, iterations + 1):
         if not len(active):
             break
-        fx = func(x, p)
-        dx = deriv(x, p)
+        fx, dx = func_and_deriv(x, p)
         step = fx / dx
         x_new = x - step
         stop = (dx == 0.0) | ~np.isfinite(dx) | ~np.isfinite(x_new)
@@ -401,19 +405,19 @@ def _newton(func, deriv, x, p, iterations: int):
 
 
 @np.errstate(all="ignore")
-def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[list[float]]:
+def _scan_roots(func, func_and_deriv, lo: float, hi: float, count: int, params) -> list[list[float]]:
     """Zeros of func(., p) over `count` evenly spaced points of [lo, hi], per row p of params.
 
-    A row is a float or a 1-D row such as (k, *constants).  func and deriv
-    work elementwise on a float array x and the rows p of its elements, so
-    one array pass scans every gridline: x is the (count, rows) grid, read
-    only, with the rows broadcast along its last axis; then bisection and
-    Newton pass 1-D arrays, one row per element, and compaction keeps the
-    row order.  A
-    grid point where func is exactly 0 is a root itself (the end point
-    included).  Each sign change between neighbours is bisected; its Newton
-    polish is kept only when it moves the root by at most one grid step and
-    does not raise the residual.  Each root has the bits of a scan of one
+    A row is a float or a 1-D row such as (k, *constants).  func, and
+    func_and_deriv, which gives func and its derivative for Newton, work
+    elementwise on a float array x and the rows p of its elements, so one
+    array pass scans every gridline: x is the (count, rows) grid, read only,
+    with the rows broadcast along its last axis; then bisection and Newton
+    pass 1-D arrays, one row per element, and compaction keeps the row
+    order.  A grid point where func is exactly 0 is a root itself (the end
+    point included).  Each sign change between neighbours is bisected; its
+    Newton polish is kept only when it moves the root by at most one grid
+    step and does not raise the residual.  Each root has the bits of a scan of one
     point at a time; the roots of each row come back as Python floats, in
     scan order.
     """
@@ -437,7 +441,7 @@ def _scan_roots(func, deriv, lo: float, hi: float, count: int, params) -> list[l
         lost = far[(func(x_b[far], p[far]) < 0) == (f_a[far] < 0)]
         x_b[lost] = g_b[lost]
         root = _bisect(func, x_a, x_b, f_a, p, f"root scan of [{lo!r}, {hi!r}] at {count} points")
-        polished = _newton(func, deriv, root, p, 30)
+        polished = _newton(func_and_deriv, root, p, 30)
         keep = (np.abs(polished - root) <= step) & (np.abs(func(polished, p)) <= np.abs(func(root, p)))
         roots[todo] = np.where(keep, polished, root)
     out: list[list[float]] = [[] for _ in params]
@@ -466,11 +470,11 @@ def _layer_roots(systems, ks, lo: float, hi: float, count: int) -> list[list[lis
     out: list = [None] * len(systems)
     nk = len(ks)
     for members in groups.values():
-        value, rate, columns = _layer_kernel([systems[s] for s in members])
+        value, value_and_rate, columns = _layer_kernel([systems[s] for s in members])
         params = np.tile(np.asarray(ks, dtype=float), len(members))
         if columns:
             params = np.column_stack([params, np.repeat(np.array(columns).T, nk, axis=0)])
-        scans = _scan_roots(value, rate, lo, hi, count, params)
+        scans = _scan_roots(value, value_and_rate, lo, hi, count, params)
         for i, s in enumerate(members):
             out[s] = scans[i * nk:(i + 1) * nk]
     return out
@@ -692,9 +696,10 @@ def find_singular_points(f: ResponseFunction, lo: float, hi: float, samples: int
     def planned(g: ResponseFunction):
         evaluate, columns = float_plan([g])
         consts = [np.array(c) for (c,) in columns]
-        return lambda x, _: evaluate(x, consts)
+        return lambda x: evaluate(x, consts)
 
-    (roots,) = _scan_roots(planned(f.derivative()), planned(f.derivative(2)), lo, hi, samples, [0.0])
+    fp, fpp = planned(f.derivative()), planned(f.derivative(2))
+    (roots,) = _scan_roots(lambda x, _: fp(x), lambda x, _: (fp(x), fpp(x)), lo, hi, samples, [0.0])
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):

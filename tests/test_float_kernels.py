@@ -88,7 +88,7 @@ def _ref_rk4(rhs, y, dt):
 
 
 def _ref_dp45(rhs, y, fsal, dt):
-    a, b5, b4 = dynamics._DP_A, dynamics._DP_B5, dynamics._DP_B4
+    a, e = dynamics._DP_A, [float(v) for v in dynamics._DP_ERR_EXACT]
     ks = [fsal]
     for stage in range(1, 7):
         acc = y + ks[0] * (dt * a[stage][0])
@@ -96,9 +96,9 @@ def _ref_dp45(rhs, y, fsal, dt):
             if a[stage][idx] != 0.0:
                 acc = acc + ks[idx] * (dt * a[stage][idx])
         ks.append(rhs(acc))
-    y5 = y + sum(b * k for b, k in zip(b5, ks) if b != 0.0) * dt
-    y4 = y + sum(b * k for b, k in zip(b4, ks) if b != 0.0) * dt
-    return ks, y5, y5 - y4
+    # the last row of a is b5: the last stage input is the fifth-order solution
+    delta = reduce(add, [k * (dt * c) for c, k in zip(e, ks) if c != 0.0])
+    return ks, acc, delta
 
 
 # --- helpers ------------------------------------------------------------------
@@ -298,22 +298,36 @@ def test_dp45_stages_read_no_constant_of_an_earlier_attempt():
         y, fsal = y5, ks[6]
 
 
-def test_dp45_first_term_turns_negative_zero_positive():
-    # sum() starts from the int 0, and 0 + (-0.0) is +0.0.  Stage 4 has the negative weights, so a +0.0
-    # there makes every term b * k a -0.0, and only that first + 0.0 tells the two sums apart.
-    calls = []
-
-    def rhs(y):
-        calls.append(None)
-        return np.full(2, 0.0 if len(calls) == 4 else -0.0)
-
-    y = np.array([-0.0, -0.0])
-    _, y5, delta = _dp45_float_stages(rhs, y, np.full(2, -0.0), 1e-3, _dp45_float_dt())
-    calls.clear()
-    _, ref_y5, ref_delta = _ref_dp45(rhs, y, np.full(2, -0.0), 1e-3)
-    assert_same_bits(y5, ref_y5)
-    assert_same_bits(delta, ref_delta)
-    assert y5.view(np.int64).tolist() == [0, 0]
+@pytest.mark.parametrize("case", ["full-k10", "full-weighted-10", "standard-weighted-10"])
+def test_dp45_solution_is_the_last_stage_input_and_its_error_is_one_sum(case):
+    # y5 is the array rhs was given as the seventh stage's input, so the k7 that the next attempt reuses is f(y5).
+    # delta sums the six products fl(fl(dt fl(e_j)) k_j) left to right: each term takes at most 3 + 5 relative
+    # roundings, within gamma_8 = 8u / (1 - 8u) of the exact term all told, and a product that underflows adds
+    # at most 2**-1075, which the sum grows by at most 1 + gamma_5 < 2.
+    # dt from 1e-4 to 1e-1 on K10, whose Laplacian's largest eigenvalue is 10, and ten times shorter on
+    # weighted-10, whose largest is 85.5: a longer step takes its stages past the float range
+    if case == "full-k10":
+        sys_ = _system(GRAPHS["k10"], FIELDS["ex1"], seed=2)
+        rhs, n, scale = sys_.rhs_function(CTX), sys_.n, 1.0
+    else:
+        (rhs, _, n), scale = STEP_CASES[case], 0.1
+    u = Fraction(1, 2**53)
+    gamma = 8 * u / (1 - 8 * u)
+    rng = SplitMix64(len(case))
+    for _ in range(40):
+        y = np.array([rng.uniform(-1.5, 1.5) for _ in range(n)])
+        if case.startswith("standard"):
+            y[-1] += y[:-1].sum()  # k, whose eliminated node takes the drawn last value
+        dt = scale * 10.0 ** rng.uniform(-4.0, -1.0)
+        recorder = Recorder(rhs)
+        ks, y5, delta = _dp45_float_stages(recorder, y, rhs(y), dt, _dp45_float_dt())
+        assert len(recorder.seen) == 12
+        assert_same_bits(y5, recorder.seen[10][1])
+        recorder.assert_untouched()
+        assert all(np.isfinite(k).all() for k in ks)
+        for i, got in enumerate(delta.tolist()):
+            terms = [e * Fraction(dt) * Fraction(float(k[i])) for e, k in zip(dynamics._DP_ERR_EXACT, ks)]
+            assert abs(Fraction(got) - sum(terms)) <= gamma * sum(map(abs, terms)) + Fraction(6, 2**1074), (i, dt)
 
 
 # --- whole runs -------------------------------------------------------------------

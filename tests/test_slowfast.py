@@ -332,7 +332,8 @@ def test_array_scan_roots_equal_scalar_scan():
             # the last grid point -1.1 + 3 * 0.6 is 0.6999999999999997, a root at k = 2x; hi is reported
             windows.append(([2 * (-1.1 + 3 * 0.6), 1.0], -1.1, 0.7, 4))
         for ks, lo, hi, count in windows:
-            got = _scan_roots(ps.layer_value, lambda x, k: -ps.layer_jacobian(x, k), lo, hi, count, ks)
+            got = _scan_roots(ps.layer_value, lambda x, k: (ps.layer_value(x, k), -ps.layer_jacobian(x, k)),
+                              lo, hi, count, ks)
             assert len(got) == len(ks)
             for k, roots in zip(ks, got):
                 ref = _scalar_scan_roots(lambda x: float(ps.layer_value(x, k)),
@@ -380,7 +381,7 @@ def test_lock_step_scan_compacts_as_elements_finish():
     x0, p = (np.array(column) for column in zip(*starts))
     lengths = []
     with np.errstate(all="ignore"):
-        got = _newton(counted(lambda x, p: x * x - p, lengths), lambda x, p: 2.0 * x, x0, p, 30)
+        got = _newton(counted(lambda x, p: (x * x - p, 2.0 * x), lengths), x0, p, 30)
     for (start, target), x in zip(starts, got.tolist()):
         assert repr(x) == repr(newton_polish(lambda v: v * v - target, lambda v: 2.0 * v, start))
     assert lengths[:2] == [6, 3] and len(set(lengths)) >= 3 and len(lengths) < 30
@@ -390,7 +391,7 @@ def test_lock_step_scan_compacts_as_elements_finish():
                          (PlaneSystem(n=4, f=ResponseFunction.family("ex3a", 1.3)), 2.8000000000000007, 1.100000000000001),
                          (PlaneSystem(n=8, f=ResponseFunction.family("ex3b", 1.3)), -5.6, -1.0186401500169997)):
         lengths = []
-        got = _newton(counted(lambda x, k: ps.layer_value(x, k), lengths), lambda x, k: -ps.layer_jacobian(x, k),
+        got = _newton(counted(lambda x, k: (ps.layer_value(x, k), -ps.layer_jacobian(x, k)), lengths),
                       np.array([start]), np.array([k]), 30)
         want = newton_polish(lambda x: float(ps.layer_value(x, k)), lambda x: -ps.layer_jacobian(x, k), start)
         assert repr(float(got[0])) == repr(want) and len(lengths) < 30
@@ -488,9 +489,10 @@ def test_layer_kernel_equals_form_loop_bit_for_bit(form):
         for n in (2, 3, 7):
             ps = PlaneSystem(n=n, f=f)
             want_value, want_rate = _form_layer(ps, x, k)
-            value, rate, columns = _layer_kernel([ps])
+            value, value_and_rate, columns = _layer_kernel([ps])
             assert columns == []
-            for got, want in ((value(x, k), want_value), (rate(x, k), want_rate),
+            pair_value, pair_rate = value_and_rate(x, k)
+            for got, want in ((value(x, k), want_value), (pair_value, want_value), (pair_rate, want_rate),
                               (ps.layer_value(x, k), want_value), (-ps.layer_jacobian(x, k), want_rate)):
                 assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), (n, got, want)
             # a float k is broadcast, as it was
@@ -515,16 +517,17 @@ def test_sweep_layer_kernel_reads_its_constants_per_row(forms):
             f = ResponseFunction.from_coeffs([c * (i + 1) for c in f.coeffs])
         systems.append(PlaneSystem(n=n, f=f))
     assert len({_layer_shape(ps) for ps in systems}) == 1
-    value, rate, columns = _layer_kernel(systems)
+    value, value_and_rate, columns = _layer_kernel(systems)
     x, k = _kernel_points(rng, 100)
     which = np.arange(len(x)) % len(systems)
     p = np.column_stack([k, *(np.array(c)[which] for c in columns)]) if columns else k
     with np.errstate(all="ignore"):
-        got_value, got_rate = value(x, p), rate(x, p)
+        got_value, (pair_value, got_rate) = value(x, p), value_and_rate(x, p)
         for s, ps in enumerate(systems):
             at = which == s
             want_value, want_rate = _form_layer(ps, x[at], k[at])
             assert np.array_equal(got_value[at].view(np.int64), want_value.view(np.int64)), (s, forms)
+            assert np.array_equal(pair_value[at].view(np.int64), want_value.view(np.int64)), (s, forms)
             assert np.array_equal(got_rate[at].view(np.int64), want_rate.view(np.int64)), (s, forms)
 
 
@@ -552,13 +555,13 @@ def _counted_scans(monkeypatch):
 
     def layer_kernel(systems):
         log["builds"] += 1
-        value, rate, columns = build(systems)
+        value, value_and_rate, columns = build(systems)
 
         def counted(x, p):
             log["calls"] += 1
             return value(x, p)
 
-        return counted, rate, columns
+        return counted, value_and_rate, columns
 
     def counted_bisect(func, lo, hi, flo, p, where):
         lengths, before = [], log["calls"]
